@@ -13,9 +13,11 @@ from decimal import ROUND_HALF_UP, Decimal, localcontext
 from fractions import Fraction
 from typing import Sequence
 
+from .codebook import TOKEN_OVERLAP, Codebook, Matcher, MatchResult, match_codes
 from .errors import (
     DegenerateMarginals,
     EmptyCodebook,
+    InconsistentMatch,
     LengthMismatch,
     PartExceedsTotal,
     SimilarExceedsOwn,
@@ -67,12 +69,6 @@ class PresenceMatrix:
                 raise ValueError("matrix cells must be binary")
         if len(self.cells) != len(self.row_labels):
             raise ValueError("matrix height must match row label count")
-
-    def column_sums(self) -> dict[str, int]:
-        return {
-            coder: sum(row[index] for row in self.cells)
-            for index, coder in enumerate(self.coder_ids)
-        }
 
     def column_vector(self, coder_id: str) -> list[int]:
         index = self.coder_ids.index(coder_id)
@@ -159,34 +155,59 @@ def cohens_kappa(x: Sequence[int], y: Sequence[int]) -> float:
     return float((p_o - p_e) / (1 - p_e))
 
 
-def presence_matrix(codebooks: Sequence, matcher) -> PresenceMatrix:
+def presence_matrix(codebooks: Sequence[Codebook], matcher: Matcher,
+                    match: MatchResult | None = None) -> PresenceMatrix:
     """Binary presence of each canonical label across several codebooks.
 
-    Rows appear in first-appearance order over codebooks scanned in the
-    given order; a cell is 1 iff that coder has a record matching the row's
-    representative label under the matcher.
+    In exact and alias modes a row is a canonical key.  Rows appear in
+    first-appearance order over codebooks scanned in the given order, each
+    labelled with the canonical label of its first record; a cell is 1 iff
+    that coder has a record with the row's key.
+
+    Token overlap is not transitive, so in that mode the rows follow the 1-to-1
+    pairing of exactly two codebooks (``match``, or :func:`match_codes` when it
+    is not given): one row per first-coder label, 1 in the second column when
+    paired, then one row per unpaired second-coder label.
     """
     if not codebooks:
         raise EmptyCodebook("need at least one codebook")
+    coder_ids = tuple(codebook.coder_id for codebook in codebooks)
+    if matcher.mode == TOKEN_OVERLAP:
+        return _paired_presence(codebooks, matcher, match, coder_ids)
+    rows: dict[str, list[int]] = {}
     row_labels: list[str] = []
-    presence: list[list[int]] = []
     for column, codebook in enumerate(codebooks):
         for record in codebook.codes:
-            label = matcher.canonical_label(record.label)
-            target = None
-            for row_index, existing in enumerate(row_labels):
-                if matcher.matches(existing, label):
-                    target = row_index
-                    break
-            if target is None:
+            label, key = matcher.resolve(record.label, record.key)
+            row = rows.get(key)
+            if row is None:
+                row = rows[key] = [0] * len(codebooks)
                 row_labels.append(label)
-                presence.append([0] * len(codebooks))
-                target = len(row_labels) - 1
-            presence[target][column] = 1
+            row[column] = 1
     return PresenceMatrix(
         row_labels=tuple(row_labels),
-        coder_ids=tuple(codebook.coder_id for codebook in codebooks),
-        cells=tuple(tuple(row) for row in presence),
+        coder_ids=coder_ids,
+        cells=tuple(tuple(row) for row in rows.values()),
+    )
+
+
+def _paired_presence(codebooks: Sequence[Codebook], matcher: Matcher,
+                     match: MatchResult | None, coder_ids: tuple[str, ...]) -> PresenceMatrix:
+    if len(codebooks) != 2:
+        raise ValueError("token_overlap presence rows need exactly two codebooks")
+    first, second = codebooks
+    if match is None:
+        match = match_codes(first, second, matcher)
+    paired_a = {label_a for label_a, _ in match.pairs}
+    paired_b = {label_b for _, label_b in match.pairs}
+    if not paired_a <= set(first.labels) or not paired_b <= set(second.labels):
+        raise InconsistentMatch("presence pairs not drawn from the two codebooks")
+    rows = [(label, (1, int(label in paired_a))) for label in first.labels]
+    rows += [(label, (0, 1)) for label in second.labels if label not in paired_b]
+    return PresenceMatrix(
+        row_labels=tuple(label for label, _ in rows),
+        coder_ids=coder_ids,
+        cells=tuple(cells for _, cells in rows),
     )
 
 

@@ -53,27 +53,22 @@ class Codebook:
             raise ValueError("coder_id must be non-empty")
         seen: dict[str, str] = {}
         for record in self.codes:
-            key = label_key(record.label)
-            if key in seen:
+            if record.key in seen:
                 raise DuplicateLabel(
-                    f"labels {seen[key]!r} and {record.label!r} collide after normalization"
+                    f"labels {seen[record.key]!r} and {record.label!r} collide after normalization"
                 )
-            seen[key] = record.label
+            seen[record.key] = record.label
 
     @property
     def labels(self) -> tuple[str, ...]:
         return tuple(record.label for record in self.codes)
 
     def deduped_labels(self) -> tuple[str, ...]:
-        """Record labels deduplicated case-insensitively, first appearance kept."""
-        out: list[str] = []
-        seen: set[str] = set()
-        for record in self.codes:
-            key = label_key(record.label)
-            if key not in seen:
-                seen.add(key)
-                out.append(record.label)
-        return tuple(out)
+        """Record labels deduplicated case-insensitively, first appearance kept.
+
+        Keys are unique within a codebook, so this is every label in order.
+        """
+        return self.labels
 
 
 @dataclass(frozen=True)
@@ -83,7 +78,9 @@ class Matcher:
     mode: str = EXACT_NORMALIZED
     alias_map: dict[str, str] | None = None
     jaccard_threshold: float = 0.6
-    _alias_lookup: dict[str, str] = field(init=False, repr=False, compare=False, default_factory=dict)
+    # alias mode: alias key -> (canonical label, canonical key)
+    _canonical: dict[str, tuple[str, str]] = field(
+        init=False, repr=False, compare=False, default_factory=dict)
 
     def __post_init__(self) -> None:
         if self.mode not in MATCHER_MODES:
@@ -92,28 +89,30 @@ class Matcher:
             raise ValueError(f"jaccard_threshold must be in (0, 1], got {self.jaccard_threshold}")
         if self.mode == ALIAS_MAP and self.alias_map is None:
             raise ValueError("alias_map mode requires an alias map")
-        lookup: dict[str, str] = {}
-        if self.alias_map:
-            for source, target in self.alias_map.items():
-                lookup[label_key(source)] = target
-            for target in self.alias_map.values():
-                target_key = label_key(target)
-                onward = lookup.get(target_key)
-                if onward is not None and label_key(onward) != target_key:
-                    raise AliasChain(
-                        f"alias target {target!r} is itself aliased to {onward!r}"
-                    )
-        object.__setattr__(self, "_alias_lookup", lookup)
+        resolved = [(label_key(source), target, label_key(target))
+                    for source, target in (self.alias_map or {}).items()]
+        lookup = {source_key: (target, target_key) for source_key, target, target_key in resolved}
+        for _, target, target_key in resolved:
+            onward = lookup.get(target_key)
+            if onward is not None and onward[1] != target_key:
+                raise AliasChain(f"alias target {target!r} is itself aliased to {onward[0]!r}")
+        if self.mode == ALIAS_MAP:
+            object.__setattr__(self, "_canonical", lookup)
+
+    def resolve(self, label: str, key: str) -> tuple[str, str]:
+        """Canonical label and canonical key of ``label``, whose key is ``key``.
+
+        Only alias mode rewrites; other modes return the pair unchanged.
+        """
+        return self._canonical.get(key, (label, key))
 
     def canonical_label(self, label: str) -> str:
         """Resolve a label to its canonical surface form (alias mode only rewrites)."""
-        if self.mode == ALIAS_MAP:
-            return self._alias_lookup.get(label_key(label), label)
-        return label
+        return self.resolve(label, label_key(label))[0]
 
     def matches(self, label_a: str, label_b: str) -> bool:
-        key_a = label_key(self.canonical_label(label_a))
-        key_b = label_key(self.canonical_label(label_b))
+        key_a = self.resolve(label_a, label_key(label_a))[1]
+        key_b = self.resolve(label_b, label_key(label_b))[1]
         if key_a == key_b:
             return True
         if self.mode == TOKEN_OVERLAP:
@@ -138,26 +137,21 @@ class MatchResult:
 
 def jaccard(label_a: str, label_b: str) -> float:
     """Token-set Jaccard similarity between two labels."""
-    tokens_a = label_tokens(label_a)
-    tokens_b = label_tokens(label_b)
-    if not tokens_a and not tokens_b:
-        return 1.0 if label_key(label_a) == label_key(label_b) else 0.0
-    if not tokens_a or not tokens_b:
-        return 0.0
-    return len(tokens_a & tokens_b) / len(tokens_a | tokens_b)
+    return _token_jaccard(label_tokens(label_a), label_tokens(label_b))
 
 
-def _claim_canonical(codebook: Codebook, matcher: Matcher) -> tuple[dict[str, str], list[str]]:
-    """Map canonical key → first claiming label; later collisions become outliers."""
+def _token_jaccard(tokens_a: frozenset[str], tokens_b: frozenset[str]) -> float:
+    # Two empty token sets come from two empty keys, which are equal labels.
+    union = tokens_a | tokens_b
+    return len(tokens_a & tokens_b) / len(union) if union else 1.0
+
+
+def _claims(codebook: Codebook, matcher: Matcher) -> dict[str, str]:
+    """Map canonical key → first claiming label; later claimants stay unpaired."""
     claims: dict[str, str] = {}
-    collided: list[str] = []
     for record in codebook.codes:
-        key = label_key(matcher.canonical_label(record.label))
-        if key in claims:
-            collided.append(record.label)
-        else:
-            claims[key] = record.label
-    return claims, collided
+        claims.setdefault(matcher.resolve(record.label, record.key)[1], record.label)
+    return claims
 
 
 def match_codes(a: Codebook, b: Codebook, matcher: Matcher) -> MatchResult:
@@ -167,46 +161,42 @@ def match_codes(a: Codebook, b: Codebook, matcher: Matcher) -> MatchResult:
     if matcher.mode == TOKEN_OVERLAP:
         return _match_token_overlap(a, b, matcher)
 
-    claims_a, collided_a = _claim_canonical(a, matcher)
-    claims_b, collided_b = _claim_canonical(b, matcher)
-    pairs: list[tuple[str, str]] = []
-    outliers_a: list[str] = list(collided_a)
-    outliers_b: list[str] = list(collided_b)
-    for key, label_a in claims_a.items():
-        if key in claims_b:
-            pairs.append((label_a, claims_b[key]))
-        else:
-            outliers_a.append(label_a)
-    for key, label_b in claims_b.items():
-        if key not in claims_a:
-            outliers_b.append(label_b)
-    return MatchResult(pairs=tuple(pairs),
-                       outliers_a=tuple(sorted(outliers_a, key=lambda lbl: a.labels.index(lbl))),
-                       outliers_b=tuple(sorted(outliers_b, key=lambda lbl: b.labels.index(lbl))))
+    claims_b = _claims(b, matcher)
+    pairs = tuple((label_a, claims_b[key]) for key, label_a in _claims(a, matcher).items()
+                  if key in claims_b)
+    return _result(a, b, pairs)
 
 
 def _match_token_overlap(a: Codebook, b: Codebook, matcher: Matcher) -> MatchResult:
-    candidates: list[tuple[float, str, str]] = []
-    for label_a in a.labels:
-        for label_b in b.labels:
-            similarity = jaccard(label_a, label_b)
+    """Greedy best-first pairing: key-equal labels first, then by Jaccard score."""
+    tokens_b = [(record, frozenset(record.key.split())) for record in b.codes]
+    candidates: list[tuple[bool, float, str, str]] = []
+    for record_a in a.codes:
+        tokens_a = frozenset(record_a.key.split())
+        for record_b, set_b in tokens_b:
+            similarity = _token_jaccard(tokens_a, set_b)
             if similarity >= matcher.jaccard_threshold:
-                candidates.append((similarity, label_a, label_b))
-    candidates.sort(key=lambda item: (-item[0], item[1], item[2]))
-    used_a: set[str] = set()
+                candidates.append((record_a.key != record_b.key, -similarity,
+                                   record_a.label, record_b.label))
+    candidates.sort()
+    partner: dict[str, str] = {}
     used_b: set[str] = set()
-    pairs: list[tuple[str, str]] = []
-    for _, label_a, label_b in candidates:
-        if label_a in used_a or label_b in used_b:
+    for _, _, label_a, label_b in candidates:
+        if label_a in partner or label_b in used_b:
             continue
-        used_a.add(label_a)
+        partner[label_a] = label_b
         used_b.add(label_b)
-        pairs.append((label_a, label_b))
-    ordered = sorted(pairs, key=lambda pair: a.labels.index(pair[0]))
+    return _result(a, b, tuple((label, partner[label]) for label in a.labels if label in partner))
+
+
+def _result(a: Codebook, b: Codebook, pairs: tuple[tuple[str, str], ...]) -> MatchResult:
+    """MatchResult for ``pairs``; every other label is an outlier, in codebook order."""
+    paired_a = {label_a for label_a, _ in pairs}
+    paired_b = {label_b for _, label_b in pairs}
     return MatchResult(
-        pairs=tuple(ordered),
-        outliers_a=tuple(lbl for lbl in a.labels if lbl not in used_a),
-        outliers_b=tuple(lbl for lbl in b.labels if lbl not in used_b),
+        pairs=pairs,
+        outliers_a=tuple(label for label in a.labels if label not in paired_a),
+        outliers_b=tuple(label for label in b.labels if label not in paired_b),
     )
 
 
@@ -218,15 +208,15 @@ def merge_codebooks(a: Codebook, b: Codebook, match: MatchResult) -> tuple[Codeb
     Returns the merged codebook and the merge count |A| + |B| − |pairs|.
     """
     labels_a = set(a.labels)
-    labels_b = set(b.labels)
+    keys_b = {record.label: record.key for record in b.codes}
     for label_a, label_b in match.pairs:
-        if label_a not in labels_a or label_b not in labels_b:
+        if label_a not in labels_a or label_b not in keys_b:
             raise InconsistentMatch(f"pair ({label_a!r}, {label_b!r}) not drawn from the inputs")
     for label in match.outliers_a:
         if label not in labels_a:
             raise InconsistentMatch(f"outlier {label!r} not in first codebook")
     for label in match.outliers_b:
-        if label not in labels_b:
+        if label not in keys_b:
             raise InconsistentMatch(f"outlier {label!r} not in second codebook")
 
     alias_for: dict[str, str] = {la: lb for la, lb in match.pairs}
@@ -236,7 +226,7 @@ def merge_codebooks(a: Codebook, b: Codebook, match: MatchResult) -> tuple[Codeb
     for record in a.codes:
         if record.label in paired_a:
             partner = alias_for[record.label]
-            extra = (partner,) if label_key(partner) != label_key(record.label) else ()
+            extra = (partner,) if keys_b[partner] != record.key else ()
             merged.append(CodeRecord(
                 label=record.label, quote=record.quote, page=record.page,
                 provenance="human-merged", raw_span=record.raw_span,

@@ -49,7 +49,11 @@ _QUOTE_CHARS = "\"“”"
 
 @dataclass(frozen=True)
 class CodeRecord:
-    """One inductive code with its supporting quote and page reference."""
+    """One inductive code with its supporting quote and page reference.
+
+    ``key`` is the label's matching key (:func:`label_key`), computed once
+    here and read by codebooks, matching, merging and the presence matrix.
+    """
 
     label: str
     quote: str
@@ -57,6 +61,7 @@ class CodeRecord:
     provenance: str = "llm"
     raw_span: tuple[int, int] | None = None
     aliases: tuple[str, ...] = ()
+    key: str = field(init=False, repr=False, compare=False, default="")
 
     def __post_init__(self) -> None:
         if not self.label.strip():
@@ -65,6 +70,7 @@ class CodeRecord:
             raise ValueError(f"code label exceeds 200 characters: {self.label[:40]}...")
         if self.page is not None and self.page < 1:
             raise ValueError(f"page must be >= 1, got {self.page}")
+        object.__setattr__(self, "key", label_key(self.label))
 
 
 @dataclass(frozen=True)

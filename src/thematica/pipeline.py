@@ -400,7 +400,8 @@ def run_analysis(corpus: Corpus, focus: StudyFocus, config: ModelConfig, transpo
             if any(LIST_DELIMITER.match(line) for line in reply.splitlines()):
                 list_reply = reply
 
-        regenerated = _dedup_labels(records)
+        codebook = Codebook(coder_id="genai", provenance="llm", codes=tuple(records))
+        regenerated = codebook.deduped_labels()
         if list_reply is not None:
             emerging = tuple(parse_emerging_code_list(list_reply))
             if emerging != regenerated:
@@ -410,13 +411,10 @@ def run_analysis(corpus: Corpus, focus: StudyFocus, config: ModelConfig, transpo
                 )
         else:
             emerging = regenerated
-        record_keys = {_key(record.label) for record in records}
+        record_keys = {record.key for record in records}
         for label in emerging:
-            if _key(label) not in record_keys:
+            if label_key(label) not in record_keys:
                 parse_notes.append(f"emerging label {label!r} is not among the extracted code labels")
-
-        codebook = Codebook(coder_id="genai", provenance="llm",
-                            codes=tuple(records), emerging_labels=emerging)
     except ThematicaError as exc:
         persist()
         raise interrupted("consolidation", None, exc) from exc
@@ -438,8 +436,8 @@ def run_analysis(corpus: Corpus, focus: StudyFocus, config: ModelConfig, transpo
         raise interrupted("theme_generation", None, exc) from exc
     themes = theme_report.records
     parse_notes.extend(f"themes line {w.line}: {w.kind}: {w.detail}" for w in theme_report.warnings)
-    member_keys = {_key(label) for theme in themes for label in theme.member_labels}
-    for key_label in sorted(member_keys - {_key(record.label) for record in records}):
+    member_keys = {label_key(label) for theme in themes for label in theme.member_labels}
+    for key_label in sorted(member_keys - record_keys):
         parse_notes.append(f"theme member {key_label!r} does not match any extracted code label")
 
     # step 4: interpretation
@@ -469,21 +467,6 @@ def run_analysis(corpus: Corpus, focus: StudyFocus, config: ModelConfig, transpo
     artifact.status = "complete"
     persist()
     return artifact
-
-
-def _key(label: str) -> str:
-    return label_key(label)
-
-
-def _dedup_labels(records: list[CodeRecord]) -> tuple[str, ...]:
-    seen: set[str] = set()
-    out: list[str] = []
-    for record in records:
-        key = _key(record.label)
-        if key not in seen:
-            seen.add(key)
-            out.append(record.label)
-    return tuple(out)
 
 
 def six_step_coverage(artifact: AnalysisArtifact,
@@ -557,7 +540,7 @@ def compare(artifact: AnalysisArtifact, human_merged: Codebook,
 
     summary = build_table4_summary(len(human_merged.codes), len(llm.codes))
     match = match_codes(human_merged, llm, matcher)
-    matrix = presence_matrix([human_merged, llm], matcher)
+    matrix = presence_matrix([human_merged, llm], matcher, match)
     pair_count = len(match.pairs)
 
     human_themes = len(human_merged.themes)

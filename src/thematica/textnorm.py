@@ -36,10 +36,13 @@ _CHAR_FOLD = {
     " ": " ",  # no-break space
 }
 
+_FOLD_TABLE = str.maketrans(_CHAR_FOLD)
+
 _NUMBER_PREFIX = re.compile(r"^\s*\d+\s*[.)]\s*")
 _EMPHASIS = re.compile(r"(\*\*|\*|__|_)")
 _WS_RUN = re.compile(r"\s+")
 _EDGE_PUNCT = re.compile(r"^[\s\"'.,:;!?()-]+|[\s\"'.,:;!?()-]+$")
+_NON_WORD = re.compile(r"[^\w\s]")
 
 
 def strip_emphasis(text: str) -> str:
@@ -56,7 +59,7 @@ def normalize_label(raw: str) -> str:
     """
     text = _NUMBER_PREFIX.sub("", raw)
     text = strip_emphasis(text)
-    text = "".join(_CHAR_FOLD.get(ch, ch) for ch in text)
+    text = text.translate(_FOLD_TABLE)
     text = _EDGE_PUNCT.sub("", text)
     return _WS_RUN.sub(" ", text).strip()
 
@@ -68,8 +71,7 @@ def label_key(label: str) -> str:
     whitespace.  Distinct surface forms of the same code ("Curiosity-driven
     migration" / "Curiosity-Driven Migration") share one key.
     """
-    text = "".join(_CHAR_FOLD.get(ch, ch) for ch in label).casefold()
-    text = re.sub(r"[^\w\s]", " ", text)
+    text = _NON_WORD.sub(" ", label.translate(_FOLD_TABLE).casefold())
     return _WS_RUN.sub(" ", text).strip()
 
 

@@ -23,8 +23,9 @@ from thematica.agreement import (
     round_display,
     share_percentage,
 )
-from thematica.codebook import Codebook, Matcher
+from thematica.codebook import ALIAS_MAP, TOKEN_OVERLAP, Codebook, Matcher, MatchResult, match_codes
 from thematica.errors import (
+    InconsistentMatch,
     LengthMismatch,
     PartExceedsTotal,
     SimilarExceedsOwn,
@@ -195,6 +196,78 @@ def test_presence_matrix_against_set_oracle() -> None:
         for row_label, (in_a, in_b) in zip(matrix.row_labels, matrix.cells):
             assert in_a == int(row_label in labels_a)
             assert in_b == int(row_label in labels_b)
+
+
+def first_fit_presence_matrix(codebooks, matcher) -> PresenceMatrix:
+    """The original quadratic presence matrix, kept as a reference."""
+    row_labels: list[str] = []
+    presence: list[list[int]] = []
+    for column, codebook in enumerate(codebooks):
+        for record in codebook.codes:
+            label = matcher.canonical_label(record.label)
+            target = None
+            for row_index, existing in enumerate(row_labels):
+                if matcher.matches(existing, label):
+                    target = row_index
+                    break
+            if target is None:
+                row_labels.append(label)
+                presence.append([0] * len(codebooks))
+                target = len(row_labels) - 1
+            presence[target][column] = 1
+    return PresenceMatrix(
+        row_labels=tuple(row_labels),
+        coder_ids=tuple(codebook.coder_id for codebook in codebooks),
+        cells=tuple(tuple(row) for row in presence),
+    )
+
+
+def test_presence_matrix_key_index_equals_first_fit_reference() -> None:
+    rng = random.Random(2024)
+    names = [f"Code {letter}" for letter in "ABCDEFGHIJKL"]
+    surfaces = {name: (name, name.lower(), name.upper().replace(" ", "-"), f"**{name}**")
+                for name in names}
+    # Two labels alias to "Code A"; "Code B" is aliased by a case variant of
+    # itself; "Code L" is a target no coder uses.
+    alias_map = {"Code C": "Code A", "code d": "Code A", "CODE-E": "Code F",
+                 "code b": "Code B", "Code K": "Code L"}
+    matchers = (Matcher(), Matcher(mode=ALIAS_MAP, alias_map=alias_map))
+    for _ in range(300):
+        books = [
+            book(f"coder{column}", [rng.choice(surfaces[name])
+                                    for name in rng.sample(names, rng.randint(1, 8))])
+            for column in range(rng.randint(1, 3))
+        ]
+        for matcher in matchers:
+            expected = first_fit_presence_matrix(books, matcher)
+            matrix = presence_matrix(books, matcher)
+            assert matrix.row_labels == expected.row_labels
+            assert matrix.coder_ids == expected.coder_ids
+            assert matrix.cells == expected.cells
+
+
+def test_token_overlap_presence_rows_follow_the_pairing() -> None:
+    matcher = Matcher(TOKEN_OVERLAP, jaccard_threshold=0.6)
+    first = book("a", ["family support network", "family support"])
+    second = book("b", ["support network family", "career growth"])
+    match = match_codes(first, second, matcher)
+    assert match.pairs == (("family support network", "support network family"),)
+    for matrix in (presence_matrix([first, second], matcher, match),
+                   presence_matrix([first, second], matcher)):
+        assert matrix.row_labels == ("family support network", "family support", "career growth")
+        assert sum(1 for row in matrix.cells if row == (1, 1)) == len(match.pairs)
+        assert sum(matrix.column_vector("a")) == len(first.codes)
+        assert sum(matrix.column_vector("b")) == len(second.codes)
+
+
+def test_token_overlap_presence_rejects_foreign_pairs_and_extra_coders() -> None:
+    matcher = Matcher(TOKEN_OVERLAP)
+    first, second = book("a", ["Alpha"]), book("b", ["Beta"])
+    foreign = MatchResult(pairs=(("Alpha", "Gamma"),), outliers_a=(), outliers_b=("Beta",))
+    with pytest.raises(InconsistentMatch):
+        presence_matrix([first, second], matcher, foreign)
+    with pytest.raises(ValueError):
+        presence_matrix([first, second, book("c", ["Alpha"])], matcher)
 
 
 def test_combined_summary_reference_values_and_ratio_note() -> None:

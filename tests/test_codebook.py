@@ -147,6 +147,17 @@ def test_match_codes_token_mode_prefers_highest_similarity() -> None:
     }
 
 
+def test_match_codes_token_mode_pairs_key_equal_labels_before_permutations() -> None:
+    first = book("c1", ["Family Support Network"])
+    second = book("c2", ["Network Support Family", "family support network"])
+    result = match_codes(first, second, Matcher(mode=TOKEN_OVERLAP))
+    assert result.pairs == (("Family Support Network", "family support network"),)
+    assert result.outliers_b == ("Network Support Family",)
+    merged, count = merge_codebooks(first, second, result)
+    assert count == 2
+    assert merged.labels == ("Family Support Network", "Network Support Family")
+
+
 def test_match_codes_requires_nonempty_books() -> None:
     filled = book("c1", ["Alpha"])
     hollow = Codebook(coder_id="c2", provenance="human")
