@@ -2,7 +2,8 @@
 
 Configuration precedence is flags over config-file values over defaults.
 Exit codes are a stable contract: 0 success, 1 configuration or runtime
-error, 2 partial analysis, 3 trace failures.
+error (including an interrupted analysis that a rerun would repeat), 2 partial
+analysis that a rerun can resume, 3 trace failures.
 """
 
 from __future__ import annotations
@@ -32,8 +33,14 @@ from .errors import (
     AnalysisInterrupted,
     AuthError,
     ConfigError,
+    DuplicateLabel,
+    FixtureMiss,
     IncompleteArtifact,
+    MalformedResponse,
+    NoRecordsFound,
+    RateLimited,
     ThematicaError,
+    TransportError,
 )
 from .gateway import (
     ENV_VAR,
@@ -57,6 +64,11 @@ EXIT_PARTIAL = 2
 EXIT_TRACE_FAILURES = 3
 
 DEFAULT_FIXTURE_NAME = "session.json"
+
+# Failures that leave no reply persisted for the failed request, so a rerun
+# sends that request again and can succeed.  Every other interruption comes
+# from persisted replies or fixed inputs, and a rerun repeats it.
+RESUMABLE_CAUSES = (TransportError, RateLimited, MalformedResponse, FixtureMiss)
 
 _MODEL_KEYS = ("model_id", "temperature", "max_tokens", "endpoint_url",
                "timeout", "max_attempts", "backoff_base", "parallelism")
@@ -181,6 +193,18 @@ def _load_paper_reference(path: str | None) -> dict | None:
     return data
 
 
+def _what_to_change(cause: BaseException | None, artifact_path: Path | None) -> str:
+    """Advice for an interruption that a plain rerun would repeat."""
+    if isinstance(cause, AuthError):
+        return f"set a valid credential in {ENV_VAR} (or {FALLBACK_ENV_VAR})"
+    if isinstance(cause, (NoRecordsFound, DuplicateLabel)):
+        artifact = artifact_path or "the artifact"
+        return ("the model replies are persisted and are reused on resume; correct the "
+                f"offending reply under raw_replies in {artifact}, or revise the prompt "
+                "templates and analyze into a fresh output directory")
+    return "remove the cause above before rerunning"
+
+
 def cmd_analyze(config: RunConfig, paper_reference: str | None = None) -> int:
     if not config.input:
         raise ConfigError("an input document is required (--input PATH)")
@@ -198,12 +222,15 @@ def cmd_analyze(config: RunConfig, paper_reference: str | None = None) -> int:
     except AnalysisInterrupted as exc:
         where = f" at page {exc.page}" if exc.page else ""
         print(f"analysis interrupted during {exc.stage}{where}: {exc.cause}", file=sys.stderr)
-        if exc.artifact is not None and exc.artifact.path is not None:
-            print(f"partial artifact retained at {exc.artifact.path}; rerun to resume",
-                  file=sys.stderr)
-        if isinstance(exc.cause, AuthError):
-            return EXIT_ERROR
-        return EXIT_PARTIAL
+        path = exc.artifact.path if exc.artifact is not None else None
+        resumable = isinstance(exc.cause, RESUMABLE_CAUSES)
+        if path is not None:
+            suffix = "; rerun to resume" if resumable else ""
+            print(f"partial artifact retained at {path}{suffix}", file=sys.stderr)
+        if resumable:
+            return EXIT_PARTIAL
+        print(f"a rerun fails the same way: {_what_to_change(exc.cause, path)}", file=sys.stderr)
+        return EXIT_ERROR
 
     coverages = six_step_coverage(artifact)
     bundle = build_report(artifact, coverages=coverages,

@@ -17,11 +17,14 @@ from __future__ import annotations
 import hashlib
 import math
 import zipfile
+from array import array
 from dataclasses import dataclass
+from functools import cached_property
 from pathlib import Path
 from xml.etree import ElementTree
 
 from .errors import DecodeError, EmptyDocument, InvalidPageSize, PageOutOfRange
+from .textnorm import normalize_with_map
 
 _WORD_NS = "{http://schemas.openxmlformats.org/wordprocessingml/2006/main}"
 
@@ -60,6 +63,18 @@ class Page:
     def text(self) -> str:
         """The page's paragraphs joined by single newlines."""
         return "\n".join(p.text for p in self.paragraphs)
+
+    @cached_property
+    def normalized(self) -> tuple[str, array[int]]:
+        """``normalize_with_map`` of :attr:`text`: the match-normalized text and,
+        per normalized character, its index in :attr:`text`.
+
+        Computed on first use and kept, so a page is normalized at most once
+        and pages whose quotes all match literally never are.  The map is an
+        array of machine ints, several times smaller than a list of int objects.
+        """
+        norm_text, index_map = normalize_with_map(self.text)
+        return norm_text, array("L", index_map)
 
 
 @dataclass(frozen=True)

@@ -369,20 +369,28 @@ def run_analysis(corpus: Corpus, focus: StudyFocus, config: ModelConfig, transpo
                             f"page {page.number} code extraction"): page
                 for page in pending
             }
-            done, not_done = wait(futures, return_when=FIRST_EXCEPTION)
+            _, not_done = wait(futures, return_when=FIRST_EXCEPTION)
             for future in not_done:
                 future.cancel()
-            failure: tuple[int, Exception] | None = None
-            for future in done:
-                page = futures[future]
-                try:
-                    artifact.raw_replies[f"page_{page.number}"] = future.result()
-                except ThematicaError as exc:
-                    if failure is None or page.number < failure[0]:
-                        failure = (page.number, exc)
-            persist()
-            if failure is not None:
-                raise interrupted("code_extraction", failure[0], failure[1]) from failure[1]
+        # The pool has shut down: every future not cancelled is finished, and
+        # every reply that arrived is persisted before any failure propagates.
+        # Futures iterate in page order, so the first failure is the lowest page.
+        failure: tuple[int, Exception] | None = None
+        unexpected: Exception | None = None
+        for future, page in futures.items():
+            if future.cancelled():
+                continue
+            try:
+                artifact.raw_replies[f"page_{page.number}"] = future.result()
+            except ThematicaError as exc:
+                failure = failure or (page.number, exc)
+            except Exception as exc:
+                unexpected = unexpected or exc
+        persist()
+        if unexpected is not None:
+            raise unexpected
+        if failure is not None:
+            raise interrupted("code_extraction", failure[0], failure[1]) from failure[1]
 
     # step 2: consolidation
     records: list[CodeRecord] = []

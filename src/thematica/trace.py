@@ -2,21 +2,35 @@
 
 Each quote is checked at graded strictness.  Exact means literal substring of
 the cited page.  Normalized retries after case folding, whitespace collapse,
-and quote/dash unification.  Fuzzy runs a sliding edit-distance alignment
-over the normalized page and accepts similarity at or above a threshold.
-Anything else is Failed with score 0.  A quote that only matches some other
-page stays Failed with a "found on page k" note; it is never re-homed.
+and quote/dash unification.  Fuzzy scores the normalized quote by edit
+distance against every window of the normalized cited page and accepts
+similarity (1 - distance / quote length) at or above a threshold.  Anything
+else is Failed with score 0.  A quote that only matches some other page stays
+Failed with a "found on page k" note; it is never re-homed.
+
+Fuzzy scoring uses Myers' bit-parallel approximate string matching (Myers
+1999, J. ACM 46(3)): one Python int holds a column of the edit-distance
+table, so a page of n characters costs n rounds of big-int operations.  The
+matched window's start is recovered only when the similarity reaches the
+threshold, by reverse passes over at most m + d characters before each best
+end (m the normalized quote length, d its distance).  Ties resolve to the
+lowest distance, then the leftmost start, then the leftmost end.
+
+The "found on page k" scan and the per-sentence diagnostics only need the
+Exact and Normalized levels, so they check substrings and never align.  Each
+page is normalized at most once, on first use (:attr:`Page.normalized`).
 """
 
 from __future__ import annotations
 
 import re
 from dataclasses import dataclass
+from typing import Iterator, Sequence
 
-from .corpus import Corpus
+from .corpus import Corpus, Page
 from .errors import EmptyCodebook
 from .outparse import CodeRecord
-from .textnorm import normalize_with_map
+from .textnorm import normalize_for_match
 
 EXACT = "Exact"
 NORMALIZED = "Normalized"
@@ -69,46 +83,82 @@ class TraceabilityReport:
         return verified * 100.0 / len(self.results)
 
 
-def _semi_global_align(pattern: str, text: str) -> tuple[int, int, int]:
-    """Best infix alignment of pattern inside text.
+def _last_row(pattern: str, text: str, global_mode: bool) -> Iterator[int]:
+    """Bottom row of the edit-distance table of pattern against text.
 
-    Returns (edit_distance, start, end) where text[start:end] is the aligned
-    window.  Prefix and suffix of the text are free; ties resolve to the
-    leftmost window for determinism.
+    Yields D[m][j] for j = 1..len(text), where D[i][j] is the distance between
+    pattern[:i] and text[:j] (global mode) or its best suffix (search mode,
+    D[0][j] = 0).  Myers' bit-parallel algorithm in Hyyrö's formulation:
+    Pv/Mv hold the column's vertical +1/-1 deltas, Ph/Mh the horizontal ones,
+    one bit per pattern position; ``masks`` maps each pattern character to
+    the bits of its positions.
     """
-    m, n = len(pattern), len(text)
-    if m == 0:
-        return 0, 0, 0
-    if n == 0:
-        return m, 0, 0
-    prev_cost = [0] * (n + 1)
-    prev_start = list(range(n + 1))
-    for i in range(1, m + 1):
-        char = pattern[i - 1]
-        cur_cost = [i] + [0] * n
-        cur_start = [0] * (n + 1)
-        for j in range(1, n + 1):
-            cost = prev_cost[j - 1] + (0 if char == text[j - 1] else 1)
-            start = prev_start[j - 1]
-            alt = prev_cost[j] + 1
-            if alt < cost or (alt == cost and prev_start[j] < start):
-                cost, start = alt, prev_start[j]
-            alt = cur_cost[j - 1] + 1
-            if alt < cost or (alt == cost and cur_start[j - 1] < start):
-                cost, start = alt, cur_start[j - 1]
-            cur_cost[j] = cost
-            cur_start[j] = start
-        prev_cost, prev_start = cur_cost, cur_start
-    best_j = 0
-    for j in range(1, n + 1):
-        if prev_cost[j] < prev_cost[best_j] or (
-            prev_cost[j] == prev_cost[best_j] and prev_start[j] < prev_start[best_j]
-        ):
-            best_j = j
-    return prev_cost[best_j], prev_start[best_j], best_j
+    m = len(pattern)
+    masks: dict[str, int] = {}
+    for position, char in enumerate(pattern):
+        masks[char] = masks.get(char, 0) | (1 << position)
+    full = (1 << m) - 1
+    high = (full + 1) >> 1  # the last pattern row's bit; 0 for an empty pattern
+    carry = 1 if global_mode else 0
+    pv, mv, score = full, 0, m
+    for char in text:
+        eq = masks.get(char, 0)
+        xv = eq | mv
+        xh = (((eq & pv) + pv) ^ pv) | eq
+        ph = mv | (~(xh | pv) & full)
+        mh = pv & xh
+        if ph & high:
+            score += 1
+        elif mh & high:
+            score -= 1
+        ph = ((ph << 1) | carry) & full
+        mh = (mh << 1) & full
+        pv = mh | (~(xv | ph) & full)
+        mv = ph & xv
+        yield score
 
 
-def _map_span(index_map: list[int], start: int, end: int, source_len: int) -> tuple[int, int]:
+def _best_ends(pattern: str, text: str) -> tuple[int, list[int]]:
+    """Lowest edit distance from pattern to any window of text.
+
+    Returns the distance and, ascending, every end j such that some window
+    text[s:j] reaches it (j = 0, the empty window, counts at distance m).
+    """
+    best, ends = len(pattern), [0]
+    rows = _last_row(pattern, text, global_mode=False)
+    for end, distance in enumerate(rows, start=1):
+        if distance < best:
+            best, ends = distance, [end]
+        elif distance == best:
+            ends.append(end)
+    return best, ends
+
+
+def _leftmost_window(pattern: str, text: str, distance: int, ends: list[int]) -> tuple[int, int]:
+    """The leftmost-starting window at ``distance``, then the leftmost end.
+
+    ``distance`` and ``ends`` come from :func:`_best_ends`.  A window at
+    distance d is at most m + d characters long, so for each end a reverse
+    global pass over that many characters finds its lowest start: the
+    longest suffix of text[:end] whose distance to the pattern is d.
+    """
+    reversed_pattern = pattern[::-1]
+    best_start, best_end = len(text) + 1, 0
+    for end in ends:
+        lowest = max(0, end - len(pattern) - distance)
+        if lowest >= best_start:
+            break  # ends ascend, so no later window can start further left
+        longest = 0  # the empty suffix, at distance m
+        rows = _last_row(reversed_pattern, text[lowest:end][::-1], global_mode=True)
+        for length, suffix_distance in enumerate(rows, start=1):
+            if suffix_distance == distance:
+                longest = length
+        if end - longest < best_start:
+            best_start, best_end = end - longest, end
+    return best_start, best_end
+
+
+def _map_span(index_map: Sequence[int], start: int, end: int, source_len: int) -> tuple[int, int]:
     if start >= len(index_map):
         return source_len, source_len
     source_start = index_map[start]
@@ -116,27 +166,28 @@ def _map_span(index_map: list[int], start: int, end: int, source_len: int) -> tu
     return source_start, min(source_end, source_len)
 
 
-def _match_on_text(quote: str, text: str) -> tuple[str, float, tuple[int, int] | None, float]:
-    """Match quote against one page text.
+def _normalized_span(norm_quote: str, page: Page) -> tuple[int, int] | None:
+    """Span of the normalized quote inside the page's normalized text, if any."""
+    if not norm_quote:
+        return None
+    norm_text, index_map = page.normalized
+    position = norm_text.find(norm_quote)
+    if position < 0:
+        return None
+    return _map_span(index_map, position, position + len(norm_quote), len(page.text))
 
-    Returns (level, score, span, best_similarity); best_similarity is the
-    fuzzy similarity even when below threshold, for diagnostics.
+
+def _cheap_level(quote: str, norm_quote: str, page: Page) -> str | None:
+    """Exact or Normalized, whichever holds first on this page; never aligns.
+
+    The literal check comes first: a quote of only whitespace normalizes to
+    nothing yet can still be an Exact hit.
     """
-    position = text.find(quote)
-    if position >= 0:
-        return EXACT, 1.0, (position, position + len(quote)), 1.0
-    norm_quote, _ = normalize_with_map(quote)
-    norm_text, index_map = normalize_with_map(text)
-    if norm_quote:
-        position = norm_text.find(norm_quote)
-        if position >= 0:
-            span = _map_span(index_map, position, position + len(norm_quote), len(text))
-            return NORMALIZED, 1.0, span, 1.0
-        distance, start, end = _semi_global_align(norm_quote, norm_text)
-        similarity = max(0.0, 1.0 - distance / len(norm_quote))
-        span = _map_span(index_map, start, end, len(text))
-        return FUZZY, similarity, span, similarity
-    return FAILED, 0.0, None, 0.0
+    if quote in page.text:
+        return EXACT
+    if _normalized_span(norm_quote, page) is not None:
+        return NORMALIZED
+    return None
 
 
 def verify_quote(record: CodeRecord, corpus: Corpus,
@@ -149,39 +200,50 @@ def verify_quote(record: CodeRecord, corpus: Corpus,
     """
     notes: list[str] = []
     quote = record.quote
-    page_index = None
+    cited: Page | None = None
     if record.page is not None and 1 <= record.page <= corpus.page_count:
-        page_index = record.page - 1
+        cited = corpus.pages[record.page - 1]
     elif record.page is None:
         notes.append("record cites no page")
     else:
         notes.append(f"cited page {record.page} outside corpus range 1..{corpus.page_count}")
 
-    best_similarity = 0.0
-    if page_index is not None:
-        level, score, span, best_similarity = _match_on_text(quote, corpus.pages[page_index].text)
-        if level == FUZZY and score >= threshold:
-            return TraceResult(record=record, level=FUZZY, score=score,
+    if cited is not None:
+        position = cited.text.find(quote)
+        if position >= 0:
+            return TraceResult(record=record, level=EXACT, score=1.0,
+                               matched_span=(position, position + len(quote)), notes=tuple(notes))
+    norm_quote = normalize_for_match(quote)
+    if cited is not None:
+        span = _normalized_span(norm_quote, cited)
+        if span is not None:
+            return TraceResult(record=record, level=NORMALIZED, score=1.0,
                                matched_span=span, notes=tuple(notes))
-        if level in (EXACT, NORMALIZED):
-            return TraceResult(record=record, level=level, score=score,
-                               matched_span=span, notes=tuple(notes))
+        best_similarity = 0.0
+        if norm_quote:
+            norm_text, index_map = cited.normalized
+            distance, ends = _best_ends(norm_quote, norm_text)
+            best_similarity = max(0.0, 1.0 - distance / len(norm_quote))
+            if best_similarity >= threshold:
+                start, end = _leftmost_window(norm_quote, norm_text, distance, ends)
+                return TraceResult(record=record, level=FUZZY, score=best_similarity,
+                                   matched_span=_map_span(index_map, start, end, len(cited.text)),
+                                   notes=tuple(notes))
         notes.append(f"best similarity on cited page {best_similarity:.4f} below threshold {threshold}")
 
     for page in corpus.pages:
-        if page_index is not None and page.number == record.page:
+        if page is cited:
             continue
-        level, _, _, _ = _match_on_text(quote, page.text)
-        if level in (EXACT, NORMALIZED):
+        level = _cheap_level(quote, norm_quote, page)
+        if level is not None:
             notes.append(f"found on page {page.number} ({level.lower()})")
             break
 
     pieces = [piece for piece in _SENTENCE_SPLIT.split(quote.strip()) if piece]
-    if page_index is not None and len(pieces) > 1:
-        page_text = corpus.pages[page_index].text
+    if cited is not None and len(pieces) > 1:
         for position, piece in enumerate(pieces, start=1):
-            level, _, _, _ = _match_on_text(piece, page_text)
-            if level in (EXACT, NORMALIZED):
+            level = _cheap_level(piece, normalize_for_match(piece), cited)
+            if level is not None:
                 notes.append(f"sentence {position}/{len(pieces)} matches at {level.lower()} level")
             else:
                 notes.append(f"sentence {position}/{len(pieces)} not found on cited page")

@@ -10,7 +10,16 @@ from pathlib import Path
 import pytest
 
 import thematica
+import thematica.cli
 from thematica.cli import main
+from thematica.errors import (
+    AuthError,
+    FixtureMiss,
+    MalformedResponse,
+    RateLimited,
+    SchemaError,
+    TransportError,
+)
 
 SAMPLES = Path(thematica.__file__).parent / "samples"
 
@@ -91,6 +100,58 @@ def test_incomplete_fixture_exits_partial_and_retains_artifact(
     assert "partial artifact retained" in err
     artifact = json.loads((sample_workspace / "out" / "analysis.json").read_text())
     assert artifact["status"] == "partial"
+
+
+class ScriptedTransport:
+    """Answers every code-extraction request from a script, without a fixture."""
+
+    kind = "replay"
+
+    def __init__(self, answer) -> None:
+        self.answer = answer
+        self.sent = 0
+
+    def send(self, config, messages, context=None):
+        self.sent += 1
+        if isinstance(self.answer, Exception):
+            raise self.answer
+        page = int(context.split()[1])
+        return self.answer.format(page=page)
+
+
+@pytest.mark.parametrize("answer, expected", [
+    (TransportError("connection reset"), 2),
+    (RateLimited("HTTP 429 after 5 attempts"), 2),
+    (MalformedResponse("response has no choices"), 2),
+    (FixtureMiss("no fixture entry"), 2),
+    ("I am sorry, I cannot code this page.", 1),
+    ('1. **Family Support**: "we moved" - Page {page}', 1),
+    (SchemaError("reply does not match the expected schema"), 1),
+    (AuthError("endpoint rejected credential (HTTP 401)"), 1),
+], ids=["transport", "rate-limit", "malformed", "fixture-miss",
+        "parse", "consolidation", "schema", "auth"])
+def test_interrupted_analysis_exits_2_only_when_a_rerun_can_help(
+        sample_workspace: Path, monkeypatch: pytest.MonkeyPatch, capsys,
+        answer, expected: int) -> None:
+    transport = ScriptedTransport(answer)
+    monkeypatch.setattr(thematica.cli, "_resolve_transport", lambda config: transport)
+    monkeypatch.chdir(sample_workspace)
+    assert main(["--config", "run_config.json", "analyze"]) == expected
+    err = capsys.readouterr().err
+    assert "partial artifact retained at out/analysis.json" in err
+    if expected == 2:
+        assert "rerun to resume" in err
+        return
+    assert "rerun to resume" not in err
+    assert "a rerun fails the same way" in err
+
+    # The replies that caused the failure are persisted, so a rerun repeats
+    # it without another request.
+    if not isinstance(answer, Exception):
+        sent = transport.sent
+        assert "raw_replies in out/analysis.json" in err
+        assert main(["--config", "run_config.json", "analyze"]) == 1
+        assert transport.sent == sent
 
 
 def test_compare_requires_a_human_codebook(

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import json
+import threading
 from pathlib import Path
 
 import pytest
@@ -106,6 +107,40 @@ def test_parallel_extraction_matches_sequential(sample: dict, tmp_path: Path) ->
     parallel = json.loads((tmp_path / "par" / "analysis.json").read_text(encoding="utf-8"))
     assert parallel["llm_codebook"] == sequential["llm_codebook"]
     assert parallel["raw_replies"] == sequential["raw_replies"]
+
+
+class FailingPageTransport:
+    """Replay wrapper whose send raises a non-library error on one page."""
+
+    kind = "replay"
+
+    def __init__(self, inner: ReplayTransport, failing_page: int) -> None:
+        self.inner = inner
+        self.failing_page = failing_page
+        self.answered: set[int] = set()
+        self._lock = threading.Lock()
+
+    def send(self, config, messages, context=None):
+        page = int(context.split()[1])
+        if page == self.failing_page:
+            raise RuntimeError("disk went read-only")
+        reply = self.inner.send(config, messages, context)
+        with self._lock:
+            self.answered.add(page)
+        return reply
+
+
+def test_parallel_extraction_persists_completed_replies_on_any_exception(
+        sample: dict, tmp_path: Path) -> None:
+    transport = FailingPageTransport(ReplayTransport(sample["fixture"]), failing_page=3)
+    with pytest.raises(RuntimeError, match="read-only"):
+        run_analysis(sample["corpus"], sample["focus"], ModelConfig(parallelism=2),
+                     transport, output_dir=tmp_path / "run")
+    # With two workers, page 3 starts only after page 1 or 2 has answered.
+    assert transport.answered
+    saved = json.loads((tmp_path / "run" / "analysis.json").read_text(encoding="utf-8"))
+    assert saved["status"] == "partial"
+    assert set(saved["raw_replies"]) == {f"page_{page}" for page in transport.answered}
 
 
 def test_artifact_save_load_round_trip(completed: AnalysisArtifact, tmp_path: Path) -> None:

@@ -3,11 +3,14 @@
 from __future__ import annotations
 
 import random
+from collections import Counter
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import thematica.corpus
+import thematica.trace
 from conftest import make_corpus, oracle_min_edit, oracle_trace_level
 from thematica.codebook import Codebook
 from thematica.errors import EmptyCodebook
@@ -20,6 +23,8 @@ from thematica.trace import (
     FUZZY,
     NORMALIZED,
     TraceabilityReport,
+    _best_ends,
+    _leftmost_window,
     verify_codebook,
     verify_quote,
 )
@@ -228,3 +233,152 @@ def test_levels_agree_with_reference_grading(data: tuple[str, str]) -> None:
     expected_level, expected_score = oracle_trace_level(quote, page, DEFAULT_THRESHOLD)
     assert result.level == expected_level
     assert result.score == pytest.approx(expected_score, abs=1e-9)
+
+
+def reference_align(pattern: str, text: str) -> tuple[int, int, int]:
+    """Best infix alignment of pattern inside text, by the full O(m*n) table.
+
+    Returns (edit_distance, start, end) where text[start:end] is the aligned
+    window.  Prefix and suffix of the text are free; ties resolve to the
+    lowest distance, then the leftmost start, then the leftmost end.  This is
+    the aligner the tracer used before Myers' bit-parallel scoring.
+    """
+    m, n = len(pattern), len(text)
+    if m == 0:
+        return 0, 0, 0
+    if n == 0:
+        return m, 0, 0
+    prev_cost = [0] * (n + 1)
+    prev_start = list(range(n + 1))
+    for i in range(1, m + 1):
+        char = pattern[i - 1]
+        cur_cost = [i] + [0] * n
+        cur_start = [0] * (n + 1)
+        for j in range(1, n + 1):
+            cost = prev_cost[j - 1] + (0 if char == text[j - 1] else 1)
+            start = prev_start[j - 1]
+            alt = prev_cost[j] + 1
+            if alt < cost or (alt == cost and prev_start[j] < start):
+                cost, start = alt, prev_start[j]
+            alt = cur_cost[j - 1] + 1
+            if alt < cost or (alt == cost and cur_start[j - 1] < start):
+                cost, start = alt, cur_start[j - 1]
+            cur_cost[j] = cost
+            cur_start[j] = start
+        prev_cost, prev_start = cur_cost, cur_start
+    best_j = 0
+    for j in range(1, n + 1):
+        if prev_cost[j] < prev_cost[best_j] or (
+            prev_cost[j] == prev_cost[best_j] and prev_start[j] < prev_start[best_j]
+        ):
+            best_j = j
+    return prev_cost[best_j], prev_start[best_j], best_j
+
+
+def myers_align(pattern: str, text: str) -> tuple[int, int, int]:
+    distance, ends = _best_ends(pattern, text)
+    return (distance, *_leftmost_window(pattern, text, distance, ends))
+
+
+def test_myers_aligner_equals_reference_table() -> None:
+    edge_cases = [
+        ("", ""), ("", "abc"), ("abc", ""), ("a", "a"), ("a", "b"),
+        ("aa", "aaaaaa"), ("b", "aaaa"), ("ab", "aaaa"), ("aba", "abababab"),
+        ("xyz", "aaaaaaaa"), ("ss", "ß"), ("ß", "strasse"),
+    ]
+    for pattern, text in edge_cases:
+        assert myers_align(pattern, text) == reference_align(pattern, text), (pattern, text)
+
+    # Small alphabets force many tied distances, starts and ends; "ß", "ﬁ"
+    # and "İ" casefold to two characters, so normalized text is longer than
+    # its source.
+    rng = random.Random(3)
+    alphabets = ("a", "ab", "abc", "ab ", "aßﬁİ s", "abcdefgh")
+    for _ in range(3000):
+        alphabet = rng.choice(alphabets)
+        pattern = "".join(rng.choice(alphabet) for _ in range(rng.randint(0, 12)))
+        text = "".join(rng.choice(alphabet) for _ in range(rng.randint(0, 30)))
+        if rng.random() < 0.5:
+            pattern, text = normalize_for_match(pattern), normalize_for_match(text)
+        assert myers_align(pattern, text) == reference_align(pattern, text), (pattern, text)
+
+
+def test_myers_aligner_equals_reference_table_on_long_patterns() -> None:
+    rng = random.Random(5)
+    for _ in range(40):
+        text = "".join(rng.choice("abcd ") for _ in range(rng.randint(60, 200)))
+        start = rng.randrange(len(text))
+        pattern = list(text[start:start + rng.randint(40, 90)])
+        for _ in range(rng.randint(0, 6)):
+            if pattern:
+                pattern[rng.randrange(len(pattern))] = rng.choice("abcdx")
+        pattern = "".join(pattern)
+        assert myers_align(pattern, text) == reference_align(pattern, text), (pattern, text)
+
+
+def test_aligner_runs_once_per_quote_and_pages_normalize_at_most_once(
+        monkeypatch: pytest.MonkeyPatch) -> None:
+    paragraphs = list(PAGE_ONE + PAGE_TWO) + [
+        "Respondent: later the visa office lost my papers twice.",
+        "Interviewer: and how did you feel about that?",
+    ]
+    corpus = make_corpus(paragraphs, page_size=2)
+    records = [
+        record("the first winter was harder than I expected.", page=1, label="Wrong page"),
+        record("Thank you for making time today. We never met again.", page=1,
+               label="Two sentences"),
+        record("I changed to midwifery and I fell in love with it.", page=1, label="Mutated"),
+        record("the visa office lost my papers twice.", page=3, label="Exact"),
+        record("nothing like this was ever said", page=4, label="Foreign"),
+    ]
+
+    aligned: list[str] = []
+    original_best_ends = thematica.trace._best_ends
+
+    def counting_best_ends(pattern: str, text: str):
+        aligned.append(text)
+        return original_best_ends(pattern, text)
+
+    normalized: Counter[str] = Counter()
+    original_normalize = thematica.corpus.normalize_with_map
+
+    def counting_normalize(text: str):
+        normalized[text] += 1
+        return original_normalize(text)
+
+    monkeypatch.setattr(thematica.trace, "_best_ends", counting_best_ends)
+    monkeypatch.setattr(thematica.corpus, "normalize_with_map", counting_normalize)
+
+    report = verify_codebook(records, corpus)
+    levels = {r.record.label: r.level for r in report.results}
+    assert levels == {"Wrong page": FAILED, "Two sentences": FAILED, "Mutated": FUZZY,
+                      "Exact": EXACT, "Foreign": FAILED}
+    assert sorted(normalized.values()) == [1] * len(normalized)
+    assert set(normalized) <= {page.text for page in corpus.pages}
+    assert len(normalized) > 1
+
+    for item in records:
+        aligned.clear()
+        verify_quote(item, corpus)
+        cited_text = corpus.pages[item.page - 1].normalized[0]
+        assert aligned in ([], [cited_text]), item.label
+
+
+def test_exact_quotes_never_normalize_a_page(monkeypatch: pytest.MonkeyPatch) -> None:
+    corpus = two_page_corpus()
+    calls: list[str] = []
+    monkeypatch.setattr(thematica.corpus, "normalize_with_map",
+                        lambda text: calls.append(text) or ("", []))
+    report = verify_codebook([record(text, page=2) for text in PAGE_TWO], corpus)
+    assert report.counts[EXACT] == 2
+    assert calls == []
+
+
+def test_whitespace_quote_is_exact_although_it_normalizes_to_nothing() -> None:
+    corpus = two_page_corpus()
+    result = verify_quote(record(" ", page=1), corpus)
+    assert result.level == EXACT
+    assert normalize_for_match(" ") == ""
+    elsewhere = verify_quote(record("\n", page=None), corpus)
+    assert elsewhere.level == FAILED
+    assert "found on page 1 (exact)" in elsewhere.notes
