@@ -42,7 +42,7 @@ from thematica.corpus import load_corpus
 from thematica.gateway import (
     ChatMessage,
     ModelConfig,
-    replay_session,
+    ReplayTransport,
     request_digest,
     save_fixture,
 )
@@ -953,7 +953,7 @@ def validate(samples: Path) -> None:
     with tempfile.TemporaryDirectory() as tmp:
         for run in ("a", "b"):
             out_dir = Path(tmp) / run
-            run_analysis(corpus, FOCUS, config, replay_session(samples / "session.json"),
+            run_analysis(corpus, FOCUS, config, ReplayTransport(samples / "session.json"),
                          output_dir=out_dir)
             artifacts.append((out_dir / "analysis.json").read_bytes())
     assert artifacts[0] == artifacts[1], "replay runs are not byte-identical"
@@ -986,7 +986,7 @@ def validate(samples: Path) -> None:
     with tempfile.TemporaryDirectory() as tmp:
         out_dir = Path(tmp) / "run"
         artifact = run_analysis(corpus, FOCUS, config,
-                                replay_session(samples / "session.json"),
+                                ReplayTransport(samples / "session.json"),
                                 output_dir=out_dir)
         llm_match = match_codes(consensus, artifact.llm_codebook, matcher)
         assert len(llm_match.pairs) == 42, f"expected 42 pairs, got {len(llm_match.pairs)}"

@@ -40,8 +40,6 @@ from .gateway import (
     ModelConfig,
     RecordTransport,
     ReplayTransport,
-    record_session,
-    replay_session,
 )
 from .outparse import (
     CodeRecord,

@@ -4,6 +4,12 @@ Requests are hashed over (model, temperature, max_tokens, messages); the
 digest keys both the in-memory response cache and the on-disk session
 fixtures, so a recorded session doubles as a replay fixture.  Replay mode
 never touches the network, which keeps pipeline runs byte-deterministic.
+
+Every fixture is a JSON array of ``{digest, response}`` objects.  The
+response cache and a recorded session grow by appending: each new reply is
+written once, as one line over the array's closing bracket, so persisting n
+replies writes O(total reply bytes) and the file is a valid fixture after
+every request.
 """
 
 from __future__ import annotations
@@ -128,6 +134,39 @@ def save_fixture(path: str | Path, entries: Sequence[dict[str, str]]) -> None:
     os.replace(tmp, path)
 
 
+# Enough to hold a fixture's closing bracket and the whitespace around it.
+_TAIL_BYTES = 64
+
+
+def append_fixture_entry(path: str | Path, entry: dict[str, str]) -> None:
+    r"""Add one entry to the fixture at ``path`` without rewriting it.
+
+    The entry goes in over the closing bracket, and the whitespace before it,
+    with one ``write()`` of ``,\n{entry}\n]\n`` (no comma when the array is
+    empty).  Each appended entry is one line, and the file stays a JSON array
+    that :func:`load_fixture` reads, whether :func:`save_fixture` or earlier
+    appends wrote it.  A missing file is created.
+    """
+    path = Path(path)
+    line = json.dumps(entry, ensure_ascii=False)
+    if not path.exists():
+        path.parent.mkdir(parents=True, exist_ok=True)
+        path.write_text(f"[\n{line}\n]\n", encoding="utf-8")
+        return
+    with path.open("r+b") as handle:
+        size = handle.seek(0, os.SEEK_END)
+        start = max(0, size - _TAIL_BYTES)
+        handle.seek(start)
+        tail = handle.read().rstrip()
+        head = tail[:-1].rstrip()
+        if not tail.endswith(b"]") or not head.endswith((b"[", b"}")):
+            raise FixtureCorrupt(f"{path}: fixture does not end with a JSON array")
+        separator = "\n" if head.endswith(b"[") else ",\n"
+        handle.seek(start + len(head))
+        handle.write(f"{separator}{line}\n]\n".encode("utf-8"))
+        handle.truncate()
+
+
 class _NetworkFailure(Exception):
     """Internal signal: the HTTP layer failed before producing a response."""
 
@@ -240,38 +279,31 @@ class RecordTransport:
         self.fixture_path = Path(fixture_path)
         self._live = LiveTransport(api_key=api_key, http_post=http_post, sleep=sleep)
         self._lock = threading.Lock()
-        self._entries: list[dict[str, str]] = (
-            load_fixture(self.fixture_path) if self.fixture_path.exists() else []
-        )
+        if self.fixture_path.exists():
+            # Refuse a corrupt fixture before paying for a live request.
+            load_fixture(self.fixture_path)
 
     def send(self, config: ModelConfig, messages: Sequence[ChatMessage],
              context: str | None = None) -> str:
         text = self._live.send(config, messages, context)
         digest = request_digest(config, messages)
         with self._lock:
-            self._entries.append({"digest": digest, "response": text})
-            save_fixture(self.fixture_path, self._entries)
+            append_fixture_entry(self.fixture_path, {"digest": digest, "response": text})
         return text
 
 
-def replay_session(fixture_path: str | Path) -> ReplayTransport:
-    return ReplayTransport(fixture_path)
-
-
-def record_session(fixture_path: str | Path, api_key: str | None = None,
-                   http_post: Callable | None = None) -> RecordTransport:
-    return RecordTransport(fixture_path, api_key=api_key, http_post=http_post)
-
-
 class Gateway:
-    """Caching front end over a transport; safe for concurrent use."""
+    """Caching front end over a transport; safe for concurrent use.
+
+    With a ``cache_path``, the cache starts from that fixture and every reply
+    the transport returns is appended to it before ``complete`` returns, so
+    a rerun after a crash gets every finished request from the cache.
+    """
 
     def __init__(self, config: ModelConfig, transport,
-                 cache_enabled: bool = True,
                  cache_path: str | Path | None = None) -> None:
         self.config = config
         self.transport = transport
-        self.cache_enabled = cache_enabled
         self.cache_path = Path(cache_path) if cache_path else None
         self._lock = threading.Lock()
         self._cache: dict[str, str] = {}
@@ -284,23 +316,15 @@ class Gateway:
         if not messages:
             raise ValueError("messages must be non-empty")
         digest = request_digest(self.config, messages)
-        if self.cache_enabled:
-            with self._lock:
-                if digest in self._cache:
-                    return Completion(request_digest=digest, text=self._cache[digest],
-                                      transport="cache")
+        with self._lock:
+            if digest in self._cache:
+                return Completion(request_digest=digest, text=self._cache[digest],
+                                  transport="cache")
         text = self.transport.send(self.config, messages, context)
-        if self.cache_enabled:
-            with self._lock:
+        with self._lock:
+            # A concurrent request for the same digest may have cached it first.
+            if digest not in self._cache:
                 self._cache[digest] = text
                 if self.cache_path:
-                    save_fixture(self.cache_path,
-                                 [{"digest": d, "response": r} for d, r in self._cache.items()])
+                    append_fixture_entry(self.cache_path, {"digest": digest, "response": text})
         return Completion(request_digest=digest, text=text, transport=self.transport.kind)
-
-
-def complete(config: ModelConfig, messages: Sequence[ChatMessage],
-             transport=None, api_key: str | None = None) -> Completion:
-    """One-shot completion without cache persistence."""
-    gateway = Gateway(config, transport or LiveTransport(api_key=api_key), cache_enabled=False)
-    return gateway.complete(messages)

@@ -2,10 +2,11 @@
 
 The run proceeds page-by-page code extraction, consolidation into a single
 codebook plus a deduplicated emerging-label list, theme generation over the
-full code digest, and per-theme interpretation.  After every completed
-request the artifact JSON is rewritten (append-only across resume cycles),
-so a crashed or interrupted run picks up exactly where it stopped and never
-re-requests a persisted page.
+full code digest, and per-theme interpretation.  Each reply is appended to
+the output directory's response cache as it arrives, and the artifact JSON
+is written once, when the run stops: at completion or at any failure.  A
+rerun resumes from the artifact and gets every reply the cache holds without
+a request, so a crashed run re-sends only the requests that were in flight.
 """
 
 from __future__ import annotations
@@ -308,8 +309,10 @@ def run_analysis(corpus: Corpus, focus: StudyFocus, config: ModelConfig, transpo
     """Run (or resume) the full stepwise analysis and return the artifact.
 
     A complete artifact on disk is returned untouched without any model
-    calls.  Failures persist a partial artifact and raise
-    AnalysisInterrupted carrying the stage, page, artifact, and cause.
+    calls.  The artifact is saved once, when the run stops.  A run that
+    stops early saves it as partial; a library error then becomes
+    AnalysisInterrupted carrying the stage, page, artifact, and cause, and
+    any other exception propagates unchanged.
     """
     library = library or default_library()
     replay = getattr(transport, "kind", "live") == "replay"
@@ -331,72 +334,65 @@ def run_analysis(corpus: Corpus, focus: StudyFocus, config: ModelConfig, transpo
         )
 
     cache_path = out_dir / "response_cache.json" if out_dir else None
-    gateway = Gateway(config, transport, cache_enabled=True, cache_path=cache_path)
-
-    def persist() -> None:
-        artifact.updated = _now(replay)
-        if artifact.path:
-            artifact.save()
-
-    def interrupted(stage: str, page: int | None, cause: Exception) -> AnalysisInterrupted:
-        where = f" (page {page})" if page else ""
-        return AnalysisInterrupted(
-            f"analysis stopped during {stage}{where}: {cause}",
-            stage=stage, page=page, artifact=artifact, cause=cause,
-        )
+    gateway = Gateway(config, transport, cache_path=cache_path)
 
     def ask(prompt, context: str) -> str:
         messages = (ChatMessage("system", prompt.system_message),
                     ChatMessage("user", prompt.user_message))
         return gateway.complete(messages, context=context).text
 
-    # step 1: per-page code extraction
-    pending = [page for page in corpus.pages if f"page_{page.number}" not in artifact.raw_replies]
-    if config.parallelism <= 1 or len(pending) <= 1:
-        for page in pending:
-            try:
-                prompt = library.render_code_extraction(page, focus)
-                reply = ask(prompt, f"page {page.number} code extraction")
-            except ThematicaError as exc:
-                persist()
-                raise interrupted("code_extraction", page.number, exc) from exc
-            artifact.raw_replies[f"page_{page.number}"] = reply
-            persist()
-    else:
-        with ThreadPoolExecutor(max_workers=config.parallelism) as pool:
-            futures = {
-                pool.submit(ask, library.render_code_extraction(page, focus),
-                            f"page {page.number} code extraction"): page
-                for page in pending
-            }
-            _, not_done = wait(futures, return_when=FIRST_EXCEPTION)
-            for future in not_done:
-                future.cancel()
-        # The pool has shut down: every future not cancelled is finished, and
-        # every reply that arrived is persisted before any failure propagates.
-        # Futures iterate in page order, so the first failure is the lowest page.
-        failure: tuple[int, Exception] | None = None
-        unexpected: Exception | None = None
-        for future, page in futures.items():
-            if future.cancelled():
-                continue
-            try:
-                artifact.raw_replies[f"page_{page.number}"] = future.result()
-            except ThematicaError as exc:
-                failure = failure or (page.number, exc)
-            except Exception as exc:
-                unexpected = unexpected or exc
-        persist()
-        if unexpected is not None:
-            raise unexpected
-        if failure is not None:
-            raise interrupted("code_extraction", failure[0], failure[1]) from failure[1]
-
-    # step 2: consolidation
-    records: list[CodeRecord] = []
-    parse_notes: list[str] = []
-    list_reply: str | None = None
+    # Where the run is, named by the interruption a library error becomes.
+    stage: str | None = "code_extraction"
+    page_number: int | None = None
     try:
+        # step 1: per-page code extraction
+        pending = [page for page in corpus.pages
+                   if f"page_{page.number}" not in artifact.raw_replies]
+        if config.parallelism <= 1 or len(pending) <= 1:
+            for page in pending:
+                page_number = page.number
+                prompt = library.render_code_extraction(page, focus)
+                artifact.raw_replies[f"page_{page.number}"] = ask(
+                    prompt, f"page {page.number} code extraction")
+        else:
+            with ThreadPoolExecutor(max_workers=config.parallelism) as pool:
+                try:
+                    futures = {
+                        pool.submit(ask, library.render_code_extraction(page, focus),
+                                    f"page {page.number} code extraction"): page
+                        for page in pending
+                    }
+                    wait(futures, return_when=FIRST_EXCEPTION)
+                finally:
+                    # At a failure or an interrupt, queued pages never start.
+                    pool.shutdown(cancel_futures=True)
+            # The pool has shut down: every future not cancelled is finished,
+            # and every reply that arrived goes into the artifact before any
+            # failure propagates.  Futures iterate in page order, so the first
+            # failure is the lowest page.
+            failure: tuple[int, ThematicaError] | None = None
+            unexpected: Exception | None = None
+            for future, page in futures.items():
+                if future.cancelled():
+                    continue
+                try:
+                    artifact.raw_replies[f"page_{page.number}"] = future.result()
+                except ThematicaError as exc:
+                    failure = failure or (page.number, exc)
+                except Exception as exc:
+                    unexpected = unexpected or exc
+            if unexpected is not None:
+                raise unexpected
+            if failure is not None:
+                page_number = failure[0]
+                raise failure[1]
+        page_number = None
+
+        # step 2: consolidation
+        stage = "consolidation"
+        records: list[CodeRecord] = []
+        parse_notes: list[str] = []
+        list_reply: str | None = None
         for page in corpus.pages:
             reply = artifact.raw_replies[f"page_{page.number}"]
             report = parse_code_block(reply, expected_page=page.number)
@@ -422,58 +418,58 @@ def run_analysis(corpus: Corpus, focus: StudyFocus, config: ModelConfig, transpo
         record_keys = {record.key for record in records}
         for label in emerging:
             if label_key(label) not in record_keys:
-                parse_notes.append(f"emerging label {label!r} is not among the extracted code labels")
-    except ThematicaError as exc:
-        persist()
-        raise interrupted("consolidation", None, exc) from exc
+                parse_notes.append(
+                    f"emerging label {label!r} is not among the extracted code labels")
 
-    # step 3: theme generation
-    codes_digest = render_codes_digest(codebook.codes)
-    if "themes" not in artifact.raw_replies:
-        try:
+        # step 3: theme generation
+        stage = "theme_generation"
+        codes_digest = render_codes_digest(codebook.codes)
+        if "themes" not in artifact.raw_replies:
             prompt = library.render_theme_generation(codes_digest, focus)
             artifact.raw_replies["themes"] = ask(prompt, "theme generation")
-        except ThematicaError as exc:
-            persist()
-            raise interrupted("theme_generation", None, exc) from exc
-        persist()
-    try:
         theme_report = parse_theme_block(artifact.raw_replies["themes"])
-    except ThematicaError as exc:
-        persist()
-        raise interrupted("theme_generation", None, exc) from exc
-    themes = theme_report.records
-    parse_notes.extend(f"themes line {w.line}: {w.kind}: {w.detail}" for w in theme_report.warnings)
-    member_keys = {label_key(label) for theme in themes for label in theme.member_labels}
-    for key_label in sorted(member_keys - record_keys):
-        parse_notes.append(f"theme member {key_label!r} does not match any extracted code label")
+        themes = theme_report.records
+        parse_notes.extend(f"themes line {w.line}: {w.kind}: {w.detail}"
+                           for w in theme_report.warnings)
+        member_keys = {label_key(label) for theme in themes for label in theme.member_labels}
+        for key_label in sorted(member_keys - record_keys):
+            parse_notes.append(
+                f"theme member {key_label!r} does not match any extracted code label")
 
-    # step 4: interpretation
-    themes_digest = render_theme_digest(themes)
-    if "interpretations" not in artifact.raw_replies:
-        try:
+        # step 4: interpretation
+        stage = "interpretation"
+        themes_digest = render_theme_digest(themes)
+        if "interpretations" not in artifact.raw_replies:
             prompt = library.render_interpretation(themes_digest, focus)
             artifact.raw_replies["interpretations"] = ask(prompt, "interpretation")
-        except ThematicaError as exc:
-            persist()
-            raise interrupted("interpretation", None, exc) from exc
-        persist()
-    try:
-        interp_report = parse_interpretation_block(artifact.raw_replies["interpretations"], themes)
+        interp_report = parse_interpretation_block(artifact.raw_replies["interpretations"],
+                                                   themes)
+        themes = tuple(interp_report.records)
+        parse_notes.extend(f"interpretations line {w.line}: {w.kind}: {w.detail}"
+                           for w in interp_report.warnings)
+        # Past the stages a library error propagates as it is.
+        stage = None
+        codebook = Codebook(coder_id="genai", provenance="llm", codes=tuple(records),
+                            emerging_labels=emerging, themes=themes)
+        trace = verify_codebook(codebook, corpus, trace_threshold)
+        artifact.llm_codebook, artifact.trace = codebook, trace
+        artifact.notes = parse_notes
+        artifact.status = "complete"
     except ThematicaError as exc:
-        persist()
-        raise interrupted("interpretation", None, exc) from exc
-    themes = tuple(interp_report.records)
-    parse_notes.extend(f"interpretations line {w.line}: {w.kind}: {w.detail}"
-                       for w in interp_report.warnings)
-
-    codebook = Codebook(coder_id="genai", provenance="llm", codes=tuple(records),
-                        emerging_labels=emerging, themes=themes)
-    artifact.llm_codebook = codebook
-    artifact.trace = verify_codebook(codebook, corpus, trace_threshold)
-    artifact.notes = parse_notes
-    artifact.status = "complete"
-    persist()
+        if stage is None:
+            raise
+        where = f" (page {page_number})" if page_number else ""
+        raise AnalysisInterrupted(
+            f"analysis stopped during {stage}{where}: {exc}",
+            stage=stage, page=page_number, artifact=artifact, cause=exc,
+        ) from exc
+    finally:
+        # The one write of the artifact, at completion or however the run
+        # stops.  Every reply is already in the response cache, so a run
+        # killed before this point loses only the requests in flight.
+        artifact.updated = _now(replay)
+        if artifact.path:
+            artifact.save()
     return artifact
 
 

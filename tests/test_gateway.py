@@ -3,6 +3,8 @@
 from __future__ import annotations
 
 import json
+import sys
+from concurrent.futures import ThreadPoolExecutor
 from pathlib import Path
 
 import pytest
@@ -24,6 +26,7 @@ from thematica.gateway import (
     ModelConfig,
     RecordTransport,
     ReplayTransport,
+    append_fixture_entry,
     load_fixture,
     request_digest,
     resolve_api_key,
@@ -243,6 +246,15 @@ def test_record_transport_extends_existing_fixture(tmp_path: Path) -> None:
     assert [entry["response"] for entry in load_fixture(path)] == ["old", "new"]
 
 
+def test_record_transport_refuses_a_corrupt_fixture_before_sending(tmp_path: Path) -> None:
+    path = tmp_path / "session.json"
+    path.write_text('[{"digest": "xyz", "response": "r"}]', encoding="utf-8")
+    stub = StubHTTP([])
+    with pytest.raises(FixtureCorrupt):
+        RecordTransport(path, api_key="k", http_post=stub)
+    assert stub.calls == []
+
+
 def test_gateway_caches_repeat_requests(tmp_path: Path) -> None:
     digest = request_digest(CONFIG, MESSAGES)
     fixture = tmp_path / "session.json"
@@ -269,13 +281,83 @@ def test_gateway_preloads_cache_from_disk(tmp_path: Path) -> None:
     assert (completion.text, completion.transport) == ("warm", "cache")
 
 
-def test_gateway_cache_can_be_disabled(tmp_path: Path) -> None:
-    digest = request_digest(CONFIG, MESSAGES)
+def test_gateway_appends_each_new_reply_to_the_cache_once(tmp_path: Path) -> None:
+    other = (ChatMessage("user", "Summarize page 2."),)
     fixture = tmp_path / "session.json"
-    save_fixture(fixture, [{"digest": digest, "response": "always fresh"}])
-    gateway = Gateway(CONFIG, ReplayTransport(fixture), cache_enabled=False)
-    assert gateway.complete(MESSAGES).transport == "replay"
-    assert gateway.complete(MESSAGES).transport == "replay"
+    save_fixture(fixture, [{"digest": request_digest(CONFIG, MESSAGES), "response": "one"},
+                           {"digest": request_digest(CONFIG, other), "response": "two"}])
+    cache_path = tmp_path / "out" / "cache.json"
+    gateway = Gateway(CONFIG, ReplayTransport(fixture), cache_path=cache_path)
+    gateway.complete(MESSAGES)
+    first = cache_path.read_bytes()
+    gateway.complete(MESSAGES)
+    assert cache_path.read_bytes() == first
+    gateway.complete(other)
+    grown = cache_path.read_bytes()
+    # Written in place: the old entries are kept byte for byte.
+    assert grown.startswith(first[:first.rindex(b"}") + 1])
+    assert [entry["response"] for entry in load_fixture(cache_path)] == ["one", "two"]
+
+
+class EchoTransport:
+    kind = "replay"
+
+    def send(self, config, messages, context=None) -> str:
+        return f"reply to {messages[-1].content}"
+
+
+def test_concurrent_completions_append_every_reply_once(tmp_path: Path) -> None:
+    cache_path = tmp_path / "cache.json"
+    gateway = Gateway(CONFIG, EchoTransport(), cache_path=cache_path)
+    prompts = [f"page {number}" for number in range(200)]
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        with ThreadPoolExecutor(max_workers=8) as pool:
+            # Each prompt twice, so threads race to cache the same digest.
+            list(pool.map(lambda text: gateway.complete((ChatMessage("user", text),)),
+                          prompts + prompts, timeout=60))
+    finally:
+        sys.setswitchinterval(interval)
+    entries = load_fixture(cache_path)
+    assert sorted(entry["response"] for entry in entries) == sorted(
+        f"reply to {text}" for text in prompts)
+
+
+def test_append_extends_empty_and_indented_fixtures(tmp_path: Path) -> None:
+    new = [{"digest": "1" * 64, "response": "first ünïcode"},
+           {"digest": "2" * 64, "response": "second\nline ] with a bracket"}]
+    empty = tmp_path / "empty.json"
+    save_fixture(empty, [])
+    assert empty.read_text(encoding="utf-8") == "[]\n"
+    indented = tmp_path / "indented.json"
+    old = [{"digest": "a" * 64, "response": "old one"}, {"digest": "b" * 64, "response": "}"}]
+    save_fixture(indented, old)
+    missing = tmp_path / "nested" / "missing.json"
+    for path in (empty, indented, missing):
+        for entry in new:
+            append_fixture_entry(path, entry)
+            json.loads(path.read_text(encoding="utf-8"))
+    assert load_fixture(empty) == new
+    assert load_fixture(indented) == old + new
+    assert load_fixture(missing) == new
+    # One line per appended entry.
+    assert empty.read_text(encoding="utf-8").count("\n") == len(new) + 2
+    # A short entry over a long run of whitespace leaves no stale bytes.
+    padded = tmp_path / "padded.json"
+    padded.write_text("[" + " " * 58 + "]\n", encoding="utf-8")
+    append_fixture_entry(padded, {"digest": "c" * 16, "response": ""})
+    assert load_fixture(padded) == [{"digest": "c" * 16, "response": ""}]
+
+
+def test_append_refuses_a_file_that_is_not_an_array(tmp_path: Path) -> None:
+    entry = {"digest": "a" * 64, "response": "r"}
+    path = tmp_path / "fixture.json"
+    for payload in ('{"not": "a list"}', "]\n", "not json", "[1, 2" + " " * 80 + "]"):
+        path.write_text(payload, encoding="utf-8")
+        with pytest.raises(FixtureCorrupt):
+            append_fixture_entry(path, entry)
+        assert path.read_text(encoding="utf-8") == payload
 
 
 def test_gateway_rejects_empty_message_list(tmp_path: Path) -> None:

@@ -3,7 +3,12 @@
 from __future__ import annotations
 
 import json
+import os
+import signal
+import subprocess
+import sys
 import threading
+import time
 from pathlib import Path
 
 import pytest
@@ -17,7 +22,7 @@ from thematica.errors import (
     IncompleteArtifact,
     ResumeMismatch,
 )
-from thematica.gateway import ModelConfig, ReplayTransport, save_fixture
+from thematica.gateway import ModelConfig, ReplayTransport, load_fixture, save_fixture
 from thematica.outparse import CodeRecord, ThemeRecord
 from thematica.pipeline import (
     AnalysisArtifact,
@@ -130,14 +135,17 @@ class FailingPageTransport:
         return reply
 
 
+@pytest.mark.parametrize("parallelism", [1, 2])
 def test_parallel_extraction_persists_completed_replies_on_any_exception(
-        sample: dict, tmp_path: Path) -> None:
+        sample: dict, tmp_path: Path, parallelism: int) -> None:
     transport = FailingPageTransport(ReplayTransport(sample["fixture"]), failing_page=3)
     with pytest.raises(RuntimeError, match="read-only"):
-        run_analysis(sample["corpus"], sample["focus"], ModelConfig(parallelism=2),
+        run_analysis(sample["corpus"], sample["focus"], ModelConfig(parallelism=parallelism),
                      transport, output_dir=tmp_path / "run")
-    # With two workers, page 3 starts only after page 1 or 2 has answered.
+    # With one or two workers, page 3 starts only after page 1 or 2 has answered.
     assert transport.answered
+    if parallelism == 1:
+        assert transport.answered == {1, 2}
     saved = json.loads((tmp_path / "run" / "analysis.json").read_text(encoding="utf-8"))
     assert saved["status"] == "partial"
     assert set(saved["raw_replies"]) == {f"page_{page}" for page in transport.answered}
@@ -191,6 +199,204 @@ def test_interrupted_run_persists_partial_then_resumes(sample: dict, tmp_path: P
     assert resumed.status == "complete"
     total_requests = len(sample["corpus"].pages) + 2
     assert counting.sent == total_requests - 5
+
+    reference_dir = tmp_path / "reference"
+    run_sample(sample, reference_dir)
+    assert (out_dir / "analysis.json").read_bytes() == (
+        reference_dir / "analysis.json").read_bytes()
+
+
+@pytest.fixture
+def artifact_saves(monkeypatch) -> list[Path]:
+    """Records the target of every AnalysisArtifact.save call."""
+    saves: list[Path] = []
+    original = AnalysisArtifact.save
+
+    def counting_save(self, path=None):
+        target = original(self, path)
+        saves.append(target)
+        return target
+
+    monkeypatch.setattr(AnalysisArtifact, "save", counting_save)
+    return saves
+
+
+def test_artifact_is_written_once_per_run(sample: dict, tmp_path: Path,
+                                          artifact_saves: list[Path]) -> None:
+    run_sample(sample, tmp_path / "complete")
+    assert artifact_saves == [tmp_path / "complete" / "analysis.json"]
+
+    artifact_saves.clear()
+    flaky = CountingTransport(ReplayTransport(sample["fixture"]), fail_after=5)
+    with pytest.raises(AnalysisInterrupted):
+        run_sample(sample, tmp_path / "interrupted", transport=flaky)
+    assert artifact_saves == [tmp_path / "interrupted" / "analysis.json"]
+
+    artifact_saves.clear()
+    run_sample(sample, tmp_path / "interrupted")
+    assert artifact_saves == [tmp_path / "interrupted" / "analysis.json"]
+
+
+class InterruptingTransport:
+    """Replay wrapper that sends this process SIGINT when one page is asked.
+
+    Later pages wait for that signal, and every send from then on takes a
+    while, so the interrupt reaches the main thread while requests are in
+    flight and later pages are still queued.
+    """
+
+    kind = "replay"
+
+    def __init__(self, inner: ReplayTransport, page: int) -> None:
+        self.inner = inner
+        self.page = page
+        self.fired = threading.Event()
+        self.sent = 0
+        self._lock = threading.Lock()
+
+    def send(self, config, messages, context=None):
+        page = int(context.split()[1]) if context.startswith("page ") else None
+        with self._lock:
+            self.sent += 1
+        if page == self.page:
+            os.kill(os.getpid(), signal.SIGINT)
+            self.fired.set()
+        elif page is not None and page > self.page:
+            self.fired.wait(timeout=10)
+        if self.fired.is_set():
+            time.sleep(0.3)
+        return self.inner.send(config, messages, context)
+
+
+@pytest.mark.parametrize("parallelism", [1, 2])
+def test_interrupt_stops_the_run_and_saves_the_artifact_once(
+        sample: dict, tmp_path: Path, artifact_saves: list[Path], parallelism: int) -> None:
+    out_dir = tmp_path / "run"
+    interrupting = InterruptingTransport(ReplayTransport(sample["fixture"]), page=3)
+    with pytest.raises(KeyboardInterrupt):
+        run_analysis(sample["corpus"], sample["focus"], ModelConfig(parallelism=parallelism),
+                     interrupting, output_dir=out_dir)
+    # Queued pages never start: only the workers' requests were in flight.
+    assert interrupting.sent == 2 + parallelism
+    assert artifact_saves == [out_dir / "analysis.json"]
+    partial = load_artifact(out_dir / "analysis.json")
+    assert partial.status == "partial"
+    cached = load_fixture(out_dir / "response_cache.json")
+    assert set(partial.raw_replies.values()) <= {entry["response"] for entry in cached}
+
+    counting = CountingTransport(ReplayTransport(sample["fixture"]))
+    assert run_sample(sample, out_dir, transport=counting).status == "complete"
+    assert counting.sent == len(sample["corpus"].pages) + 2 - len(cached)
+
+
+class CacheCheckingTransport:
+    """Replay wrapper that loads the response cache before every send."""
+
+    kind = "replay"
+
+    def __init__(self, inner: ReplayTransport, cache_path: Path) -> None:
+        self.inner = inner
+        self.cache_path = cache_path
+        self.sent = 0
+
+    def send(self, config, messages, context=None):
+        cached = load_fixture(self.cache_path) if self.sent else []
+        assert len(cached) == self.sent
+        self.sent += 1
+        return self.inner.send(config, messages, context)
+
+
+def test_response_cache_is_a_valid_fixture_after_every_request(
+        sample: dict, tmp_path: Path) -> None:
+    out_dir = tmp_path / "run"
+    cache_path = out_dir / "response_cache.json"
+    checking = CacheCheckingTransport(ReplayTransport(sample["fixture"]), cache_path)
+    run_sample(sample, out_dir, transport=checking)
+    total_requests = len(sample["corpus"].pages) + 2
+    assert checking.sent == total_requests
+    replies = load_artifact(out_dir / "analysis.json").raw_replies
+    assert [entry["response"] for entry in load_fixture(cache_path)] == list(replies.values())
+
+
+# Runs run_analysis at parallelism 2 with a replay transport that answers
+# ``quota`` requests and then blocks every further send for good.  When both
+# workers are blocked, every answered reply has reached the response cache;
+# the script then creates ``signal_path`` and waits to be killed.
+_BLOCKING_RUN = """
+import json, sys, threading
+from pathlib import Path
+from thematica.corpus import load_corpus
+from thematica.gateway import ModelConfig, ReplayTransport
+from thematica.pipeline import run_analysis
+from thematica.promptkit import StudyFocus
+
+samples, out_dir, signal_path = (Path(arg) for arg in sys.argv[1:4])
+quota = int(sys.argv[4])
+run_config = json.loads((samples / "run_config.json").read_text(encoding="utf-8"))
+
+
+class BlockingTransport:
+    kind = "replay"
+
+    def __init__(self):
+        self.inner = ReplayTransport(samples / "session.json")
+        self.lock = threading.Lock()
+        self.answered = self.blocked = 0
+
+    def send(self, config, messages, context=None):
+        with self.lock:
+            if self.answered < quota:
+                self.answered += 1
+                return self.inner.send(config, messages, context)
+            self.blocked += 1
+            if self.blocked == config.parallelism:
+                signal_path.write_text("blocked", encoding="utf-8")
+        threading.Event().wait()
+
+
+run_analysis(
+    load_corpus(samples / "transcript.txt", page_size=run_config["page_size"]),
+    StudyFocus(focus_description=run_config["focus_description"],
+               research_question=run_config["research_question"]),
+    ModelConfig(parallelism=2), BlockingTransport(), output_dir=out_dir)
+"""
+
+
+def test_killed_parallel_run_resends_only_requests_in_flight(
+        sample: dict, tmp_path: Path) -> None:
+    import thematica
+
+    out_dir, signal_path = tmp_path / "run", tmp_path / "blocked"
+    source_root = Path(thematica.__file__).resolve().parent.parent
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        filter(None, (str(source_root), env.get("PYTHONPATH"))))
+    with (tmp_path / "child.log").open("w", encoding="utf-8") as log:
+        child = subprocess.Popen(
+            [sys.executable, "-c", _BLOCKING_RUN, str(sample["dir"]), str(out_dir),
+             str(signal_path), "5"],
+            env=env, stdout=log, stderr=subprocess.STDOUT)
+        try:
+            deadline = time.monotonic() + 60
+            while not signal_path.exists():
+                assert child.poll() is None, "the run ended before it blocked"
+                assert time.monotonic() < deadline, "the run never blocked"
+                time.sleep(0.05)
+        finally:
+            child.kill()
+            child.wait(timeout=30)
+    assert child.returncode == -signal.SIGKILL
+
+    # Nothing but the cache was written while requests were answered.
+    assert not (out_dir / "analysis.json").exists()
+    cached = load_fixture(out_dir / "response_cache.json")
+    assert len(cached) == 5
+
+    counting = CountingTransport(ReplayTransport(sample["fixture"]))
+    resumed = run_sample(sample, out_dir, transport=counting)
+    assert resumed.status == "complete"
+    total_requests = len(sample["corpus"].pages) + 2
+    assert counting.sent == total_requests - len(cached)
 
     reference_dir = tmp_path / "reference"
     run_sample(sample, reference_dir)
