@@ -28,7 +28,7 @@ from .codebook import (
     match_codes,
     merge_codebooks,
 )
-from .corpus import content_hash, load_corpus
+from .corpus import FORMATS, content_hash, load_corpus
 from .errors import (
     AnalysisInterrupted,
     AuthError,
@@ -168,6 +168,12 @@ def _resolve_transport(config: RunConfig):
     raise ConfigError(f"unknown transport mode {mode!r}")
 
 
+def _document_format(config: RunConfig) -> str:
+    if config.format not in FORMATS:
+        raise ConfigError(f"unknown format {config.format!r}; choose from {', '.join(FORMATS)}")
+    return config.format
+
+
 def _build_matcher(config: RunConfig) -> Matcher:
     if config.matcher not in MATCHER_MODES:
         raise ConfigError(f"unknown matcher mode {config.matcher!r}; "
@@ -208,7 +214,8 @@ def _what_to_change(cause: BaseException | None, artifact_path: Path | None) -> 
 def cmd_analyze(config: RunConfig, paper_reference: str | None = None) -> int:
     if not config.input:
         raise ConfigError("an input document is required (--input PATH)")
-    corpus = load_corpus(config.input, page_size=config.page_size, format=config.format)
+    corpus = load_corpus(config.input, page_size=config.page_size,
+                         format=_document_format(config))
     focus = config.focus()
     model = config.model_config()
     transport = _resolve_transport(config)
@@ -347,7 +354,7 @@ def cmd_verify(config: RunConfig, artifact_path: str | None, input_path: str | N
     if not source:
         raise ConfigError("a corpus path is required (--input PATH)")
     corpus = load_corpus(source, page_size=artifact.corpus_fingerprint.get("page_size", 10),
-                         format=config.format)
+                         format=_document_format(config))
     fresh_hash = content_hash(corpus)
     recorded = artifact.corpus_fingerprint.get("content_hash")
     if fresh_hash != recorded:
@@ -397,7 +404,7 @@ def _build_parser() -> argparse.ArgumentParser:
 
     analyze = sub.add_parser("analyze", help="run the full analysis over a transcript")
     analyze.add_argument("--input", help="transcript file (.docx or plain text)")
-    analyze.add_argument("--format", choices=["auto", "plain_text", "ooxml_docx"])
+    analyze.add_argument("--format", choices=FORMATS)
     analyze.add_argument("--page-size", type=int, dest="page_size",
                          help="paragraphs per page (default 10)")
     analyze.add_argument("--focus", dest="focus_description",
@@ -432,7 +439,7 @@ def _build_parser() -> argparse.ArgumentParser:
     verify = sub.add_parser("verify", help="re-check quote traceability of an artifact")
     verify.add_argument("--artifact")
     verify.add_argument("--input", help="the corpus the artifact was built from")
-    verify.add_argument("--format", choices=["auto", "plain_text", "ooxml_docx"])
+    verify.add_argument("--format", choices=FORMATS)
 
     report = sub.add_parser("report", help="regenerate reports from an artifact")
     report.add_argument("--artifact")
@@ -497,3 +504,7 @@ def main(argv: list[str] | None = None) -> int:
 
 def entry_point() -> None:
     sys.exit(main())
+
+
+if __name__ == "__main__":
+    entry_point()

@@ -30,6 +30,7 @@ _WORD_NS = "{http://schemas.openxmlformats.org/wordprocessingml/2006/main}"
 
 PLAIN_TEXT = "plain_text"
 OOXML_DOCX = "ooxml_docx"
+FORMATS = ("auto", PLAIN_TEXT, OOXML_DOCX)
 
 
 @dataclass(frozen=True)

@@ -24,8 +24,6 @@ from dataclasses import dataclass
 from pathlib import Path
 from typing import Callable, Sequence
 
-import requests
-
 from .errors import (
     AuthError,
     FixtureCorrupt,
@@ -172,6 +170,10 @@ class _NetworkFailure(Exception):
 
 
 def _requests_post(url: str, headers: dict[str, str], body: dict, timeout: float):
+    # Imported here, not at the top: only live and record runs send over HTTP,
+    # and the HTTP stack would double the start-up time of every offline command.
+    import requests
+
     try:
         response = requests.post(url, headers=headers, json=body, timeout=timeout)
     except requests.RequestException as exc:

@@ -355,37 +355,34 @@ def run_analysis(corpus: Corpus, focus: StudyFocus, config: ModelConfig, transpo
                 artifact.raw_replies[f"page_{page.number}"] = ask(
                     prompt, f"page {page.number} code extraction")
         else:
+            futures = {}
             with ThreadPoolExecutor(max_workers=config.parallelism) as pool:
                 try:
-                    futures = {
-                        pool.submit(ask, library.render_code_extraction(page, focus),
-                                    f"page {page.number} code extraction"): page
-                        for page in pending
-                    }
+                    for page in pending:
+                        futures[pool.submit(ask, library.render_code_extraction(page, focus),
+                                            f"page {page.number} code extraction")] = page
                     wait(futures, return_when=FIRST_EXCEPTION)
                 finally:
                     # At a failure or an interrupt, queued pages never start.
                     pool.shutdown(cancel_futures=True)
-            # The pool has shut down: every future not cancelled is finished,
-            # and every reply that arrived goes into the artifact before any
-            # failure propagates.  Futures iterate in page order, so the first
-            # failure is the lowest page.
-            failure: tuple[int, ThematicaError] | None = None
-            unexpected: Exception | None = None
-            for future, page in futures.items():
-                if future.cancelled():
-                    continue
-                try:
-                    artifact.raw_replies[f"page_{page.number}"] = future.result()
-                except ThematicaError as exc:
-                    failure = failure or (page.number, exc)
-                except Exception as exc:
-                    unexpected = unexpected or exc
-            if unexpected is not None:
-                raise unexpected
-            if failure is not None:
-                page_number = failure[0]
-                raise failure[1]
+                    # The pool has shut down, so every future not cancelled
+                    # is finished.  Every reply that arrived goes into the
+                    # artifact before anything propagates, an interrupt too.
+                    failures = []
+                    for future, page in futures.items():
+                        if future.cancelled():
+                            continue
+                        if future.exception() is None:
+                            artifact.raw_replies[f"page_{page.number}"] = future.result()
+                        else:
+                            failures.append((page.number, future.exception()))
+            # Futures iterate in page order, so the first failure is the lowest page.
+            unexpected = [exc for _, exc in failures if not isinstance(exc, ThematicaError)]
+            if unexpected:
+                raise unexpected[0]
+            if failures:
+                page_number, exc = failures[0]
+                raise exc
         page_number = None
 
         # step 2: consolidation

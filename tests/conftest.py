@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import os
 import shutil
 import zipfile
 from pathlib import Path
@@ -31,6 +32,14 @@ def make_corpus(texts: list[str], page_size: int = 10, source_path: str = "memor
     """Corpus built straight from paragraph texts, skipping file IO."""
     paragraphs = [Paragraph(index, text) for index, text in enumerate(texts)]
     return paginate(paragraphs, page_size=page_size, source_path=source_path)
+
+
+def source_env() -> dict[str, str]:
+    """Environment for a child interpreter that imports this checkout's thematica."""
+    source_root = Path(thematica.__file__).resolve().parent.parent
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, (str(source_root), env.get("PYTHONPATH"))))
+    return env
 
 
 def _xml_escape(text: str) -> str:

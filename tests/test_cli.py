@@ -5,9 +5,12 @@ from __future__ import annotations
 import json
 import os
 import shutil
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
+from conftest import source_env
 
 import thematica
 import thematica.cli
@@ -291,3 +294,50 @@ def test_unknown_model_option_is_rejected(
         '{"model": {"model_id": "gpt-4-turbo", "penalty": 2}}', encoding="utf-8")
     assert main(["--config", "config.json", "analyze"]) == 1
     assert "unknown model option" in capsys.readouterr().err
+
+
+def test_unknown_document_format_is_a_configuration_error(
+        analyzed_workspace: Path, tmp_path: Path,
+        monkeypatch: pytest.MonkeyPatch, capsys) -> None:
+    workspace = copy_workspace(analyzed_workspace, tmp_path / "formats")
+    monkeypatch.chdir(workspace)
+    run_config = json.loads((workspace / "run_config.json").read_text(encoding="utf-8"))
+    for value, code in (("text", 1), ("plain_text", 0)):
+        run_config["format"] = value
+        (workspace / "run_config.json").write_text(json.dumps(run_config), encoding="utf-8")
+        assert main(["--config", "run_config.json", "analyze"]) == code
+        assert main(["--config", "run_config.json", "verify"]) == code
+    err = capsys.readouterr().err
+    assert err.count("configuration error: unknown format 'text'; "
+                     "choose from auto, plain_text, ooxml_docx") == 2
+
+
+# Runs the four offline commands in one fresh interpreter and prints, as the
+# last line, their exit codes and whether the HTTP stack was ever imported.
+_OFFLINE_COMMANDS = """
+import json, sys
+import thematica
+after_import = "requests" in sys.modules
+from thematica.cli import main
+codes = [main(["--config", "run_config.json", *argv]) for argv in (
+    ["analyze"], ["verify"],
+    ["compare", "--human", "coder1.csv", "--human", "coder2.csv"], ["report"])]
+print(json.dumps({"codes": codes, "after_import": after_import,
+                  "after_commands": "requests" in sys.modules}))
+"""
+
+
+def test_offline_commands_never_import_requests(sample_workspace: Path) -> None:
+    child = subprocess.run([sys.executable, "-c", _OFFLINE_COMMANDS], cwd=sample_workspace,
+                           env=source_env(), capture_output=True, text=True, timeout=120)
+    assert child.returncode == 0, child.stderr
+    result = json.loads(child.stdout.splitlines()[-1])
+    assert result == {"codes": [0, 0, 0, 0], "after_import": False, "after_commands": False}
+
+
+def test_python_dash_m_thematica_runs_the_cli(sample_workspace: Path) -> None:
+    child = subprocess.run([sys.executable, "-m", "thematica", "--config", "run_config.json",
+                            "analyze"], cwd=sample_workspace, env=source_env(),
+                           capture_output=True, text=True, timeout=120)
+    assert child.returncode == 0, child.stderr
+    assert "analysis complete: 59 codes, 15 emerging labels, 4 themes" in child.stdout

@@ -186,6 +186,73 @@ def test_malformed_bodies_raise_malformed_response() -> None:
             transport.send(config, MESSAGES)
 
 
+class FakePost:
+    """Stands in for ``requests.post``; records calls, pops scripted outcomes."""
+
+    def __init__(self, script: list) -> None:
+        self.script = list(script)
+        self.calls: list[dict] = []
+
+    def __call__(self, url: str, **kwargs):
+        import requests
+
+        self.calls.append({"url": url, **kwargs})
+        step = self.script.pop(0)
+        if isinstance(step, Exception):
+            raise step
+        status, body = step
+        response = requests.Response()
+        response.status_code = status
+        response._content = body
+        return response
+
+
+def requests_live(monkeypatch: pytest.MonkeyPatch, script: list) -> tuple:
+    """A LiveTransport without ``http_post``, so it sends through ``requests``."""
+    import requests
+
+    fake = FakePost(script)
+    monkeypatch.setattr(requests, "post", fake)
+    sleeps: list[float] = []
+    return LiveTransport(api_key="k", sleep=sleeps.append), fake, sleeps
+
+
+def test_default_http_post_returns_the_json_reply(monkeypatch: pytest.MonkeyPatch) -> None:
+    transport, fake, sleeps = requests_live(
+        monkeypatch, [(200, json.dumps(ok_payload("live reply")).encode())])
+    config = ModelConfig(timeout=7.0)
+    assert transport.send(config, MESSAGES) == "live reply"
+    (call,) = fake.calls
+    assert call["url"] == "https://api.openai.com/v1/chat/completions"
+    assert call["headers"] == {"Authorization": "Bearer k"}
+    assert call["json"]["messages"][1] == {"role": "user", "content": "Summarize page 1."}
+    assert call["timeout"] == 7.0
+    assert sleeps == []
+
+
+def test_default_http_post_reads_a_non_json_body_as_no_payload(
+        monkeypatch: pytest.MonkeyPatch) -> None:
+    from thematica.gateway import _requests_post
+
+    transport, fake, _ = requests_live(monkeypatch, [(200, b"<html>busy</html>")] * 2)
+    assert _requests_post("https://example.test/chat/completions", {}, {}, 1.0) == (200, None)
+    with pytest.raises(MalformedResponse, match="not a JSON object"):
+        transport.send(CONFIG, MESSAGES)
+    assert len(fake.calls) == 2
+
+
+def test_default_http_post_retries_request_exceptions_as_network_failures(
+        monkeypatch: pytest.MonkeyPatch) -> None:
+    import requests
+
+    transport, fake, sleeps = requests_live(
+        monkeypatch, [requests.ConnectionError("connection refused")] * 3)
+    with pytest.raises(TransportError, match="network failure: connection refused after 3"):
+        transport.send(ModelConfig(max_attempts=3), MESSAGES)
+    assert len(fake.calls) == 3
+    assert sleeps == [1.0, 2.0]
+
+
 def test_fixture_save_load_round_trip(tmp_path: Path) -> None:
     entries = [{"digest": "a" * 64, "response": "first"},
                {"digest": "b" * 64, "response": "second"}]

@@ -12,6 +12,7 @@ import time
 from pathlib import Path
 
 import pytest
+from conftest import source_env
 
 from thematica.codebook import Codebook, Matcher, load_alias_map, load_human_codebook
 from thematica.corpus import load_corpus
@@ -289,6 +290,20 @@ def test_interrupt_stops_the_run_and_saves_the_artifact_once(
     assert counting.sent == len(sample["corpus"].pages) + 2 - len(cached)
 
 
+def test_interrupted_parallel_run_saves_every_finished_page_reply(
+        sample: dict, tmp_path: Path) -> None:
+    out_dir = tmp_path / "run"
+    interrupting = InterruptingTransport(ReplayTransport(sample["fixture"]), page=3)
+    with pytest.raises(KeyboardInterrupt):
+        run_analysis(sample["corpus"], sample["focus"], ModelConfig(parallelism=2),
+                     interrupting, output_dir=out_dir)
+    partial = load_artifact(out_dir / "analysis.json")
+    cached = load_fixture(out_dir / "response_cache.json")
+    assert len(cached) == interrupting.sent == 4
+    assert list(partial.raw_replies) == [f"page_{number}" for number in range(1, 5)]
+    assert sorted(partial.raw_replies.values()) == sorted(entry["response"] for entry in cached)
+
+
 class CacheCheckingTransport:
     """Replay wrapper that loads the response cache before every send."""
 
@@ -364,18 +379,12 @@ run_analysis(
 
 def test_killed_parallel_run_resends_only_requests_in_flight(
         sample: dict, tmp_path: Path) -> None:
-    import thematica
-
     out_dir, signal_path = tmp_path / "run", tmp_path / "blocked"
-    source_root = Path(thematica.__file__).resolve().parent.parent
-    env = dict(os.environ)
-    env["PYTHONPATH"] = os.pathsep.join(
-        filter(None, (str(source_root), env.get("PYTHONPATH"))))
     with (tmp_path / "child.log").open("w", encoding="utf-8") as log:
         child = subprocess.Popen(
             [sys.executable, "-c", _BLOCKING_RUN, str(sample["dir"]), str(out_dir),
              str(signal_path), "5"],
-            env=env, stdout=log, stderr=subprocess.STDOUT)
+            env=source_env(), stdout=log, stderr=subprocess.STDOUT)
         try:
             deadline = time.monotonic() + 60
             while not signal_path.exists():
