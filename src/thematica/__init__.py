@@ -38,7 +38,6 @@ from .gateway import (
     Gateway,
     LiveTransport,
     ModelConfig,
-    RecordTransport,
     ReplayTransport,
 )
 from .outparse import (

@@ -47,7 +47,6 @@ from .gateway import (
     FALLBACK_ENV_VAR,
     LiveTransport,
     ModelConfig,
-    RecordTransport,
     ReplayTransport,
 )
 from .outparse import CodeRecord, ThemeRecord
@@ -156,11 +155,10 @@ def _resolve_transport(config: RunConfig):
         if not config.fixture:
             raise ConfigError("replay transport requires a fixture path (--replay FIXTURE)")
         return ReplayTransport(config.fixture)
-    if mode == "record":
-        if not config.fixture:
-            raise ConfigError("record transport requires a fixture path (--record FIXTURE)")
-        return RecordTransport(config.fixture)
-    if mode == "live":
+    if mode == "record" and not config.fixture:
+        raise ConfigError("record transport requires a fixture path (--record FIXTURE)")
+    if mode in ("live", "record"):
+        # A record run sends live; the gateway writes its replies to the fixture.
         if not (os.environ.get(ENV_VAR) or os.environ.get(FALLBACK_ENV_VAR)):
             raise ConfigError(f"live transport requires a credential: set {ENV_VAR} "
                               f"(or {FALLBACK_ENV_VAR})")
@@ -221,11 +219,13 @@ def cmd_analyze(config: RunConfig, paper_reference: str | None = None) -> int:
     transport = _resolve_transport(config)
     library = PromptLibrary(config.template_dir) if config.template_dir else None
     output_dir = Path(config.output_dir)
+    record_path = config.fixture if config.transport == "record" else None
 
     try:
         artifact = run_analysis(corpus, focus, model, transport,
                                 output_dir=output_dir, library=library,
-                                trace_threshold=config.trace_threshold)
+                                trace_threshold=config.trace_threshold,
+                                record_path=record_path)
     except AnalysisInterrupted as exc:
         where = f" at page {exc.page}" if exc.page else ""
         print(f"analysis interrupted during {exc.stage}{where}: {exc.cause}", file=sys.stderr)
@@ -391,8 +391,16 @@ def cmd_report(config: RunConfig, artifact_path: str | None,
     return EXIT_OK
 
 
+class _Parser(argparse.ArgumentParser):
+    """Argument parser whose usage errors exit 1: exit 2 means a rerun can resume."""
+
+    def error(self, message: str):
+        self.print_usage(sys.stderr)
+        self.exit(EXIT_ERROR, f"{self.prog}: error: {message}\n")
+
+
 def _build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="thematica",
         description="Stepwise thematic analysis of interview transcripts with "
                     "quote traceability and codebook agreement statistics.",
@@ -422,7 +430,7 @@ def _build_parser() -> argparse.ArgumentParser:
                          help="JSON file of expected values for discrepancy footnotes")
     transport = analyze.add_mutually_exclusive_group()
     transport.add_argument("--replay", metavar="FIXTURE", help="replay a recorded session")
-    transport.add_argument("--record", metavar="FIXTURE", help="record a live session")
+    transport.add_argument("--record", metavar="FIXTURE", help="send live, record to FIXTURE")
     transport.add_argument("--live", action="store_true", help="send live requests")
 
     compare_p = sub.add_parser("compare", help="compare the artifact against human codebooks")

@@ -63,13 +63,6 @@ class Codebook:
     def labels(self) -> tuple[str, ...]:
         return tuple(record.label for record in self.codes)
 
-    def deduped_labels(self) -> tuple[str, ...]:
-        """Record labels deduplicated case-insensitively, first appearance kept.
-
-        Keys are unique within a codebook, so this is every label in order.
-        """
-        return self.labels
-
 
 @dataclass(frozen=True)
 class Matcher:
@@ -105,10 +98,6 @@ class Matcher:
         Only alias mode rewrites; other modes return the pair unchanged.
         """
         return self._canonical.get(key, (label, key))
-
-    def canonical_label(self, label: str) -> str:
-        """Resolve a label to its canonical surface form (alias mode only rewrites)."""
-        return self.resolve(label, label_key(label))[0]
 
     def matches(self, label_a: str, label_b: str) -> bool:
         key_a = self.resolve(label_a, label_key(label_a))[1]

@@ -151,15 +151,6 @@ def load_corpus(path: str | Path, page_size: int = 10, format: str = "auto") -> 
     return paginate(load_document(path, format=format), page_size=page_size, source_path=str(path))
 
 
-def page_text(corpus: Corpus, number: int) -> str:
-    """Newline-joined text of page ``number`` (1-based)."""
-    if number < 1 or number > corpus.page_count:
-        raise PageOutOfRange(
-            f"page {number} out of range 1..{corpus.page_count}"
-        )
-    return corpus.pages[number - 1].text
-
-
 def content_hash(corpus: Corpus) -> str:
     """Lowercase hex SHA-256 of the paragraph texts, newline-joined.
 

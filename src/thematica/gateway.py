@@ -1,15 +1,16 @@
-"""Chat-completion gateway with retries, caching, and record/replay transports.
+"""Chat-completion gateway with retries, caching, and live/replay transports.
 
 Requests are hashed over (model, temperature, max_tokens, messages); the
-digest keys both the in-memory response cache and the on-disk session
-fixtures, so a recorded session doubles as a replay fixture.  Replay mode
-never touches the network, which keeps pipeline runs byte-deterministic.
+digest keys both the in-memory response cache and the on-disk fixtures, so a
+recorded session doubles as a replay fixture.  Replay never touches the
+network, which keeps pipeline runs byte-deterministic.
 
-Every fixture is a JSON array of ``{digest, response}`` objects.  The
-response cache and a recorded session grow by appending: each new reply is
-written once, as one line over the array's closing bracket, so persisting n
-replies writes O(total reply bytes) and the file is a valid fixture after
-every request.
+Every fixture is a JSON array of ``{digest, response}`` objects, and in a run
+the :class:`Gateway` writes them: each new reply goes into the response
+cache, and each reply it returns into the record fixture, once per digest.
+A reply is appended as one line over the array's closing bracket, so
+persisting n replies writes O(total reply bytes) and the file is a valid
+fixture after every request.
 """
 
 from __future__ import annotations
@@ -270,48 +271,33 @@ class ReplayTransport:
             ) from None
 
 
-class RecordTransport:
-    """Live transport that appends every (digest, response) pair to a fixture."""
-
-    kind = "live"
-
-    def __init__(self, fixture_path: str | Path, api_key: str | None = None,
-                 http_post: Callable | None = None,
-                 sleep: Callable[[float], None] = time.sleep) -> None:
-        self.fixture_path = Path(fixture_path)
-        self._live = LiveTransport(api_key=api_key, http_post=http_post, sleep=sleep)
-        self._lock = threading.Lock()
-        if self.fixture_path.exists():
-            # Refuse a corrupt fixture before paying for a live request.
-            load_fixture(self.fixture_path)
-
-    def send(self, config: ModelConfig, messages: Sequence[ChatMessage],
-             context: str | None = None) -> str:
-        text = self._live.send(config, messages, context)
-        digest = request_digest(config, messages)
-        with self._lock:
-            append_fixture_entry(self.fixture_path, {"digest": digest, "response": text})
-        return text
-
-
 class Gateway:
     """Caching front end over a transport; safe for concurrent use.
 
     With a ``cache_path``, the cache starts from that fixture and every reply
     the transport returns is appended to it before ``complete`` returns, so
-    a rerun after a crash gets every finished request from the cache.
+    a rerun after a crash gets every finished request from the cache.  With
+    a ``record_path``, every reply ``complete`` returns, cache hits included,
+    is appended to that fixture unless it already holds the digest, so the
+    fixture replays a resumed run as well as a fresh one.
     """
 
     def __init__(self, config: ModelConfig, transport,
-                 cache_path: str | Path | None = None) -> None:
+                 cache_path: str | Path | None = None,
+                 record_path: str | Path | None = None) -> None:
         self.config = config
         self.transport = transport
         self.cache_path = Path(cache_path) if cache_path else None
+        self.record_path = Path(record_path) if record_path else None
         self._lock = threading.Lock()
         self._cache: dict[str, str] = {}
+        self._recorded: set[str] = set()
         if self.cache_path and self.cache_path.exists():
             for entry in load_fixture(self.cache_path):
                 self._cache[entry["digest"]] = entry["response"]
+        if self.record_path and self.record_path.exists():
+            # Refuse a corrupt fixture before paying for a live request.
+            self._recorded = {entry["digest"] for entry in load_fixture(self.record_path)}
 
     def complete(self, messages: Sequence[ChatMessage],
                  context: str | None = None) -> Completion:
@@ -320,8 +306,9 @@ class Gateway:
         digest = request_digest(self.config, messages)
         with self._lock:
             if digest in self._cache:
-                return Completion(request_digest=digest, text=self._cache[digest],
-                                  transport="cache")
+                text = self._cache[digest]
+                self._record(digest, text)
+                return Completion(request_digest=digest, text=text, transport="cache")
         text = self.transport.send(self.config, messages, context)
         with self._lock:
             # A concurrent request for the same digest may have cached it first.
@@ -329,4 +316,11 @@ class Gateway:
                 self._cache[digest] = text
                 if self.cache_path:
                     append_fixture_entry(self.cache_path, {"digest": digest, "response": text})
+            self._record(digest, text)
         return Completion(request_digest=digest, text=text, transport=self.transport.kind)
+
+    def _record(self, digest: str, text: str) -> None:
+        """Append a returned reply to the record fixture, once; hold ``_lock``."""
+        if self.record_path and digest not in self._recorded:
+            append_fixture_entry(self.record_path, {"digest": digest, "response": text})
+            self._recorded.add(digest)

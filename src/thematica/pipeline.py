@@ -66,6 +66,10 @@ SIX_STAGES = (STAGE_QUOTATION, STAGE_KEYWORDS, STAGE_CODING,
 
 NOT_COVERED = "not_covered"
 
+# The longest the main thread waits on the code-extraction pool at a time: a
+# SIGINT it does not take itself cannot wake it, so it checks after each slice.
+WAIT_SLICE_S = 0.05
+
 
 @dataclass(frozen=True)
 class SixStepCoverage:
@@ -305,7 +309,8 @@ def run_analysis(corpus: Corpus, focus: StudyFocus, config: ModelConfig, transpo
                  output_dir: str | Path | None = None,
                  artifact_path: str | Path | None = None,
                  library: PromptLibrary | None = None,
-                 trace_threshold: float = DEFAULT_THRESHOLD) -> AnalysisArtifact:
+                 trace_threshold: float = DEFAULT_THRESHOLD,
+                 record_path: str | Path | None = None) -> AnalysisArtifact:
     """Run (or resume) the full stepwise analysis and return the artifact.
 
     A complete artifact on disk is returned untouched without any model
@@ -313,6 +318,11 @@ def run_analysis(corpus: Corpus, focus: StudyFocus, config: ModelConfig, transpo
     stops early saves it as partial; a library error then becomes
     AnalysisInterrupted carrying the stage, page, artifact, and cause, and
     any other exception propagates unchanged.
+
+    With a ``record_path``, the run also asks for the replies an earlier run
+    got, which the response cache in ``output_dir`` serves (without one they
+    are sent again), so every reply of the analysis goes into that fixture;
+    a complete artifact is run again to record it.
     """
     library = library or default_library()
     replay = getattr(transport, "kind", "live") == "replay"
@@ -321,10 +331,11 @@ def run_analysis(corpus: Corpus, focus: StudyFocus, config: ModelConfig, transpo
 
     out_dir = Path(output_dir) if output_dir else None
     path = Path(artifact_path) if artifact_path else (out_dir / "analysis.json" if out_dir else None)
+    recording = record_path is not None
     if path and path.exists():
         artifact = load_artifact(path)
         _check_resume(artifact, fingerprint, snapshot)
-        if artifact.complete:
+        if artifact.complete and not recording:
             return artifact
     else:
         stamp = _now(replay)
@@ -334,7 +345,7 @@ def run_analysis(corpus: Corpus, focus: StudyFocus, config: ModelConfig, transpo
         )
 
     cache_path = out_dir / "response_cache.json" if out_dir else None
-    gateway = Gateway(config, transport, cache_path=cache_path)
+    gateway = Gateway(config, transport, cache_path=cache_path, record_path=record_path)
 
     def ask(prompt, context: str) -> str:
         messages = (ChatMessage("system", prompt.system_message),
@@ -347,7 +358,7 @@ def run_analysis(corpus: Corpus, focus: StudyFocus, config: ModelConfig, transpo
     try:
         # step 1: per-page code extraction
         pending = [page for page in corpus.pages
-                   if f"page_{page.number}" not in artifact.raw_replies]
+                   if recording or f"page_{page.number}" not in artifact.raw_replies]
         if config.parallelism <= 1 or len(pending) <= 1:
             for page in pending:
                 page_number = page.number
@@ -361,7 +372,12 @@ def run_analysis(corpus: Corpus, focus: StudyFocus, config: ModelConfig, transpo
                     for page in pending:
                         futures[pool.submit(ask, library.render_code_extraction(page, focus),
                                             f"page {page.number} code extraction")] = page
-                    wait(futures, return_when=FIRST_EXCEPTION)
+                    running = set(futures)
+                    while running:
+                        done, running = wait(running, timeout=WAIT_SLICE_S,
+                                             return_when=FIRST_EXCEPTION)
+                        if any(future.exception() is not None for future in done):
+                            break
                 finally:
                     # At a failure or an interrupt, queued pages never start.
                     pool.shutdown(cancel_futures=True)
@@ -402,7 +418,7 @@ def run_analysis(corpus: Corpus, focus: StudyFocus, config: ModelConfig, transpo
                 list_reply = reply
 
         codebook = Codebook(coder_id="genai", provenance="llm", codes=tuple(records))
-        regenerated = codebook.deduped_labels()
+        regenerated = codebook.labels
         if list_reply is not None:
             emerging = tuple(parse_emerging_code_list(list_reply))
             if emerging != regenerated:
@@ -421,7 +437,7 @@ def run_analysis(corpus: Corpus, focus: StudyFocus, config: ModelConfig, transpo
         # step 3: theme generation
         stage = "theme_generation"
         codes_digest = render_codes_digest(codebook.codes)
-        if "themes" not in artifact.raw_replies:
+        if recording or "themes" not in artifact.raw_replies:
             prompt = library.render_theme_generation(codes_digest, focus)
             artifact.raw_replies["themes"] = ask(prompt, "theme generation")
         theme_report = parse_theme_block(artifact.raw_replies["themes"])
@@ -436,7 +452,7 @@ def run_analysis(corpus: Corpus, focus: StudyFocus, config: ModelConfig, transpo
         # step 4: interpretation
         stage = "interpretation"
         themes_digest = render_theme_digest(themes)
-        if "interpretations" not in artifact.raw_replies:
+        if recording or "interpretations" not in artifact.raw_replies:
             prompt = library.render_interpretation(themes_digest, focus)
             artifact.raw_replies["interpretations"] = ask(prompt, "interpretation")
         interp_report = parse_interpretation_block(artifact.raw_replies["interpretations"],

@@ -34,6 +34,7 @@ from thematica.errors import (
     ZeroTotal,
 )
 from thematica.outparse import CodeRecord
+from thematica.textnorm import label_key
 
 
 def book(coder_id: str, labels: list[str]) -> Codebook:
@@ -204,7 +205,7 @@ def first_fit_presence_matrix(codebooks, matcher) -> PresenceMatrix:
     presence: list[list[int]] = []
     for column, codebook in enumerate(codebooks):
         for record in codebook.codes:
-            label = matcher.canonical_label(record.label)
+            label = matcher.resolve(record.label, label_key(record.label))[0]
             target = None
             for row_index, existing in enumerate(row_labels):
                 if matcher.matches(existing, label):

@@ -23,6 +23,7 @@ from thematica.errors import (
     SchemaError,
     TransportError,
 )
+from thematica.gateway import ChatMessage, ModelConfig, load_fixture, request_digest
 
 SAMPLES = Path(thematica.__file__).parent / "samples"
 
@@ -72,6 +73,28 @@ def test_live_transport_requires_credential(
     err = capsys.readouterr().err
     assert "configuration error" in err
     assert "THEMATICA_API_KEY" in err
+
+
+def test_record_sends_live_and_writes_a_replayable_session(
+        sample_workspace: Path, monkeypatch: pytest.MonkeyPatch) -> None:
+    monkeypatch.chdir(sample_workspace)
+    monkeypatch.setenv("THEMATICA_API_KEY", "k")
+    session = load_fixture(sample_workspace / "session.json")
+    replies = {entry["digest"]: entry["response"] for entry in session}
+
+    def http_post(url: str, headers: dict, body: dict, timeout: float):
+        messages = [ChatMessage(m["role"], m["content"]) for m in body["messages"]]
+        return 200, {"choices": [{"message": {
+            "content": replies[request_digest(ModelConfig(), messages)]}}]}
+
+    monkeypatch.setattr("thematica.gateway._requests_post", http_post)
+    for argv in (["--output-dir", "live", "analyze", "--record", "recorded.json"],
+                 ["--output-dir", "replayed", "analyze", "--replay", "recorded.json"],
+                 ["--output-dir", "clean", "analyze"]):
+        assert main(["--config", "run_config.json", *argv]) == 0
+    assert len(load_fixture(sample_workspace / "recorded.json")) == len(session)
+    assert ((sample_workspace / "replayed" / "analysis.json").read_bytes()
+            == (sample_workspace / "clean" / "analysis.json").read_bytes())
 
 
 def test_analyze_without_input_fails_cleanly(
@@ -282,9 +305,10 @@ def test_config_file_errors_are_reported(
 def test_transport_flags_are_mutually_exclusive(sample_workspace: Path,
                                                 monkeypatch: pytest.MonkeyPatch) -> None:
     monkeypatch.chdir(sample_workspace)
-    with pytest.raises(SystemExit):
+    with pytest.raises(SystemExit) as usage_error:
         main(["--config", "run_config.json", "analyze",
               "--replay", "session.json", "--live"])
+    assert usage_error.value.code == 1
 
 
 def test_unknown_model_option_is_rejected(

@@ -30,6 +30,7 @@ from thematica.errors import (
     SchemaError,
 )
 from thematica.outparse import CodeRecord
+from thematica.textnorm import label_key
 
 
 def book(coder_id: str, labels: list[str], provenance: str = "human") -> Codebook:
@@ -54,7 +55,6 @@ def test_codebook_requires_coder_id() -> None:
 def test_labels_and_dedup_preserve_order() -> None:
     codebook = book("c1", ["Alpha", "Beta", "Gamma"])
     assert codebook.labels == ("Alpha", "Beta", "Gamma")
-    assert codebook.deduped_labels() == ("Alpha", "Beta", "Gamma")
 
 
 def test_jaccard_token_overlap_values() -> None:
@@ -69,14 +69,15 @@ def test_matcher_exact_mode_is_case_insensitive() -> None:
     matcher = Matcher()
     assert matcher.matches("Initial Climate Shock", "initial climate shock")
     assert not matcher.matches("Initial Climate Shock", "Initial Culture Shock")
-    assert matcher.canonical_label("Anything") == "Anything"
+    assert matcher.resolve("Anything", label_key("Anything"))[0] == "Anything"
 
 
 def test_matcher_alias_mode_rewrites_to_target() -> None:
     matcher = Matcher(mode=ALIAS_MAP, alias_map={
         "Career Midwife by chance": "Accidental Career Discovery",
     })
-    assert matcher.canonical_label("career midwife BY chance") == "Accidental Career Discovery"
+    label = "career midwife BY chance"
+    assert matcher.resolve(label, label_key(label))[0] == "Accidental Career Discovery"
     assert matcher.matches("Career Midwife by chance", "Accidental Career Discovery")
     assert not matcher.matches("Career Midwife by chance", "Something Else")
 

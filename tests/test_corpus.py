@@ -18,7 +18,6 @@ from thematica.corpus import (
     content_hash,
     load_corpus,
     load_document,
-    page_text,
     paginate,
 )
 from thematica.errors import DecodeError, EmptyDocument, InvalidPageSize, PageOutOfRange
@@ -130,12 +129,8 @@ def test_pagination_chunks_match_slicing_oracle() -> None:
 
 def test_page_text_joins_with_newlines() -> None:
     corpus = make_corpus(["one", "two", "three"], page_size=2)
-    assert page_text(corpus, 1) == "one\ntwo"
-    assert page_text(corpus, 2) == "three"
-    with pytest.raises(PageOutOfRange):
-        page_text(corpus, 3)
-    with pytest.raises(PageOutOfRange):
-        page_text(corpus, 0)
+    assert corpus.pages[0].text == "one\ntwo"
+    assert corpus.pages[1].text == "three"
 
 
 def test_corpus_rejects_noncontiguous_pages() -> None:

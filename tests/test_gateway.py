@@ -24,7 +24,6 @@ from thematica.gateway import (
     Gateway,
     LiveTransport,
     ModelConfig,
-    RecordTransport,
     ReplayTransport,
     append_fixture_entry,
     load_fixture,
@@ -295,8 +294,8 @@ def test_replay_transport_miss_names_context_and_fixture(tmp_path: Path) -> None
 def test_record_transport_appends_and_replays(tmp_path: Path) -> None:
     path = tmp_path / "session.json"
     stub = StubHTTP([(200, ok_payload("captured"))])
-    transport = RecordTransport(path, api_key="k", http_post=stub)
-    assert transport.send(CONFIG, MESSAGES) == "captured"
+    gateway = Gateway(CONFIG, LiveTransport(api_key="k", http_post=stub), record_path=path)
+    assert gateway.complete(MESSAGES).text == "captured"
     entries = load_fixture(path)
     assert len(entries) == 1
     assert entries[0]["digest"] == request_digest(CONFIG, MESSAGES)
@@ -308,8 +307,8 @@ def test_record_transport_extends_existing_fixture(tmp_path: Path) -> None:
     path = tmp_path / "session.json"
     save_fixture(path, [{"digest": "d" * 64, "response": "old"}])
     stub = StubHTTP([(200, ok_payload("new"))])
-    transport = RecordTransport(path, api_key="k", http_post=stub)
-    transport.send(CONFIG, MESSAGES)
+    gateway = Gateway(CONFIG, LiveTransport(api_key="k", http_post=stub), record_path=path)
+    gateway.complete(MESSAGES)
     assert [entry["response"] for entry in load_fixture(path)] == ["old", "new"]
 
 
@@ -318,7 +317,7 @@ def test_record_transport_refuses_a_corrupt_fixture_before_sending(tmp_path: Pat
     path.write_text('[{"digest": "xyz", "response": "r"}]', encoding="utf-8")
     stub = StubHTTP([])
     with pytest.raises(FixtureCorrupt):
-        RecordTransport(path, api_key="k", http_post=stub)
+        Gateway(CONFIG, LiveTransport(api_key="k", http_post=stub), record_path=path)
     assert stub.calls == []
 
 
@@ -348,6 +347,22 @@ def test_gateway_preloads_cache_from_disk(tmp_path: Path) -> None:
     assert (completion.text, completion.transport) == ("warm", "cache")
 
 
+def test_gateway_records_cache_hits_once(tmp_path: Path) -> None:
+    digest = request_digest(CONFIG, MESSAGES)
+    cache_path = tmp_path / "cache.json"
+    save_fixture(cache_path, [{"digest": digest, "response": "warm"}])
+    record_path = tmp_path / "recorded.json"
+    stub = StubHTTP([])
+    for _ in range(2):
+        # A second gateway finds the digest in the fixture and appends nothing.
+        gateway = Gateway(CONFIG, LiveTransport(api_key="k", http_post=stub),
+                          cache_path=cache_path, record_path=record_path)
+        for _ in range(2):
+            assert gateway.complete(MESSAGES).transport == "cache"
+    assert load_fixture(record_path) == [{"digest": digest, "response": "warm"}]
+    assert stub.calls == []
+
+
 def test_gateway_appends_each_new_reply_to_the_cache_once(tmp_path: Path) -> None:
     other = (ChatMessage("user", "Summarize page 2."),)
     fixture = tmp_path / "session.json"
@@ -374,8 +389,8 @@ class EchoTransport:
 
 
 def test_concurrent_completions_append_every_reply_once(tmp_path: Path) -> None:
-    cache_path = tmp_path / "cache.json"
-    gateway = Gateway(CONFIG, EchoTransport(), cache_path=cache_path)
+    cache_path, record_path = tmp_path / "cache.json", tmp_path / "session.json"
+    gateway = Gateway(CONFIG, EchoTransport(), cache_path=cache_path, record_path=record_path)
     prompts = [f"page {number}" for number in range(200)]
     interval = sys.getswitchinterval()
     sys.setswitchinterval(1e-6)
@@ -386,9 +401,10 @@ def test_concurrent_completions_append_every_reply_once(tmp_path: Path) -> None:
                           prompts + prompts, timeout=60))
     finally:
         sys.setswitchinterval(interval)
-    entries = load_fixture(cache_path)
-    assert sorted(entry["response"] for entry in entries) == sorted(
-        f"reply to {text}" for text in prompts)
+    for path in (cache_path, record_path):
+        entries = load_fixture(path)
+        assert sorted(entry["response"] for entry in entries) == sorted(
+            f"reply to {text}" for text in prompts)
 
 
 def test_append_extends_empty_and_indented_fixtures(tmp_path: Path) -> None:

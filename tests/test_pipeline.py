@@ -23,16 +23,25 @@ from thematica.errors import (
     IncompleteArtifact,
     ResumeMismatch,
 )
-from thematica.gateway import ModelConfig, ReplayTransport, load_fixture, save_fixture
+from thematica.gateway import (
+    ChatMessage,
+    LiveTransport,
+    ModelConfig,
+    ReplayTransport,
+    load_fixture,
+    request_digest,
+    save_fixture,
+)
 from thematica.outparse import CodeRecord, ThemeRecord
 from thematica.pipeline import (
+    WAIT_SLICE_S,
     AnalysisArtifact,
     compare,
     load_artifact,
     run_analysis,
     six_step_coverage,
 )
-from thematica.promptkit import StudyFocus
+from thematica.promptkit import StudyFocus, default_library
 from thematica.trace import EXACT
 
 
@@ -238,31 +247,42 @@ def test_artifact_is_written_once_per_run(sample: dict, tmp_path: Path,
     assert artifact_saves == [tmp_path / "interrupted" / "analysis.json"]
 
 
+def page_of(context: str) -> int | None:
+    return int(context.split()[1]) if context.startswith("page ") else None
+
+
 class InterruptingTransport:
     """Replay wrapper that sends this process SIGINT when one page is asked.
 
-    Later pages wait for that signal, and every send from then on takes a
-    while, so the interrupt reaches the main thread while requests are in
-    flight and later pages are still queued.
+    In a parallel run that page sends the signal only once the next page's
+    send has begun, so each worker has a request in flight.  Later pages
+    wait for the signal, and every send from then on takes a while, so the
+    interrupt reaches the main thread while the pages after those are queued.
     """
 
     kind = "replay"
 
-    def __init__(self, inner: ReplayTransport, page: int) -> None:
+    def __init__(self, inner: ReplayTransport, page: int, parallelism: int) -> None:
         self.inner = inner
         self.page = page
+        self.parallel = parallelism > 1
+        self.next_started = threading.Event()
         self.fired = threading.Event()
         self.sent = 0
         self._lock = threading.Lock()
 
     def send(self, config, messages, context=None):
-        page = int(context.split()[1]) if context.startswith("page ") else None
+        page = page_of(context)
         with self._lock:
             self.sent += 1
         if page == self.page:
+            if self.parallel:
+                self.next_started.wait(timeout=10)
             os.kill(os.getpid(), signal.SIGINT)
             self.fired.set()
         elif page is not None and page > self.page:
+            if page == self.page + 1:
+                self.next_started.set()
             self.fired.wait(timeout=10)
         if self.fired.is_set():
             time.sleep(0.3)
@@ -273,7 +293,8 @@ class InterruptingTransport:
 def test_interrupt_stops_the_run_and_saves_the_artifact_once(
         sample: dict, tmp_path: Path, artifact_saves: list[Path], parallelism: int) -> None:
     out_dir = tmp_path / "run"
-    interrupting = InterruptingTransport(ReplayTransport(sample["fixture"]), page=3)
+    interrupting = InterruptingTransport(ReplayTransport(sample["fixture"]), page=3,
+                                         parallelism=parallelism)
     with pytest.raises(KeyboardInterrupt):
         run_analysis(sample["corpus"], sample["focus"], ModelConfig(parallelism=parallelism),
                      interrupting, output_dir=out_dir)
@@ -293,7 +314,8 @@ def test_interrupt_stops_the_run_and_saves_the_artifact_once(
 def test_interrupted_parallel_run_saves_every_finished_page_reply(
         sample: dict, tmp_path: Path) -> None:
     out_dir = tmp_path / "run"
-    interrupting = InterruptingTransport(ReplayTransport(sample["fixture"]), page=3)
+    interrupting = InterruptingTransport(ReplayTransport(sample["fixture"]), page=3,
+                                         parallelism=2)
     with pytest.raises(KeyboardInterrupt):
         run_analysis(sample["corpus"], sample["focus"], ModelConfig(parallelism=2),
                      interrupting, output_dir=out_dir)
@@ -302,6 +324,113 @@ def test_interrupted_parallel_run_saves_every_finished_page_reply(
     assert len(cached) == interrupting.sent == 4
     assert list(partial.raw_replies) == [f"page_{number}" for number in range(1, 5)]
     assert sorted(partial.raw_replies.values()) == sorted(entry["response"] for entry in cached)
+
+
+class WorkerSignalTransport:
+    """Replay wrapper whose given page raises SIGINT in its own worker thread.
+
+    By then the main thread is blocked in its wait, and a signal taken by
+    another thread does not wake it, just as when a Ctrl-C lands while it is
+    about to block: it sees the signal only when its wait returns.  Later
+    pages take a while each, so a wait for all of them would return long
+    after the signal.
+    """
+
+    kind = "replay"
+
+    def __init__(self, inner: ReplayTransport, page: int) -> None:
+        self.inner = inner
+        self.page = page
+        self.signalled_at: float | None = None
+
+    def send(self, config, messages, context=None):
+        page = page_of(context)
+        if page == self.page:
+            time.sleep(0.1)
+            self.signalled_at = time.monotonic()
+            signal.pthread_kill(threading.get_ident(), signal.SIGINT)
+        elif page is not None and page > self.page:
+            time.sleep(0.2)
+        return self.inner.send(config, messages, context)
+
+
+def test_sigint_while_the_main_thread_waits_stops_the_run_within_one_slice(
+        sample: dict, tmp_path: Path) -> None:
+    handled_at: list[float] = []
+
+    def on_sigint(signum, frame):
+        handled_at.append(time.monotonic())
+        raise KeyboardInterrupt
+
+    transport = WorkerSignalTransport(ReplayTransport(sample["fixture"]), page=3)
+    previous = signal.signal(signal.SIGINT, on_sigint)
+    try:
+        with pytest.raises(KeyboardInterrupt):
+            run_analysis(sample["corpus"], sample["focus"], ModelConfig(parallelism=2),
+                         transport, output_dir=tmp_path / "run")
+    finally:
+        signal.signal(signal.SIGINT, previous)
+    # One slice, and as much again for the main thread to get scheduled.
+    assert handled_at[0] - transport.signalled_at < 2 * WAIT_SLICE_S
+
+
+class SessionHTTP:
+    """``http_post`` double that answers from a recorded session.
+
+    The request whose digest is ``fail_digest`` gets HTTP 500 every time.
+    """
+
+    def __init__(self, fixture: Path, config: ModelConfig,
+                 fail_digest: str | None = None) -> None:
+        self.replies = {entry["digest"]: entry["response"] for entry in load_fixture(fixture)}
+        self.config = config
+        self.fail_digest = fail_digest
+        self.calls = 0
+
+    def __call__(self, url: str, headers: dict, body: dict, timeout: float):
+        self.calls += 1
+        messages = [ChatMessage(m["role"], m["content"]) for m in body["messages"]]
+        digest = request_digest(self.config, messages)
+        if digest == self.fail_digest:
+            return 500, None
+        return 200, {"choices": [{"message": {"content": self.replies[digest]}}]}
+
+
+def test_resumed_record_run_writes_a_fixture_that_replays_the_whole_analysis(
+        sample: dict, tmp_path: Path) -> None:
+    config, out_dir = sample["config"], tmp_path / "out"
+    prompt = default_library().render_code_extraction(sample["corpus"].pages[5], sample["focus"])
+    page_6 = request_digest(config, (ChatMessage("system", prompt.system_message),
+                                     ChatMessage("user", prompt.user_message)))
+    session_size = len(load_fixture(sample["fixture"]))
+
+    def record(fixture: str, http: SessionHTTP) -> AnalysisArtifact:
+        live = LiveTransport(api_key="k", http_post=http, sleep=lambda seconds: None)
+        return run_analysis(sample["corpus"], sample["focus"], config, live,
+                            output_dir=out_dir, record_path=tmp_path / fixture)
+
+    with pytest.raises(AnalysisInterrupted) as stopped:
+        record("first.json", SessionHTTP(sample["fixture"], config, fail_digest=page_6))
+    assert stopped.value.page == 6
+    assert len(load_fixture(tmp_path / "first.json")) == 5
+
+    # The resume sends only what the first run lacked, and records every reply.
+    http = SessionHTTP(sample["fixture"], config)
+    assert record("second.json", http).status == "complete"
+    assert http.calls == session_size - 5
+    assert len(load_fixture(tmp_path / "second.json")) == session_size
+
+    run_sample(sample, tmp_path / "clean")
+    run_analysis(sample["corpus"], sample["focus"], config,
+                 ReplayTransport(tmp_path / "second.json"), output_dir=tmp_path / "replayed")
+    assert ((tmp_path / "replayed" / "analysis.json").read_bytes()
+            == (tmp_path / "clean" / "analysis.json").read_bytes())
+
+    # Recording over a complete run writes the whole session without a request.
+    http = SessionHTTP(sample["fixture"], config)
+    assert record("third.json", http).status == "complete"
+    assert http.calls == 0
+    assert len(load_fixture(tmp_path / "third.json")) == session_size
 
 
 class CacheCheckingTransport:
