@@ -50,7 +50,7 @@ from .gateway import (
     ReplayTransport,
 )
 from .outparse import CodeRecord, ThemeRecord
-from .pipeline import compare, load_artifact, run_analysis, six_step_coverage
+from .pipeline import AnalysisArtifact, compare, load_artifact, run_analysis, six_step_coverage
 from .promptkit import PromptLibrary, StudyFocus
 from .report import CoderMergeStats, build_report, write_report_bundle
 from .trace import DEFAULT_THRESHOLD, verify_codebook
@@ -112,10 +112,15 @@ class RunConfig:
                     setattr(config, key, value)
                 else:
                     raise ConfigError(f"unknown config key {key!r}")
+        if not 0.0 <= config.trace_threshold <= 1.0:
+            raise ConfigError(f"trace_threshold must be in [0, 1], got {config.trace_threshold}")
         return config
 
     def model_config(self) -> ModelConfig:
-        return ModelConfig(**self.model)
+        try:
+            return ModelConfig(**self.model)
+        except ValueError as exc:
+            raise ConfigError(str(exc)) from exc
 
     def focus(self) -> StudyFocus:
         if not self.focus_description:
@@ -181,8 +186,11 @@ def _build_matcher(config: RunConfig) -> Matcher:
         if not config.alias_map:
             raise ConfigError("matcher alias_map requires --alias-map PATH")
         alias = load_alias_map(config.alias_map)
-    return Matcher(mode=config.matcher, alias_map=alias,
-                   jaccard_threshold=config.jaccard_threshold)
+    try:
+        return Matcher(mode=config.matcher, alias_map=alias,
+                       jaccard_threshold=config.jaccard_threshold)
+    except ValueError as exc:
+        raise ConfigError(str(exc)) from exc
 
 
 def _load_paper_reference(path: str | None) -> dict | None:
@@ -207,6 +215,24 @@ def _what_to_change(cause: BaseException | None, artifact_path: Path | None) -> 
                 f"offending reply under raw_replies in {artifact}, or revise the prompt "
                 "templates and analyze into a fresh output directory")
     return "remove the cause above before rerunning"
+
+
+def _load_complete_artifact(config: RunConfig, artifact_path: str | None) -> AnalysisArtifact:
+    path = Path(artifact_path) if artifact_path else Path(config.output_dir) / "analysis.json"
+    if not path.exists():
+        raise ConfigError(f"artifact not found: {path} (run analyze first)")
+    artifact = load_artifact(path)
+    if not artifact.complete or artifact.llm_codebook is None:
+        raise IncompleteArtifact(f"artifact {path} is partial; finish the analysis first")
+    return artifact
+
+
+def _write_model_report(artifact: AnalysisArtifact, output_dir: str | Path,
+                        paper_reference: str | None) -> list[Path]:
+    """Write the report of the model's outputs alone, with its six-stage coverage."""
+    bundle = build_report(artifact, coverages=six_step_coverage(artifact),
+                          paper_reference=_load_paper_reference(paper_reference))
+    return write_report_bundle(bundle, output_dir)
 
 
 def cmd_analyze(config: RunConfig, paper_reference: str | None = None) -> int:
@@ -239,10 +265,7 @@ def cmd_analyze(config: RunConfig, paper_reference: str | None = None) -> int:
         print(f"a rerun fails the same way: {_what_to_change(exc.cause, path)}", file=sys.stderr)
         return EXIT_ERROR
 
-    coverages = six_step_coverage(artifact)
-    bundle = build_report(artifact, coverages=coverages,
-                          paper_reference=_load_paper_reference(paper_reference))
-    paths = write_report_bundle(bundle, output_dir)
+    paths = _write_model_report(artifact, output_dir, paper_reference)
     book = artifact.llm_codebook
     print(f"analysis complete: {len(book.codes)} codes, "
           f"{len(book.emerging_labels or ())} emerging labels, {len(book.themes)} themes")
@@ -303,12 +326,7 @@ def cmd_compare(config: RunConfig, artifact_path: str | None, human_paths: list[
                 paper_reference: str | None = None) -> int:
     if not human_paths:
         raise ConfigError("at least one human codebook CSV is required (--human PATH)")
-    path = Path(artifact_path) if artifact_path else Path(config.output_dir) / "analysis.json"
-    if not path.exists():
-        raise ConfigError(f"artifact not found: {path} (run analyze first)")
-    artifact = load_artifact(path)
-    if not artifact.complete:
-        raise IncompleteArtifact(f"artifact {path} is partial; finish the analysis first")
+    artifact = _load_complete_artifact(config, artifact_path)
 
     sidecars = list(interpretation_paths or [])
     sidecars.extend([None] * (len(human_paths) - len(sidecars)))
@@ -344,12 +362,7 @@ def cmd_compare(config: RunConfig, artifact_path: str | None, human_paths: list[
 
 
 def cmd_verify(config: RunConfig, artifact_path: str | None, input_path: str | None) -> int:
-    path = Path(artifact_path) if artifact_path else Path(config.output_dir) / "analysis.json"
-    if not path.exists():
-        raise ConfigError(f"artifact not found: {path}")
-    artifact = load_artifact(path)
-    if not artifact.complete or artifact.llm_codebook is None:
-        raise IncompleteArtifact(f"artifact {path} is partial; cannot verify")
+    artifact = _load_complete_artifact(config, artifact_path)
     source = input_path or config.input or artifact.corpus_fingerprint.get("source_path")
     if not source:
         raise ConfigError("a corpus path is required (--input PATH)")
@@ -376,17 +389,8 @@ def cmd_verify(config: RunConfig, artifact_path: str | None, input_path: str | N
 
 def cmd_report(config: RunConfig, artifact_path: str | None,
                paper_reference: str | None = None) -> int:
-    path = Path(artifact_path) if artifact_path else Path(config.output_dir) / "analysis.json"
-    if not path.exists():
-        raise ConfigError(f"artifact not found: {path}")
-    artifact = load_artifact(path)
-    if not artifact.complete:
-        raise IncompleteArtifact(f"artifact {path} is partial; finish the analysis first")
-    coverages = six_step_coverage(artifact)
-    bundle = build_report(artifact, coverages=coverages,
-                          paper_reference=_load_paper_reference(paper_reference))
-    paths = write_report_bundle(bundle, config.output_dir)
-    for out_path in paths:
+    artifact = _load_complete_artifact(config, artifact_path)
+    for out_path in _write_model_report(artifact, config.output_dir, paper_reference):
         print(f"wrote {out_path}")
     return EXIT_OK
 

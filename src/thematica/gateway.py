@@ -62,6 +62,8 @@ class ModelConfig:
             raise ValueError("timeout must be positive")
         if self.max_attempts < 1:
             raise ValueError("max_attempts must be >= 1")
+        if self.backoff_base < 0:
+            raise ValueError(f"backoff_base must be >= 0, got {self.backoff_base}")
         if not 1 <= self.parallelism <= 8:
             raise ValueError(f"parallelism must be in 1..8, got {self.parallelism}")
 

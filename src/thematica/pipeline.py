@@ -13,7 +13,8 @@ from __future__ import annotations
 
 import json
 import os
-from concurrent.futures import FIRST_EXCEPTION, ThreadPoolExecutor, wait
+import threading
+from concurrent.futures import ThreadPoolExecutor, wait
 from dataclasses import dataclass, field
 from datetime import datetime, timezone
 from pathlib import Path
@@ -356,50 +357,47 @@ def run_analysis(corpus: Corpus, focus: StudyFocus, config: ModelConfig, transpo
     stage: str | None = "code_extraction"
     page_number: int | None = None
     try:
-        # step 1: per-page code extraction
-        pending = [page for page in corpus.pages
-                   if recording or f"page_{page.number}" not in artifact.raw_replies]
-        if config.parallelism <= 1 or len(pending) <= 1:
-            for page in pending:
-                page_number = page.number
-                prompt = library.render_code_extraction(page, focus)
-                artifact.raw_replies[f"page_{page.number}"] = ask(
-                    prompt, f"page {page.number} code extraction")
-        else:
-            futures = {}
-            with ThreadPoolExecutor(max_workers=config.parallelism) as pool:
+        # step 1: per-page code extraction.  Workers take the next pending page
+        # until none is left; after a failure or an interrupt no page starts,
+        # and a request in flight finishes and keeps its reply.
+        pages = iter([page for page in corpus.pages
+                      if recording or f"page_{page.number}" not in artifact.raw_replies])
+        replies: dict[int, str] = {}
+        failures: list[tuple[bool, int, BaseException]] = []
+        take, stop, go = threading.Lock(), threading.Event(), threading.Event()
+
+        def extract() -> None:
+            go.wait()
+            while not stop.is_set():
+                with take:
+                    page = next(pages, None)
+                if page is None:
+                    return
                 try:
-                    for page in pending:
-                        futures[pool.submit(ask, library.render_code_extraction(page, focus),
-                                            f"page {page.number} code extraction")] = page
-                    running = set(futures)
-                    while running:
-                        done, running = wait(running, timeout=WAIT_SLICE_S,
-                                             return_when=FIRST_EXCEPTION)
-                        if any(future.exception() is not None for future in done):
-                            break
-                finally:
-                    # At a failure or an interrupt, queued pages never start.
-                    pool.shutdown(cancel_futures=True)
-                    # The pool has shut down, so every future not cancelled
-                    # is finished.  Every reply that arrived goes into the
-                    # artifact before anything propagates, an interrupt too.
-                    failures = []
-                    for future, page in futures.items():
-                        if future.cancelled():
-                            continue
-                        if future.exception() is None:
-                            artifact.raw_replies[f"page_{page.number}"] = future.result()
-                        else:
-                            failures.append((page.number, future.exception()))
-            # Futures iterate in page order, so the first failure is the lowest page.
-            unexpected = [exc for _, exc in failures if not isinstance(exc, ThematicaError)]
-            if unexpected:
-                raise unexpected[0]
-            if failures:
-                page_number, exc = failures[0]
-                raise exc
-        page_number = None
+                    replies[page.number] = ask(library.render_code_extraction(page, focus),
+                                               f"page {page.number} code extraction")
+                except BaseException as exc:
+                    failures.append((isinstance(exc, ThematicaError), page.number, exc))
+                    stop.set()
+
+        pool = ThreadPoolExecutor(max_workers=config.parallelism)
+        try:
+            workers = [pool.submit(extract) for _ in range(config.parallelism)]
+            # An interrupt inside submit can leave a started thread that the
+            # shutdown below does not join, so no page starts before this.
+            go.set()
+            while wait(workers, timeout=WAIT_SLICE_S).not_done:
+                pass
+        finally:
+            stop.set()
+            go.set()
+            pool.shutdown()
+            # Every reply that arrived goes into the artifact, at an interrupt too.
+            artifact.raw_replies.update((f"page_{n}", replies[n]) for n in sorted(replies))
+        if failures:
+            # A non-library error goes first, then the lowest failing page.
+            _, page_number, exc = min(failures)
+            raise exc
 
         # step 2: consolidation
         stage = "consolidation"

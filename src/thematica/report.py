@@ -154,8 +154,8 @@ def _display(value: object) -> str:
 def render_comparison(bundle: ComparisonBundle,
                       human_tables: CoderMergeStats | None = None,
                       paper_reference: dict | None = None
-                      ) -> tuple[str, dict[str, str], list[str]]:
-    """Comparison tables as markdown plus matrix.csv/summary.csv and notes."""
+                      ) -> tuple[str, str, list[list], list[str]]:
+    """Comparison tables as markdown, matrix.csv, summary.csv rows, and notes."""
     notes: list[str] = list(bundle.notes)
     metrics: dict[str, object] = {}
     summary_rows: list[list] = []
@@ -254,8 +254,7 @@ def render_comparison(bundle: ComparisonBundle,
         ["code", *bundle.matrix.coder_ids],
         [[label, *row] for label, row in zip(bundle.matrix.row_labels, bundle.matrix.cells)],
     )
-    summary_csv = _csv_text(["metric", "value", "display"], summary_rows)
-    return "\n".join(lines).rstrip(), {"matrix.csv": matrix_csv, "summary.csv": summary_csv}, notes
+    return "\n".join(lines).rstrip(), matrix_csv, summary_rows, notes
 
 
 def _render_themes(codebook: Codebook) -> str:
@@ -315,23 +314,18 @@ def build_report(artifact: AnalysisArtifact,
         sections.append(_render_themes(codebook))
         sections.append("")
 
-    trace_md, trace_rows = render_trace_summary(trace)
+    trace_md, summary_rows = render_trace_summary(trace)
     sections.extend([trace_md, ""])
 
     exports: dict[str, str] = {"codes.csv": render_codes_csv(codebook, trace)}
-    summary_rows_tail = trace_rows
-
     if bundle is not None:
-        comparison_md, comparison_csvs, comparison_notes = render_comparison(
+        comparison_md, matrix_csv, comparison_rows, comparison_notes = render_comparison(
             bundle, human_tables=human_tables, paper_reference=paper_reference)
         sections.extend([comparison_md, ""])
         notes.extend(comparison_notes)
-        summary_csv = comparison_csvs["summary.csv"].rstrip("\n")
-        tail = _csv_text(["metric", "value", "display"], summary_rows_tail).split("\n", 1)[1]
-        comparison_csvs["summary.csv"] = summary_csv + "\n" + tail
-        exports.update(comparison_csvs)
-    else:
-        exports["summary.csv"] = _csv_text(["metric", "value", "display"], summary_rows_tail)
+        exports["matrix.csv"] = matrix_csv
+        summary_rows = comparison_rows + summary_rows
+    exports["summary.csv"] = _csv_text(["metric", "value", "display"], summary_rows)
 
     if coverages:
         coverage_md, coverage_csv = render_coverage(coverages)

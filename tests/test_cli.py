@@ -180,6 +180,27 @@ def test_interrupted_analysis_exits_2_only_when_a_rerun_can_help(
         assert transport.sent == sent
 
 
+@pytest.mark.parametrize("argv, message", [
+    (["analyze", "--parallelism", "0"], "parallelism must be in 1..8, got 0"),
+    (["analyze", "--temperature", "5"], "temperature must be in [0, 2], got 5.0"),
+    (["analyze", "--max-tokens", "0"], "max_tokens must be >= 1, got 0"),
+    (["analyze", "--timeout", "0"], "timeout must be positive"),
+    (["analyze", "--trace-threshold", "2"], "trace_threshold must be in [0, 1], got 2.0"),
+    (["analyze", "--trace-threshold=-1"], "trace_threshold must be in [0, 1], got -1.0"),
+    (["compare", "--human", "coder1.csv", "--matcher", "token_overlap",
+      "--jaccard-threshold", "0"], "jaccard_threshold must be in (0, 1], got 0.0"),
+], ids=["parallelism", "temperature", "max-tokens", "timeout", "trace-threshold-high",
+        "trace-threshold-negative", "jaccard-threshold"])
+def test_out_of_range_options_are_configuration_errors(
+        analyzed_workspace: Path, monkeypatch: pytest.MonkeyPatch, capsys,
+        argv: list[str], message: str) -> None:
+    monkeypatch.chdir(analyzed_workspace)
+    assert main(["--config", "run_config.json", *argv]) == 1
+    captured = capsys.readouterr()
+    assert captured.err == f"configuration error: {message}\n"
+    assert captured.out == ""
+
+
 def test_compare_requires_a_human_codebook(
         analyzed_workspace: Path, monkeypatch: pytest.MonkeyPatch, capsys) -> None:
     monkeypatch.chdir(analyzed_workspace)

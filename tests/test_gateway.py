@@ -80,6 +80,8 @@ def test_model_config_validates_ranges() -> None:
         ModelConfig(parallelism=9)
     with pytest.raises(ValueError):
         ModelConfig(max_attempts=0)
+    with pytest.raises(ValueError):
+        ModelConfig(backoff_base=-1.0)
 
 
 def test_chat_message_validates_role_and_content() -> None:

@@ -326,6 +326,109 @@ def test_interrupted_parallel_run_saves_every_finished_page_reply(
     assert sorted(partial.raw_replies.values()) == sorted(entry["response"] for entry in cached)
 
 
+def test_interrupted_sequential_run_keeps_the_reply_in_flight(
+        sample: dict, tmp_path: Path) -> None:
+    out_dir = tmp_path / "run"
+    interrupting = InterruptingTransport(ReplayTransport(sample["fixture"]), page=3,
+                                         parallelism=1)
+    with pytest.raises(KeyboardInterrupt):
+        run_analysis(sample["corpus"], sample["focus"], ModelConfig(parallelism=1),
+                     interrupting, output_dir=out_dir)
+    partial = load_artifact(out_dir / "analysis.json")
+    assert interrupting.sent == 3
+    assert list(partial.raw_replies) == ["page_1", "page_2", "page_3"]
+
+
+class FailingPagesTransport:
+    """Replay wrapper whose given pages raise ``error``; it logs every send.
+
+    In a parallel run a failing page whose next page fails too waits until
+    that one has failed, so the lowest failing page is not the first to fail.
+    A send that starts after the first failure waits a while, so the failed
+    worker has stopped the run before that send's worker could take another
+    page.
+    """
+
+    kind = "replay"
+
+    def __init__(self, inner: ReplayTransport, failing: set[int], error: type,
+                 parallelism: int) -> None:
+        self.inner = inner
+        self.failing = failing
+        self.error = error
+        self.parallel = parallelism > 1
+        self.next_failed = threading.Event()
+        self.started: list[int] = []
+        self.answered: set[int] = set()
+        self.started_before_failure: int | None = None
+        self._lock = threading.Lock()
+
+    def send(self, config, messages, context=None):
+        page = page_of(context)
+        with self._lock:
+            self.started.append(page)
+            late = self.started_before_failure is not None
+        if late:
+            time.sleep(0.05)
+        if page in self.failing:
+            if self.parallel and page + 1 in self.failing:
+                self.next_failed.wait(timeout=10)
+            with self._lock:
+                if self.started_before_failure is None:
+                    self.started_before_failure = len(self.started)
+            if page - 1 in self.failing:
+                self.next_failed.set()
+            raise self.error(f"synthetic failure on page {page}")
+        reply = self.inner.send(config, messages, context)
+        with self._lock:
+            self.answered.add(page)
+        return reply
+
+
+@pytest.fixture
+def frequent_thread_switches():
+    """Switch threads every microsecond, so that races between workers show."""
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    yield
+    sys.setswitchinterval(interval)
+
+
+@pytest.mark.parametrize("error", [FixtureMiss, RuntimeError])
+@pytest.mark.parametrize("parallelism", [1, 2, 3, 4])
+def test_a_failing_page_stops_parallel_extraction_at_the_lowest_page(
+        sample: dict, tmp_path: Path, frequent_thread_switches, parallelism: int,
+        error: type) -> None:
+    page_count = len(sample["corpus"].pages)
+    for first in (1, 6, page_count - 1, page_count):
+        # Two neighbouring pages fail; in a parallel run the higher one fails first.
+        failing = {first, first + 1} & set(range(1, page_count + 1))
+        transport = FailingPagesTransport(ReplayTransport(sample["fixture"]), failing, error,
+                                          parallelism)
+        out_dir = tmp_path / f"from_{first}"
+        with pytest.raises((AnalysisInterrupted, RuntimeError)) as raised:
+            run_analysis(sample["corpus"], sample["focus"], ModelConfig(parallelism=parallelism),
+                         transport, output_dir=out_dir)
+        assert raised.type is (AnalysisInterrupted if error is FixtureMiss else RuntimeError)
+        if error is FixtureMiss:
+            assert raised.value.page == first
+            assert isinstance(raised.value.cause, FixtureMiss)
+        assert str(raised.value).endswith(f"synthetic failure on page {first}")
+
+        saved = json.loads((out_dir / "analysis.json").read_text(encoding="utf-8"))
+        assert saved["status"] == "partial"
+        assert list(saved["raw_replies"]) == [f"page_{n}" for n in sorted(transport.answered)]
+        # Pages are taken in order, each once, so every page before the first
+        # failing one was asked.
+        assert len(set(transport.started)) == len(transport.started)
+        assert set(range(1, first)) <= transport.answered
+        late_sends = len(transport.started) - transport.started_before_failure
+        if parallelism == 1:
+            assert transport.started == list(range(1, first + 1))
+            assert late_sends == 0
+        assert late_sends <= parallelism - 1
+
+
 class WorkerSignalTransport:
     """Replay wrapper whose given page raises SIGINT in its own worker thread.
 
