@@ -155,6 +155,27 @@ def cohens_kappa(x: Sequence[int], y: Sequence[int]) -> float:
     return float((p_o - p_e) / (1 - p_e))
 
 
+def positive_specific_agreement(x: Sequence[int], y: Sequence[int]) -> float:
+    """Positive specific agreement 2a / (2a + b + c) of two binary vectors.
+
+    ``a`` counts rows where both vectors hold 1, ``b`` and ``c`` rows where
+    only one does.  Rows where both hold 0 do not enter it, so unlike kappa
+    it stays meaningful on a presence matrix, where every row is a label at
+    least one coder used.  For two codebooks it is the share of their codes
+    that the other one also has.
+    """
+    if len(x) != len(y):
+        raise LengthMismatch(f"vector lengths differ: {len(x)} vs {len(y)}")
+    for value in (*x, *y):
+        if value not in (0, 1):
+            raise ValueError(f"vectors must be binary, got {value!r}")
+    both = sum(1 for a, b in zip(x, y) if a and b)
+    positives = sum(x) + sum(y)
+    if positives == 0:
+        raise DegenerateMarginals("neither vector has a positive cell")
+    return float(Fraction(2 * both, positives))
+
+
 def presence_matrix(codebooks: Sequence[Codebook], matcher: Matcher,
                     match: MatchResult | None = None) -> PresenceMatrix:
     """Binary presence of each canonical label across several codebooks.

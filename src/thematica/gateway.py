@@ -10,7 +10,9 @@ the :class:`Gateway` writes them: each new reply goes into the response
 cache, and each reply it returns into the record fixture, once per digest.
 A reply is appended as one line over the array's closing bracket, so
 persisting n replies writes O(total reply bytes) and the file is a valid
-fixture after every request.
+fixture after every request.  The tail of each fixture is read and checked
+once per run, at its first append; after that each reply is one positioned
+write at the end the previous append left.
 """
 
 from __future__ import annotations
@@ -137,35 +139,88 @@ def save_fixture(path: str | Path, entries: Sequence[dict[str, str]]) -> None:
 
 # Enough to hold a fixture's closing bracket and the whitespace around it.
 _TAIL_BYTES = 64
+# What every append leaves at the end of a fixture, after its last entry.
+_CLOSE = b"\n]\n"
+
+
+def _fixture_end(fd: int, path: Path) -> tuple[int, bytes]:
+    """Offset at which the next entry of the open fixture ``fd`` goes, and
+    the separator before it.
+
+    Reads at most the last ``_TAIL_BYTES`` bytes, which must close a JSON
+    array: ``[`` or ``}`` before the final ``]``, else :class:`FixtureCorrupt`.
+    """
+    size = os.fstat(fd).st_size
+    start = max(0, size - _TAIL_BYTES)
+    tail = os.pread(fd, size - start, start).rstrip()
+    head = tail[:-1].rstrip()
+    if not tail.endswith(b"]") or not head.endswith((b"[", b"}")):
+        raise FixtureCorrupt(f"{path}: fixture does not end with a JSON array")
+    return start + len(head), (b"\n" if head.endswith(b"[") else b",\n")
+
+
+def _pwrite_all(fd: int, data: bytes, offset: int) -> None:
+    while data:
+        written = os.pwrite(fd, data, offset)
+        data, offset = data[written:], offset + written
+
+
+class _FixtureAppender:
+    r"""Adds entries to one fixture, remembering where its array closes.
+
+    The first append checks the file's tail with :func:`_fixture_end` (a
+    missing file is created instead) and writes the entry over the closing
+    bracket and the whitespace before it, then truncates.  It remembers the
+    offset of the ``\n]\n`` it wrote, so every later append is one
+    positioned write of ``,\n{entry}\n]\n`` there: longer than what it
+    covers, so nothing is left to truncate.  That offset stays right only
+    while this appender is the file's one writer; the caller serializes
+    appends.
+    """
+
+    def __init__(self, path: str | Path) -> None:
+        self.path = Path(path)
+        self._end: int | None = None
+
+    def append(self, entry: dict[str, str]) -> None:
+        line = json.dumps(entry, ensure_ascii=False).encode("utf-8")
+        if self._end is None and not self.path.exists():
+            self.path.parent.mkdir(parents=True, exist_ok=True)
+            data = b"[\n" + line + _CLOSE
+            self.path.write_bytes(data)
+            self._end = len(data) - len(_CLOSE)
+            return
+        fd = os.open(self.path, os.O_RDWR)
+        try:
+            if self._end is None:
+                at, separator = _fixture_end(fd, self.path)
+                data = separator + line + _CLOSE
+                _pwrite_all(fd, data, at)
+                os.ftruncate(fd, at + len(data))
+            else:
+                # Forgotten until this write is whole: after a failed one, the
+                # next append checks the tail again.
+                at, self._end = self._end, None
+                data = b",\n" + line + _CLOSE
+                _pwrite_all(fd, data, at)
+        finally:
+            os.close(fd)
+        self._end = at + len(data) - len(_CLOSE)
 
 
 def append_fixture_entry(path: str | Path, entry: dict[str, str]) -> None:
     r"""Add one entry to the fixture at ``path`` without rewriting it.
 
     The entry goes in over the closing bracket, and the whitespace before it,
-    with one ``write()`` of ``,\n{entry}\n]\n`` (no comma when the array is
-    empty).  Each appended entry is one line, and the file stays a JSON array
-    that :func:`load_fixture` reads, whether :func:`save_fixture` or earlier
-    appends wrote it.  A missing file is created.
+    as ``,\n{entry}\n]\n`` (no comma when the array is empty), after a check
+    of at most the last 64 bytes.  Each appended entry is one line, and the
+    file stays a JSON array that :func:`load_fixture` reads, whether
+    :func:`save_fixture` or earlier appends wrote it.  A missing file is
+    created.  A run that appends many entries keeps one appender per fixture
+    instead (see :class:`Gateway`): it checks the tail once per fixture per
+    run, then makes each append one positioned write.
     """
-    path = Path(path)
-    line = json.dumps(entry, ensure_ascii=False)
-    if not path.exists():
-        path.parent.mkdir(parents=True, exist_ok=True)
-        path.write_text(f"[\n{line}\n]\n", encoding="utf-8")
-        return
-    with path.open("r+b") as handle:
-        size = handle.seek(0, os.SEEK_END)
-        start = max(0, size - _TAIL_BYTES)
-        handle.seek(start)
-        tail = handle.read().rstrip()
-        head = tail[:-1].rstrip()
-        if not tail.endswith(b"]") or not head.endswith((b"[", b"}")):
-            raise FixtureCorrupt(f"{path}: fixture does not end with a JSON array")
-        separator = "\n" if head.endswith(b"[") else ",\n"
-        handle.seek(start + len(head))
-        handle.write(f"{separator}{line}\n]\n".encode("utf-8"))
-        handle.truncate()
+    _FixtureAppender(path).append(entry)
 
 
 class _NetworkFailure(Exception):
@@ -294,6 +349,8 @@ class Gateway:
         self._lock = threading.Lock()
         self._cache: dict[str, str] = {}
         self._recorded: set[str] = set()
+        self._cache_log = _FixtureAppender(self.cache_path) if self.cache_path else None
+        self._record_log = _FixtureAppender(self.record_path) if self.record_path else None
         if self.cache_path and self.cache_path.exists():
             for entry in load_fixture(self.cache_path):
                 self._cache[entry["digest"]] = entry["response"]
@@ -316,13 +373,13 @@ class Gateway:
             # A concurrent request for the same digest may have cached it first.
             if digest not in self._cache:
                 self._cache[digest] = text
-                if self.cache_path:
-                    append_fixture_entry(self.cache_path, {"digest": digest, "response": text})
+                if self._cache_log:
+                    self._cache_log.append({"digest": digest, "response": text})
             self._record(digest, text)
         return Completion(request_digest=digest, text=text, transport=self.transport.kind)
 
     def _record(self, digest: str, text: str) -> None:
         """Append a returned reply to the record fixture, once; hold ``_lock``."""
-        if self.record_path and digest not in self._recorded:
-            append_fixture_entry(self.record_path, {"digest": digest, "response": text})
+        if self._record_log and digest not in self._recorded:
+            self._record_log.append({"digest": digest, "response": text})
             self._recorded.add(digest)

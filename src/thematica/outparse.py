@@ -24,12 +24,13 @@ from .textnorm import label_key, normalize_label
 
 LIST_DELIMITER = re.compile(r"^\s*-{2,}\s*List of All Emerging Codes\s*-{2,}\s*$", re.IGNORECASE)
 
-_BOILERPLATE = (
-    re.compile(r"^\s*Emerging Codes with Supporting Sentences and Page Numbers?\s*:?\s*$", re.IGNORECASE),
-    re.compile(r"^\s*All Emerging Codes with Supporting Sentences and Page Numbers?\s*:?\s*$", re.IGNORECASE),
-    re.compile(r"^\s*Page\s+\d+\s*:\s*$", re.IGNORECASE),
-    re.compile(r"^\s*Generated Themes\s*:?\s*$", re.IGNORECASE),
-    re.compile(r"^\s*Interpretation of Themes\s*:?\s*$", re.IGNORECASE),
+# Structural lines: section headers the prompts ask for, and page headers.
+_BOILERPLATE = re.compile(
+    r"^\s*(?:(?:All )?Emerging Codes with Supporting Sentences and Page Numbers?\s*:?"
+    r"|Page\s+\d+\s*:"
+    r"|Generated Themes\s*:?"
+    r"|Interpretation of Themes\s*:?)\s*$",
+    re.IGNORECASE,
 )
 
 _NUMBERED = re.compile(r"^\s*(\d+)[.)]\s+(?P<rest>\S.*)$")
@@ -104,12 +105,15 @@ class ParseReport:
     ``boilerplate_lines`` lists structural lines (page headers, prompt-cue
     echoes, list-section content) so that, together with record spans and
     warning lines, every non-blank input line is accounted for.
+    ``has_code_list`` tells whether a code-extraction reply contains the
+    emerging-code list delimiter, so callers need not scan it again.
     """
 
     records: tuple = ()
     warnings: tuple[ParseWarning, ...] = ()
     dialect: str = "none"
     boilerplate_lines: tuple[int, ...] = ()
+    has_code_list: bool = False
 
 
 @dataclass
@@ -124,7 +128,7 @@ class _OpenCode:
 
 
 def _is_boilerplate(line: str) -> bool:
-    return any(pattern.match(line) for pattern in _BOILERPLATE)
+    return _BOILERPLATE.match(line) is not None
 
 
 def _strip_quote_pair(text: str) -> str:
@@ -276,7 +280,8 @@ def parse_code_block(reply: str, expected_page: int, provenance: str = "llm") ->
 
     dialect = dialects.pop() if len(dialects) == 1 else ("mixed" if dialects else "none")
     return ParseReport(records=tuple(records), warnings=tuple(warnings),
-                       dialect=dialect, boilerplate_lines=tuple(boilerplate))
+                       dialect=dialect, boilerplate_lines=tuple(boilerplate),
+                       has_code_list=in_list_section)
 
 
 def parse_emerging_code_list(reply: str) -> list[str]:

@@ -25,6 +25,7 @@ from .agreement import (
     build_table4_summary,
     cohens_kappa,
     overlap_percentage,
+    positive_specific_agreement,
     presence_matrix,
     share_percentage,
 )
@@ -39,7 +40,6 @@ from .errors import (
 )
 from .gateway import ChatMessage, Gateway, ModelConfig
 from .outparse import (
-    LIST_DELIMITER,
     CodeRecord,
     ThemeRecord,
     parse_code_block,
@@ -391,9 +391,14 @@ def run_analysis(corpus: Corpus, focus: StudyFocus, config: ModelConfig, transpo
         finally:
             stop.set()
             go.set()
-            pool.shutdown()
-            # Every reply that arrived goes into the artifact, at an interrupt too.
-            artifact.raw_replies.update((f"page_{n}", replies[n]) for n in sorted(replies))
+            try:
+                pool.shutdown()
+            finally:
+                # Every reply that arrived goes into the artifact, at an interrupt
+                # too, even one that cuts the wait for the requests in flight: a
+                # copy, because a worker still running may add to ``replies``.
+                done = dict(replies)
+                artifact.raw_replies.update((f"page_{n}", done[n]) for n in sorted(done))
         if failures:
             # A non-library error goes first, then the lowest failing page.
             _, page_number, exc = min(failures)
@@ -412,11 +417,12 @@ def run_analysis(corpus: Corpus, focus: StudyFocus, config: ModelConfig, transpo
                 f"page {page.number} line {warning.line}: {warning.kind}: {warning.detail}"
                 for warning in report.warnings
             )
-            if any(LIST_DELIMITER.match(line) for line in reply.splitlines()):
+            if report.has_code_list:
                 list_reply = reply
 
         codebook = Codebook(coder_id="genai", provenance="llm", codes=tuple(records))
         regenerated = codebook.labels
+        record_keys = {record.key for record in records}
         if list_reply is not None:
             emerging = tuple(parse_emerging_code_list(list_reply))
             if emerging != regenerated:
@@ -424,13 +430,13 @@ def run_analysis(corpus: Corpus, focus: StudyFocus, config: ModelConfig, transpo
                     "emerging-label list from the model differs from the regenerated "
                     f"deduplication ({len(emerging)} vs {len(regenerated)} labels)"
                 )
+            for label in emerging:
+                if label_key(label) not in record_keys:
+                    parse_notes.append(
+                        f"emerging label {label!r} is not among the extracted code labels")
         else:
+            # The record labels themselves, so every one has a record key.
             emerging = regenerated
-        record_keys = {record.key for record in records}
-        for label in emerging:
-            if label_key(label) not in record_keys:
-                parse_notes.append(
-                    f"emerging label {label!r} is not among the extracted code labels")
 
         # step 3: theme generation
         stage = "theme_generation"
@@ -541,6 +547,7 @@ class ComparisonBundle:
     emerging_label_count: int
     emerging_vs_human_pct: float | None
     kappa: float
+    positive_specific_agreement: float
     notes: tuple[str, ...] = ()
 
 
@@ -567,8 +574,9 @@ def compare(artifact: AnalysisArtifact, human_merged: Codebook,
     emerging_count = len(llm.emerging_labels or ())
     emerging_pct = (emerging_count * 100.0 / human_themes) if human_themes else None
 
-    kappa = cohens_kappa(matrix.column_vector(human_merged.coder_id),
-                         matrix.column_vector(llm.coder_id))
+    human_column = matrix.column_vector(human_merged.coder_id)
+    llm_column = matrix.column_vector(llm.coder_id)
+    kappa = cohens_kappa(human_column, llm_column)
 
     notes = list(summary.notes)
     if emerging_pct is not None and emerging_count == human_themes:
@@ -590,5 +598,6 @@ def compare(artifact: AnalysisArtifact, human_merged: Codebook,
         emerging_label_count=emerging_count,
         emerging_vs_human_pct=emerging_pct,
         kappa=kappa,
+        positive_specific_agreement=positive_specific_agreement(human_column, llm_column),
         notes=tuple(notes),
     )

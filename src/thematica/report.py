@@ -224,8 +224,16 @@ def render_comparison(bundle: ComparisonBundle,
     add_metric("comparison.llm_overlap_pct", bundle.llm_overlap_pct)
     add_metric("comparison.cohens_kappa", round(bundle.kappa, 6),
                f"{bundle.kappa:.4f}")
-    lines.append(f"Supplementary chance-corrected agreement (Cohen's kappa over "
-                 f"presence vectors): {bundle.kappa:.4f}.")
+    add_metric("comparison.positive_specific_agreement",
+               round(bundle.positive_specific_agreement, 6),
+               f"{bundle.positive_specific_agreement:.4f}")
+    lines.append(f"Positive specific agreement over the presence matrix, 2a / (2a + b + c) "
+                 "with a the labels both coders used and b, c those only one used: "
+                 f"{bundle.positive_specific_agreement:.4f}.")
+    lines.append(f"Cohen's kappa over the same matrix: {bundle.kappa:.4f}. The matrix "
+                 "has a row only for labels some coder used, so it holds no true "
+                 "negatives, and kappa over it is at most 0 unless the two codebooks "
+                 "are identical: it is not a chance-corrected agreement here.")
     lines.append("")
 
     if bundle.human_theme_share is not None and bundle.llm_theme_share is not None:

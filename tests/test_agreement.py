@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import itertools
 import random
 from fractions import Fraction
 
@@ -19,12 +20,22 @@ from thematica.agreement import (
     percentage_difference,
     percentage_pair,
     percentage_similarity,
+    positive_specific_agreement,
     presence_matrix,
     round_display,
     share_percentage,
 )
-from thematica.codebook import ALIAS_MAP, TOKEN_OVERLAP, Codebook, Matcher, MatchResult, match_codes
+from thematica.codebook import (
+    ALIAS_MAP,
+    EXACT_NORMALIZED,
+    TOKEN_OVERLAP,
+    Codebook,
+    Matcher,
+    MatchResult,
+    match_codes,
+)
 from thematica.errors import (
+    DegenerateMarginals,
     InconsistentMatch,
     LengthMismatch,
     PartExceedsTotal,
@@ -140,6 +151,71 @@ def test_kappa_validation() -> None:
         cohens_kappa([], [])
     with pytest.raises(ValueError):
         cohens_kappa([2, 0], [1, 0])
+
+
+def test_positive_specific_agreement_reference_points_and_validation() -> None:
+    assert positive_specific_agreement([1, 1, 0, 0], [1, 0, 1, 0]) == 0.5
+    assert positive_specific_agreement([1, 1, 0], [1, 1, 0]) == 1.0
+    assert positive_specific_agreement([1, 0], [0, 1]) == 0.0
+    # Rows where both are 0 do not count.
+    assert positive_specific_agreement([1, 1, 0, 0, 0], [1, 0, 0, 0, 0]) == pytest.approx(2 / 3)
+    with pytest.raises(LengthMismatch):
+        positive_specific_agreement([1, 0], [1])
+    with pytest.raises(ValueError):
+        positive_specific_agreement([2, 0], [1, 0])
+    with pytest.raises(DegenerateMarginals):
+        positive_specific_agreement([0, 0], [0, 0])
+
+
+def _seeded_codebook_pair(rng: random.Random, mode: str) -> tuple[Codebook, Codebook, Matcher]:
+    """Two codebooks for ``mode``; neither has two codes with one canonical label."""
+    names = [f"Code {letter}" for letter in "ABCDEFGHIJ"]
+    picks_a = rng.sample(names, rng.randint(1, 7))
+    picks_b = list(picks_a) if rng.random() < 0.2 else rng.sample(names, rng.randint(1, 7))
+    rng.shuffle(picks_b)
+    if mode == ALIAS_MAP:
+        alias_map = {f"Alias {name[-1]}": name for name in names[::2]}
+        aliases = {name: alias for alias, name in alias_map.items()}
+        labels_b = [aliases.get(name, name) if rng.random() < 0.7 else name.lower()
+                    for name in picks_b]
+        return (book("a", picks_a), book("b", labels_b),
+                Matcher(mode=ALIAS_MAP, alias_map=alias_map))
+    if mode == TOKEN_OVERLAP:
+        words = ("family", "support", "network", "career", "growth", "stress", "pay")
+        # Distinct token sets, so no two names share a key in either codebook.
+        triples = rng.sample(list(itertools.combinations(words, 3)), len(names))
+        phrases = {name: " ".join(triple) for name, triple in zip(names, triples)}
+        labels_a = [phrases[name] for name in picks_a]
+        labels_b = [" ".join(reversed(phrases[name].split())) if rng.random() < 0.3
+                    else phrases[name] for name in picks_b]
+        return book("a", labels_a), book("b", labels_b), Matcher(mode=TOKEN_OVERLAP)
+    return (book("a", picks_a), book("b", [name.upper() for name in picks_b]),
+            Matcher(mode=EXACT_NORMALIZED))
+
+
+@pytest.mark.parametrize("mode", [EXACT_NORMALIZED, ALIAS_MAP, TOKEN_OVERLAP])
+def test_presence_matrix_agreement_laws(mode: str) -> None:
+    """A presence matrix has no row where both coders are 0, so kappa <= 0
+    unless every code is matched, and PSA = 2 pairs / (|A| + |B|)."""
+    rng = random.Random(31)
+    outcomes = set()
+    for _ in range(300):
+        first, second, matcher = _seeded_codebook_pair(rng, mode)
+        match = match_codes(first, second, matcher)
+        matrix = presence_matrix([first, second], matcher, match)
+        x, y = matrix.column_vector("a"), matrix.column_vector("b")
+        assert all(row != (0, 0) for row in matrix.cells)
+        psa = positive_specific_agreement(x, y)
+        assert psa == float(Fraction(2 * len(match.pairs), len(first.codes) + len(second.codes)))
+        kappa = cohens_kappa(x, y)
+        identical = not match.outliers_a and not match.outliers_b
+        if identical:
+            assert kappa == psa == 1.0
+        else:
+            assert kappa <= 0
+            assert psa < 1.0
+        outcomes.add((identical, psa > 0))
+    assert outcomes == {(True, True), (False, True), (False, False)}
 
 
 def test_kappa_constant_vector_edge_cases() -> None:

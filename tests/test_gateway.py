@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import errno
 import json
 import sys
 from concurrent.futures import ThreadPoolExecutor
@@ -9,6 +10,7 @@ from pathlib import Path
 
 import pytest
 
+from thematica import gateway as gateway_module
 from thematica.errors import (
     AuthError,
     FixtureCorrupt,
@@ -433,6 +435,50 @@ def test_append_extends_empty_and_indented_fixtures(tmp_path: Path) -> None:
     padded.write_text("[" + " " * 58 + "]\n", encoding="utf-8")
     append_fixture_entry(padded, {"digest": "c" * 16, "response": ""})
     assert load_fixture(padded) == [{"digest": "c" * 16, "response": ""}]
+
+
+def test_gateway_appends_keep_existing_fixtures_valid_after_every_reply(tmp_path: Path) -> None:
+    old = [{"digest": "a" * 64, "response": "old one"}, {"digest": "b" * 64, "response": "}"}]
+    indented = tmp_path / "indented.json"
+    save_fixture(indented, old)
+    # Whitespace on both sides of the closing bracket, most of the 64 bytes read.
+    padded = tmp_path / "padded.json"
+    padded.write_text(json.dumps(old, indent=1)[:-1] + " \n" * 12 + "]" + " \t\n" * 10,
+                      encoding="utf-8")
+    gateway = Gateway(CONFIG, EchoTransport(), cache_path=indented, record_path=padded)
+    new = []
+    for number in range(5):
+        messages = (ChatMessage("user", f"page {number} ünïcode ] {'x' * number}"),)
+        text = gateway.complete(messages).text
+        new.append({"digest": request_digest(CONFIG, messages), "response": text})
+        for path in (indented, padded):
+            assert load_fixture(path) == old + new
+    # Each appended entry is one line after the old content.
+    assert indented.read_text(encoding="utf-8").endswith(
+        "}" + "".join(f",\n{json.dumps(entry, ensure_ascii=False)}" for entry in new) + "\n]\n")
+
+
+def test_an_append_after_a_failed_write_checks_the_tail_again(
+        tmp_path: Path, monkeypatch: pytest.MonkeyPatch) -> None:
+    path = tmp_path / "cache.json"
+    gateway = Gateway(CONFIG, EchoTransport(), cache_path=path)
+    gateway.complete((ChatMessage("user", "first"),))
+    write = gateway_module._pwrite_all
+
+    def full_disk(fd: int, data: bytes, offset: int) -> None:
+        write(fd, data[:300], offset)
+        raise OSError(errno.ENOSPC, "No space left on device")
+
+    monkeypatch.setattr(gateway_module, "_pwrite_all", full_disk)
+    with pytest.raises(OSError):
+        gateway.complete((ChatMessage("user", "second " + "x" * 500),))
+    monkeypatch.setattr(gateway_module, "_pwrite_all", write)
+    damaged = path.read_bytes()
+    # The half-written entry is longer than the next one, which would leave
+    # its rest behind the new closing bracket; the tail check refuses it.
+    with pytest.raises(FixtureCorrupt):
+        gateway.complete((ChatMessage("user", "third"),))
+    assert path.read_bytes() == damaged
 
 
 def test_append_refuses_a_file_that_is_not_an_array(tmp_path: Path) -> None:

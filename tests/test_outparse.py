@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import random
+import re
 
 import pytest
 
@@ -10,8 +11,10 @@ from conftest import random_code_records, random_themes
 from thematica.errors import NoRecordsFound
 from thematica.textnorm import label_key
 from thematica.outparse import (
+    LIST_DELIMITER,
     CodeRecord,
     ThemeRecord,
+    _is_boilerplate,
     parse_code_block,
     parse_emerging_code_list,
     parse_interpretation_block,
@@ -194,6 +197,8 @@ def test_list_section_is_excluded_from_code_records() -> None:
     ]
     assert all(r.page == 16 for r in report.records)
     assert report.warnings == ()
+    assert report.has_code_list
+    assert not parse_code_block(LABELED_FIELDS, expected_page=2).has_code_list
 
 
 def test_emerging_list_dedupes_case_insensitively() -> None:
@@ -222,6 +227,7 @@ def test_list_only_reply_yields_zero_records_with_flag() -> None:
     report = parse_code_block(reply, expected_page=4)
     assert report.records == ()
     assert [w.kind for w in report.warnings] == ["list_only_reply"]
+    assert report.has_code_list
 
 
 def test_unparseable_reply_raises_no_records_found() -> None:
@@ -392,3 +398,65 @@ def test_interpretation_missing_theme_reported_per_theme() -> None:
     missing = [w for w in report.warnings if w.kind == "missing_interpretation"]
     assert len(missing) == 2
     assert report.records[1].interpretation == "Only beta got prose."
+
+
+# The five boilerplate patterns that one alternation replaced, kept as the oracle.
+_OLD_BOILERPLATE = (
+    re.compile(r"^\s*Emerging Codes with Supporting Sentences and Page Numbers?\s*:?\s*$", re.IGNORECASE),
+    re.compile(r"^\s*All Emerging Codes with Supporting Sentences and Page Numbers?\s*:?\s*$", re.IGNORECASE),
+    re.compile(r"^\s*Page\s+\d+\s*:\s*$", re.IGNORECASE),
+    re.compile(r"^\s*Generated Themes\s*:?\s*$", re.IGNORECASE),
+    re.compile(r"^\s*Interpretation of Themes\s*:?\s*$", re.IGNORECASE),
+)
+
+_HEADERS = (
+    "Emerging Codes with Supporting Sentences and Page Number",
+    "Emerging Codes with Supporting Sentences and Page Numbers",
+    "All Emerging Codes with Supporting Sentences and Page Numbers",
+    "Page 12", "Page  3", "Page\t7", "Page", "Page x", "Page 4 5",
+    "Generated Themes", "Interpretation of Themes", "All  Emerging Codes",
+    "Themes", "Emerging Code: **Page 3**", "1. Page 3: quote",
+)
+
+
+def _variant(rng: random.Random, header: str) -> str:
+    cased = "".join(ch.upper() if rng.random() < 0.3 else ch.lower() if rng.random() < 0.3 else ch
+                    for ch in header)
+    spaced = re.sub(" ", lambda _: rng.choice((" ", " ", " ", "  ", "\t", "")), cased)
+    colon = rng.choice(("", ":", ":", " :", ": ", "::", ":\n"))
+    lead = rng.choice(("", "", " ", "\t", "  ", "- "))
+    trail = rng.choice(("", "", " ", "\t", " x", "\r"))
+    return lead + spaced + colon + trail
+
+
+def test_boilerplate_pattern_agrees_with_the_five_it_replaced() -> None:
+    rng = random.Random(808)
+    alphabet = "Page 0123456789:AaEeGgIiTt -\t*#"
+    lines = [_variant(rng, header) for header in _HEADERS for _ in range(200)]
+    lines += ["".join(rng.choice(alphabet) for _ in range(rng.randint(0, 24)))
+              for _ in range(3000)]
+    matched = 0
+    for line in lines:
+        expected = any(pattern.match(line) for pattern in _OLD_BOILERPLATE)
+        assert _is_boilerplate(line) == expected, repr(line)
+        matched += expected
+    # Both outcomes are well represented.
+    assert 300 < matched < len(lines) - 300
+
+
+def test_code_list_flag_equals_a_delimiter_scan_of_the_reply() -> None:
+    rng = random.Random(17)
+    delimiters = ("--- List of All Emerging Codes ---", "-- list of all emerging codes --",
+                  "  ---List of All Emerging Codes---  ", "- List of All Emerging Codes -",
+                  "--- List of Emerging Codes ---")
+    for _ in range(100):
+        records = random_code_records(rng)
+        page = records[0].page
+        lines = render_codes_digest([r for r in records if r.page == page]).splitlines()
+        if rng.random() < 0.6:
+            lines.insert(rng.randint(1, len(lines)), rng.choice(delimiters))
+            lines.append(f"- {records[0].label}")
+        reply = "\n".join(lines)
+        report = parse_code_block(reply, expected_page=page)
+        assert report.has_code_list == any(LIST_DELIMITER.match(line)
+                                           for line in reply.splitlines())

@@ -9,11 +9,13 @@ import subprocess
 import sys
 import threading
 import time
+from concurrent.futures import ThreadPoolExecutor
 from pathlib import Path
 
 import pytest
 from conftest import source_env
 
+from thematica import gateway, pipeline
 from thematica.codebook import Codebook, Matcher, load_alias_map, load_human_codebook
 from thematica.corpus import load_corpus
 from thematica.errors import (
@@ -339,6 +341,53 @@ def test_interrupted_sequential_run_keeps_the_reply_in_flight(
     assert list(partial.raw_replies) == ["page_1", "page_2", "page_3"]
 
 
+class HoldingTransport:
+    """Replay wrapper whose given page sends SIGINT, then holds its reply until released."""
+
+    kind = "replay"
+
+    def __init__(self, inner: ReplayTransport, page: int) -> None:
+        self.inner = inner
+        self.page = page
+        self.release = threading.Event()
+
+    def send(self, config, messages, context=None):
+        if page_of(context) == self.page:
+            os.kill(os.getpid(), signal.SIGINT)
+            self.release.wait(timeout=10)
+        return self.inner.send(config, messages, context)
+
+
+def test_second_interrupt_during_shutdown_keeps_every_finished_page_reply(
+        sample: dict, tmp_path: Path, monkeypatch: pytest.MonkeyPatch) -> None:
+    pools: list[ThreadPoolExecutor] = []
+
+    class CutShutdownPool(ThreadPoolExecutor):
+        """Pool whose shutdown a second Ctrl-C cuts before it joins the workers."""
+
+        def shutdown(self, wait=True, **kwargs):
+            pools.append(self)
+            raise KeyboardInterrupt
+
+    monkeypatch.setattr(pipeline, "ThreadPoolExecutor", CutShutdownPool)
+    holding = HoldingTransport(ReplayTransport(sample["fixture"]), page=3)
+    out_dir = tmp_path / "run"
+    try:
+        with pytest.raises(KeyboardInterrupt):
+            run_analysis(sample["corpus"], sample["focus"], ModelConfig(parallelism=1),
+                         holding, output_dir=out_dir)
+        partial = load_artifact(out_dir / "analysis.json")
+    finally:
+        holding.release.set()
+        for pool in pools:
+            ThreadPoolExecutor.shutdown(pool)
+    assert partial.status == "partial"
+    # Page 3 was still in flight when the shutdown was cut.
+    assert list(partial.raw_replies) == ["page_1", "page_2"]
+    cached = {entry["response"] for entry in load_fixture(out_dir / "response_cache.json")}
+    assert set(partial.raw_replies.values()) <= cached
+
+
 class FailingPagesTransport:
     """Replay wrapper whose given pages raise ``error``; it logs every send.
 
@@ -563,6 +612,53 @@ def test_response_cache_is_a_valid_fixture_after_every_request(
     assert checking.sent == total_requests
     replies = load_artifact(out_dir / "analysis.json").raw_replies
     assert [entry["response"] for entry in load_fixture(cache_path)] == list(replies.values())
+
+
+@pytest.fixture
+def tail_reads(monkeypatch: pytest.MonkeyPatch) -> list[Path]:
+    """Paths whose fixture tail an append read and checked, in order."""
+    reads: list[Path] = []
+    check = gateway._fixture_end
+
+    def counting(fd, path):
+        reads.append(Path(path))
+        return check(fd, path)
+
+    monkeypatch.setattr(gateway, "_fixture_end", counting)
+    return reads
+
+
+def test_each_fixture_tail_is_read_once_per_run(
+        sample: dict, tmp_path: Path, tail_reads: list[Path]) -> None:
+    out_dir = tmp_path / "run"
+    cache_path = out_dir / "response_cache.json"
+    with pytest.raises(AnalysisInterrupted):
+        run_sample(sample, out_dir,
+                   transport=CountingTransport(ReplayTransport(sample["fixture"]), fail_after=5))
+    # A missing cache is created; there is no tail to read.
+    assert tail_reads == []
+
+    # The resumed replay appends every other reply after one look at the tail.
+    counting = CountingTransport(ReplayTransport(sample["fixture"]))
+    resumed = run_sample(sample, out_dir, transport=counting)
+    total_requests = len(sample["corpus"].pages) + 2
+    assert counting.sent == total_requests - 5
+    assert tail_reads == [cache_path]
+    assert ([entry["response"] for entry in load_fixture(cache_path)]
+            == list(resumed.raw_replies.values()))
+
+    # A record run that extends an existing fixture reads its tail once too.
+    record_path = tmp_path / "session.json"
+    older = [{"digest": "e" * 64, "response": "an older session"}]
+    save_fixture(record_path, older)
+    tail_reads.clear()
+    live = LiveTransport(api_key="k", http_post=SessionHTTP(sample["fixture"], sample["config"]),
+                         sleep=lambda seconds: None)
+    recorded = run_analysis(sample["corpus"], sample["focus"], sample["config"], live,
+                            output_dir=tmp_path / "recorded", record_path=record_path)
+    assert tail_reads == [record_path]
+    assert ([entry["response"] for entry in load_fixture(record_path)]
+            == [older[0]["response"], *recorded.raw_replies.values()])
 
 
 # Runs run_analysis at parallelism 2 with a replay transport that answers
