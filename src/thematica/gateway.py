@@ -3,7 +3,10 @@
 Requests are hashed over (model, temperature, max_tokens, messages); the
 digest keys both the in-memory response cache and the on-disk fixtures, so a
 recorded session doubles as a replay fixture.  Replay never touches the
-network, which keeps pipeline runs byte-deterministic.
+network, which keeps pipeline runs byte-deterministic.  Each request is
+hashed once: :class:`Gateway` hashes it, and the replay lookup that follows
+in the same thread gets that digest from :func:`request_digest`'s one-entry
+memo instead of encoding the request again.
 
 Every fixture is a JSON array of ``{digest, response}`` objects, and in a run
 the :class:`Gateway` writes them: each new reply goes into the response
@@ -89,16 +92,39 @@ class Completion:
     transport: str
 
 
-def request_digest(config: ModelConfig, messages: Sequence[ChatMessage]) -> str:
-    """Stable hash over exactly the fields that determine the model's reply."""
+def _canonical_digest(config: ModelConfig, messages: tuple[tuple[str, str], ...]) -> str:
     payload = {
         "model": config.model_id,
         "temperature": config.temperature,
         "max_tokens": config.max_tokens,
-        "messages": [{"role": m.role, "content": m.content} for m in messages],
+        "messages": [{"role": role, "content": content} for role, content in messages],
     }
     canonical = json.dumps(payload, sort_keys=True, ensure_ascii=False, separators=(",", ":"))
     return hashlib.sha256(canonical.encode("utf-8")).hexdigest()
+
+
+# Each thread's last (config, messages, digest): a transport that hashes the
+# request Gateway.complete has just hashed gets the digest without a second
+# encoding.
+_last_digest = threading.local()
+
+
+def request_digest(config: ModelConfig, messages: Sequence[ChatMessage]) -> str:
+    """Stable hash over exactly the fields that determine the model's reply.
+
+    A repeat of the same thread's previous call returns its digest without
+    hashing again.  The repeat must pass the very same ``config`` object: equal
+    configs can hash differently (``temperature`` 1 and 1.0 encode apart), and
+    a frozen config's identity fixes its values.  Messages are compared by
+    value, so a list changed between calls is hashed again.
+    """
+    key = tuple((m.role, m.content) for m in messages)
+    last = getattr(_last_digest, "entry", None)
+    if last is not None and last[0] is config and last[1] == key:
+        return last[2]
+    digest = _canonical_digest(config, key)
+    _last_digest.entry = (config, key, digest)
+    return digest
 
 
 def resolve_api_key(explicit: str | None = None) -> str:

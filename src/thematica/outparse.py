@@ -140,10 +140,11 @@ def _strip_quote_pair(text: str) -> str:
 
 def _find_quoted_segment(text: str) -> tuple[int, int] | None:
     """Index range [start, end) spanning the first through last quote char."""
-    first = next((i for i, ch in enumerate(text) if ch in _QUOTE_CHARS), None)
-    if first is None:
+    starts = [i for i in map(text.find, _QUOTE_CHARS) if i >= 0]
+    if not starts:
         return None
-    last = max(i for i, ch in enumerate(text) if ch in _QUOTE_CHARS)
+    first = min(starts)
+    last = max(map(text.rfind, _QUOTE_CHARS))
     if last == first:
         return None
     return first, last + 1

@@ -17,6 +17,7 @@ import threading
 from concurrent.futures import ThreadPoolExecutor, wait
 from dataclasses import dataclass, field
 from datetime import datetime, timezone
+from functools import partial
 from pathlib import Path
 
 from .agreement import (
@@ -36,6 +37,7 @@ from .errors import (
     EmptyCodebook,
     IncompleteArtifact,
     ResumeMismatch,
+    SchemaError,
     ThematicaError,
 )
 from .gateway import ChatMessage, Gateway, ModelConfig
@@ -159,16 +161,68 @@ class AnalysisArtifact:
         self.path = target
         target.parent.mkdir(parents=True, exist_ok=True)
         tmp = target.with_suffix(target.suffix + ".tmp")
-        tmp.write_text(json.dumps(self.to_dict(), indent=2, ensure_ascii=False) + "\n",
-                       encoding="utf-8")
+        tmp.write_text(_layout(self.to_dict()) + "\n", encoding="utf-8")
         os.replace(tmp, target)
         return target
 
 
+# The C encoder: json.dumps takes the pure-Python one whenever indent is set.
+# The artifact is a fresh tree of plain values, so there is no cycle to check.
+_encode = json.JSONEncoder(ensure_ascii=False, check_circular=False).encode
+# Values nested this deep are written on one line: one reply, code, theme or
+# trace result per line of the artifact.
+_LINE_DEPTH = 3
+
+
+def _layout(value, depth: int = 0) -> str:
+    """``value`` as JSON, indented by two spaces down to ``_LINE_DEPTH``."""
+    if not value or not isinstance(value, (dict, list)):
+        return _encode(value)
+    nested = _encode if depth + 1 == _LINE_DEPTH else partial(_layout, depth=depth + 1)
+    inner = "\n" + "  " * (depth + 1)
+    if isinstance(value, dict):
+        body = [f"{inner}{_encode(key)}: {nested(item)}" for key, item in value.items()]
+        return "{" + ",".join(body) + "\n" + "  " * depth + "}"
+    body = [inner + nested(item) for item in value]
+    return "[" + ",".join(body) + "\n" + "  " * depth + "]"
+
+
+# The type each top-level section of an artifact must have, where present.
+_SECTION_TYPES = (("corpus", dict), ("config", dict), ("status", str),
+                  ("raw_replies", dict), ("notes", list),
+                  ("llm_codebook", (dict, type(None))), ("trace", (dict, type(None))))
+
+
 def load_artifact(path: str | Path) -> AnalysisArtifact:
+    """Read an artifact, in any layout :func:`json.loads` reads.
+
+    An artifact that is not JSON, or not of the artifact's shape, raises
+    :class:`SchemaError` naming the path and, for bad JSON, the line and
+    column, since users may correct replies in it by hand.
+    """
     path = Path(path)
-    data = json.loads(path.read_text(encoding="utf-8"))
-    return AnalysisArtifact.from_dict(data, path=path)
+    try:
+        data = json.loads(path.read_text(encoding="utf-8"))
+    except json.JSONDecodeError as exc:
+        raise SchemaError(f"{path}: not valid JSON at line {exc.lineno} "
+                          f"column {exc.colno}: {exc.msg}") from None
+    except UnicodeDecodeError as exc:
+        raise SchemaError(f"{path}: not UTF-8 text: {exc}") from None
+    if not isinstance(data, dict):
+        raise SchemaError(f"{path}: an artifact must be a JSON object")
+    for key, kind in _SECTION_TYPES:
+        if key in data and not isinstance(data[key], kind):
+            raise SchemaError(f"{path}: {key!r} has the wrong type "
+                              f"({type(data[key]).__name__})")
+    for key, reply in data.get("raw_replies", {}).items():
+        if not isinstance(reply, str):
+            raise SchemaError(f"{path}: raw_replies[{key!r}] must be a string")
+    try:
+        return AnalysisArtifact.from_dict(data, path=path)
+    except KeyError as exc:
+        raise SchemaError(f"{path}: missing key {exc.args[0]!r}") from None
+    except (TypeError, AttributeError, ValueError) as exc:
+        raise SchemaError(f"{path}: malformed artifact: {exc}") from None
 
 
 def _codebook_to_dict(codebook: Codebook) -> dict:

@@ -294,6 +294,28 @@ def test_report_regenerates_from_artifact(
     assert (analyzed_workspace / "out" / "report.md").exists()
 
 
+@pytest.mark.parametrize("argv", [
+    ["analyze"],
+    ["verify"],
+    ["report"],
+    ["compare", "--human", "coder1.csv", "--human", "coder2.csv"],
+], ids=["analyze", "verify", "report", "compare"])
+def test_hand_edited_artifact_with_a_json_error_is_a_clean_error(
+        analyzed_workspace: Path, tmp_path: Path, monkeypatch: pytest.MonkeyPatch, capsys,
+        argv: list[str]) -> None:
+    workspace = copy_workspace(analyzed_workspace, tmp_path / "edited")
+    artifact_path = workspace / "out" / "analysis.json"
+    text = artifact_path.read_text(encoding="utf-8")
+    artifact_path.write_text(text.replace('"page_2": ', ', "page_2": ', 1), encoding="utf-8")
+    line = text[:text.index('"page_2": ')].count("\n") + 1
+    monkeypatch.chdir(workspace)
+    assert main(["--config", "run_config.json", *argv]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == (f"error: out/analysis.json: not valid JSON at line {line} "
+                            "column 5: Expecting property name enclosed in double quotes\n")
+
+
 def test_output_dir_flag_overrides_config_value(
         sample_workspace: Path, monkeypatch: pytest.MonkeyPatch) -> None:
     monkeypatch.chdir(sample_workspace)

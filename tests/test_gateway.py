@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import errno
+import hashlib
 import json
 import sys
 from concurrent.futures import ThreadPoolExecutor
@@ -108,6 +109,52 @@ def test_request_digest_is_stable_and_sensitive() -> None:
 def test_digest_ignores_endpoint_and_timeout() -> None:
     moved = ModelConfig(endpoint_url="https://example.test/v9", timeout=5.0)
     assert request_digest(moved, MESSAGES) == request_digest(CONFIG, MESSAGES)
+
+
+def reference_digest(config: ModelConfig, messages) -> str:
+    payload = {"model": config.model_id, "temperature": config.temperature,
+               "max_tokens": config.max_tokens,
+               "messages": [{"role": m.role, "content": m.content} for m in messages]}
+    canonical = json.dumps(payload, sort_keys=True, ensure_ascii=False, separators=(",", ":"))
+    return hashlib.sha256(canonical.encode("utf-8")).hexdigest()
+
+
+def test_equal_configs_that_encode_apart_get_their_own_digests() -> None:
+    integer, real = ModelConfig(temperature=1), ModelConfig(temperature=1.0)
+    assert integer == real
+    for config in (integer, real, integer, real):
+        assert request_digest(config, MESSAGES) == reference_digest(config, MESSAGES)
+    assert request_digest(integer, MESSAGES) != request_digest(real, MESSAGES)
+
+
+def test_a_message_list_changed_between_calls_is_hashed_again() -> None:
+    messages = list(MESSAGES)
+    assert request_digest(CONFIG, messages) == reference_digest(CONFIG, messages)
+    messages[1] = ChatMessage("user", "Summarize page 2.")
+    assert request_digest(CONFIG, messages) == reference_digest(CONFIG, messages)
+    messages.append(ChatMessage("assistant", "Done."))
+    assert request_digest(CONFIG, messages) == reference_digest(CONFIG, messages)
+
+
+def test_threads_hashing_interleaved_requests_get_their_own_digests() -> None:
+    requests = [(ModelConfig(max_tokens=100 + worker),
+                 (MESSAGES[0], ChatMessage("user", f"Summarize page {page}.")))
+                for worker in range(6) for page in range(3)]
+    expected = [reference_digest(config, messages) for config, messages in requests]
+
+    def hash_all(offset: int) -> list[bool]:
+        # Each request twice in a row: the second is answered from the memo.
+        order = [(offset + step // 2) % len(requests) for step in range(200 * len(requests))]
+        return [request_digest(*requests[index]) == expected[index] for index in order]
+
+    switch = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        with ThreadPoolExecutor(max_workers=6) as pool:
+            results = list(pool.map(hash_all, range(6), timeout=60))
+    finally:
+        sys.setswitchinterval(switch)
+    assert all(all(result) for result in results)
 
 
 def test_resolve_api_key_prefers_primary_env(monkeypatch: pytest.MonkeyPatch) -> None:

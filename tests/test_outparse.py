@@ -14,6 +14,8 @@ from thematica.outparse import (
     LIST_DELIMITER,
     CodeRecord,
     ThemeRecord,
+    _QUOTE_CHARS,
+    _find_quoted_segment,
     _is_boilerplate,
     parse_code_block,
     parse_emerging_code_list,
@@ -460,3 +462,27 @@ def test_code_list_flag_equals_a_delimiter_scan_of_the_reply() -> None:
         report = parse_code_block(reply, expected_page=page)
         assert report.has_code_list == any(LIST_DELIMITER.match(line)
                                            for line in reply.splitlines())
+
+
+def _scan_quoted_segment(text: str) -> tuple[int, int] | None:
+    """The per-character scan that str.find/str.rfind replaced, kept as the oracle."""
+    first = next((i for i, ch in enumerate(text) if ch in _QUOTE_CHARS), None)
+    if first is None:
+        return None
+    last = max(i for i, ch in enumerate(text) if ch in _QUOTE_CHARS)
+    if last == first:
+        return None
+    return first, last + 1
+
+
+def test_quoted_segment_agrees_with_the_character_scan_it_replaced() -> None:
+    rng = random.Random(4242)
+    alphabet = "ab -.:" + _QUOTE_CHARS + "\u201e'"
+    spans = 0
+    for _ in range(5000):
+        text = "".join(rng.choice(alphabet) for _ in range(rng.randint(0, 30)))
+        expected = _scan_quoted_segment(text)
+        assert _find_quoted_segment(text) == expected, repr(text)
+        spans += expected is not None
+    # Texts with no quote, one quote and a quoted span all occur.
+    assert 500 < spans < 4500

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import hashlib
 import json
 import os
 import signal
@@ -11,9 +12,12 @@ import threading
 import time
 from concurrent.futures import ThreadPoolExecutor
 from pathlib import Path
+from types import SimpleNamespace
 
 import pytest
 from conftest import source_env
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from thematica import gateway, pipeline
 from thematica.codebook import Codebook, Matcher, load_alias_map, load_human_codebook
@@ -24,6 +28,7 @@ from thematica.errors import (
     FixtureMiss,
     IncompleteArtifact,
     ResumeMismatch,
+    SchemaError,
 )
 from thematica.gateway import (
     ChatMessage,
@@ -216,6 +221,136 @@ def test_interrupted_run_persists_partial_then_resumes(sample: dict, tmp_path: P
     run_sample(sample, reference_dir)
     assert (out_dir / "analysis.json").read_bytes() == (
         reference_dir / "analysis.json").read_bytes()
+
+
+_JSON_VALUES = st.recursive(
+    st.none() | st.booleans() | st.integers() | st.floats(allow_nan=False) | st.text(),
+    lambda children: st.lists(children, max_size=4)
+    | st.dictionaries(st.text(max_size=8), children, max_size=4),
+    max_leaves=40,
+)
+
+
+@settings(max_examples=300, deadline=None)
+@given(_JSON_VALUES)
+def test_artifact_layout_round_trips_any_json_value(value) -> None:
+    written = pipeline._layout(value)
+    assert json.loads(written) == value
+    assert json.loads(pipeline._layout({"section": {"field": [value, {"nested": value}]}})) == {
+        "section": {"field": [value, {"nested": value}]}}
+
+
+def test_artifact_layout_keeps_non_ascii_and_control_characters() -> None:
+    value = {"raw_replies": {"page_1": "Ghana – “quoted”\n\t\x00\u2028 café"},
+             "empty": {"list": [], "object": {}}, "codes": [{"a": [{"b": []}]}]}
+    written = pipeline._layout(value)
+    assert json.loads(written) == value
+    assert "“quoted”" in written and "café" in written
+    assert "\\u0000" in written and "\\n" in written
+
+
+def test_saved_artifact_has_one_line_per_code_theme_and_trace_result(
+        completed: AnalysisArtifact, tmp_path: Path) -> None:
+    target = completed.save(tmp_path / "analysis.json")
+    completed.path = None
+    text = target.read_text(encoding="utf-8")
+    data = json.loads(text)
+    assert text.endswith("}\n")
+    book = data["llm_codebook"]
+    rows = [row.rstrip(",") for row in text.splitlines()]
+    for entries in (book["codes"], book["themes"], data["trace"]["results"]):
+        for entry in entries:
+            assert rows.count("      " + pipeline._encode(entry)) == 1
+
+
+@pytest.mark.parametrize("indent", [2, None, 4])
+def test_partial_artifact_in_another_layout_resumes_to_a_fresh_runs_bytes(
+        sample: dict, tmp_path: Path, indent: int | None) -> None:
+    out_dir = tmp_path / "run"
+    with pytest.raises(AnalysisInterrupted):
+        run_sample(sample, out_dir,
+                   transport=CountingTransport(ReplayTransport(sample["fixture"]), fail_after=5))
+    artifact_path = out_dir / "analysis.json"
+    written = artifact_path.read_text(encoding="utf-8")
+    rewritten = json.dumps(json.loads(written), indent=indent, ensure_ascii=False) + "\n"
+    # A partial artifact holds no value nested deep enough to go on one line,
+    # so the old indent=2 layout and the current one are the same bytes.
+    assert (rewritten == written) == (indent == 2)
+    artifact_path.write_text(rewritten, encoding="utf-8")
+
+    run_sample(sample, out_dir)
+    run_sample(sample, tmp_path / "fresh")
+    assert artifact_path.read_bytes() == (tmp_path / "fresh" / "analysis.json").read_bytes()
+
+
+def test_old_indented_complete_artifact_loads_and_saves_in_the_current_layout(
+        completed: AnalysisArtifact, tmp_path: Path) -> None:
+    old = tmp_path / "old.json"
+    old.write_text(json.dumps(completed.to_dict(), indent=2, ensure_ascii=False) + "\n",
+                   encoding="utf-8")
+    loaded = load_artifact(old)
+    assert loaded.to_dict() == completed.to_dict()
+    current = completed.save(tmp_path / "current.json")
+    completed.path = None
+    assert loaded.save(tmp_path / "resaved.json").read_bytes() == current.read_bytes()
+
+
+def test_artifact_with_a_stray_comma_raises_schema_error_at_its_line_and_column(
+        completed: AnalysisArtifact, tmp_path: Path) -> None:
+    path = completed.save(tmp_path / "analysis.json")
+    completed.path = None
+    lines = path.read_text(encoding="utf-8").splitlines(keepends=True)
+    line = next(number for number, text in enumerate(lines, 1) if '"raw_replies": {' in text)
+    lines[line - 1] = lines[line - 1].replace("{", "{,")
+    path.write_text("".join(lines), encoding="utf-8")
+    with pytest.raises(SchemaError) as err:
+        load_artifact(path)
+    column = lines[line - 1].index(",") + 1
+    assert str(err.value).startswith(
+        f"{path}: not valid JSON at line {line} column {column}: Expecting property name")
+
+
+@pytest.mark.parametrize("damage, message", [
+    (lambda data: "[]", "an artifact must be a JSON object"),
+    (lambda data: json.dumps({**data, "raw_replies": []}), "'raw_replies' has the wrong type"),
+    (lambda data: json.dumps({**data, "raw_replies": {"page_1": 7}}),
+     "raw_replies['page_1'] must be a string"),
+    (lambda data: json.dumps({k: v for k, v in data.items() if k != "status"}),
+     "missing key 'status'"),
+    (lambda data: json.dumps({**data, "llm_codebook": {
+        **data["llm_codebook"], "codes": [{"quote": "q", "page": 1}]}}), "missing key 'label'"),
+    (lambda data: json.dumps({**data, "llm_codebook": {
+        **data["llm_codebook"], "codes": [{"label": 3, "quote": "q", "page": 1}]}}),
+     "malformed artifact"),
+], ids=["not-an-object", "replies-list", "reply-number", "no-status",
+        "no-label", "label-number"])
+def test_unreadable_artifact_raises_schema_error_naming_the_path(
+        completed: AnalysisArtifact, tmp_path: Path, damage, message: str) -> None:
+    path = tmp_path / "analysis.json"
+    path.write_text(damage(completed.to_dict()), encoding="utf-8")
+    with pytest.raises(SchemaError) as err:
+        load_artifact(path)
+    assert str(err.value).startswith(f"{path}: ")
+    assert message in str(err.value)
+
+
+def test_each_request_of_a_replay_is_encoded_once(
+        sample: dict, tmp_path: Path, monkeypatch: pytest.MonkeyPatch) -> None:
+    hashed: list[bytes] = []
+
+    def sha256(data: bytes):
+        hashed.append(data)
+        return hashlib.sha256(data)
+
+    monkeypatch.setattr(gateway, "hashlib", SimpleNamespace(sha256=sha256))
+    counting = CountingTransport(ReplayTransport(sample["fixture"]))
+    # A config object no earlier request used, so no digest is remembered for it.
+    run_analysis(sample["corpus"], sample["focus"], ModelConfig(), counting,
+                 output_dir=tmp_path / "run")
+    total_requests = len(sample["corpus"].pages) + 2
+    assert counting.sent == total_requests == 18
+    assert len(hashed) == total_requests
+    assert len(set(hashed)) == total_requests
 
 
 @pytest.fixture
