@@ -47,6 +47,7 @@ class Codebook:
     codes: tuple[CodeRecord, ...] = ()
     emerging_labels: tuple[str, ...] | None = None
     themes: tuple[ThemeRecord, ...] = ()
+    labels: tuple[str, ...] = field(init=False, repr=False, compare=False, default=())
 
     def __post_init__(self) -> None:
         if not self.coder_id.strip():
@@ -58,10 +59,7 @@ class Codebook:
                     f"labels {seen[record.key]!r} and {record.label!r} collide after normalization"
                 )
             seen[record.key] = record.label
-
-    @property
-    def labels(self) -> tuple[str, ...]:
-        return tuple(record.label for record in self.codes)
+        object.__setattr__(self, "labels", tuple(record.label for record in self.codes))
 
 
 @dataclass(frozen=True)

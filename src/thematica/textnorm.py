@@ -2,8 +2,8 @@
 
 Two normalization strengths live here:
 
-* label normalization: cosmetic cleanup of code labels (markdown emphasis,
-  numbering, stray punctuation) plus a case-folded matching key;
+* label normalization: cosmetic cleanup of code labels (numbering, every
+  ``*`` and ``_``, edge punctuation) plus a case-folded matching key;
 * match normalization, the text form used for quote verification: case fold,
   whitespace collapse, straight/curly quote and apostrophe unification, dash
   unification.  The index-mapped variant keeps a per-character pointer back
@@ -36,32 +36,34 @@ _CHAR_FOLD = {
     " ": " ",  # no-break space
 }
 
-_FOLD_TABLE = str.maketrans(_CHAR_FOLD)
-
 _NUMBER_PREFIX = re.compile(r"^\s*\d+\s*[.)]\s*")
-_EMPHASIS = re.compile(r"(\*\*|\*|__|_)")
-_WS_RUN = re.compile(r"\s+")
-_EDGE_PUNCT = re.compile(r"^[\s\"'.,:;!?()-]+|[\s\"'.,:;!?()-]+$")
-_NON_WORD = re.compile(r"[^\w\s]")
+
+# All of ASCII has an entry: str.translate re-fails a missed lookup on every call.
+_LABEL_TABLE = {code: code for code in range(128)}
+_LABEL_TABLE.update(str.maketrans({**_CHAR_FOLD, "*": None, "_": None}))
 
 
-def strip_emphasis(text: str) -> str:
-    """Remove markdown emphasis markers without touching interior words."""
-    return _EMPHASIS.sub("", text)
+class _KeyTable(dict):
+    """label_key's translate table: ``\\W`` to a space, each character classified once."""
+
+    def __missing__(self, code: int) -> str:
+        char = chr(code)
+        value = self[code] = char if char.isalnum() or char == "_" else " "
+        return value
+
+
+_KEY_TABLE = _KeyTable()
 
 
 def normalize_label(raw: str) -> str:
-    """Clean a code label: drop numbering, emphasis, and edge punctuation.
+    """Clean a code label: drop numbering, every ``*`` and ``_``, edge punctuation.
 
-    Interior capitalization and punctuation are preserved, so
-    ``"1. **Curiosity-driven Migration**:"`` becomes
-    ``"Curiosity-driven Migration"``.
+    ``"Work_life"`` becomes ``"Worklife"``.  Interior capitalization and
+    punctuation are preserved, so ``"1. **Curiosity-driven Migration**:"``
+    becomes ``"Curiosity-driven Migration"``.
     """
-    text = _NUMBER_PREFIX.sub("", raw)
-    text = strip_emphasis(text)
-    text = text.translate(_FOLD_TABLE)
-    text = _EDGE_PUNCT.sub("", text)
-    return _WS_RUN.sub(" ", text).strip()
+    text = _NUMBER_PREFIX.sub("", raw).translate(_LABEL_TABLE)
+    return " ".join(text.split()).strip("\"'.,:;!?()- ")
 
 
 def label_key(label: str) -> str:
@@ -71,8 +73,7 @@ def label_key(label: str) -> str:
     whitespace.  Distinct surface forms of the same code ("Curiosity-driven
     migration" / "Curiosity-Driven Migration") share one key.
     """
-    text = _NON_WORD.sub(" ", label.translate(_FOLD_TABLE).casefold())
-    return _WS_RUN.sub(" ", text).strip()
+    return " ".join(label.casefold().translate(_KEY_TABLE).split())
 
 
 def label_tokens(label: str) -> frozenset[str]:

@@ -55,6 +55,7 @@ def test_codebook_requires_coder_id() -> None:
 def test_labels_and_dedup_preserve_order() -> None:
     codebook = book("c1", ["Alpha", "Beta", "Gamma"])
     assert codebook.labels == ("Alpha", "Beta", "Gamma")
+    assert codebook.labels is codebook.labels
 
 
 def test_jaccard_token_overlap_values() -> None:

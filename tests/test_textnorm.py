@@ -2,9 +2,17 @@
 
 from __future__ import annotations
 
+import csv
+import re
+import sys
+import unicodedata
+from pathlib import Path
+
+import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+from thematica import textnorm
 from thematica.textnorm import (
     label_key,
     label_tokens,
@@ -12,6 +20,28 @@ from thematica.textnorm import (
     normalize_label,
     normalize_with_map,
 )
+
+# Reference implementations: the regex versions that the table-driven label
+# functions replaced.  The tests below require equal results on every input.
+_REF_FOLD_TABLE = str.maketrans(textnorm._CHAR_FOLD)
+_REF_NUMBER_PREFIX = re.compile(r"^\s*\d+\s*[.)]\s*")
+_REF_EMPHASIS = re.compile(r"(\*\*|\*|__|_)")
+_REF_WS_RUN = re.compile(r"\s+")
+_REF_EDGE_PUNCT = re.compile(r"^[\s\"'.,:;!?()-]+|[\s\"'.,:;!?()-]+$")
+_REF_NON_WORD = re.compile(r"[^\w\s]")
+
+
+def reference_normalize_label(raw: str) -> str:
+    text = _REF_NUMBER_PREFIX.sub("", raw)
+    text = _REF_EMPHASIS.sub("", text)
+    text = text.translate(_REF_FOLD_TABLE)
+    text = _REF_EDGE_PUNCT.sub("", text)
+    return _REF_WS_RUN.sub(" ", text).strip()
+
+
+def reference_label_key(label: str) -> str:
+    text = _REF_NON_WORD.sub(" ", label.translate(_REF_FOLD_TABLE).casefold())
+    return _REF_WS_RUN.sub(" ", text).strip()
 
 
 def test_normalize_label_strips_numbering_and_emphasis() -> None:
@@ -83,3 +113,81 @@ def test_normalize_with_map_invariants(source: str) -> None:
 @given(st.text(max_size=80))
 def test_label_key_is_idempotent(label: str) -> None:
     assert label_key(label_key(label) or "x") == (label_key(label) or label_key("x"))
+
+
+def test_normalize_label_deletes_every_emphasis_character() -> None:
+    # Every * and _ goes, interior ones too; label_key keeps _ as a word character.
+    assert normalize_label("Work_life") == "Worklife"
+    assert normalize_label("snake_case label*s*") == "snakecase labels"
+    assert normalize_label("__Dunder__ and **bold** and _it_") == "Dunder and bold and it"
+    assert label_key("Work_life") == "work_life"
+
+
+@pytest.fixture(scope="module")
+def every_code_point() -> str:
+    return "".join(map(chr, range(sys.maxunicode + 1)))
+
+
+@pytest.fixture
+def fresh_key_table(monkeypatch: pytest.MonkeyPatch) -> None:
+    # label_key's table remembers each character it classifies; a fresh one
+    # per test lets the whole-Unicode runs drop their million entries after.
+    monkeypatch.setattr(textnorm, "_KEY_TABLE", textnorm._KeyTable())
+
+
+LABEL_FUNCTIONS = pytest.mark.parametrize("function, reference", [
+    (normalize_label, reference_normalize_label),
+    (label_key, reference_label_key),
+], ids=["normalize_label", "label_key"])
+
+
+@LABEL_FUNCTIONS
+@pytest.mark.usefixtures("fresh_key_table")
+def test_label_functions_equal_the_reference_on_every_code_point(
+    function, reference, every_code_point: str,
+) -> None:
+    # One character's classification or fold differing shows in the output
+    # however its neighbours are classified.
+    step = len(every_code_point) // 4 + 1
+    for start in range(0, len(every_code_point), step):
+        chunk = every_code_point[start:start + step]
+        assert function(chunk) == reference(chunk)
+
+
+_EDGE_CATEGORIES = {"Pc", "Pd", "Ps", "Pe", "Pi", "Pf", "Po", "Zs", "Zl", "Zp", "Cc", "Cf"}
+
+
+@LABEL_FUNCTIONS
+def test_label_functions_equal_the_reference_at_the_edges(
+    function, reference, every_code_point: str,
+) -> None:
+    # Edge trimming sees only the ends, so each ASCII, whitespace, punctuation,
+    # separator and control character is tried alone and at either end.
+    for char in every_code_point:
+        if char.isascii() or char.isspace() or unicodedata.category(char) in _EDGE_CATEGORIES:
+            for text in (char, f"{char}a b", f"a b{char}", f"{char}.a b.{char}",
+                         f".{char}a b{char}.", f"{char} 1. x{char}"):
+                assert function(text) == reference(text), repr(text)
+
+
+@LABEL_FUNCTIONS
+@given(st.text())
+def test_label_functions_equal_the_reference_on_any_text(function, reference, text: str) -> None:
+    assert function(text) == reference(text)
+
+
+@LABEL_FUNCTIONS
+@pytest.mark.parametrize("sample, columns", [
+    ("coder1.csv", ("theme", "code_label")),
+    ("coder2.csv", ("theme", "code_label")),
+    ("alias_map.csv", ("from_label", "to_label")),
+])
+def test_label_functions_equal_the_reference_on_the_shipped_labels(
+    function, reference, sample: str, columns: tuple[str, ...], samples_dir: Path,
+) -> None:
+    with (samples_dir / sample).open(encoding="utf-8", newline="") as handle:
+        cells = [row[column] for row in csv.DictReader(handle) for column in columns]
+    assert cells
+    for cell in cells:
+        assert function(cell) == reference(cell)
+        assert function(normalize_label(cell)) == reference(reference_normalize_label(cell))
