@@ -103,7 +103,8 @@ class Matcher:
         if key_a == key_b:
             return True
         if self.mode == TOKEN_OVERLAP:
-            return jaccard(label_a, label_b) >= self.jaccard_threshold
+            similarity = _token_jaccard(label_tokens(label_a), label_tokens(label_b))
+            return similarity >= self.jaccard_threshold
         return False
 
 
@@ -120,11 +121,6 @@ class MatchResult:
         used_b = [pair[1] for pair in self.pairs] + list(self.outliers_b)
         if len(set(used_a)) != len(used_a) or len(set(used_b)) != len(used_b):
             raise ValueError("a label may appear in at most one pair or outlier slot")
-
-
-def jaccard(label_a: str, label_b: str) -> float:
-    """Token-set Jaccard similarity between two labels."""
-    return _token_jaccard(label_tokens(label_a), label_tokens(label_b))
 
 
 def _token_jaccard(tokens_a: frozenset[str], tokens_b: frozenset[str]) -> float:

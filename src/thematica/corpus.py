@@ -17,14 +17,14 @@ from __future__ import annotations
 import hashlib
 import math
 import zipfile
-from array import array
 from dataclasses import dataclass
 from functools import cached_property
 from pathlib import Path
+from typing import Callable
 from xml.etree import ElementTree
 
 from .errors import DecodeError, EmptyDocument, InvalidPageSize, PageOutOfRange
-from .textnorm import normalize_with_map
+from .textnorm import normalize_for_match, source_index
 
 _WORD_NS = "{http://schemas.openxmlformats.org/wordprocessingml/2006/main}"
 
@@ -49,7 +49,11 @@ class Paragraph:
 
 @dataclass(frozen=True)
 class Page:
-    """An ordered block of paragraphs with a 1-based page number."""
+    """An ordered block of paragraphs with a 1-based page number.
+
+    Quote tracing reads its :attr:`match_text` and maps spans back to
+    :attr:`text` with :meth:`source_span`; each builds its state once, lazily.
+    """
 
     number: int
     paragraphs: tuple[Paragraph, ...]
@@ -66,16 +70,21 @@ class Page:
         return "\n".join(p.text for p in self.paragraphs)
 
     @cached_property
-    def normalized(self) -> tuple[str, array[int]]:
-        """``normalize_with_map`` of :attr:`text`: the match-normalized text and,
-        per normalized character, its index in :attr:`text`.
+    def match_text(self) -> str:
+        """:func:`normalize_for_match` of :attr:`text`, built on first use and kept."""
+        return normalize_for_match(self.text)
 
-        Computed on first use and kept, so a page is normalized at most once
-        and pages whose quotes all match literally never are.  The map is an
-        array of machine ints, several times smaller than a list of int objects.
-        """
-        norm_text, index_map = normalize_with_map(self.text)
-        return norm_text, array("L", index_map)
+    @cached_property
+    def _source_index(self) -> Callable[[int], int]:
+        return source_index(self.text, self.match_text)
+
+    def source_span(self, start: int, end: int) -> tuple[int, int]:
+        """The span of :attr:`text` that ``match_text[start:end]`` came from;
+        the position map behind it is built on the first call and kept."""
+        if start >= len(self.match_text):
+            return len(self.text), len(self.text)
+        source_start = self._source_index(start)
+        return source_start, (self._source_index(end - 1) + 1 if end > start else source_start)
 
 
 @dataclass(frozen=True)

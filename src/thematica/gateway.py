@@ -196,12 +196,14 @@ class _FixtureAppender:
 
     The first append checks the file's tail with :func:`_fixture_end` (a
     missing file is created instead) and writes the entry over the closing
-    bracket and the whitespace before it, then truncates.  It remembers the
-    offset of the ``\n]\n`` it wrote, so every later append is one
-    positioned write of ``,\n{entry}\n]\n`` there: longer than what it
-    covers, so nothing is left to truncate.  That offset stays right only
-    while this appender is the file's one writer; the caller serializes
-    appends.
+    bracket and the whitespace before it (with no comma when the array is
+    empty), then truncates.  So it extends any fixture :func:`load_fixture`
+    reads, whether :func:`save_fixture` or earlier appends wrote it.  It
+    remembers the offset of the ``\n]\n`` it wrote, so every later append is
+    one positioned write of ``,\n{entry}\n]\n`` there: longer than what it
+    covers, so nothing is left to truncate.  Each entry is one line.  That
+    offset stays right only while this appender is the file's one writer;
+    the caller serializes appends.
     """
 
     def __init__(self, path: str | Path) -> None:
@@ -232,21 +234,6 @@ class _FixtureAppender:
         finally:
             os.close(fd)
         self._end = at + len(data) - len(_CLOSE)
-
-
-def append_fixture_entry(path: str | Path, entry: dict[str, str]) -> None:
-    r"""Add one entry to the fixture at ``path`` without rewriting it.
-
-    The entry goes in over the closing bracket, and the whitespace before it,
-    as ``,\n{entry}\n]\n`` (no comma when the array is empty), after a check
-    of at most the last 64 bytes.  Each appended entry is one line, and the
-    file stays a JSON array that :func:`load_fixture` reads, whether
-    :func:`save_fixture` or earlier appends wrote it.  A missing file is
-    created.  A run that appends many entries keeps one appender per fixture
-    instead (see :class:`Gateway`): it checks the tail once per fixture per
-    run, then makes each append one positioned write.
-    """
-    _FixtureAppender(path).append(entry)
 
 
 class _NetworkFailure(Exception):

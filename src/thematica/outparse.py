@@ -320,12 +320,6 @@ def parse_emerging_code_list(reply: str) -> list[str]:
     return labels
 
 
-def render_emerging_code_list(labels: list[str] | tuple[str, ...]) -> str:
-    """Canonical list rendering: the delimiter line plus one dash bullet per label."""
-    body = "\n".join(f"- {label}" for label in labels)
-    return f"--- List of All Emerging Codes ---\n{body}"
-
-
 def render_code_line(record: CodeRecord, index: int) -> str:
     """Canonical one-line rendering of a code: numbered, bold label, quote, page."""
     return f'{index}. **{record.label}**: "{record.quote}" - Page {record.page}'

@@ -6,14 +6,16 @@ Two normalization strengths live here:
   ``*`` and ``_``, edge punctuation) plus a case-folded matching key;
 * match normalization, the text form used for quote verification: case fold,
   whitespace collapse, straight/curly quote and apostrophe unification, dash
-  unification.  The index-mapped variant keeps a per-character pointer back
-  into the original string so match spans can be reported in source
-  coordinates.
+  unification, all at C speed.  :func:`source_index` maps a normalized
+  position back into the original string, so match spans can be reported in
+  source coordinates.
 """
 
 from __future__ import annotations
 
 import re
+from array import array
+from typing import Callable
 
 # Curly quote marks, apostrophes, and dash variants folded to ASCII.
 _CHAR_FOLD = {
@@ -41,6 +43,8 @@ _NUMBER_PREFIX = re.compile(r"^\s*\d+\s*[.)]\s*")
 # All of ASCII has an entry: str.translate re-fails a missed lookup on every call.
 _LABEL_TABLE = {code: code for code in range(128)}
 _LABEL_TABLE.update(str.maketrans({**_CHAR_FOLD, "*": None, "_": None}))
+_MATCH_TABLE = {code: code for code in range(128)}
+_MATCH_TABLE.update(str.maketrans(_CHAR_FOLD))
 
 
 class _KeyTable(dict):
@@ -82,16 +86,39 @@ def label_tokens(label: str) -> frozenset[str]:
 
 
 def normalize_for_match(text: str) -> str:
-    """Normalize text for quote matching; see module docstring for rules."""
-    normalized, _ = normalize_with_map(text)
-    return normalized
+    """Normalize text for quote matching; see module docstring for rules.
+
+    No character casefolds to whitespace or to nothing, so folding after the
+    join equals folding each character."""
+    return " ".join(text.translate(_MATCH_TABLE).split()).casefold()
+
+
+def source_index(text: str, normalized: str) -> Callable[[int], int]:
+    """Map a position of ``normalized = normalize_for_match(text)`` to the
+    index in ``text`` it came from; a space maps to the next word's start.
+
+    When no character casefolds to several, normalized word w is source word
+    w character for character, and ``text.split(None, w)`` finds that word's
+    start at C speed.  Otherwise the map is :func:`normalize_with_map`'s."""
+    if len(normalized) - normalized.count(" ") != len("".join(text.split())):
+        return array("L", normalize_with_map(text)[1]).__getitem__
+
+    def index(position: int) -> int:
+        if normalized[position] == " ":
+            position += 1
+        word = normalized.count(" ", 0, position)
+        word_start = len(text) - len(text.split(None, word)[-1])
+        return word_start + position - normalized.rfind(" ", 0, position) - 1
+
+    return index
 
 
 def normalize_with_map(text: str) -> tuple[str, list[int]]:
     """Normalize text and return a map from output index to source index.
 
     The map lets a substring match found in normalized coordinates be
-    reported as a character span of the original text.
+    reported as a character span of the original text.  :func:`source_index`
+    uses it only for text in which some character casefolds to several.
     """
     out: list[str] = []
     positions: list[int] = []

@@ -9,23 +9,28 @@ else is Failed with score 0.  A quote that only matches some other page stays
 Failed with a "found on page k" note; it is never re-homed.
 
 Fuzzy scoring uses Myers' bit-parallel approximate string matching (Myers
-1999, J. ACM 46(3)): one Python int holds a column of the edit-distance
-table, so a page of n characters costs n rounds of big-int operations.  The
-matched window's start is recovered only when the similarity reaches the
-threshold, by reverse passes over at most m + d characters before each best
-end (m the normalized quote length, d its distance).  Ties resolve to the
-lowest distance, then the leftmost start, then the leftmost end.
+1999, J. ACM 46(3), in Hyyrö's 2001 formulation) on the transposed
+edit-distance table: an n-bit Python int holds a row, one bit per character
+of the normalized cited page, and each of the m normalized quote characters
+is one round of big-int operations.  A quote costs m rounds over an n-bit
+int, not n rounds.  The matched window's start is recovered only when the
+similarity reaches the threshold, by reverse global passes of the same
+kernel over at most m + d characters before each best end (d the distance).
+Ties resolve to the lowest distance, then the leftmost start, then the
+leftmost end.
 
 The "found on page k" scan and the per-sentence diagnostics only need the
-Exact and Normalized levels, so they check substrings and never align.  Each
-page is normalized at most once, on first use (:attr:`Page.normalized`).
+Exact and Normalized levels, so they check substrings and never align.  A
+page builds its :attr:`Page.match_text` once, on first use, and its span map
+only for a Normalized or Fuzzy hit (:meth:`Page.source_span`).
 """
 
 from __future__ import annotations
 
 import re
 from dataclasses import dataclass
-from typing import Iterator, Sequence
+from itertools import accumulate
+from operator import sub
 
 from .corpus import Corpus, Page
 from .errors import EmptyCodebook
@@ -83,39 +88,41 @@ class TraceabilityReport:
         return verified * 100.0 / len(self.results)
 
 
-def _last_row(pattern: str, text: str, global_mode: bool) -> Iterator[int]:
+def _bottom_row(pattern: str, text: str, global_mode: bool) -> list[int]:
     """Bottom row of the edit-distance table of pattern against text.
 
-    Yields D[m][j] for j = 1..len(text), where D[i][j] is the distance between
+    Returns D[m][j] for j = 0..len(text), where D[i][j] is the distance between
     pattern[:i] and text[:j] (global mode) or its best suffix (search mode,
-    D[0][j] = 0).  Myers' bit-parallel algorithm in Hyyrö's formulation:
-    Pv/Mv hold the column's vertical +1/-1 deltas, Ph/Mh the horizontal ones,
-    one bit per pattern position; ``masks`` maps each pattern character to
-    the bits of its positions.
+    D[0][j] = 0).  Myers' algorithm in Hyyrö's formulation on the transposed
+    table: Pv/Mv hold a row's horizontal +1/-1 deltas, one bit per text
+    position, and each pattern character is one round.  The deltas start all
+    0 (search) or all +1 (global); the carry in, D[i][0] - D[i-1][0], is +1.
     """
-    m = len(pattern)
-    masks: dict[str, int] = {}
-    for position, char in enumerate(pattern):
-        masks[char] = masks.get(char, 0) | (1 << position)
-    full = (1 << m) - 1
-    high = (full + 1) >> 1  # the last pattern row's bit; 0 for an empty pattern
-    carry = 1 if global_mode else 0
-    pv, mv, score = full, 0, m
-    for char in text:
+    n = len(text)
+    full = (1 << n) - 1
+    bits = dict.fromkeys(map(ord, set(text)), "0")
+    reversed_text = text[::-1]
+    masks: dict[str, int] = {}  # the text as "0"/"1" for one character, read in base 2
+    for char in [char for char in set(pattern) if char in text]:
+        bits[ord(char)] = "1"
+        masks[char] = int(reversed_text.translate(bits), 2)
+        bits[ord(char)] = "0"
+    pv, mv = (full if global_mode else 0), 0
+    for char in pattern:
         eq = masks.get(char, 0)
         xv = eq | mv
         xh = (((eq & pv) + pv) ^ pv) | eq
-        ph = mv | (~(xh | pv) & full)
+        ph = mv | (full ^ (xh | pv))  # a carry into bit n is shifted out below
         mh = pv & xh
-        if ph & high:
-            score += 1
-        elif mh & high:
-            score -= 1
-        ph = ((ph << 1) | carry) & full
+        ph = ((ph << 1) | 1) & full
         mh = (mh << 1) & full
-        pv = mh | (~(xv | ph) & full)
+        pv = mh | (full ^ (xv | ph))
         mv = ph & xv
-        yield score
+    # A sentinel bit above the row keeps its leading zeros; [:0:-1] drops it
+    # and puts position 1 first.
+    plus = format(pv | 1 << n, "b")[:0:-1].encode()
+    minus = format(mv | 1 << n, "b")[:0:-1].encode()
+    return list(accumulate(map(sub, plus, minus), initial=len(pattern)))
 
 
 def _best_ends(pattern: str, text: str) -> tuple[int, list[int]]:
@@ -124,13 +131,11 @@ def _best_ends(pattern: str, text: str) -> tuple[int, list[int]]:
     Returns the distance and, ascending, every end j such that some window
     text[s:j] reaches it (j = 0, the empty window, counts at distance m).
     """
-    best, ends = len(pattern), [0]
-    rows = _last_row(pattern, text, global_mode=False)
-    for end, distance in enumerate(rows, start=1):
-        if distance < best:
-            best, ends = distance, [end]
-        elif distance == best:
-            ends.append(end)
+    row = _bottom_row(pattern, text, global_mode=False)
+    best = min(row)
+    ends = [row.index(best)]
+    for _ in range(row.count(best) - 1):
+        ends.append(row.index(best, ends[-1] + 1))
     return best, ends
 
 
@@ -148,33 +153,11 @@ def _leftmost_window(pattern: str, text: str, distance: int, ends: list[int]) ->
         lowest = max(0, end - len(pattern) - distance)
         if lowest >= best_start:
             break  # ends ascend, so no later window can start further left
-        longest = 0  # the empty suffix, at distance m
-        rows = _last_row(reversed_pattern, text[lowest:end][::-1], global_mode=True)
-        for length, suffix_distance in enumerate(rows, start=1):
-            if suffix_distance == distance:
-                longest = length
+        row = _bottom_row(reversed_pattern, text[lowest:end][::-1], global_mode=True)
+        longest = len(row) - 1 - row[::-1].index(distance)
         if end - longest < best_start:
             best_start, best_end = end - longest, end
     return best_start, best_end
-
-
-def _map_span(index_map: Sequence[int], start: int, end: int, source_len: int) -> tuple[int, int]:
-    if start >= len(index_map):
-        return source_len, source_len
-    source_start = index_map[start]
-    source_end = index_map[end - 1] + 1 if end > start else source_start
-    return source_start, min(source_end, source_len)
-
-
-def _normalized_span(norm_quote: str, page: Page) -> tuple[int, int] | None:
-    """Span of the normalized quote inside the page's normalized text, if any."""
-    if not norm_quote:
-        return None
-    norm_text, index_map = page.normalized
-    position = norm_text.find(norm_quote)
-    if position < 0:
-        return None
-    return _map_span(index_map, position, position + len(norm_quote), len(page.text))
 
 
 def _cheap_level(quote: str, norm_quote: str, page: Page) -> str | None:
@@ -185,7 +168,7 @@ def _cheap_level(quote: str, norm_quote: str, page: Page) -> str | None:
     """
     if quote in page.text:
         return EXACT
-    if _normalized_span(norm_quote, page) is not None:
+    if norm_quote and norm_quote in page.match_text:
         return NORMALIZED
     return None
 
@@ -215,19 +198,20 @@ def verify_quote(record: CodeRecord, corpus: Corpus,
                                matched_span=(position, position + len(quote)), notes=tuple(notes))
     norm_quote = normalize_for_match(quote)
     if cited is not None:
-        span = _normalized_span(norm_quote, cited)
-        if span is not None:
-            return TraceResult(record=record, level=NORMALIZED, score=1.0,
-                               matched_span=span, notes=tuple(notes))
         best_similarity = 0.0
         if norm_quote:
-            norm_text, index_map = cited.normalized
-            distance, ends = _best_ends(norm_quote, norm_text)
+            match_text = cited.match_text
+            position = match_text.find(norm_quote)
+            if position >= 0:
+                return TraceResult(record=record, level=NORMALIZED, score=1.0,
+                                   matched_span=cited.source_span(position, position + len(norm_quote)),
+                                   notes=tuple(notes))
+            distance, ends = _best_ends(norm_quote, match_text)
             best_similarity = max(0.0, 1.0 - distance / len(norm_quote))
             if best_similarity >= threshold:
-                start, end = _leftmost_window(norm_quote, norm_text, distance, ends)
+                start, end = _leftmost_window(norm_quote, match_text, distance, ends)
                 return TraceResult(record=record, level=FUZZY, score=best_similarity,
-                                   matched_span=_map_span(index_map, start, end, len(cited.text)),
+                                   matched_span=cited.source_span(start, end),
                                    notes=tuple(notes))
         notes.append(f"best similarity on cited page {best_similarity:.4f} below threshold {threshold}")
 

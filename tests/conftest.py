@@ -12,6 +12,7 @@ import pytest
 import thematica
 from thematica.corpus import Corpus, Paragraph, paginate
 from thematica.outparse import CodeRecord, ThemeRecord
+from test_textnorm import reference_normalize_with_map
 
 _DOCX_CONTENT_TYPES = """<?xml version="1.0" encoding="UTF-8" standalone="yes"?>
 <Types xmlns="http://schemas.openxmlformats.org/package/2006/content-types">
@@ -125,13 +126,15 @@ def oracle_min_edit(pattern: str, text: str) -> int:
 
 
 def oracle_trace_level(quote: str, text: str, threshold: float = 0.85) -> tuple[str, float]:
-    """Reference grading of one quote against one page text."""
-    from thematica.textnorm import normalize_for_match
+    """Reference grading of one quote against one page text.
 
+    Match normalization comes from the per-character reference loop in
+    ``test_textnorm``, not from the code under test.
+    """
     if quote in text:
         return "Exact", 1.0
-    norm_quote = normalize_for_match(quote)
-    norm_text = normalize_for_match(text)
+    norm_quote = reference_normalize_with_map(quote)[0]
+    norm_text = reference_normalize_with_map(text)[0]
     if not norm_quote:
         return "Failed", 0.0
     if norm_quote in norm_text:

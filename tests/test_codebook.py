@@ -16,7 +16,6 @@ from thematica.codebook import (
     Codebook,
     MatchResult,
     Matcher,
-    jaccard,
     load_alias_map,
     load_human_codebook,
     match_codes,
@@ -58,12 +57,31 @@ def test_labels_and_dedup_preserve_order() -> None:
     assert codebook.labels is codebook.labels
 
 
+def jaccard(label_a: str, label_b: str) -> float:
+    """Reference token-set Jaccard similarity of two labels' keys.
+
+    Two labels whose keys have no tokens are equal labels, so they score 1.0.
+    """
+    tokens_a, tokens_b = set(label_key(label_a).split()), set(label_key(label_b).split())
+    union = tokens_a | tokens_b
+    return len(tokens_a & tokens_b) / len(union) if union else 1.0
+
+
+JACCARD_CASES = [
+    ("Peer Influence on Migration Decision", "Peer influence", 0.4),
+    ("Alpha Beta", "beta alpha", 1.0),
+    ("Alpha", "Beta", 0.0),
+    ("...", "...", 1.0),
+    ("...", "Alpha", 0.0),
+]
+
+
 def test_jaccard_token_overlap_values() -> None:
-    assert jaccard("Peer Influence on Migration Decision", "Peer influence") == pytest.approx(0.4)
-    assert jaccard("Alpha Beta", "beta alpha") == 1.0
-    assert jaccard("Alpha", "Beta") == 0.0
-    assert jaccard("...", "...") == 1.0
-    assert jaccard("...", "Alpha") == 0.0
+    for label_a, label_b, expected in JACCARD_CASES:
+        assert jaccard(label_a, label_b) == pytest.approx(expected)
+        for threshold in (0.3, 0.4, 0.5, 1.0):
+            assert Matcher(mode=TOKEN_OVERLAP, jaccard_threshold=threshold).matches(
+                label_a, label_b) is (jaccard(label_a, label_b) >= threshold)
 
 
 def test_matcher_exact_mode_is_case_insensitive() -> None:

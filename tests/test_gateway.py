@@ -28,7 +28,6 @@ from thematica.gateway import (
     LiveTransport,
     ModelConfig,
     ReplayTransport,
-    append_fixture_entry,
     load_fixture,
     request_digest,
     resolve_api_key,
@@ -456,6 +455,11 @@ def test_concurrent_completions_append_every_reply_once(tmp_path: Path) -> None:
         entries = load_fixture(path)
         assert sorted(entry["response"] for entry in entries) == sorted(
             f"reply to {text}" for text in prompts)
+
+
+def append_fixture_entry(path: Path, entry: dict[str, str]) -> None:
+    """One append through a fresh appender, which checks the file's tail first."""
+    gateway_module._FixtureAppender(path).append(entry)
 
 
 def test_append_extends_empty_and_indented_fixtures(tmp_path: Path) -> None:

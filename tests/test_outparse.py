@@ -23,7 +23,6 @@ from thematica.outparse import (
     parse_theme_block,
     render_code_line,
     render_codes_digest,
-    render_emerging_code_list,
     render_theme_digest,
 )
 
@@ -293,6 +292,12 @@ def test_render_parse_round_trip_is_fixpoint_on_random_codebooks() -> None:
         assert report.warnings == ()
         again = render_codes_digest(report.records)
         assert again == digest
+
+
+def render_emerging_code_list(labels: list[str]) -> str:
+    """Reference rendering: the delimiter line plus one dash bullet per label."""
+    body = "\n".join(f"- {label}" for label in labels)
+    return f"--- List of All Emerging Codes ---\n{body}"
 
 
 def test_emerging_list_round_trip() -> None:

@@ -13,12 +13,14 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from thematica import textnorm
+from thematica.corpus import load_corpus
 from thematica.textnorm import (
     label_key,
     label_tokens,
     normalize_for_match,
     normalize_label,
     normalize_with_map,
+    source_index,
 )
 
 # Reference implementations: the regex versions that the table-driven label
@@ -42,6 +44,45 @@ def reference_normalize_label(raw: str) -> str:
 def reference_label_key(label: str) -> str:
     text = _REF_NON_WORD.sub(" ", label.translate(_REF_FOLD_TABLE).casefold())
     return _REF_WS_RUN.sub(" ", text).strip()
+
+
+def reference_normalize_with_map(text: str) -> tuple[str, list[int]]:
+    """Match normalization one character at a time, with each output
+    character's source index: the loop that ``normalize_for_match`` and
+    ``source_index`` replaced on the tracer's path."""
+    out: list[str] = []
+    positions: list[int] = []
+    pending_space = False
+    for src_index, ch in enumerate(text):
+        folded = textnorm._CHAR_FOLD.get(ch, ch)
+        if folded.isspace():
+            pending_space = True
+            continue
+        if pending_space and out:
+            out.append(" ")
+            positions.append(src_index)
+        pending_space = False
+        for piece in folded.casefold():
+            out.append(piece)
+            positions.append(src_index)
+    return "".join(out), positions
+
+
+def reference_source_span(index_map: list[int], source_len: int,
+                          start: int, end: int) -> tuple[int, int]:
+    """The source span of a normalized span, read off the reference map."""
+    if start >= len(index_map):
+        return source_len, source_len
+    source_end = index_map[end - 1] + 1 if end > start else index_map[start]
+    return index_map[start], min(source_end, source_len)
+
+
+def assert_match_normalization_equals_the_reference(text: str) -> None:
+    expected, expected_map = reference_normalize_with_map(text)
+    normalized = normalize_for_match(text)
+    assert normalized == expected
+    index = source_index(text, normalized)
+    assert list(map(index, range(len(normalized)))) == expected_map
 
 
 def test_normalize_label_strips_numbering_and_emphasis() -> None:
@@ -191,3 +232,59 @@ def test_label_functions_equal_the_reference_on_the_shipped_labels(
     for cell in cells:
         assert function(cell) == reference(cell)
         assert function(normalize_label(cell)) == reference(reference_normalize_label(cell))
+
+
+@pytest.fixture(scope="module")
+def expanding(every_code_point: str) -> str:
+    """Every character that casefolds to several."""
+    return "".join(char for char in every_code_point if len(char.casefold()) > 1)
+
+
+def test_match_normalization_equals_the_reference_on_every_code_point(
+    every_code_point: str, expanding: str,
+) -> None:
+    # Characters that casefold to several send source_index down its other
+    # path, so a chunk that has any is also tried without them.
+    step = 1024
+    for start in range(0, len(every_code_point), step):
+        chunk = every_code_point[start:start + step]
+        assert_match_normalization_equals_the_reference(chunk)
+        solid = chunk.translate(dict.fromkeys(map(ord, expanding)))
+        if solid != chunk:
+            assert_match_normalization_equals_the_reference(solid)
+
+
+def test_match_normalization_equals_the_reference_at_the_edges(
+    every_code_point: str, expanding: str,
+) -> None:
+    # Whitespace collapses and trims only next to other characters, so each
+    # whitespace, separator, control, fold, expanding and ASCII character is
+    # tried alone and at either end.
+    chars = {char for char in every_code_point
+             if char.isascii() or char.isspace()
+             or unicodedata.category(char) in {"Zs", "Zl", "Zp", "Cc", "Cf"}}
+    chars |= set(textnorm._CHAR_FOLD) | set(expanding)
+    for char in sorted(chars):
+        for text in (char, f"{char}a b", f"a b{char}", f"{char} a{char}b {char}",
+                     f" {char}\u00a0ß{char}\n", f"{char}{char}"):
+            assert_match_normalization_equals_the_reference(text)
+
+
+@given(st.text())
+def test_match_normalization_equals_the_reference_on_any_text(text: str) -> None:
+    assert_match_normalization_equals_the_reference(text)
+
+
+def test_page_match_text_and_spans_equal_the_reference_on_the_shipped_sample(
+    samples_dir: Path,
+) -> None:
+    for page in load_corpus(samples_dir / "transcript.txt").pages:
+        assert_match_normalization_equals_the_reference(page.text)
+        expected, index_map = reference_normalize_with_map(page.text)
+        assert page.match_text == expected
+        length = len(expected)
+        for start in range(length + 2):
+            for end in {start, start + 1, start + 37, length}:
+                if start <= end <= length:
+                    assert page.source_span(start, end) == \
+                        reference_source_span(index_map, len(page.text), start, end)

@@ -4,6 +4,8 @@ from __future__ import annotations
 
 import random
 from collections import Counter
+from pathlib import Path
+from typing import Iterator
 
 import pytest
 from hypothesis import given, settings
@@ -13,6 +15,7 @@ import thematica.corpus
 import thematica.trace
 from conftest import make_corpus, oracle_min_edit, oracle_trace_level
 from thematica.codebook import Codebook
+from thematica.corpus import load_corpus
 from thematica.errors import EmptyCodebook
 from thematica.outparse import CodeRecord
 from thematica.textnorm import normalize_for_match
@@ -316,6 +319,131 @@ def test_myers_aligner_equals_reference_table_on_long_patterns() -> None:
         assert myers_align(pattern, text) == reference_align(pattern, text), (pattern, text)
 
 
+# Reference kernel: the column-wise Myers scorer that the transposed kernel
+# replaced.  It runs one round per text character, with the pattern in the
+# bit vector; the new kernel must give the same distances, ends and windows.
+def reference_last_row(pattern: str, text: str, global_mode: bool) -> Iterator[int]:
+    m = len(pattern)
+    masks: dict[str, int] = {}
+    for position, char in enumerate(pattern):
+        masks[char] = masks.get(char, 0) | (1 << position)
+    full = (1 << m) - 1
+    high = (full + 1) >> 1
+    carry = 1 if global_mode else 0
+    pv, mv, score = full, 0, m
+    for char in text:
+        eq = masks.get(char, 0)
+        xv = eq | mv
+        xh = (((eq & pv) + pv) ^ pv) | eq
+        ph = mv | (~(xh | pv) & full)
+        mh = pv & xh
+        if ph & high:
+            score += 1
+        elif mh & high:
+            score -= 1
+        ph = ((ph << 1) | carry) & full
+        mh = (mh << 1) & full
+        pv = mh | (~(xv | ph) & full)
+        mv = ph & xv
+        yield score
+
+
+def reference_best_ends(pattern: str, text: str) -> tuple[int, list[int]]:
+    best, ends = len(pattern), [0]
+    rows = reference_last_row(pattern, text, global_mode=False)
+    for end, distance in enumerate(rows, start=1):
+        if distance < best:
+            best, ends = distance, [end]
+        elif distance == best:
+            ends.append(end)
+    return best, ends
+
+
+def reference_leftmost_window(pattern: str, text: str, distance: int,
+                              ends: list[int]) -> tuple[int, int]:
+    reversed_pattern = pattern[::-1]
+    best_start, best_end = len(text) + 1, 0
+    for end in ends:
+        lowest = max(0, end - len(pattern) - distance)
+        if lowest >= best_start:
+            break
+        longest = 0
+        rows = reference_last_row(reversed_pattern, text[lowest:end][::-1], global_mode=True)
+        for length, suffix_distance in enumerate(rows, start=1):
+            if suffix_distance == distance:
+                longest = length
+        if end - longest < best_start:
+            best_start, best_end = end - longest, end
+    return best_start, best_end
+
+
+def assert_kernel_equals_reference(pattern: str, text: str) -> None:
+    distance, ends = _best_ends(pattern, text)
+    assert (distance, ends) == reference_best_ends(pattern, text), (pattern, text)
+    assert _leftmost_window(pattern, text, distance, ends) == \
+        reference_leftmost_window(pattern, text, distance, ends), (pattern, text)
+
+
+def mutate(rng: random.Random, text: str, alphabet: str, edits: int) -> str:
+    chars = list(text)
+    for _ in range(edits):
+        position = rng.randrange(len(chars) + 1)
+        kind = rng.randrange(3)
+        if kind == 0 or not chars or position == len(chars):
+            chars.insert(position, rng.choice(alphabet))
+        elif kind == 1:
+            chars[position] = rng.choice(alphabet)
+        else:
+            del chars[position]
+    return "".join(chars)
+
+
+def test_transposed_kernel_equals_the_column_wise_reference_on_small_alphabets() -> None:
+    edge_cases = [
+        ("", ""), ("", "abc"), ("abc", ""), (" ", ""), ("", " "), ("a", "a"),
+        ("ß", "ss"), ("ss", "ß"), ("ﬁ", "fi"), ("i̇", "İ"), ("aa", "aaaaaa"),
+    ]
+    for pattern, text in edge_cases:
+        assert_kernel_equals_reference(pattern, text)
+        assert_kernel_equals_reference(normalize_for_match(pattern), normalize_for_match(text))
+    # Small alphabets force many tied distances, starts and ends.
+    rng = random.Random(17)
+    alphabets = ("a", "ab", "ab ", "abc", "aßﬁİ s", "aßﬁİ s".casefold(), "abcdefgh")
+    for _ in range(6000):
+        alphabet = rng.choice(alphabets)
+        pattern = "".join(rng.choice(alphabet) for _ in range(rng.randint(0, 14)))
+        text = "".join(rng.choice(alphabet) for _ in range(rng.randint(0, 40)))
+        if rng.random() < 0.5:
+            pattern, text = normalize_for_match(pattern), normalize_for_match(text)
+        assert_kernel_equals_reference(pattern, text)
+
+
+def test_transposed_kernel_equals_the_column_wise_reference_on_long_patterns() -> None:
+    rng = random.Random(19)
+    for _ in range(300):
+        alphabet = rng.choice(("ab ", "abcd ", "aßﬁİ bc"))
+        text = "".join(rng.choice(alphabet) for _ in range(rng.randint(60, 240)))
+        start = rng.randrange(len(text))
+        pattern = mutate(rng, text[start:start + rng.randint(40, 90)], alphabet + "x",
+                         rng.randint(0, 8))
+        assert_kernel_equals_reference(pattern, text)
+
+
+def test_transposed_kernel_equals_the_column_wise_reference_on_real_pages(
+        samples_dir: Path) -> None:
+    pages = [page.match_text for page in load_corpus(samples_dir / "transcript.txt").pages]
+    assert all(500 <= len(text) <= 1300 for text in pages)
+    rng = random.Random(23)
+    for text in pages:
+        for edits in (0, 1, 3, 8, 25):
+            start = rng.randrange(len(text) - 40)
+            pattern = mutate(rng, text[start:start + rng.randint(40, 90)],
+                             "abcdefghijklmnopqrstuvwxyz ,.'", edits)
+            assert_kernel_equals_reference(pattern, text)
+        foreign = normalize_for_match("Quantum zebras orbit the flute concerto at dawn.")
+        assert_kernel_equals_reference(foreign, text)
+
+
 def test_aligner_runs_once_per_quote_and_pages_normalize_at_most_once(
         monkeypatch: pytest.MonkeyPatch) -> None:
     paragraphs = list(PAGE_ONE + PAGE_TWO) + [
@@ -329,7 +457,9 @@ def test_aligner_runs_once_per_quote_and_pages_normalize_at_most_once(
                label="Two sentences"),
         record("I changed to midwifery and I fell in love with it.", page=1, label="Mutated"),
         record("the visa office lost my papers twice.", page=3, label="Exact"),
+        record("The VISA office  lost my papers", page=3, label="Cased"),
         record("nothing like this was ever said", page=4, label="Foreign"),
+        record("THE FIRST WINTER was harder", page=4, label="Cased elsewhere"),
     ]
 
     aligned: list[str] = []
@@ -339,36 +469,57 @@ def test_aligner_runs_once_per_quote_and_pages_normalize_at_most_once(
         aligned.append(text)
         return original_best_ends(pattern, text)
 
-    normalized: Counter[str] = Counter()
-    original_normalize = thematica.corpus.normalize_with_map
+    match_texts: Counter[str] = Counter()
+    original_normalize = thematica.corpus.normalize_for_match
 
-    def counting_normalize(text: str):
-        normalized[text] += 1
+    def counting_normalize(text: str) -> str:
+        match_texts[text] += 1
         return original_normalize(text)
 
+    span_maps: Counter[str] = Counter()
+    original_source_index = thematica.corpus.source_index
+
+    def counting_source_index(text: str, normalized: str):
+        span_maps[text] += 1
+        return original_source_index(text, normalized)
+
     monkeypatch.setattr(thematica.trace, "_best_ends", counting_best_ends)
-    monkeypatch.setattr(thematica.corpus, "normalize_with_map", counting_normalize)
+    monkeypatch.setattr(thematica.corpus, "normalize_for_match", counting_normalize)
+    monkeypatch.setattr(thematica.corpus, "source_index", counting_source_index)
 
     report = verify_codebook(records, corpus)
     levels = {r.record.label: r.level for r in report.results}
     assert levels == {"Wrong page": FAILED, "Two sentences": FAILED, "Mutated": FUZZY,
-                      "Exact": EXACT, "Foreign": FAILED}
-    assert sorted(normalized.values()) == [1] * len(normalized)
-    assert set(normalized) <= {page.text for page in corpus.pages}
-    assert len(normalized) > 1
+                      "Exact": EXACT, "Cased": NORMALIZED, "Foreign": FAILED,
+                      "Cased elsewhere": FAILED}
+    assert "found on page 2 (normalized)" in report.results[-1].notes
+    # Each page's match text is built at most once, and only a page's own.
+    assert sorted(match_texts.values()) == [1] * len(match_texts)
+    assert set(match_texts) <= {page.text for page in corpus.pages}
+    assert len(match_texts) > 1
+    # A span map is built once for each page that reports a Normalized or
+    # Fuzzy span, and for no other page.
+    spanned = {corpus.pages[r.record.page - 1].text for r in report.results
+               if r.level in (NORMALIZED, FUZZY)}
+    assert span_maps == Counter(dict.fromkeys(spanned, 1))
+    assert len(spanned) == 2
 
     for item in records:
         aligned.clear()
         verify_quote(item, corpus)
-        cited_text = corpus.pages[item.page - 1].normalized[0]
+        cited_text = corpus.pages[item.page - 1].match_text
         assert aligned in ([], [cited_text]), item.label
+    assert sorted(match_texts.values()) == [1] * len(match_texts)
+    assert span_maps == Counter(dict.fromkeys(spanned, 1))
 
 
 def test_exact_quotes_never_normalize_a_page(monkeypatch: pytest.MonkeyPatch) -> None:
     corpus = two_page_corpus()
     calls: list[str] = []
-    monkeypatch.setattr(thematica.corpus, "normalize_with_map",
-                        lambda text: calls.append(text) or ("", []))
+    monkeypatch.setattr(thematica.corpus, "normalize_for_match",
+                        lambda text: calls.append(text) or "")
+    monkeypatch.setattr(thematica.corpus, "source_index",
+                        lambda text, normalized: calls.append(text) or (lambda position: 0))
     report = verify_codebook([record(text, page=2) for text in PAGE_TWO], corpus)
     assert report.counts[EXACT] == 2
     assert calls == []
