@@ -26,6 +26,7 @@ from .codebook import (
     Matcher,
     MatchResult,
     load_alias_map,
+    load_alias_matcher,
     load_human_codebook,
     match_codes,
     merge_codebooks,

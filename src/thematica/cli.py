@@ -23,7 +23,7 @@ from .codebook import (
     MATCHER_MODES,
     Codebook,
     Matcher,
-    load_alias_map,
+    load_alias_matcher,
     load_human_codebook,
     match_codes,
     merge_codebooks,
@@ -181,14 +181,12 @@ def _build_matcher(config: RunConfig) -> Matcher:
     if config.matcher not in MATCHER_MODES:
         raise ConfigError(f"unknown matcher mode {config.matcher!r}; "
                           f"choose from {', '.join(MATCHER_MODES)}")
-    alias = None
-    if config.matcher == ALIAS_MAP:
+    try:
+        if config.matcher != ALIAS_MAP:
+            return Matcher(mode=config.matcher, jaccard_threshold=config.jaccard_threshold)
         if not config.alias_map:
             raise ConfigError("matcher alias_map requires --alias-map PATH")
-        alias = load_alias_map(config.alias_map)
-    try:
-        return Matcher(mode=config.matcher, alias_map=alias,
-                       jaccard_threshold=config.jaccard_threshold)
+        return load_alias_matcher(config.alias_map, config.jaccard_threshold)
     except ValueError as exc:
         raise ConfigError(str(exc)) from exc
 

@@ -4,16 +4,22 @@ A codebook houses one coder's codes and themes, whether produced by a human
 or by a model.  Matching between two codebooks is deterministic and comes in
 three modes: exact label equality after normalization, an explicit alias map
 recording a reviewer's similarity judgments, and a token-overlap
-approximation.  Merging follows the counting rule: similar codes count once,
-outliers count separately.
+approximation.  Token-overlap matching scores only the label pairs that share
+one of their rarest tokens (prefix filtering), which finds every pair at or
+above the Jaccard threshold with work that grows with the number of labels,
+not with the number of pairs.  Merging follows the counting rule: similar
+codes count once, outliers count separately.
 """
 
 from __future__ import annotations
 
 import csv
 import logging
+import math
 import re
+from collections import Counter, defaultdict
 from dataclasses import dataclass, field
+from itertools import chain
 from pathlib import Path
 
 from .errors import (
@@ -151,14 +157,47 @@ def match_codes(a: Codebook, b: Codebook, matcher: Matcher) -> MatchResult:
 
 
 def _match_token_overlap(a: Codebook, b: Codebook, matcher: Matcher) -> MatchResult:
-    """Greedy best-first pairing: key-equal labels first, then by Jaccard score."""
-    tokens_b = [(record, frozenset(record.key.split())) for record in b.codes]
+    """Greedy best-first pairing: key-equal labels first, then by Jaccard score.
+
+    Every pair at or above the threshold is a candidate, but only pairs whose
+    token prefixes meet are scored (prefix filtering: Bayardo, Ma & Srikant
+    2007; Xiao et al. 2008), so the work grows with the number of labels, not
+    of pairs.  Tokens are ordered rarest first over both codebooks; when
+    Jaccard(x, y) >= t, the first |x| - ceil(t*|x|) + 1 tokens of x and the
+    first |y| - ceil(t*|y|) + 1 tokens of y share a token.  Candidates sort by
+    the total order (keys differ, -score, label_a, label_b), so the order the
+    index yields them in cannot change the result.
+    """
+    threshold = matcher.jaccard_threshold
+    sets_a = [frozenset(record.key.split()) for record in a.codes]
+    sets_b = [frozenset(record.key.split()) for record in b.codes]
+    frequency = Counter(chain.from_iterable(sets_a + sets_b))
+    rank = {token: position for position, token
+            in enumerate(sorted(frequency, key=lambda token: (frequency[token], token)))}
+
+    def prefix(tokens: frozenset[str]) -> list[str]:
+        if not tokens:
+            # An empty key scores 1.0 against the other empty key and 0 against
+            # the rest; "" is no token, so it indexes just the empty keys.
+            return [""]
+        # At Jaccard >= t a partner shares at least ceil(t*|y|) tokens.  The
+        # slack absorbs float error in the product (0.28 * 25 is
+        # 7.000000000000001) and in the scored quotient, so it can only
+        # lengthen a prefix.
+        shared = math.ceil(threshold * len(tokens) - 1e-9)
+        return sorted(tokens, key=rank.__getitem__)[:len(tokens) - shared + 1]
+
+    index: defaultdict[str, list[int]] = defaultdict(list)
+    for position, tokens in enumerate(sets_b):
+        for token in prefix(tokens):
+            index[token].append(position)
     candidates: list[tuple[bool, float, str, str]] = []
-    for record_a in a.codes:
-        tokens_a = frozenset(record_a.key.split())
-        for record_b, set_b in tokens_b:
-            similarity = _token_jaccard(tokens_a, set_b)
-            if similarity >= matcher.jaccard_threshold:
+    for record_a, tokens_a in zip(a.codes, sets_a):
+        for position in {position for token in prefix(tokens_a)
+                         for position in index.get(token, ())}:
+            similarity = _token_jaccard(tokens_a, sets_b[position])
+            if similarity >= threshold:
+                record_b = b.codes[position]
                 candidates.append((record_a.key != record_b.key, -similarity,
                                    record_a.label, record_b.label))
     candidates.sort()
@@ -322,7 +361,19 @@ def _load_theme_sidecar(path: str | Path) -> dict[str, str]:
 
 
 def load_alias_map(path: str | Path) -> dict[str, str]:
-    """Load a reviewer's alias map from CSV with columns from_label, to_label."""
+    """Load a reviewer's alias map from CSV with columns from_label, to_label.
+
+    Raises SchemaError for a malformed map and AliasChain when a target is
+    itself aliased.
+    """
+    return load_alias_matcher(path).alias_map
+
+
+def load_alias_matcher(path: str | Path, jaccard_threshold: float = 0.6) -> Matcher:
+    """The alias-mode Matcher of the alias map at ``path`` (see :func:`load_alias_map`).
+
+    Building the Matcher resolves every alias key once and rejects chains.
+    """
     path = Path(path)
     with path.open(encoding="utf-8", newline="") as handle:
         reader = csv.DictReader(handle)
@@ -340,5 +391,4 @@ def load_alias_map(path: str | Path) -> dict[str, str]:
                 raise SchemaError(f"{path.name}:{line}: {source!r} aliased to both "
                                   f"{existing!r} and {target!r}")
             mapping[source] = target
-    Matcher(mode=ALIAS_MAP, alias_map=mapping)
-    return mapping
+    return Matcher(mode=ALIAS_MAP, alias_map=mapping, jaccard_threshold=jaccard_threshold)

@@ -14,6 +14,7 @@ from conftest import source_env
 
 import thematica
 import thematica.cli
+import thematica.codebook
 from thematica.cli import main
 from thematica.errors import (
     AuthError,
@@ -215,6 +216,40 @@ def test_alias_matcher_requires_map_path(
                  "--human", "coder1.csv", "--matcher", "alias_map"])
     assert code == 1
     assert "--alias-map" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("content, message", [
+    (b"from_label,to_label\nA,B\nB,C\n", "error: alias target 'B' is itself aliased to 'C'"),
+    (b"from_label,to_label\n\xff,B\n", "configuration error: 'utf-8' codec can't decode byte 0xff"),
+], ids=["chained", "not-utf-8"])
+def test_unusable_alias_map_is_a_one_line_error(
+        analyzed_workspace: Path, monkeypatch: pytest.MonkeyPatch, capsys,
+        content: bytes, message: str) -> None:
+    monkeypatch.chdir(analyzed_workspace)
+    Path("aliases.csv").write_bytes(content)
+    code = main(["compare", "--artifact", "out/analysis.json", "--human", "coder1.csv",
+                 "--matcher", "alias_map", "--alias-map", "aliases.csv"])
+    assert code == 1
+    captured = capsys.readouterr()
+    assert captured.err.startswith(message)
+    assert captured.err.count("\n") == 1
+    assert captured.out == ""
+
+
+def test_alias_matcher_computes_each_alias_key_once(monkeypatch: pytest.MonkeyPatch) -> None:
+    keys: list[str] = []
+    label_key = thematica.codebook.label_key
+
+    def counted(label: str) -> str:
+        keys.append(label)
+        return label_key(label)
+
+    monkeypatch.setattr(thematica.codebook, "label_key", counted)
+    matcher = thematica.cli._build_matcher(thematica.cli.RunConfig(
+        matcher="alias_map", alias_map=str(SAMPLES / "alias_map.csv")))
+    # One key per source label and one per target label of the 117 rows.
+    assert len(matcher.alias_map) == 117
+    assert len(keys) == 2 * len(matcher.alias_map)
 
 
 def test_compare_two_coders_prints_agreement_summary(

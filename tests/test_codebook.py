@@ -3,12 +3,14 @@
 from __future__ import annotations
 
 import logging
+import random
 from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import thematica.codebook
 from thematica.codebook import (
     ALIAS_MAP,
     EXACT_NORMALIZED,
@@ -176,6 +178,115 @@ def test_match_codes_token_mode_pairs_key_equal_labels_before_permutations() -> 
     merged, count = merge_codebooks(first, second, result)
     assert count == 2
     assert merged.labels == ("Family Support Network", "Network Support Family")
+
+
+def reference_token_overlap(a: Codebook, b: Codebook, threshold: float) -> MatchResult:
+    """All-pairs reference for token-overlap matching: every label pair is scored.
+
+    Candidates sort key-equal first, then by descending Jaccard, then by
+    labels; a greedy pass keeps each label's first candidate.
+    """
+    candidates = sorted(
+        (label_key(label_a) != label_key(label_b), -jaccard(label_a, label_b), label_a, label_b)
+        for label_a in a.labels for label_b in b.labels
+        if jaccard(label_a, label_b) >= threshold)
+    partner: dict[str, str] = {}
+    for _, _, label_a, label_b in candidates:
+        if label_a not in partner and label_b not in partner.values():
+            partner[label_a] = label_b
+    return MatchResult(
+        pairs=tuple((label, partner[label]) for label in a.labels if label in partner),
+        outliers_a=tuple(label for label in a.labels if label not in partner),
+        outliers_b=tuple(label for label in b.labels if label not in partner.values()),
+    )
+
+
+# A few very frequent tokens, so that rarest-first prefixes collide.
+_COMMON = ("Support", "Family", "Work")
+_RARE = tuple(f"Word{index}" for index in range(24))
+
+
+def random_labels(rng: random.Random, count: int, borrow: list[str] = ()) -> list[str]:
+    """``count`` labels of 1 to 10 tokens with distinct keys, one of them
+    empty-keyed, some permuted and recased copies of labels from ``borrow``."""
+    labels, keys = ["..."], {""}
+    while len(labels) < count:
+        if borrow and rng.random() < 0.3:
+            words = rng.choice(borrow).split()
+            rng.shuffle(words)
+            words = [rng.choice((str.lower, str.upper, str.title))(word) for word in words]
+        else:
+            words = [rng.choice(_COMMON) if rng.random() < 0.4 else rng.choice(_RARE)
+                     for _ in range(rng.randint(1, 10))]
+        label = " ".join(words)
+        if label_key(label) not in keys:
+            keys.add(label_key(label))
+            labels.append(label)
+    rng.shuffle(labels)
+    return labels
+
+
+@pytest.mark.parametrize("threshold", [0.01, 0.25, 1 / 3, 0.6, 0.7, 0.75, 1.0])
+def test_token_overlap_matching_equals_the_all_pairs_reference(threshold: float) -> None:
+    matcher = Matcher(mode=TOKEN_OVERLAP, jaccard_threshold=threshold)
+    for seed in range(40):
+        rng = random.Random(seed)
+        labels_a = random_labels(rng, 30)
+        first, second = book("c1", labels_a), book("c2", random_labels(rng, 30, labels_a))
+        assert match_codes(first, second, matcher) == reference_token_overlap(
+            first, second, threshold), f"seed {seed}"
+
+
+def test_token_overlap_keeps_pairs_exactly_at_the_threshold() -> None:
+    # The pair scores 7 / 25 = 0.28, and 0.28 * 25 is 7.000000000000001 in
+    # floats.  The 18 tokens only the first label has are the rarest, so a
+    # prefix one token short would hold none of the shared ones.
+    shared = [f"Both{index}" for index in range(7)]
+    first = book("c1", [" ".join([f"Own{index:02d}" for index in range(18)] + shared)])
+    second = book("c2", [" ".join(shared)])
+    result = match_codes(first, second, Matcher(mode=TOKEN_OVERLAP, jaccard_threshold=0.28))
+    assert result.pairs == ((first.labels[0], second.labels[0]),)
+
+
+def three_word_labels(rng: random.Random, size: int, own: str, other: str,
+                      shared_word: str) -> list[str]:
+    """``size`` labels of ``shared_word`` and two words, with distinct keys.
+    One word in ten comes from the other book's vocabulary of 512 words."""
+    labels: dict[str, str] = {}
+    while len(labels) < size:
+        label = shared_word + " ".join(f"{other if rng.random() < 0.1 else own}{rng.randrange(512)}"
+                                  for _ in range(2))
+        labels.setdefault(label_key(label), label)
+    return list(labels.values())
+
+
+@pytest.mark.parametrize("shared_word", ["", "Support "], ids=["disjoint", "shared-word"])
+def test_token_overlap_scores_a_linear_number_of_pairs(
+        monkeypatch: pytest.MonkeyPatch, shared_word: str) -> None:
+    # Two 1,024-label books with mostly disjoint vocabularies; every 16th label
+    # of the second is a reordered copy of one of the first.  With a word that
+    # every label shares, a plain token index would score all n * n pairs.
+    size = 1024
+    rng = random.Random(7)
+    labels_a = three_word_labels(rng, size, "alpha", "beta", shared_word)
+    labels_b = three_word_labels(rng, size, "beta", "alpha", shared_word)
+    planted = {labels_a[index * 7 % size]: index for index in range(0, size, 16)}
+    for label, index in planted.items():
+        labels_b[index] = " ".join(reversed(label.split()))
+    calls = 0
+    score = thematica.codebook._token_jaccard
+
+    def counted(tokens_a: frozenset[str], tokens_b: frozenset[str]) -> float:
+        nonlocal calls
+        calls += 1
+        return score(tokens_a, tokens_b)
+
+    monkeypatch.setattr(thematica.codebook, "_token_jaccard", counted)
+    result = match_codes(book("c1", labels_a), book("c2", labels_b),
+                         Matcher(mode=TOKEN_OVERLAP))
+    assert {(label, labels_b[index]) for label, index in planted.items()} <= set(result.pairs)
+    # The all-pairs loop scores size * size = 1,048,576 pairs.
+    assert calls <= 4 * size
 
 
 def test_match_codes_requires_nonempty_books() -> None:
