@@ -460,8 +460,10 @@ def _build_parser() -> argparse.ArgumentParser:
 def main(argv: list[str] | None = None) -> int:
     parser = _build_parser()
     args = parser.parse_args(argv)
-    logging.basicConfig(level=logging.INFO if args.verbose else logging.WARNING,
-                        format="%(levelname)s %(name)s: %(message)s")
+    # basicConfig does nothing once the root logger has a handler, so the
+    # level goes on the package logger, where every call in a process sets it.
+    logging.basicConfig(format="%(levelname)s %(name)s: %(message)s")
+    logging.getLogger("thematica").setLevel(logging.INFO if args.verbose else logging.WARNING)
 
     try:
         file_data = _load_config_file(args.config)

@@ -154,7 +154,8 @@ def parse_code_block(reply: str, expected_page: int, provenance: str = "llm") ->
     """Parse one page's extraction reply into CodeRecords.
 
     Codes missing a page reference fall back to ``expected_page`` with a
-    warning; codes missing a quote are excluded with a warning.  Content from
+    warning; codes missing a quote, or whose quote is blank once its quote
+    marks are stripped, are excluded with a warning.  Content from
     the emerging-code list delimiter onward belongs to
     :func:`parse_emerging_code_list` and is treated as boilerplate here.
     """
@@ -178,19 +179,19 @@ def parse_code_block(reply: str, expected_page: int, provenance: str = "llm") ->
         recognized += 1
         for stray_line, stray_text in open_record.stray:
             warnings.append(ParseWarning(stray_line, "unrecognized_attribute", stray_text))
-        if open_record.quote is None:
-            warnings.append(ParseWarning(
-                open_record.start_line, "missing_quote",
-                f"code {open_record.label!r} has no supporting sentence; excluded",
-            ))
-        else:
-            _finalize(open_record.label, open_record.quote, open_record.page,
-                      (open_record.start_line, open_record.last_line), open_record.dialect)
+        _finalize(open_record.label, open_record.quote or "", open_record.page,
+                  (open_record.start_line, open_record.last_line), open_record.dialect)
         open_record = None
 
     def _finalize(label: str, quote: str, page: int | None,
                   span: tuple[int, int], dialect: str) -> None:
         nonlocal recognized
+        if not quote.strip():
+            warnings.append(ParseWarning(
+                span[0], "missing_quote",
+                f"code {label!r} has no supporting sentence; excluded",
+            ))
+            return
         clean = normalize_label(label)
         if not clean:
             warnings.append(ParseWarning(span[0], "empty_label", "code label empty after cleanup; excluded"))

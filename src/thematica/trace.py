@@ -13,11 +13,23 @@ Fuzzy scoring uses Myers' bit-parallel approximate string matching (Myers
 edit-distance table: an n-bit Python int holds a row, one bit per character
 of the normalized cited page, and each of the m normalized quote characters
 is one round of big-int operations.  A quote costs m rounds over an n-bit
-int, not n rounds.  The matched window's start is recovered only when the
-similarity reaches the threshold, by reverse global passes of the same
-kernel over at most m + d characters before each best end (d the distance).
-Ties resolve to the lowest distance, then the leftmost start, then the
-leftmost end.
+int, not n rounds.
+
+A partition (pigeonhole) filter narrows those n bits first (Baeza-Yates &
+Navarro 1999, Algorithmica 23(2); Navarro 2001, ACM Comput. Surv. 33(1)):
+a window within k edits of the quote holds one of k + 1 pieces of the quote
+unchanged.  The rounds first run over the span that the first and last
+occurrences of the quote's two halves allow, found by ``str.find`` and
+``str.rfind``; a best distance of 0 or 1 there is the page's.  A larger
+best b is an upper bound, and one more pass over the span of b + 1 pieces
+is exact.  A quote with one edit so aligns over about m + 2 characters, not
+the page; one with no intact half runs over the whole page once, as before;
+and a failed quote that keeps a half intact pays one extra short pass.
+
+The matched window's start is recovered only when the similarity reaches
+the threshold, by reverse global passes of the same kernel over at most
+m + d characters before each best end (d the distance).  Ties resolve to
+the lowest distance, then the leftmost start, then the leftmost end.
 
 The "found on page k" scan and the per-sentence diagnostics only need the
 Exact and Normalized levels, so they check substrings and never align.  A
@@ -125,18 +137,55 @@ def _bottom_row(pattern: str, text: str, global_mode: bool) -> list[int]:
     return list(accumulate(map(sub, plus, minus), initial=len(pattern)))
 
 
+def _piece_span(pattern: str, text: str, margin: int) -> tuple[int, int] | None:
+    """The span of text holding every window within ``margin`` edits of pattern.
+
+    Cuts the pattern into margin + 1 pieces at m*i//(margin + 1); a window
+    within ``margin`` edits contains one of them unchanged (pigeonhole), so
+    it lies within ``margin`` characters of that piece's aligned place.
+    Returns None when no piece occurs in text.
+    """
+    m = len(pattern)
+    pieces = margin + 1
+    lowest, highest = len(text), -1
+    for i in range(pieces):
+        offset = m * i // pieces
+        piece = pattern[offset:m * (i + 1) // pieces]
+        first = text.find(piece)
+        if first >= 0:
+            lowest = min(lowest, first - offset - margin)
+            highest = max(highest, text.rfind(piece) - offset + m + margin)
+    if highest < 0:
+        return None
+    return max(0, lowest), min(len(text), highest)
+
+
 def _best_ends(pattern: str, text: str) -> tuple[int, list[int]]:
     """Lowest edit distance from pattern to any window of text.
 
     Returns the distance and, ascending, every end j such that some window
     text[s:j] reaches it (j = 0, the empty window, counts at distance m).
+
+    The row first runs over the span that the pattern's two halves allow
+    (:func:`_piece_span` with margin 1).  A best distance b <= 1 there is
+    the page's, and so is every end at it.  A larger b bounds the page's
+    best from above, so one more row over the span of b + 1 pieces is
+    exact.  When no half occurs, or the pattern is shorter than 2, the row
+    runs over the whole text.
     """
-    row = _bottom_row(pattern, text, global_mode=False)
-    best = min(row)
+    margin = 1
+    while True:
+        span = _piece_span(pattern, text, margin) if len(pattern) > 1 else None
+        lo, hi = span if span is not None else (0, len(text))
+        row = _bottom_row(pattern, text[lo:hi], global_mode=False)
+        best = min(row)
+        if span is None or best <= margin:
+            break
+        margin = best
     ends = [row.index(best)]
     for _ in range(row.count(best) - 1):
         ends.append(row.index(best, ends[-1] + 1))
-    return best, ends
+    return best, [lo + end for end in ends]
 
 
 def _leftmost_window(pattern: str, text: str, distance: int, ends: list[int]) -> tuple[int, int]:

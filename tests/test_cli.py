@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import json
+import logging
 import os
 import shutil
 import subprocess
@@ -358,6 +359,30 @@ def test_output_dir_flag_overrides_config_value(
     assert code == 0
     assert (sample_workspace / "elsewhere" / "analysis.json").exists()
     assert not (sample_workspace / "out").exists()
+
+
+@pytest.mark.parametrize("order", [(True, False), (False, True)],
+                         ids=["verbose-then-quiet", "quiet-then-verbose"])
+def test_verbose_applies_to_each_call_in_a_process(
+        sample_workspace: Path, monkeypatch: pytest.MonkeyPatch, caplog,
+        order: tuple[bool, bool]) -> None:
+    # With no transport configured, analyze logs at INFO which fixture it replays.
+    monkeypatch.chdir(sample_workspace)
+    config = json.loads(Path("run_config.json").read_text(encoding="utf-8"))
+    del config["transport"]
+    Path("auto_replay.json").write_text(json.dumps(config), encoding="utf-8")
+    package_logger = logging.getLogger("thematica")
+    previous = package_logger.level
+    try:
+        for verbose in order:
+            caplog.clear()
+            flags = ["--verbose"] if verbose else []
+            assert main(["--config", "auto_replay.json", *flags, "analyze"]) == 0
+            replayed = [record.levelno for record in caplog.records
+                        if record.getMessage() == "replaying fixture session.json"]
+            assert replayed == ([logging.INFO] if verbose else []), verbose
+    finally:
+        package_logger.setLevel(previous)
 
 
 def test_unknown_config_key_is_a_configuration_error(

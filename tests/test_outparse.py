@@ -245,6 +245,21 @@ def test_code_missing_quote_is_excluded_with_warning() -> None:
     assert [w.kind for w in report.warnings] == ["missing_quote"]
 
 
+@pytest.mark.parametrize("blank", ['""', '" "', "“  ”"])
+@pytest.mark.parametrize("template", [
+    '1. **Blank Code**: {blank} - Page 1\n2. **Kept Code**: "real words" - Page 1\n',
+    "Emerging Code: **Blank Code**\n- Supporting Sentence: {blank}\n- Page: Page 1\n"
+    'Emerging Code: **Kept Code**\n- Supporting Sentence: "real words"\n- Page: Page 1\n',
+    "Emerging Code: **Blank Code**\n- Supporting Sentence:\t\n- Page: Page 1\n"
+    'Emerging Code: **Kept Code**\n- Supporting Sentence: "real words"\n- Page: Page 1\n',
+    '1. Blank Code\n- {blank}\n- Page 1\n2. Kept Code\n- "real words"\n- Page 1\n',
+], ids=["d1", "d2", "d2-bare", "d3"])
+def test_blank_quote_counts_as_missing_in_every_dialect(template: str, blank: str) -> None:
+    report = parse_code_block(template.format(blank=blank), expected_page=1)
+    assert [(r.label, r.quote) for r in report.records] == [("Kept Code", "real words")]
+    assert [(w.line, w.kind) for w in report.warnings] == [(1, "missing_quote")]
+
+
 def test_unrecognized_lines_are_reported_not_fatal() -> None:
     reply = INLINE_WITH_CUE + "\nstray commentary line\n"
     report = parse_code_block(reply, expected_page=1)

@@ -27,7 +27,9 @@ from thematica.trace import (
     NORMALIZED,
     TraceabilityReport,
     _best_ends,
+    _bottom_row,
     _leftmost_window,
+    _piece_span,
     verify_codebook,
     verify_quote,
 )
@@ -442,6 +444,86 @@ def test_transposed_kernel_equals_the_column_wise_reference_on_real_pages(
             assert_kernel_equals_reference(pattern, text)
         foreign = normalize_for_match("Quantum zebras orbit the flute concerto at dawn.")
         assert_kernel_equals_reference(foreign, text)
+
+
+def test_piece_filter_gives_the_full_page_distance_and_ends() -> None:
+    edge_cases = [
+        ("", ""), ("", "abc"), ("a", ""), ("ab", ""), ("abc", ""), ("a", "bab"),
+        ("ab", "ba"), ("ab", "xaby"), ("ab", "ab"), ("abab", "abababab"),
+        ("aaab", "aaaaaaaa"), ("abcd", "cdxxab"), ("ss", "ß"), ("ß", "strasse"),
+        ("fi", "ﬁ"), ("i̇", "İ"),
+    ]
+    for pattern, text in edge_cases:
+        for pair in ((pattern, text), (normalize_for_match(pattern), normalize_for_match(text))):
+            assert _best_ends(*pair) == reference_best_ends(*pair), pair
+
+    rng = random.Random(29)
+    alphabets = ("ab", "abc", "ab ", "aßﬁİ s", "abcdefgh ")
+    for case in range(4000):
+        alphabet = rng.choice(alphabets)
+        kind = case % 4
+        if kind == 0:  # repeated, overlapping pieces
+            unit = "".join(rng.choice(alphabet) for _ in range(rng.randint(1, 4)))
+            text = mutate(rng, unit * rng.randint(1, 12), alphabet, rng.randint(0, 3))
+            pattern = mutate(rng, unit * rng.randint(1, 6), alphabet, rng.randint(0, 3))
+        elif kind == 1:  # a half at each edge of the page, windows clipped by it
+            pattern = "".join(rng.choice(alphabet) for _ in range(rng.randint(2, 16)))
+            middle = "".join(rng.choice(alphabet) for _ in range(rng.randint(0, 20)))
+            half = len(pattern) // 2
+            text = pattern[half:] + middle + pattern[:half]
+            pattern = mutate(rng, pattern, alphabet, rng.randint(0, 2))
+        elif kind == 2:  # patterns of length 0, 1 and 2
+            pattern = "".join(rng.choice(alphabet) for _ in range(case % 3))
+            text = "".join(rng.choice(alphabet) for _ in range(rng.randint(0, 12)))
+        else:  # a mutated window of a random page
+            text = "".join(rng.choice(alphabet) for _ in range(rng.randint(0, 60)))
+            start = rng.randrange(len(text) + 1)
+            pattern = mutate(rng, text[start:start + rng.randint(1, 30)], alphabet + "x",
+                             rng.randint(0, 6))
+        if rng.random() < 0.5:
+            pattern, text = normalize_for_match(pattern), normalize_for_match(text)
+        assert _best_ends(pattern, text) == reference_best_ends(pattern, text), (pattern, text)
+
+    # The first half sits verbatim at a 3-edit window, so the first row reads
+    # 3; the best window is 2 edits away with one edit in each half, and only
+    # the second row, over the span of four pieces, finds it.
+    pattern = "abcdefghijklmnop"
+    three_edits = "abcdefgh" + "iXkYmZop"
+    two_edits = "abcdeQgh" + "ijkRmnop"
+    text = "zz " + two_edits + " " * 30 + three_edits + " zz"
+    lo, hi = _piece_span(pattern, text, 1)
+    assert text[lo:hi] == " " + three_edits + " "
+    assert min(_bottom_row(pattern, text[lo:hi], global_mode=False)) == 3
+    assert _best_ends(pattern, text) == reference_best_ends(pattern, text)
+    assert _best_ends(pattern, text) == (2, [3 + len(two_edits)])
+
+
+def test_piece_filter_aligns_a_one_edit_quote_only_around_its_intact_half(
+        monkeypatch: pytest.MonkeyPatch) -> None:
+    page = normalize_for_match(" ".join(PAGE_ONE + PAGE_TWO))
+    quote = normalize_for_match("I chanced on midwifery and I fell in love with it.")
+    lengths: list[int] = []
+    original_bottom_row = thematica.trace._bottom_row
+
+    def recording_bottom_row(pattern: str, text: str, global_mode: bool) -> list[int]:
+        lengths.append(len(text))
+        return original_bottom_row(pattern, text, global_mode)
+
+    monkeypatch.setattr(thematica.trace, "_bottom_row", recording_bottom_row)
+    m = len(quote)
+    one_edit = [quote[:position] + edit + quote[position + 1:]
+                for position in (4, m // 2 + 4) for edit in ("#", "", "#" + quote[position])]
+    for pattern in one_edit:
+        lengths.clear()
+        result = _best_ends(pattern, page)
+        assert result == reference_best_ends(pattern, page)
+        assert result[0] == 1
+        assert len(lengths) == 1 and lengths[0] <= len(pattern) + 2, pattern
+    # An edit in each half leaves no half intact: one row over the whole page.
+    no_intact_half = "#" + quote[1:-1] + "#"
+    lengths.clear()
+    assert _best_ends(no_intact_half, page) == reference_best_ends(no_intact_half, page)
+    assert lengths == [len(page)]
 
 
 def test_aligner_runs_once_per_quote_and_pages_normalize_at_most_once(
