@@ -21,10 +21,11 @@ a window within k edits of the quote holds one of k + 1 pieces of the quote
 unchanged.  The rounds first run over the span that the first and last
 occurrences of the quote's two halves allow, found by ``str.find`` and
 ``str.rfind``; a best distance of 0 or 1 there is the page's.  A larger
-best b is an upper bound, and one more pass over the span of b + 1 pieces
-is exact.  A quote with one edit so aligns over about m + 2 characters, not
-the page; one with no intact half runs over the whole page once, as before;
-and a failed quote that keeps a half intact pays one extra short pass.
+best there is only an upper bound, so the rounds then run over the whole
+page.  A quote with one edit so aligns over about m + 2 characters, not the
+page; one with no intact half runs over the whole page once, as before; and
+one whose best window is more than one edit away, but which keeps a half
+intact, pays the short pass on top of the full one.
 
 The matched window's start is recovered only when the similarity reaches
 the threshold, by reverse global passes of the same kernel over at most
@@ -137,24 +138,20 @@ def _bottom_row(pattern: str, text: str, global_mode: bool) -> list[int]:
     return list(accumulate(map(sub, plus, minus), initial=len(pattern)))
 
 
-def _piece_span(pattern: str, text: str, margin: int) -> tuple[int, int] | None:
-    """The span of text holding every window within ``margin`` edits of pattern.
+def _halves_span(pattern: str, text: str) -> tuple[int, int] | None:
+    """The span of text holding every window within one edit of pattern.
 
-    Cuts the pattern into margin + 1 pieces at m*i//(margin + 1); a window
-    within ``margin`` edits contains one of them unchanged (pigeonhole), so
-    it lies within ``margin`` characters of that piece's aligned place.
-    Returns None when no piece occurs in text.
+    A window within one edit contains one of the pattern's two halves (cut
+    at m // 2) unchanged, so it lies within one character of that half's
+    aligned place.  Returns None when neither half occurs in text.
     """
     m = len(pattern)
-    pieces = margin + 1
     lowest, highest = len(text), -1
-    for i in range(pieces):
-        offset = m * i // pieces
-        piece = pattern[offset:m * (i + 1) // pieces]
-        first = text.find(piece)
+    for offset, half in ((0, pattern[:m // 2]), (m // 2, pattern[m // 2:])):
+        first = text.find(half)
         if first >= 0:
-            lowest = min(lowest, first - offset - margin)
-            highest = max(highest, text.rfind(piece) - offset + m + margin)
+            lowest = min(lowest, first - offset - 1)
+            highest = max(highest, text.rfind(half) - offset + m + 1)
     if highest < 0:
         return None
     return max(0, lowest), min(len(text), highest)
@@ -166,22 +163,21 @@ def _best_ends(pattern: str, text: str) -> tuple[int, list[int]]:
     Returns the distance and, ascending, every end j such that some window
     text[s:j] reaches it (j = 0, the empty window, counts at distance m).
 
-    The row first runs over the span that the pattern's two halves allow
-    (:func:`_piece_span` with margin 1).  A best distance b <= 1 there is
-    the page's, and so is every end at it.  A larger b bounds the page's
-    best from above, so one more row over the span of b + 1 pieces is
-    exact.  When no half occurs, or the pattern is shorter than 2, the row
-    runs over the whole text.
+    The row first runs over :func:`_halves_span`.  A best distance b <= 1
+    there is the page's, and so is every end at it.  When b > 1, no half
+    occurs, or the pattern is shorter than 2, the row runs over the whole
+    text.
     """
-    margin = 1
-    while True:
-        span = _piece_span(pattern, text, margin) if len(pattern) > 1 else None
-        lo, hi = span if span is not None else (0, len(text))
+    span = _halves_span(pattern, text) if len(pattern) > 1 else None
+    lo = 0
+    if span is not None:
+        lo, hi = span
         row = _bottom_row(pattern, text[lo:hi], global_mode=False)
         best = min(row)
-        if span is None or best <= margin:
-            break
-        margin = best
+    if span is None or best > 1:
+        lo = 0
+        row = _bottom_row(pattern, text, global_mode=False)
+        best = min(row)
     ends = [row.index(best)]
     for _ in range(row.count(best) - 1):
         ends.append(row.index(best, ends[-1] + 1))

@@ -28,8 +28,8 @@ from thematica.trace import (
     TraceabilityReport,
     _best_ends,
     _bottom_row,
+    _halves_span,
     _leftmost_window,
-    _piece_span,
     verify_codebook,
     verify_quote,
 )
@@ -484,14 +484,14 @@ def test_piece_filter_gives_the_full_page_distance_and_ends() -> None:
             pattern, text = normalize_for_match(pattern), normalize_for_match(text)
         assert _best_ends(pattern, text) == reference_best_ends(pattern, text), (pattern, text)
 
-    # The first half sits verbatim at a 3-edit window, so the first row reads
-    # 3; the best window is 2 edits away with one edit in each half, and only
-    # the second row, over the span of four pieces, finds it.
+    # The first half sits verbatim at a 3-edit window, so the halves' row
+    # reads 3; the best window is 2 edits away with one edit in each half,
+    # and only the full-page row finds it.
     pattern = "abcdefghijklmnop"
     three_edits = "abcdefgh" + "iXkYmZop"
     two_edits = "abcdeQgh" + "ijkRmnop"
     text = "zz " + two_edits + " " * 30 + three_edits + " zz"
-    lo, hi = _piece_span(pattern, text, 1)
+    lo, hi = _halves_span(pattern, text)
     assert text[lo:hi] == " " + three_edits + " "
     assert min(_bottom_row(pattern, text[lo:hi], global_mode=False)) == 3
     assert _best_ends(pattern, text) == reference_best_ends(pattern, text)
@@ -524,6 +524,14 @@ def test_piece_filter_aligns_a_one_edit_quote_only_around_its_intact_half(
     lengths.clear()
     assert _best_ends(no_intact_half, page) == reference_best_ends(no_intact_half, page)
     assert lengths == [len(page)]
+    # Two edits in the second half: the first half's short row reads 2, an
+    # upper bound only, so the whole page follows once.
+    two_edits_in_one_half = quote[:-4] + "#" + quote[-3] + "#" + quote[-1]
+    lengths.clear()
+    result = _best_ends(two_edits_in_one_half, page)
+    assert result == reference_best_ends(two_edits_in_one_half, page)
+    assert result[0] == 2
+    assert len(lengths) == 2 and lengths[0] <= m + 2 and lengths[1] == len(page)
 
 
 def test_aligner_runs_once_per_quote_and_pages_normalize_at_most_once(
