@@ -13,10 +13,9 @@ from decimal import ROUND_HALF_UP, Decimal, localcontext
 from fractions import Fraction
 from typing import Sequence
 
-from .codebook import TOKEN_OVERLAP, Codebook, Matcher, MatchResult, match_codes
+from .codebook import Codebook, Matcher, MatchResult
 from .errors import (
     DegenerateMarginals,
-    EmptyCodebook,
     InconsistentMatch,
     LengthMismatch,
     PartExceedsTotal,
@@ -176,58 +175,25 @@ def positive_specific_agreement(x: Sequence[int], y: Sequence[int]) -> float:
     return float(Fraction(2 * both, positives))
 
 
-def presence_matrix(codebooks: Sequence[Codebook], matcher: Matcher,
-                    match: MatchResult | None = None) -> PresenceMatrix:
-    """Binary presence of each canonical label across several codebooks.
+def presence_matrix(first: Codebook, second: Codebook, match: MatchResult,
+                    matcher: Matcher) -> PresenceMatrix:
+    """Binary presence of the two codebooks' codes under the pairing ``match``.
 
-    In exact and alias modes a row is a canonical key.  Rows appear in
-    first-appearance order over codebooks scanned in the given order, each
-    labelled with the canonical label of its first record; a cell is 1 iff
-    that coder has a record with the row's key.
-
-    Token overlap is not transitive, so in that mode the rows follow the 1-to-1
-    pairing of exactly two codebooks (``match``, or :func:`match_codes` when it
-    is not given): one row per first-coder label, 1 in the second column when
-    paired, then one row per unpaired second-coder label.
+    One row per code of ``first``, with 1 in the second column when the code
+    is paired, then one row per unpaired code of ``second``.  Each row is
+    labelled with its code's canonical label.  So the matrix height is the
+    merge count, each column sums to its coder's code count, and positive
+    specific agreement is 2 × pairs / (|A| + |B|) in every matcher mode.
     """
-    if not codebooks:
-        raise EmptyCodebook("need at least one codebook")
-    coder_ids = tuple(codebook.coder_id for codebook in codebooks)
-    if matcher.mode == TOKEN_OVERLAP:
-        return _paired_presence(codebooks, matcher, match, coder_ids)
-    rows: dict[str, list[int]] = {}
-    row_labels: list[str] = []
-    for column, codebook in enumerate(codebooks):
-        for record in codebook.codes:
-            label, key = matcher.resolve(record.label, record.key)
-            row = rows.get(key)
-            if row is None:
-                row = rows[key] = [0] * len(codebooks)
-                row_labels.append(label)
-            row[column] = 1
-    return PresenceMatrix(
-        row_labels=tuple(row_labels),
-        coder_ids=coder_ids,
-        cells=tuple(tuple(row) for row in rows.values()),
-    )
-
-
-def _paired_presence(codebooks: Sequence[Codebook], matcher: Matcher,
-                     match: MatchResult | None, coder_ids: tuple[str, ...]) -> PresenceMatrix:
-    if len(codebooks) != 2:
-        raise ValueError("token_overlap presence rows need exactly two codebooks")
-    first, second = codebooks
-    if match is None:
-        match = match_codes(first, second, matcher)
     paired_a = {label_a for label_a, _ in match.pairs}
     paired_b = {label_b for _, label_b in match.pairs}
     if not paired_a <= set(first.labels) or not paired_b <= set(second.labels):
         raise InconsistentMatch("presence pairs not drawn from the two codebooks")
-    rows = [(label, (1, int(label in paired_a))) for label in first.labels]
-    rows += [(label, (0, 1)) for label in second.labels if label not in paired_b]
+    rows = [(record, (1, int(record.label in paired_a))) for record in first.codes]
+    rows += [(record, (0, 1)) for record in second.codes if record.label not in paired_b]
     return PresenceMatrix(
-        row_labels=tuple(label for label, _ in rows),
-        coder_ids=coder_ids,
+        row_labels=tuple(matcher.resolve(record.label, record.key)[0] for record, _ in rows),
+        coder_ids=(first.coder_id, second.coder_id),
         cells=tuple(cells for _, cells in rows),
     )
 

@@ -460,10 +460,7 @@ def _build_parser() -> argparse.ArgumentParser:
 def main(argv: list[str] | None = None) -> int:
     parser = _build_parser()
     args = parser.parse_args(argv)
-    # basicConfig does nothing once the root logger has a handler, so the
-    # level goes on the package logger, where every call in a process sets it.
     logging.basicConfig(format="%(levelname)s %(name)s: %(message)s")
-    logging.getLogger("thematica").setLevel(logging.INFO if args.verbose else logging.WARNING)
 
     try:
         file_data = _load_config_file(args.config)
@@ -490,6 +487,9 @@ def main(argv: list[str] | None = None) -> int:
         elif getattr(args, "live", False):
             overrides["transport"] = "live"
         config = RunConfig.from_sources(file_data, overrides)
+        # basicConfig does nothing once the root logger has a handler, so the
+        # level goes on the package logger, where every call in a process sets it.
+        logging.getLogger("thematica").setLevel(logging.INFO if config.verbose else logging.WARNING)
 
         if args.command == "analyze":
             return cmd_analyze(config, paper_reference=getattr(args, "paper_reference", None))

@@ -135,25 +135,34 @@ def _token_jaccard(tokens_a: frozenset[str], tokens_b: frozenset[str]) -> float:
     return len(tokens_a & tokens_b) / len(union) if union else 1.0
 
 
-def _claims(codebook: Codebook, matcher: Matcher) -> dict[str, str]:
-    """Map canonical key → first claiming label; later claimants stay unpaired."""
-    claims: dict[str, str] = {}
-    for record in codebook.codes:
-        claims.setdefault(matcher.resolve(record.label, record.key)[1], record.label)
-    return claims
-
-
 def match_codes(a: Codebook, b: Codebook, matcher: Matcher) -> MatchResult:
-    """Deterministic 1-to-1 matching of code labels between two codebooks."""
+    """Deterministic 1-to-1 matching of code labels between two codebooks.
+
+    Labels with equal keys pair first, so no outlier of ``b`` shares a key
+    with a code of ``a``.  Then, per canonical key, the first remaining
+    claimant on each side pair up; later claimants stay outliers.
+    """
     if not a.codes or not b.codes:
         raise EmptyCodebook("both codebooks must contain codes")
     if matcher.mode == TOKEN_OVERLAP:
         return _match_token_overlap(a, b, matcher)
 
-    claims_b = _claims(b, matcher)
-    pairs = tuple((label_a, claims_b[key]) for key, label_a in _claims(a, matcher).items()
-                  if key in claims_b)
-    return _result(a, b, pairs)
+    labels_b = {record.key: record.label for record in b.codes}
+    partner = {record.label: labels_b[record.key] for record in a.codes
+               if record.key in labels_b}
+    if matcher.mode == ALIAS_MAP:
+        # Only an alias map gives two different keys one canonical key.
+        paired_b = set(partner.values())
+        claims_b: dict[str, str] = {}
+        for record in b.codes:
+            if record.label not in paired_b:
+                claims_b.setdefault(matcher.resolve(record.label, record.key)[1], record.label)
+        for record in a.codes:
+            if record.label not in partner:
+                label_b = claims_b.pop(matcher.resolve(record.label, record.key)[1], None)
+                if label_b is not None:
+                    partner[record.label] = label_b
+    return _result(a, b, tuple((label, partner[label]) for label in a.labels if label in partner))
 
 
 def _match_token_overlap(a: Codebook, b: Codebook, matcher: Matcher) -> MatchResult:

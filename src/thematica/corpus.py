@@ -64,9 +64,9 @@ class Page:
         if not self.paragraphs:
             raise EmptyDocument(f"page {self.number} has no paragraphs")
 
-    @property
+    @cached_property
     def text(self) -> str:
-        """The page's paragraphs joined by single newlines."""
+        """The page's paragraphs joined by single newlines, built once and kept."""
         return "\n".join(p.text for p in self.paragraphs)
 
     @cached_property

@@ -362,7 +362,6 @@ def _check_resume(artifact: AnalysisArtifact, fingerprint: dict, snapshot: dict)
 
 def run_analysis(corpus: Corpus, focus: StudyFocus, config: ModelConfig, transport,
                  output_dir: str | Path | None = None,
-                 artifact_path: str | Path | None = None,
                  library: PromptLibrary | None = None,
                  trace_threshold: float = DEFAULT_THRESHOLD,
                  record_path: str | Path | None = None) -> AnalysisArtifact:
@@ -385,7 +384,7 @@ def run_analysis(corpus: Corpus, focus: StudyFocus, config: ModelConfig, transpo
     snapshot = _config_snapshot(config, focus, library)
 
     out_dir = Path(output_dir) if output_dir else None
-    path = Path(artifact_path) if artifact_path else (out_dir / "analysis.json" if out_dir else None)
+    path = out_dir / "analysis.json" if out_dir else None
     recording = record_path is not None
     if path and path.exists():
         artifact = load_artifact(path)
@@ -616,7 +615,7 @@ def compare(artifact: AnalysisArtifact, human_merged: Codebook,
 
     summary = build_table4_summary(len(human_merged.codes), len(llm.codes))
     match = match_codes(human_merged, llm, matcher)
-    matrix = presence_matrix([human_merged, llm], matcher, match)
+    matrix = presence_matrix(human_merged, llm, match, matcher)
     pair_count = len(match.pairs)
 
     human_themes = len(human_merged.themes)

@@ -33,6 +33,7 @@ from thematica.codebook import (
     Matcher,
     MatchResult,
     match_codes,
+    merge_codebooks,
 )
 from thematica.errors import (
     DegenerateMarginals,
@@ -52,6 +53,12 @@ def book(coder_id: str, labels: list[str]) -> Codebook:
     return Codebook(coder_id=coder_id, provenance="human", codes=tuple(
         CodeRecord(label=label, quote="q", page=1) for label in labels
     ))
+
+
+def has_canonical_collision(codebook: Codebook, matcher: Matcher) -> bool:
+    """Whether ``codebook`` holds two codes with one canonical key."""
+    keys = {matcher.resolve(record.label, record.key)[1] for record in codebook.codes}
+    return len(keys) < len(codebook.codes)
 
 
 def test_difference_and_similarity_reference_values() -> None:
@@ -168,7 +175,11 @@ def test_positive_specific_agreement_reference_points_and_validation() -> None:
 
 
 def _seeded_codebook_pair(rng: random.Random, mode: str) -> tuple[Codebook, Codebook, Matcher]:
-    """Two codebooks for ``mode``; neither has two codes with one canonical label."""
+    """Two codebooks for ``mode``.
+
+    In alias mode "Code B" and "Code D" are aliases of "Code A" and "Code C",
+    so a codebook may hold two codes with one canonical label.
+    """
     names = [f"Code {letter}" for letter in "ABCDEFGHIJ"]
     picks_a = rng.sample(names, rng.randint(1, 7))
     picks_b = list(picks_a) if rng.random() < 0.2 else rng.sample(names, rng.randint(1, 7))
@@ -176,6 +187,7 @@ def _seeded_codebook_pair(rng: random.Random, mode: str) -> tuple[Codebook, Code
     if mode == ALIAS_MAP:
         alias_map = {f"Alias {name[-1]}": name for name in names[::2]}
         aliases = {name: alias for alias, name in alias_map.items()}
+        alias_map.update({"Code B": "Code A", "Code D": "Code C"})
         labels_b = [aliases.get(name, name) if rng.random() < 0.7 else name.lower()
                     for name in picks_b]
         return (book("a", picks_a), book("b", labels_b),
@@ -195,15 +207,23 @@ def _seeded_codebook_pair(rng: random.Random, mode: str) -> tuple[Codebook, Code
 
 @pytest.mark.parametrize("mode", [EXACT_NORMALIZED, ALIAS_MAP, TOKEN_OVERLAP])
 def test_presence_matrix_agreement_laws(mode: str) -> None:
-    """A presence matrix has no row where both coders are 0, so kappa <= 0
-    unless every code is matched, and PSA = 2 pairs / (|A| + |B|)."""
+    """The matrix is as high as the merge count, which merging reaches
+    without a label collision, and each column counts its coder's codes, so
+    PSA = 2 pairs / (|A| + |B|); no row has both coders at 0, so kappa <= 0
+    unless every code is matched."""
     rng = random.Random(31)
     outcomes = set()
+    collisions = 0
     for _ in range(300):
         first, second, matcher = _seeded_codebook_pair(rng, mode)
+        collisions += any(has_canonical_collision(codebook, matcher)
+                          for codebook in (first, second))
         match = match_codes(first, second, matcher)
-        matrix = presence_matrix([first, second], matcher, match)
+        matrix = presence_matrix(first, second, match, matcher)
+        _, merge_count = merge_codebooks(first, second, match)
+        assert len(matrix.cells) == merge_count
         x, y = matrix.column_vector("a"), matrix.column_vector("b")
+        assert (sum(x), sum(y)) == (len(first.codes), len(second.codes))
         assert all(row != (0, 0) for row in matrix.cells)
         psa = positive_specific_agreement(x, y)
         assert psa == float(Fraction(2 * len(match.pairs), len(first.codes) + len(second.codes)))
@@ -216,6 +236,7 @@ def test_presence_matrix_agreement_laws(mode: str) -> None:
             assert psa < 1.0
         outcomes.add((identical, psa > 0))
     assert outcomes == {(True, True), (False, True), (False, False)}
+    assert (collisions > 0) == (mode == ALIAS_MAP)
 
 
 def test_kappa_constant_vector_edge_cases() -> None:
@@ -253,7 +274,7 @@ def test_kappa_matches_confusion_matrix_computation() -> None:
 def test_presence_matrix_first_appearance_rows() -> None:
     first = book("c1", ["Alpha", "Beta"])
     second = book("c2", ["beta", "Gamma"])
-    matrix = presence_matrix([first, second], Matcher())
+    matrix = presence_matrix(first, second, match_codes(first, second, Matcher()), Matcher())
     assert matrix.row_labels == ("Alpha", "Beta", "Gamma")
     assert matrix.coder_ids == ("c1", "c2")
     assert matrix.cells == ((1, 0), (1, 1), (0, 1))
@@ -268,7 +289,8 @@ def test_presence_matrix_against_set_oracle() -> None:
     for _ in range(50):
         labels_a = rng.sample(alphabet, rng.randint(1, 6))
         labels_b = rng.sample(alphabet, rng.randint(1, 6))
-        matrix = presence_matrix([book("a", labels_a), book("b", labels_b)], matcher)
+        first, second = book("a", labels_a), book("b", labels_b)
+        matrix = presence_matrix(first, second, match_codes(first, second, matcher), matcher)
         assert set(matrix.row_labels) == set(labels_a) | set(labels_b)
         for row_label, (in_a, in_b) in zip(matrix.row_labels, matrix.cells):
             assert in_a == int(row_label in labels_a)
@@ -300,6 +322,8 @@ def first_fit_presence_matrix(codebooks, matcher) -> PresenceMatrix:
 
 
 def test_presence_matrix_key_index_equals_first_fit_reference() -> None:
+    """On two codebooks that each hold one code per canonical label, the
+    pairing's rows are the first-fit rows."""
     rng = random.Random(2024)
     names = [f"Code {letter}" for letter in "ABCDEFGHIJKL"]
     surfaces = {name: (name, name.lower(), name.upper().replace(" ", "-"), f"**{name}**")
@@ -309,18 +333,23 @@ def test_presence_matrix_key_index_equals_first_fit_reference() -> None:
     alias_map = {"Code C": "Code A", "code d": "Code A", "CODE-E": "Code F",
                  "code b": "Code B", "Code K": "Code L"}
     matchers = (Matcher(), Matcher(mode=ALIAS_MAP, alias_map=alias_map))
+    checked = 0
     for _ in range(300):
         books = [
             book(f"coder{column}", [rng.choice(surfaces[name])
                                     for name in rng.sample(names, rng.randint(1, 8))])
-            for column in range(rng.randint(1, 3))
+            for column in range(2)
         ]
         for matcher in matchers:
+            if any(has_canonical_collision(codebook, matcher) for codebook in books):
+                continue
             expected = first_fit_presence_matrix(books, matcher)
-            matrix = presence_matrix(books, matcher)
+            matrix = presence_matrix(*books, match_codes(*books, matcher), matcher)
             assert matrix.row_labels == expected.row_labels
             assert matrix.coder_ids == expected.coder_ids
             assert matrix.cells == expected.cells
+            checked += 1
+    assert checked > 300
 
 
 def test_token_overlap_presence_rows_follow_the_pairing() -> None:
@@ -329,22 +358,33 @@ def test_token_overlap_presence_rows_follow_the_pairing() -> None:
     second = book("b", ["support network family", "career growth"])
     match = match_codes(first, second, matcher)
     assert match.pairs == (("family support network", "support network family"),)
-    for matrix in (presence_matrix([first, second], matcher, match),
-                   presence_matrix([first, second], matcher)):
-        assert matrix.row_labels == ("family support network", "family support", "career growth")
-        assert sum(1 for row in matrix.cells if row == (1, 1)) == len(match.pairs)
-        assert sum(matrix.column_vector("a")) == len(first.codes)
-        assert sum(matrix.column_vector("b")) == len(second.codes)
+    matrix = presence_matrix(first, second, match, matcher)
+    assert matrix.row_labels == ("family support network", "family support", "career growth")
+    assert sum(1 for row in matrix.cells if row == (1, 1)) == len(match.pairs)
+    assert sum(matrix.column_vector("a")) == len(first.codes)
+    assert sum(matrix.column_vector("b")) == len(second.codes)
 
 
-def test_token_overlap_presence_rejects_foreign_pairs_and_extra_coders() -> None:
+def test_presence_matrix_keeps_codes_with_one_canonical_label_apart() -> None:
+    matcher = Matcher(mode=ALIAS_MAP, alias_map={"Code C": "Code A"})
+    first = book("a", ["Code C", "Code A", "Code B"])
+    second = book("b", ["Code A", "Code D"])
+    match = match_codes(first, second, matcher)
+    assert match.pairs == (("Code A", "Code A"),)
+    matrix = presence_matrix(first, second, match, matcher)
+    assert matrix.row_labels == ("Code A", "Code A", "Code B", "Code D")
+    assert matrix.cells == ((1, 0), (1, 1), (1, 0), (0, 1))
+    assert len(matrix.cells) == merge_codebooks(first, second, match)[1] == 4
+    x, y = matrix.column_vector("a"), matrix.column_vector("b")
+    assert positive_specific_agreement(x, y) == 0.4
+
+
+def test_presence_matrix_rejects_foreign_pairs() -> None:
     matcher = Matcher(TOKEN_OVERLAP)
     first, second = book("a", ["Alpha"]), book("b", ["Beta"])
     foreign = MatchResult(pairs=(("Alpha", "Gamma"),), outliers_a=(), outliers_b=("Beta",))
     with pytest.raises(InconsistentMatch):
-        presence_matrix([first, second], matcher, foreign)
-    with pytest.raises(ValueError):
-        presence_matrix([first, second, book("c", ["Alpha"])], matcher)
+        presence_matrix(first, second, foreign, matcher)
 
 
 def test_combined_summary_reference_values_and_ratio_note() -> None:

@@ -269,6 +269,27 @@ def test_compare_two_coders_prints_agreement_summary(
     assert (analyzed_workspace / "out" / "summary.csv").exists()
 
 
+@pytest.mark.parametrize("labels", [("Curiosity", "Curiosity-driven Migration"),
+                                    ("Curiosity-driven Migration", "Curiosity")])
+def test_compare_with_an_alias_and_its_target_in_both_codebooks(
+        analyzed_workspace: Path, tmp_path: Path, monkeypatch: pytest.MonkeyPatch, capsys,
+        labels: tuple[str, str]) -> None:
+    workspace = copy_workspace(analyzed_workspace, tmp_path / "workspace")
+    monkeypatch.chdir(workspace)
+    header = "coder_id,theme,code_label,supporting_quote,page\n"
+    Path("h1.csv").write_text(header + "h1,,Curiosity,,\nh1,,Curiosity-driven Migration,,\n",
+                              encoding="utf-8")
+    Path("h2.csv").write_text(header + "".join(f"h2,,{label},,\n" for label in labels),
+                              encoding="utf-8")
+    Path("aliases.csv").write_text("from_label,to_label\nCuriosity,Curiosity-driven Migration\n",
+                                   encoding="utf-8")
+    code = main(["--config", "run_config.json", "compare", "--human", "h1.csv",
+                 "--human", "h2.csv", "--matcher", "alias_map", "--alias-map", "aliases.csv"])
+    captured = capsys.readouterr()
+    assert code == 0, captured.err
+    assert "merged codebook: 2 codes (2 similar counted once)" in captured.out
+
+
 def test_compare_rejects_more_than_two_coders(
         analyzed_workspace: Path, monkeypatch: pytest.MonkeyPatch, capsys) -> None:
     monkeypatch.chdir(analyzed_workspace)
@@ -361,23 +382,27 @@ def test_output_dir_flag_overrides_config_value(
     assert not (sample_workspace / "out").exists()
 
 
-@pytest.mark.parametrize("order", [(True, False), (False, True)],
-                         ids=["verbose-then-quiet", "quiet-then-verbose"])
+@pytest.mark.parametrize("order", [("flag", None), (None, "flag"), ("config file", None)],
+                         ids=["verbose-then-quiet", "quiet-then-verbose",
+                              "config-file-verbose-then-quiet"])
 def test_verbose_applies_to_each_call_in_a_process(
         sample_workspace: Path, monkeypatch: pytest.MonkeyPatch, caplog,
-        order: tuple[bool, bool]) -> None:
+        order: tuple[str | None, str | None]) -> None:
     # With no transport configured, analyze logs at INFO which fixture it replays.
     monkeypatch.chdir(sample_workspace)
     config = json.loads(Path("run_config.json").read_text(encoding="utf-8"))
     del config["transport"]
     Path("auto_replay.json").write_text(json.dumps(config), encoding="utf-8")
+    Path("verbose_replay.json").write_text(json.dumps({**config, "verbose": True}),
+                                           encoding="utf-8")
     package_logger = logging.getLogger("thematica")
     previous = package_logger.level
     try:
         for verbose in order:
             caplog.clear()
-            flags = ["--verbose"] if verbose else []
-            assert main(["--config", "auto_replay.json", *flags, "analyze"]) == 0
+            flags = ["--verbose"] if verbose == "flag" else []
+            name = "verbose_replay.json" if verbose == "config file" else "auto_replay.json"
+            assert main(["--config", name, *flags, "analyze"]) == 0
             replayed = [record.levelno for record in caplog.records
                         if record.getMessage() == "replaying fixture session.json"]
             assert replayed == ([logging.INFO] if verbose else []), verbose

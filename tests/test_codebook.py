@@ -159,6 +159,24 @@ def test_match_codes_alias_collision_goes_to_outliers() -> None:
     assert result.outliers_b == ("Variant Two",)
 
 
+@pytest.mark.parametrize("labels_b", [["Curiosity", "Curiosity-driven Migration"],
+                                      ["Curiosity-driven Migration", "Curiosity"]])
+def test_match_codes_alias_mode_pairs_equal_labels_before_canonical_keys(
+        labels_b: list[str]) -> None:
+    # Both coders use an alias and its target: each label pairs with its twin,
+    # so no outlier of the second coder collides with a code of the first.
+    first = book("c1", ["Curiosity", "Curiosity-driven Migration"])
+    second = book("c2", labels_b)
+    matcher = Matcher(mode=ALIAS_MAP, alias_map={"Curiosity": "Curiosity-driven Migration"})
+    result = match_codes(first, second, matcher)
+    assert result.pairs == (("Curiosity", "Curiosity"),
+                            ("Curiosity-driven Migration", "Curiosity-driven Migration"))
+    assert result.outliers_a == result.outliers_b == ()
+    merged, count = merge_codebooks(first, second, result)
+    assert count == 2
+    assert merged.labels == first.labels
+
+
 def test_match_codes_token_mode_prefers_highest_similarity() -> None:
     first = book("c1", ["Cultural Isolation and Loneliness", "Financial Burden"])
     second = book("c2", ["Loneliness and Cultural Isolation", "Financial Burden and Reimbursement"])

@@ -131,6 +131,8 @@ def test_page_text_joins_with_newlines() -> None:
     corpus = make_corpus(["one", "two", "three"], page_size=2)
     assert corpus.pages[0].text == "one\ntwo"
     assert corpus.pages[1].text == "three"
+    # Built once and kept.
+    assert corpus.pages[0].text is corpus.pages[0].text
 
 
 def test_corpus_rejects_noncontiguous_pages() -> None:
