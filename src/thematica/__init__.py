@@ -64,9 +64,6 @@ from .promptkit import (
     PromptLibrary,
     RenderedPrompt,
     StudyFocus,
-    render_code_extraction,
-    render_interpretation,
-    render_theme_generation,
 )
 from .report import ReportBundle, build_report, write_report_bundle
 from .trace import TraceabilityReport, TraceResult, verify_codebook, verify_quote

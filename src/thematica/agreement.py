@@ -13,10 +13,9 @@ from decimal import ROUND_HALF_UP, Decimal, localcontext
 from fractions import Fraction
 from typing import Sequence
 
-from .codebook import Codebook, Matcher, MatchResult
+from .codebook import Codebook, Matcher, MatchResult, merge_order
 from .errors import (
     DegenerateMarginals,
-    InconsistentMatch,
     LengthMismatch,
     PartExceedsTotal,
     SimilarExceedsOwn,
@@ -184,17 +183,14 @@ def presence_matrix(first: Codebook, second: Codebook, match: MatchResult,
     labelled with its code's canonical label.  So the matrix height is the
     merge count, each column sums to its coder's code count, and positive
     specific agreement is 2 × pairs / (|A| + |B|) in every matcher mode.
+    Raises InconsistentMatch unless ``match`` covers both codebooks exactly.
     """
-    paired_a = {label_a for label_a, _ in match.pairs}
-    paired_b = {label_b for _, label_b in match.pairs}
-    if not paired_a <= set(first.labels) or not paired_b <= set(second.labels):
-        raise InconsistentMatch("presence pairs not drawn from the two codebooks")
-    rows = [(record, (1, int(record.label in paired_a))) for record in first.codes]
-    rows += [(record, (0, 1)) for record in second.codes if record.label not in paired_b]
+    partner, rows = merge_order(first, second, match)
+    cells = tuple((1, int(record.label in partner)) for record in first.codes)
     return PresenceMatrix(
-        row_labels=tuple(matcher.resolve(record.label, record.key)[0] for record, _ in rows),
+        row_labels=tuple(matcher.resolve(record.label, record.key)[0] for record in rows),
         coder_ids=(first.coder_id, second.coder_id),
-        cells=tuple(cells for _, cells in rows),
+        cells=cells + ((0, 1),) * (len(rows) - len(cells)),
     )
 
 

@@ -34,6 +34,7 @@ from .errors import (
     AuthError,
     ConfigError,
     DuplicateLabel,
+    EmptyCodebook,
     FixtureMiss,
     IncompleteArtifact,
     MalformedResponse,
@@ -69,8 +70,7 @@ DEFAULT_FIXTURE_NAME = "session.json"
 # from persisted replies or fixed inputs, and a rerun repeats it.
 RESUMABLE_CAUSES = (TransportError, RateLimited, MalformedResponse, FixtureMiss)
 
-_MODEL_KEYS = ("model_id", "temperature", "max_tokens", "endpoint_url",
-               "timeout", "max_attempts", "backoff_base", "parallelism")
+_MODEL_KEYS = tuple(f.name for f in fields(ModelConfig))
 
 
 @dataclass
@@ -288,6 +288,9 @@ def _consensus_codebook(first: Codebook, second: Codebook, matcher: Matcher) -> 
         Codebook, CoderMergeStats]:
     """Merge two human codebooks and derive the consensus (similar-codes) book."""
     match = match_codes(first, second, matcher)
+    if not match.pairs:
+        raise EmptyCodebook(f"coders {first.coder_id!r} and {second.coder_id!r} share no code under "
+                            f"the {matcher.mode} matcher, so the consensus codebook is empty")
     merged, merge_count = merge_codebooks(first, second, match)
     paired = {label_a for label_a, _ in match.pairs}
     consensus_codes = tuple(record for record in merged.codes if record.label in paired)

@@ -1,14 +1,16 @@
 """Codebooks, cross-coder code matching, and merge counting.
 
 A codebook houses one coder's codes and themes, whether produced by a human
-or by a model.  Matching between two codebooks is deterministic and comes in
-three modes: exact label equality after normalization, an explicit alias map
-recording a reviewer's similarity judgments, and a token-overlap
-approximation.  Token-overlap matching scores only the label pairs that share
-one of their rarest tokens (prefix filtering), which finds every pair at or
-above the Jaccard threshold with work that grows with the number of labels,
-not with the number of pairs.  Merging follows the counting rule: similar
-codes count once, outliers count separately.
+or by a model.  Matching between two codebooks is deterministic and 1-to-1.
+In every mode, labels equal after normalization pair first; then alias mode
+pairs the remaining labels through an alias map of similar codes, and token-overlap
+mode by token Jaccard score.  Token-overlap matching scores only the label
+pairs that share one of their rarest tokens (prefix filtering), which finds
+every pair at or above the Jaccard threshold with work that grows with the
+number of labels, not with the number of pairs.  Merging follows the
+counting rule: similar codes count once, outliers count separately.
+:func:`merge_order` checks a pairing against its two codebooks and gives the
+merged order that both merging and the presence matrix use.
 """
 
 from __future__ import annotations
@@ -130,65 +132,76 @@ class MatchResult:
 
 
 def _token_jaccard(tokens_a: frozenset[str], tokens_b: frozenset[str]) -> float:
-    # Two empty token sets come from two empty keys, which are equal labels.
-    union = tokens_a | tokens_b
-    return len(tokens_a & tokens_b) / len(union) if union else 1.0
+    # Only labels with different keys are scored, so one set is non-empty.
+    return len(tokens_a & tokens_b) / len(tokens_a | tokens_b)
 
 
 def match_codes(a: Codebook, b: Codebook, matcher: Matcher) -> MatchResult:
     """Deterministic 1-to-1 matching of code labels between two codebooks.
 
-    Labels with equal keys pair first, so no outlier of ``b`` shares a key
-    with a code of ``a``.  Then, per canonical key, the first remaining
-    claimant on each side pair up; later claimants stay outliers.
+    In every mode, labels with equal keys pair first, so no outlier of ``b``
+    shares a key with a code of ``a``.  Exact mode stops there.  Alias mode
+    then pairs, per canonical key, the first remaining claimant on each side;
+    later claimants stay outliers.  Token mode then pairs the remaining
+    labels by descending Jaccard score.
     """
     if not a.codes or not b.codes:
         raise EmptyCodebook("both codebooks must contain codes")
-    if matcher.mode == TOKEN_OVERLAP:
-        return _match_token_overlap(a, b, matcher)
-
     labels_b = {record.key: record.label for record in b.codes}
     partner = {record.label: labels_b[record.key] for record in a.codes
                if record.key in labels_b}
-    if matcher.mode == ALIAS_MAP:
-        # Only an alias map gives two different keys one canonical key.
-        paired_b = set(partner.values())
-        claims_b: dict[str, str] = {}
-        for record in b.codes:
-            if record.label not in paired_b:
-                claims_b.setdefault(matcher.resolve(record.label, record.key)[1], record.label)
-        for record in a.codes:
-            if record.label not in partner:
-                label_b = claims_b.pop(matcher.resolve(record.label, record.key)[1], None)
-                if label_b is not None:
-                    partner[record.label] = label_b
-    return _result(a, b, tuple((label, partner[label]) for label in a.labels if label in partner))
+    if matcher.mode != EXACT_NORMALIZED:
+        taken_b = set(partner.values())
+        rest_a = [record for record in a.codes if record.label not in partner]
+        rest_b = [record for record in b.codes if record.label not in taken_b]
+        if matcher.mode == ALIAS_MAP:
+            partner.update(_match_canonical_keys(rest_a, rest_b, matcher))
+        else:
+            partner.update(_match_token_overlap(rest_a, rest_b, matcher.jaccard_threshold))
+    pairs = tuple((label, partner[label]) for label in a.labels if label in partner)
+    paired_b = set(partner.values())
+    return MatchResult(
+        pairs=pairs,
+        outliers_a=tuple(label for label in a.labels if label not in partner),
+        outliers_b=tuple(label for label in b.labels if label not in paired_b),
+    )
 
 
-def _match_token_overlap(a: Codebook, b: Codebook, matcher: Matcher) -> MatchResult:
-    """Greedy best-first pairing: key-equal labels first, then by Jaccard score.
+def _match_canonical_keys(rest_a: list[CodeRecord], rest_b: list[CodeRecord],
+                          matcher: Matcher) -> dict[str, str]:
+    """Per canonical key, the first claimant of ``rest_a`` pairs with the first of ``rest_b``."""
+    claims_b: dict[str, str] = {}
+    for record in rest_b:
+        claims_b.setdefault(matcher.resolve(record.label, record.key)[1], record.label)
+    partner: dict[str, str] = {}
+    for record in rest_a:
+        label_b = claims_b.pop(matcher.resolve(record.label, record.key)[1], None)
+        if label_b is not None:
+            partner[record.label] = label_b
+    return partner
+
+
+def _match_token_overlap(rest_a: list[CodeRecord], rest_b: list[CodeRecord],
+                         threshold: float) -> dict[str, str]:
+    """Greedy best-first pairing by Jaccard score, at or above ``threshold``.
 
     Every pair at or above the threshold is a candidate, but only pairs whose
     token prefixes meet are scored (prefix filtering: Bayardo, Ma & Srikant
     2007; Xiao et al. 2008), so the work grows with the number of labels, not
-    of pairs.  Tokens are ordered rarest first over both codebooks; when
+    of pairs.  Tokens are ordered rarest first over both sides; when
     Jaccard(x, y) >= t, the first |x| - ceil(t*|x|) + 1 tokens of x and the
     first |y| - ceil(t*|y|) + 1 tokens of y share a token.  Candidates sort by
-    the total order (keys differ, -score, label_a, label_b), so the order the
-    index yields them in cannot change the result.
+    the total order (-score, label_a, label_b), so the order the index yields
+    them in cannot change the result.  An empty key has an empty prefix: no
+    key it can still meet is equal to it, so it scores 0 against all of them.
     """
-    threshold = matcher.jaccard_threshold
-    sets_a = [frozenset(record.key.split()) for record in a.codes]
-    sets_b = [frozenset(record.key.split()) for record in b.codes]
+    sets_a = [frozenset(record.key.split()) for record in rest_a]
+    sets_b = [frozenset(record.key.split()) for record in rest_b]
     frequency = Counter(chain.from_iterable(sets_a + sets_b))
     rank = {token: position for position, token
             in enumerate(sorted(frequency, key=lambda token: (frequency[token], token)))}
 
     def prefix(tokens: frozenset[str]) -> list[str]:
-        if not tokens:
-            # An empty key scores 1.0 against the other empty key and 0 against
-            # the rest; "" is no token, so it indexes just the empty keys.
-            return [""]
         # At Jaccard >= t a partner shares at least ceil(t*|y|) tokens.  The
         # slack absorbs float error in the product (0.28 * 25 is
         # 7.000000000000001) and in the scored quotient, so it can only
@@ -200,35 +213,43 @@ def _match_token_overlap(a: Codebook, b: Codebook, matcher: Matcher) -> MatchRes
     for position, tokens in enumerate(sets_b):
         for token in prefix(tokens):
             index[token].append(position)
-    candidates: list[tuple[bool, float, str, str]] = []
-    for record_a, tokens_a in zip(a.codes, sets_a):
+    candidates: list[tuple[float, str, str]] = []
+    for record_a, tokens_a in zip(rest_a, sets_a):
         for position in {position for token in prefix(tokens_a)
                          for position in index.get(token, ())}:
             similarity = _token_jaccard(tokens_a, sets_b[position])
             if similarity >= threshold:
-                record_b = b.codes[position]
-                candidates.append((record_a.key != record_b.key, -similarity,
-                                   record_a.label, record_b.label))
+                candidates.append((-similarity, record_a.label, rest_b[position].label))
     candidates.sort()
     partner: dict[str, str] = {}
     used_b: set[str] = set()
-    for _, _, label_a, label_b in candidates:
+    for _, label_a, label_b in candidates:
         if label_a in partner or label_b in used_b:
             continue
         partner[label_a] = label_b
         used_b.add(label_b)
-    return _result(a, b, tuple((label, partner[label]) for label in a.labels if label in partner))
+    return partner
 
 
-def _result(a: Codebook, b: Codebook, pairs: tuple[tuple[str, str], ...]) -> MatchResult:
-    """MatchResult for ``pairs``; every other label is an outlier, in codebook order."""
-    paired_a = {label_a for label_a, _ in pairs}
-    paired_b = {label_b for _, label_b in pairs}
-    return MatchResult(
-        pairs=pairs,
-        outliers_a=tuple(label for label in a.labels if label not in paired_a),
-        outliers_b=tuple(label for label in b.labels if label not in paired_b),
-    )
+def merge_order(a: Codebook, b: Codebook, match: MatchResult) -> tuple[
+        dict[str, str], tuple[CodeRecord, ...]]:
+    """The pairing ``match`` as a map from A labels to B labels, and the merged rows.
+
+    The rows are every code of ``a``, then each unpaired code of ``b``, in
+    codebook order.  Raises InconsistentMatch unless the pairs and outliers
+    cover each codebook's labels exactly.
+    """
+    partner = dict(match.pairs)
+    paired_b = set(partner.values())
+    for book, paired, outliers in ((a, partner, match.outliers_a),
+                                   (b, paired_b, match.outliers_b)):
+        labels = set(book.labels)
+        # MatchResult uses no label twice, so equal counts and inclusion mean equal sets.
+        if (len(paired) + len(outliers) != len(labels)
+                or not labels.issuperset(paired) or not labels.issuperset(outliers)):
+            raise InconsistentMatch(f"the pairing and codebook {book.coder_id!r} differ in "
+                                    f"{sorted(labels ^ set(paired).union(outliers))!r}")
+    return partner, a.codes + tuple([record for record in b.codes if record.label not in paired_b])
 
 
 def merge_codebooks(a: Codebook, b: Codebook, match: MatchResult) -> tuple[Codebook, int]:
@@ -238,45 +259,24 @@ def merge_codebooks(a: Codebook, b: Codebook, match: MatchResult) -> tuple[Codeb
     alias when it differs; outliers from both sides carry over unchanged.
     Returns the merged codebook and the merge count |A| + |B| − |pairs|.
     """
-    labels_a = set(a.labels)
+    partner, rows = merge_order(a, b, match)
     keys_b = {record.label: record.key for record in b.codes}
-    for label_a, label_b in match.pairs:
-        if label_a not in labels_a or label_b not in keys_b:
-            raise InconsistentMatch(f"pair ({label_a!r}, {label_b!r}) not drawn from the inputs")
-    for label in match.outliers_a:
-        if label not in labels_a:
-            raise InconsistentMatch(f"outlier {label!r} not in first codebook")
-    for label in match.outliers_b:
-        if label not in keys_b:
-            raise InconsistentMatch(f"outlier {label!r} not in second codebook")
-
-    alias_for: dict[str, str] = {la: lb for la, lb in match.pairs}
-    paired_a = set(alias_for)
-    outlier_b_set = set(match.outliers_b)
-    merged: list[CodeRecord] = []
-    for record in a.codes:
-        if record.label in paired_a:
-            partner = alias_for[record.label]
-            extra = (partner,) if keys_b[partner] != record.key else ()
-            merged.append(CodeRecord(
+    merged = list(rows)
+    for position, record in enumerate(a.codes):
+        label_b = partner.get(record.label)
+        if label_b is not None:
+            extra = (label_b,) if keys_b[label_b] != record.key else ()
+            merged[position] = CodeRecord(
                 label=record.label, quote=record.quote, page=record.page,
                 provenance="human-merged", raw_span=record.raw_span,
                 aliases=record.aliases + extra,
-            ))
-        else:
-            merged.append(record)
-    for record in b.codes:
-        if record.label in outlier_b_set:
-            merged.append(record)
-
-    merge_count = len(a.codes) + len(b.codes) - len(match.pairs)
-    assert merge_count == len(merged)
+            )
     merged_book = Codebook(
         coder_id=f"{a.coder_id}+{b.coder_id}",
         provenance="human-merged",
         codes=tuple(merged),
     )
-    return merged_book, merge_count
+    return merged_book, len(merged)
 
 
 def load_human_codebook(path: str | Path, interpretations_path: str | Path | None = None) -> Codebook:

@@ -103,7 +103,7 @@ class AliasChain(ThematicaError):
 
 
 class InconsistentMatch(ThematicaError):
-    """Match result references labels absent from the input codebooks."""
+    """Match result does not cover the labels of its two codebooks exactly."""
 
 
 class SchemaError(ThematicaError):

@@ -34,7 +34,6 @@ from .codebook import Codebook, Matcher, MatchResult, match_codes
 from .corpus import Corpus, content_hash
 from .errors import (
     AnalysisInterrupted,
-    EmptyCodebook,
     IncompleteArtifact,
     ResumeMismatch,
     SchemaError,
@@ -610,11 +609,8 @@ def compare(artifact: AnalysisArtifact, human_merged: Codebook,
     if not artifact.complete or artifact.llm_codebook is None:
         raise IncompleteArtifact("comparison requires a complete artifact")
     llm = artifact.llm_codebook
-    if not human_merged.codes or not llm.codes:
-        raise EmptyCodebook("both codebooks must contain codes")
-
-    summary = build_table4_summary(len(human_merged.codes), len(llm.codes))
     match = match_codes(human_merged, llm, matcher)
+    summary = build_table4_summary(len(human_merged.codes), len(llm.codes))
     matrix = presence_matrix(human_merged, llm, match, matcher)
     pair_count = len(match.pairs)
 

@@ -157,14 +157,3 @@ def default_library() -> PromptLibrary:
         _default_library = PromptLibrary()
     return _default_library
 
-
-def render_code_extraction(page: Page, focus: StudyFocus) -> RenderedPrompt:
-    return default_library().render_code_extraction(page, focus)
-
-
-def render_theme_generation(codes_digest: str, focus: StudyFocus) -> RenderedPrompt:
-    return default_library().render_theme_generation(codes_digest, focus)
-
-
-def render_interpretation(themes_digest: str, focus: StudyFocus) -> RenderedPrompt:
-    return default_library().render_interpretation(themes_digest, focus)

@@ -10,6 +10,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from test_codebook import INCOMPLETE_PAIRINGS
+
 from thematica.agreement import (
     AgreementSummary,
     PresenceMatrix,
@@ -385,6 +387,9 @@ def test_presence_matrix_rejects_foreign_pairs() -> None:
     foreign = MatchResult(pairs=(("Alpha", "Gamma"),), outliers_a=(), outliers_b=("Beta",))
     with pytest.raises(InconsistentMatch):
         presence_matrix(first, second, foreign, matcher)
+    for labels_a, labels_b, incomplete in INCOMPLETE_PAIRINGS:
+        with pytest.raises(InconsistentMatch):
+            presence_matrix(book("a", labels_a), book("b", labels_b), incomplete, matcher)
 
 
 def test_combined_summary_reference_values_and_ratio_note() -> None:

@@ -300,6 +300,20 @@ def test_compare_rejects_more_than_two_coders(
     assert "at most two" in capsys.readouterr().err
 
 
+def test_compare_of_coders_sharing_no_code_names_them_and_the_matcher(
+        analyzed_workspace: Path, monkeypatch: pytest.MonkeyPatch, capsys) -> None:
+    # The two sample coders word every code differently; only the alias map
+    # pairs them.
+    monkeypatch.chdir(analyzed_workspace)
+    code = main(["--config", "run_config.json", "compare",
+                 "--human", "coder1.csv", "--human", "coder2.csv",
+                 "--matcher", "exact_normalized"])
+    assert code == 1
+    assert capsys.readouterr().err == (
+        "error: coders 'coder1' and 'coder2' share no code under the exact_normalized "
+        "matcher, so the consensus codebook is empty\n")
+
+
 def test_verify_passes_on_intact_artifact(
         analyzed_workspace: Path, monkeypatch: pytest.MonkeyPatch, capsys) -> None:
     monkeypatch.chdir(analyzed_workspace)

@@ -348,6 +348,16 @@ def test_merge_skips_alias_when_labels_normalize_identically() -> None:
     assert merged.codes[0].aliases == ()
 
 
+# Pairings that leave out a code of the first codebook, of the second, or of both.
+INCOMPLETE_PAIRINGS = (
+    (["Alpha", "Beta"], ["Alpha"], MatchResult(pairs=(("Alpha", "Alpha"),),
+                                               outliers_a=(), outliers_b=())),
+    (["Alpha"], ["Alpha", "Beta"], MatchResult(pairs=(("Alpha", "Alpha"),),
+                                               outliers_a=(), outliers_b=())),
+    (["Alpha"], ["Beta"], MatchResult(pairs=(), outliers_a=(), outliers_b=())),
+)
+
+
 def test_merge_rejects_pairs_not_drawn_from_inputs() -> None:
     first = book("c1", ["Alpha"])
     second = book("c2", ["Beta"])
@@ -357,6 +367,9 @@ def test_merge_rejects_pairs_not_drawn_from_inputs() -> None:
     stray_outlier = MatchResult(pairs=(), outliers_a=("Missing",), outliers_b=())
     with pytest.raises(InconsistentMatch):
         merge_codebooks(first, second, stray_outlier)
+    for labels_a, labels_b, incomplete in INCOMPLETE_PAIRINGS:
+        with pytest.raises(InconsistentMatch):
+            merge_codebooks(book("c1", labels_a), book("c2", labels_b), incomplete)
 
 
 _ALPHABET = tuple(f"Code {letter}" for letter in "ABCDEFGHIJ")

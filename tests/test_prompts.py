@@ -23,9 +23,6 @@ from thematica.promptkit import (
     PromptLibrary,
     StudyFocus,
     default_library,
-    render_code_extraction,
-    render_interpretation,
-    render_theme_generation,
 )
 
 FOCUS = StudyFocus(
@@ -38,13 +35,13 @@ def test_system_persona_is_fixed() -> None:
     assert SYSTEM_PERSONA == (
         "You are a skilled qualitative researcher focusing on inductively emerging codes."
     )
-    prompt = render_theme_generation("1. **A**: \"q\" - Page 1", FOCUS)
+    prompt = default_library().render_theme_generation("1. **A**: \"q\" - Page 1", FOCUS)
     assert prompt.system_message == SYSTEM_PERSONA
 
 
 def test_code_extraction_prompt_embeds_page_and_focus() -> None:
     corpus = make_corpus(["First paragraph.", "Second paragraph."], page_size=2)
-    prompt = render_code_extraction(corpus.pages[0], FOCUS)
+    prompt = default_library().render_code_extraction(corpus.pages[0], FOCUS)
     assert prompt.step == CODE_EXTRACTION
     assert prompt.user_message == (
         "Analyze the following qualitative data and extract only the most relevant, "
@@ -63,13 +60,13 @@ def test_code_extraction_prompt_embeds_page_and_focus() -> None:
 
 
 def test_theme_and_interpretation_prompts_embed_payloads() -> None:
-    theme_prompt = render_theme_generation("DIGEST-OF-CODES", FOCUS)
+    theme_prompt = default_library().render_theme_generation("DIGEST-OF-CODES", FOCUS)
     assert theme_prompt.step == THEME_GENERATION
     assert "Codes:\nDIGEST-OF-CODES" in theme_prompt.user_message
     assert FOCUS.research_question in theme_prompt.user_message
     assert theme_prompt.user_message.endswith("Generated Themes:")
 
-    interp_prompt = render_interpretation("DIGEST-OF-THEMES", FOCUS)
+    interp_prompt = default_library().render_interpretation("DIGEST-OF-THEMES", FOCUS)
     assert interp_prompt.step == INTERPRETATION
     assert "Themes:\nDIGEST-OF-THEMES" in interp_prompt.user_message
     assert interp_prompt.user_message.endswith("Interpretation of Themes:")
@@ -77,9 +74,9 @@ def test_theme_and_interpretation_prompts_embed_payloads() -> None:
 
 def test_blank_payloads_are_rejected() -> None:
     with pytest.raises(EmptyCodes):
-        render_theme_generation("   ", FOCUS)
+        default_library().render_theme_generation("   ", FOCUS)
     with pytest.raises(EmptyThemes):
-        render_interpretation("", FOCUS)
+        default_library().render_interpretation("", FOCUS)
 
 
 def test_study_focus_requires_both_fields() -> None:
