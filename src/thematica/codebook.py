@@ -2,13 +2,14 @@
 
 A codebook houses one coder's codes and themes, whether produced by a human
 or by a model.  Matching between two codebooks is deterministic and 1-to-1.
-In every mode, labels equal after normalization pair first; then alias mode
-pairs the remaining labels through an alias map of similar codes, and token-overlap
-mode by token Jaccard score.  Token-overlap matching scores only the label
-pairs that share one of their rarest tokens (prefix filtering), which finds
-every pair at or above the Jaccard threshold with work that grows with the
-number of labels, not with the number of pairs.  Merging follows the
-counting rule: similar codes count once, outliers count separately.
+In every mode, labels equal after normalization pair first; then alias
+mode pairs the remaining labels through an alias map of similar codes, and
+token-overlap mode by token Jaccard score.  Token-overlap matching scores
+only the label pairs that share one of their rarest tokens (prefix
+filtering), which finds every pair at or above the Jaccard threshold with
+work that grows with the number of labels, not with the number of pairs.
+Merging follows the counting rule: similar codes count once, outliers count
+separately.
 :func:`merge_order` checks a pairing against its two codebooks and gives the
 merged order that both merging and the presence matrix use.
 """
