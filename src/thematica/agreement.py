@@ -130,15 +130,20 @@ def overlap_percentage(similar: int, own_count: int) -> float:
     return float(Fraction(similar, own_count) * 100)
 
 
-def cohens_kappa(x: Sequence[int], y: Sequence[int]) -> float:
-    """Cohen's kappa for two binary vectors, computed with exact rationals."""
+def _check_binary_pair(x: Sequence[int], y: Sequence[int]) -> None:
+    """Raise unless ``x`` and ``y`` are binary vectors of one length."""
     if len(x) != len(y):
         raise LengthMismatch(f"vector lengths differ: {len(x)} vs {len(y)}")
-    if len(x) == 0:
-        raise LengthMismatch("vectors must be non-empty")
     for value in (*x, *y):
         if value not in (0, 1):
             raise ValueError(f"vectors must be binary, got {value!r}")
+
+
+def cohens_kappa(x: Sequence[int], y: Sequence[int]) -> float:
+    """Cohen's kappa for two binary vectors, computed with exact rationals."""
+    _check_binary_pair(x, y)
+    if len(x) == 0:
+        raise LengthMismatch("vectors must be non-empty")
     n = len(x)
     observed = sum(1 for a, b in zip(x, y) if a == b)
     ones_x = sum(x)
@@ -162,11 +167,7 @@ def positive_specific_agreement(x: Sequence[int], y: Sequence[int]) -> float:
     least one coder used.  For two codebooks it is the share of their codes
     that the other one also has.
     """
-    if len(x) != len(y):
-        raise LengthMismatch(f"vector lengths differ: {len(x)} vs {len(y)}")
-    for value in (*x, *y):
-        if value not in (0, 1):
-            raise ValueError(f"vectors must be binary, got {value!r}")
+    _check_binary_pair(x, y)
     both = sum(1 for a, b in zip(x, y) if a and b)
     positives = sum(x) + sum(y)
     if positives == 0:

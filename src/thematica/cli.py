@@ -131,17 +131,23 @@ class RunConfig:
                           research_question=self.research_question)
 
 
-def _load_config_file(path: str | None) -> dict | None:
-    if path is None:
+def _load_json_object(path: str | None, noun: str) -> dict | None:
+    """The JSON object in the file at ``path``, or None without a path.
+
+    ``noun`` names the file in the configuration error any failure becomes.
+    """
+    if not path:
         return None
     try:
         data = json.loads(Path(path).read_text(encoding="utf-8"))
     except FileNotFoundError:
-        raise ConfigError(f"config file not found: {path}") from None
+        raise ConfigError(f"{noun} not found: {path}") from None
+    except OSError as exc:
+        raise ConfigError(f"cannot read {noun} {path}: {exc.strerror or exc}") from None
     except ValueError as exc:
-        raise ConfigError(f"config file {path} is not valid JSON: {exc}") from exc
+        raise ConfigError(f"{noun} {path} is not valid JSON: {exc}") from exc
     if not isinstance(data, dict):
-        raise ConfigError(f"config file {path} must contain a JSON object")
+        raise ConfigError(f"{noun} {path} must contain a JSON object")
     return data
 
 
@@ -191,18 +197,6 @@ def _build_matcher(config: RunConfig) -> Matcher:
         raise ConfigError(str(exc)) from exc
 
 
-def _load_paper_reference(path: str | None) -> dict | None:
-    if not path:
-        return None
-    try:
-        data = json.loads(Path(path).read_text(encoding="utf-8"))
-    except (OSError, ValueError) as exc:
-        raise ConfigError(f"cannot read reference values from {path}: {exc}") from exc
-    if not isinstance(data, dict):
-        raise ConfigError(f"reference file {path} must contain a JSON object")
-    return data
-
-
 def _what_to_change(cause: BaseException | None, artifact_path: Path | None) -> str:
     """Advice for an interruption that a plain rerun would repeat."""
     if isinstance(cause, AuthError):
@@ -229,7 +223,7 @@ def _write_model_report(artifact: AnalysisArtifact, output_dir: str | Path,
                         paper_reference: str | None) -> list[Path]:
     """Write the report of the model's outputs alone, with its six-stage coverage."""
     bundle = build_report(artifact, coverages=six_step_coverage(artifact),
-                          paper_reference=_load_paper_reference(paper_reference))
+                          paper_reference=_load_json_object(paper_reference, "reference file"))
     return write_report_bundle(bundle, output_dir)
 
 
@@ -346,7 +340,7 @@ def cmd_compare(config: RunConfig, artifact_path: str | None, human_paths: list[
     coverages = six_step_coverage(artifact, human=human)
     report = build_report(artifact, bundle=bundle, coverages=coverages,
                           human_tables=stats,
-                          paper_reference=_load_paper_reference(paper_reference))
+                          paper_reference=_load_json_object(paper_reference, "reference file"))
     paths = write_report_bundle(report, config.output_dir)
     summary = bundle.code_summary
     print(f"compared {summary.count_a} human codes with {summary.count_b} model codes: "
@@ -362,9 +356,9 @@ def cmd_compare(config: RunConfig, artifact_path: str | None, human_paths: list[
     return EXIT_OK
 
 
-def cmd_verify(config: RunConfig, artifact_path: str | None, input_path: str | None) -> int:
+def cmd_verify(config: RunConfig, artifact_path: str | None) -> int:
     artifact = _load_complete_artifact(config, artifact_path)
-    source = input_path or config.input or artifact.corpus_fingerprint.get("source_path")
+    source = config.input or artifact.corpus_fingerprint.get("source_path")
     if not source:
         raise ConfigError("a corpus path is required (--input PATH)")
     corpus = load_corpus(source, page_size=artifact.corpus_fingerprint.get("page_size", 10),
@@ -412,7 +406,8 @@ def _build_parser() -> argparse.ArgumentParser:
     )
     parser.add_argument("--config", help="JSON config file")
     parser.add_argument("--output-dir", help="directory for artifacts and reports")
-    parser.add_argument("--verbose", action="store_true", help="enable info logging")
+    parser.add_argument("--verbose", action="store_true", default=None,
+                        help="enable info logging")
     sub = parser.add_subparsers(dest="command", required=True)
 
     analyze = sub.add_parser("analyze", help="run the full analysis over a transcript")
@@ -466,19 +461,12 @@ def main(argv: list[str] | None = None) -> int:
     logging.basicConfig(format="%(levelname)s %(name)s: %(message)s")
 
     try:
-        file_data = _load_config_file(args.config)
-        overrides: dict = {"verbose": args.verbose or None,
-                           "output_dir": args.output_dir}
-        for key in ("input", "format", "page_size", "focus_description",
-                    "research_question", "trace_threshold", "template_dir",
-                    "matcher", "alias_map", "jaccard_threshold"):
-            if hasattr(args, key):
-                overrides[key] = getattr(args, key)
-        model_overrides = {
-            key: getattr(args, key)
-            for key in _MODEL_KEYS
-            if hasattr(args, key) and getattr(args, key) is not None
-        }
+        file_data = _load_json_object(args.config, "config file")
+        # Each flag is stored under the name of the field it overrides.
+        overrides = {f.name: getattr(args, f.name) for f in fields(RunConfig)
+                     if hasattr(args, f.name)}
+        model_overrides = {key: getattr(args, key) for key in _MODEL_KEYS
+                           if getattr(args, key, None) is not None}
         if model_overrides:
             overrides["model"] = model_overrides
         if getattr(args, "replay", None):
@@ -501,7 +489,7 @@ def main(argv: list[str] | None = None) -> int:
                                interpretation_paths=args.interpretations or None,
                                paper_reference=args.paper_reference)
         if args.command == "verify":
-            return cmd_verify(config, args.artifact, args.input)
+            return cmd_verify(config, args.artifact)
         if args.command == "report":
             return cmd_report(config, args.artifact, paper_reference=args.paper_reference)
         parser.error(f"unknown command {args.command!r}")
@@ -510,6 +498,10 @@ def main(argv: list[str] | None = None) -> int:
         return EXIT_ERROR
     except FileNotFoundError as exc:
         print(f"error: file not found: {exc.filename or exc}", file=sys.stderr)
+        return EXIT_ERROR
+    except OSError as exc:
+        where = f"{exc.filename}: " if exc.filename else ""
+        print(f"error: {where}{exc.strerror or exc}", file=sys.stderr)
         return EXIT_ERROR
     except ThematicaError as exc:
         print(f"error: {exc}", file=sys.stderr)

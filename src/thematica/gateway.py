@@ -154,13 +154,23 @@ def load_fixture(path: str | Path) -> list[dict[str, str]]:
     return entries
 
 
-def save_fixture(path: str | Path, entries: Sequence[dict[str, str]]) -> None:
+def replace_file(path: str | Path, data: bytes) -> None:
+    """Make ``data`` the whole of the file at ``path``, creating its directory.
+
+    The bytes go to ``path.tmp``, which is then renamed over ``path``, so a
+    write cut short by a crash or a full disk leaves ``path`` as it was, or
+    absent, and never torn.
+    """
     path = Path(path)
     path.parent.mkdir(parents=True, exist_ok=True)
     tmp = path.with_suffix(path.suffix + ".tmp")
-    tmp.write_text(json.dumps(list(entries), indent=2, ensure_ascii=False) + "\n",
-                   encoding="utf-8")
+    tmp.write_bytes(data)
     os.replace(tmp, path)
+
+
+def save_fixture(path: str | Path, entries: Sequence[dict[str, str]]) -> None:
+    text = json.dumps(list(entries), indent=2, ensure_ascii=False) + "\n"
+    replace_file(path, text.encode("utf-8"))
 
 
 # Enough to hold a fixture's closing bracket and the whitespace around it.
@@ -195,7 +205,8 @@ class _FixtureAppender:
     r"""Adds entries to one fixture, remembering where its array closes.
 
     The first append checks the file's tail with :func:`_fixture_end` (a
-    missing file is created instead) and writes the entry over the closing
+    missing file is created by :func:`replace_file`, so a cut first write
+    leaves no torn fixture) and writes the entry over the closing
     bracket and the whitespace before it (with no comma when the array is
     empty), then truncates.  So it extends any fixture :func:`load_fixture`
     reads, whether :func:`save_fixture` or earlier appends wrote it.  It
@@ -213,9 +224,8 @@ class _FixtureAppender:
     def append(self, entry: dict[str, str]) -> None:
         line = json.dumps(entry, ensure_ascii=False).encode("utf-8")
         if self._end is None and not self.path.exists():
-            self.path.parent.mkdir(parents=True, exist_ok=True)
             data = b"[\n" + line + _CLOSE
-            self.path.write_bytes(data)
+            replace_file(self.path, data)
             self._end = len(data) - len(_CLOSE)
             return
         fd = os.open(self.path, os.O_RDWR)

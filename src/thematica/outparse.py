@@ -185,7 +185,6 @@ def parse_code_block(reply: str, expected_page: int, provenance: str = "llm") ->
 
     def _finalize(label: str, quote: str, page: int | None,
                   span: tuple[int, int], dialect: str) -> None:
-        nonlocal recognized
         if not quote.strip():
             warnings.append(ParseWarning(
                 span[0], "missing_quote",

@@ -12,7 +12,6 @@ a request, so a crashed run re-sends only the requests that were in flight.
 from __future__ import annotations
 
 import json
-import os
 import threading
 from concurrent.futures import ThreadPoolExecutor, wait
 from dataclasses import dataclass, field
@@ -39,7 +38,7 @@ from .errors import (
     SchemaError,
     ThematicaError,
 )
-from .gateway import ChatMessage, Gateway, ModelConfig
+from .gateway import ChatMessage, Gateway, ModelConfig, replace_file
 from .outparse import (
     CodeRecord,
     ThemeRecord,
@@ -158,10 +157,7 @@ class AnalysisArtifact:
         if target is None:
             raise ValueError("no artifact path configured")
         self.path = target
-        target.parent.mkdir(parents=True, exist_ok=True)
-        tmp = target.with_suffix(target.suffix + ".tmp")
-        tmp.write_text(_layout(self.to_dict()) + "\n", encoding="utf-8")
-        os.replace(tmp, target)
+        replace_file(target, (_layout(self.to_dict()) + "\n").encode("utf-8"))
         return target
 
 

@@ -11,6 +11,7 @@ from __future__ import annotations
 import hashlib
 import string
 from dataclasses import dataclass
+from functools import cache
 from pathlib import Path
 
 from .corpus import Page
@@ -148,12 +149,7 @@ class PromptLibrary:
         })
 
 
-_default_library: PromptLibrary | None = None
-
-
+@cache
 def default_library() -> PromptLibrary:
-    global _default_library
-    if _default_library is None:
-        _default_library = PromptLibrary()
-    return _default_library
+    return PromptLibrary()
 

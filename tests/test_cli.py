@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import errno
 import json
 import logging
 import os
@@ -387,6 +388,29 @@ def test_hand_edited_artifact_with_a_json_error_is_a_clean_error(
                             "column 5: Expecting property name enclosed in double quotes\n")
 
 
+@pytest.mark.parametrize("argv", [
+    ["compare", "--human", "{dir}"],
+    ["compare", "--human", "coder1.csv", "--matcher", "alias_map", "--alias-map", "{dir}"],
+    ["verify", "--artifact", "{dir}"],
+    ["report", "--artifact", "{dir}"],
+    ["--config", "{dir}", "analyze"],
+], ids=["compare-human", "compare-alias-map", "verify-artifact", "report-artifact", "config"])
+def test_a_directory_where_a_file_belongs_is_a_one_line_error(
+        analyzed_workspace: Path, tmp_path: Path, monkeypatch: pytest.MonkeyPatch, capsys,
+        argv: list[str]) -> None:
+    monkeypatch.chdir(analyzed_workspace)
+    argv = [arg.replace("{dir}", str(tmp_path)) for arg in argv]
+    if argv[0] != "--config":
+        argv = ["--config", "run_config.json", *argv]
+    assert main(argv) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.count("\n") == 1
+    assert str(tmp_path) in captured.err
+    assert "Is a directory" in captured.err
+    assert "Traceback" not in captured.err
+
+
 def test_output_dir_flag_overrides_config_value(
         sample_workspace: Path, monkeypatch: pytest.MonkeyPatch) -> None:
     monkeypatch.chdir(sample_workspace)
@@ -394,6 +418,61 @@ def test_output_dir_flag_overrides_config_value(
     assert code == 0
     assert (sample_workspace / "elsewhere" / "analysis.json").exists()
     assert not (sample_workspace / "out").exists()
+
+
+# (command, flags, merged config field, its value in the config file, the
+# flag's value); a field of the form "model.x" is model option x.
+FIELD_FLAGS = [
+    ("analyze", ["--input", "flag.txt"], "input", "file.txt", "flag.txt"),
+    ("analyze", ["--format", "ooxml_docx"], "format", "plain_text", "ooxml_docx"),
+    ("analyze", ["--page-size", "12"], "page_size", 7, 12),
+    ("analyze", ["--focus", "flag focus"], "focus_description", "file focus", "flag focus"),
+    ("analyze", ["--research-question", "flag?"], "research_question", "file?", "flag?"),
+    ("analyze", ["--model-id", "flag-model"], "model.model_id", "file-model", "flag-model"),
+    ("analyze", ["--temperature", "1.5"], "model.temperature", 0.5, 1.5),
+    ("analyze", ["--max-tokens", "200"], "model.max_tokens", 100, 200),
+    ("analyze", ["--endpoint-url", "http://flag"], "model.endpoint_url", "http://file",
+     "http://flag"),
+    ("analyze", ["--timeout", "20"], "model.timeout", 10.0, 20.0),
+    ("analyze", ["--parallelism", "3"], "model.parallelism", 2, 3),
+    ("analyze", ["--trace-threshold", "0.9"], "trace_threshold", 0.5, 0.9),
+    ("analyze", ["--template-dir", "flag_templates"], "template_dir", "file_templates",
+     "flag_templates"),
+    ("compare", ["--matcher", "token_overlap"], "matcher", "exact_normalized", "token_overlap"),
+    ("compare", ["--alias-map", "flag.csv"], "alias_map", "file.csv", "flag.csv"),
+    ("compare", ["--jaccard-threshold", "0.7"], "jaccard_threshold", 0.4, 0.7),
+    ("verify", ["--input", "flag.txt"], "input", "file.txt", "flag.txt"),
+    ("verify", ["--format", "ooxml_docx"], "format", "plain_text", "ooxml_docx"),
+    ("report", ["--output-dir", "flag_out"], "output_dir", "file_out", "flag_out"),
+    ("report", ["--verbose"], "verbose", False, True),
+]
+
+
+@pytest.mark.parametrize("command, flags, name, file_value, flag_value", FIELD_FLAGS,
+                         ids=[f"{row[0]}{row[1][0]}" for row in FIELD_FLAGS])
+def test_each_flag_overrides_its_config_file_field_and_only_when_given(
+        tmp_path: Path, monkeypatch: pytest.MonkeyPatch, command: str, flags: list[str],
+        name: str, file_value, flag_value) -> None:
+    merged: list = []
+    monkeypatch.setattr(thematica.cli, f"cmd_{command}",
+                        lambda config, *args, **kwargs: merged.append(config) or 0)
+    monkeypatch.chdir(tmp_path)
+    section, _, option = name.rpartition(".")
+    data = {section: {option: file_value}} if section else {name: file_value}
+    Path("config.json").write_text(json.dumps(data), encoding="utf-8")
+    # The global flags go before the command, the others after it.
+    is_global = flags[0] in ("--output-dir", "--verbose")
+    argv = ["--config", "config.json", *flags, command] if is_global else [
+        "--config", "config.json", command, *flags]
+    package_logger = logging.getLogger("thematica")
+    previous = package_logger.level
+    try:
+        assert main(argv) == 0
+        assert main(["--config", "config.json", command]) == 0
+    finally:
+        package_logger.setLevel(previous)
+    values = [config.model[option] if section else getattr(config, name) for config in merged]
+    assert values == [flag_value, file_value]
 
 
 @pytest.mark.parametrize("order", [("flag", None), (None, "flag"), ("config file", None)],
@@ -422,6 +501,35 @@ def test_verbose_applies_to_each_call_in_a_process(
             assert replayed == ([logging.INFO] if verbose else []), verbose
     finally:
         package_logger.setLevel(previous)
+
+
+def test_a_first_cache_write_cut_by_a_full_disk_leaves_no_torn_cache(
+        sample_workspace: Path, tmp_path: Path, monkeypatch: pytest.MonkeyPatch,
+        capsys) -> None:
+    clean = copy_workspace(sample_workspace, tmp_path / "clean")
+    monkeypatch.chdir(clean)
+    assert main(["--config", "run_config.json", "analyze"]) == 0
+
+    monkeypatch.chdir(sample_workspace)
+    write_bytes = Path.write_bytes
+
+    def full_disk(path: Path, data: bytes) -> int:
+        if not path.name.startswith("response_cache.json"):
+            return write_bytes(path, data)
+        write_bytes(path, data[:len(data) // 2])
+        raise OSError(errno.ENOSPC, "No space left on device")
+
+    monkeypatch.setattr(Path, "write_bytes", full_disk)
+    capsys.readouterr()
+    assert main(["--config", "run_config.json", "analyze"]) == 1
+    assert capsys.readouterr().err == "error: No space left on device\n"
+    monkeypatch.setattr(Path, "write_bytes", write_bytes)
+    assert not (sample_workspace / "out" / "response_cache.json").exists()
+
+    assert main(["--config", "run_config.json", "analyze"]) == 0
+    for name in ("analysis.json", "response_cache.json"):
+        assert ((sample_workspace / "out" / name).read_bytes()
+                == (clean / "out" / name).read_bytes()), name
 
 
 def test_unknown_config_key_is_a_configuration_error(
