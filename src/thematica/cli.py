@@ -197,14 +197,13 @@ def _build_matcher(config: RunConfig) -> Matcher:
         raise ConfigError(str(exc)) from exc
 
 
-def _what_to_change(cause: BaseException | None, artifact_path: Path | None) -> str:
+def _what_to_change(cause: BaseException | None, artifact_path: Path) -> str:
     """Advice for an interruption that a plain rerun would repeat."""
     if isinstance(cause, AuthError):
         return f"set a valid credential in {ENV_VAR} (or {FALLBACK_ENV_VAR})"
     if isinstance(cause, (NoRecordsFound, DuplicateLabel)):
-        artifact = artifact_path or "the artifact"
         return ("the model replies are persisted and are reused on resume; correct the "
-                f"offending reply under raw_replies in {artifact}, or revise the prompt "
+                f"offending reply under raw_replies in {artifact_path}, or revise the prompt "
                 "templates and analyze into a fresh output directory")
     return "remove the cause above before rerunning"
 
@@ -247,11 +246,11 @@ def cmd_analyze(config: RunConfig, paper_reference: str | None = None) -> int:
     except AnalysisInterrupted as exc:
         where = f" at page {exc.page}" if exc.page else ""
         print(f"analysis interrupted during {exc.stage}{where}: {exc.cause}", file=sys.stderr)
-        path = exc.artifact.path if exc.artifact is not None else None
+        # run_analysis always attaches the artifact, saved in the output directory.
+        path = exc.artifact.path
         resumable = isinstance(exc.cause, RESUMABLE_CAUSES)
-        if path is not None:
-            suffix = "; rerun to resume" if resumable else ""
-            print(f"partial artifact retained at {path}{suffix}", file=sys.stderr)
+        suffix = "; rerun to resume" if resumable else ""
+        print(f"partial artifact retained at {path}{suffix}", file=sys.stderr)
         if resumable:
             return EXIT_PARTIAL
         print(f"a rerun fails the same way: {_what_to_change(exc.cause, path)}", file=sys.stderr)
@@ -311,7 +310,6 @@ def _consensus_codebook(first: Codebook, second: Codebook, matcher: Matcher) -> 
         coder_a_themes=len(first.themes), coder_b_themes=len(second.themes),
         similar_themes=similar_themes,
         coder_a_theme_overlap_pct=overlap_a, coder_b_theme_overlap_pct=overlap_b,
-        merged_theme_count=len(first.themes) + len(second.themes) - similar_themes,
     )
     return consensus, stats
 

@@ -17,6 +17,7 @@ merged order that both merging and the presence matrix use.
 from __future__ import annotations
 
 import csv
+import io
 import logging
 import math
 import re
@@ -32,7 +33,8 @@ from .errors import (
     InconsistentMatch,
     SchemaError,
 )
-from .outparse import CodeRecord, ThemeRecord
+from .corpus import read_utf8
+from .outparse import MAX_LABEL_LENGTH, CodeRecord, ThemeRecord
 from .textnorm import label_key, label_tokens, normalize_label
 
 logger = logging.getLogger(__name__)
@@ -57,17 +59,20 @@ class Codebook:
     emerging_labels: tuple[str, ...] | None = None
     themes: tuple[ThemeRecord, ...] = ()
     labels: tuple[str, ...] = field(init=False, repr=False, compare=False, default=())
+    # label key -> label, one entry per code
+    by_key: dict[str, str] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         if not self.coder_id.strip():
             raise ValueError("coder_id must be non-empty")
-        seen: dict[str, str] = {}
+        by_key: dict[str, str] = {}
         for record in self.codes:
-            if record.key in seen:
+            if record.key in by_key:
                 raise DuplicateLabel(
-                    f"labels {seen[record.key]!r} and {record.label!r} collide after normalization"
+                    f"labels {by_key[record.key]!r} and {record.label!r} collide after normalization"
                 )
-            seen[record.key] = record.label
+            by_key[record.key] = record.label
+        object.__setattr__(self, "by_key", by_key)
         object.__setattr__(self, "labels", tuple(record.label for record in self.codes))
 
 
@@ -148,9 +153,8 @@ def match_codes(a: Codebook, b: Codebook, matcher: Matcher) -> MatchResult:
     """
     if not a.codes or not b.codes:
         raise EmptyCodebook("both codebooks must contain codes")
-    labels_b = {record.key: record.label for record in b.codes}
-    partner = {record.label: labels_b[record.key] for record in a.codes
-               if record.key in labels_b}
+    partner = {record.label: b.by_key[record.key] for record in a.codes
+               if record.key in b.by_key}
     if matcher.mode != EXACT_NORMALIZED:
         taken_b = set(partner.values())
         rest_a = [record for record in a.codes if record.label not in partner]
@@ -261,12 +265,11 @@ def merge_codebooks(a: Codebook, b: Codebook, match: MatchResult) -> tuple[Codeb
     Returns the merged codebook and the merge count |A| + |B| − |pairs|.
     """
     partner, rows = merge_order(a, b, match)
-    keys_b = {record.label: record.key for record in b.codes}
     merged = list(rows)
     for position, record in enumerate(a.codes):
         label_b = partner.get(record.label)
         if label_b is not None:
-            extra = (label_b,) if keys_b[label_b] != record.key else ()
+            extra = (label_b,) if b.by_key.get(record.key) != label_b else ()
             merged[position] = CodeRecord(
                 label=record.label, quote=record.quote, page=record.page,
                 provenance="human-merged", raw_span=record.raw_span,
@@ -289,13 +292,12 @@ def load_human_codebook(path: str | Path, interpretations_path: str | Path | Non
     with ``Theme: <name>`` headers attaches interpretation prose.
     """
     path = Path(path)
-    with path.open(encoding="utf-8", newline="") as handle:
-        reader = csv.DictReader(handle)
-        header = reader.fieldnames or []
-        missing = [column for column in HUMAN_CSV_COLUMNS if column not in header]
-        if missing:
-            raise SchemaError(f"{path.name}: missing column(s) {', '.join(missing)}")
-        rows = list(reader)
+    reader = csv.DictReader(io.StringIO(read_utf8(path)))
+    header = reader.fieldnames or []
+    missing = [column for column in HUMAN_CSV_COLUMNS if column not in header]
+    if missing:
+        raise SchemaError(f"{path.name}: missing column(s) {', '.join(missing)}")
+    rows = list(reader)
     if not rows:
         raise EmptyCodebook(f"{path.name}: no data rows")
 
@@ -325,8 +327,13 @@ def load_human_codebook(path: str | Path, interpretations_path: str | Path | Non
                 raise SchemaError(f"{path.name}:{line}: page {page_field!r} is not an integer") from exc
         else:
             page = None
-        codes.append(CodeRecord(label=label, quote=quote, page=page, provenance="human"))
+        try:
+            codes.append(CodeRecord(label=label, quote=quote, page=page, provenance="human"))
+        except ValueError as exc:
+            raise SchemaError(f"{path.name}:{line}: {exc}") from None
         theme_name = normalize_label(row["theme"] or "")
+        if len(theme_name) > MAX_LABEL_LENGTH:
+            raise SchemaError(f"{path.name}:{line}: theme name exceeds {MAX_LABEL_LENGTH} characters")
         if theme_name:
             if theme_name not in theme_members:
                 theme_members[theme_name] = []
@@ -356,7 +363,7 @@ def _load_theme_sidecar(path: str | Path) -> dict[str, str]:
     """Parse ``Theme: <name>`` sections into a key → prose map."""
     sections: dict[str, list[str]] = {}
     current: str | None = None
-    for line in Path(path).read_text(encoding="utf-8").splitlines():
+    for line in read_utf8(Path(path)).splitlines():
         header = _THEME_SIDECAR_HEADER.match(line)
         if header:
             current = label_key(header.group("name"))

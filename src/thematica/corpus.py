@@ -121,8 +121,6 @@ def load_document(path: str | Path, format: str = "auto") -> list[Paragraph]:
     paragraphs.
     """
     file_path = Path(path)
-    if not file_path.is_file():
-        raise FileNotFoundError(f"no such file: {file_path}")
     if format == "auto":
         format = OOXML_DOCX if file_path.suffix.lower() == ".docx" else PLAIN_TEXT
     if format == PLAIN_TEXT:
@@ -170,14 +168,18 @@ def content_hash(corpus: Corpus) -> str:
     return hashlib.sha256(joined.encode("utf-8")).hexdigest()
 
 
-def _read_plain_text(path: Path) -> list[str]:
+def read_utf8(path: Path) -> str:
+    """The text of the file at ``path``; bytes that are not UTF-8 raise DecodeError."""
     try:
-        raw = path.read_text(encoding="utf-8")
+        return path.read_text(encoding="utf-8")
     except UnicodeDecodeError as exc:
         raise DecodeError(f"{path} is not valid UTF-8: {exc}") from exc
+
+
+def _read_plain_text(path: Path) -> list[str]:
     blocks: list[str] = []
     current: list[str] = []
-    for line in raw.splitlines():
+    for line in read_utf8(path).splitlines():
         if line.strip():
             current.append(line.strip())
         elif current:

@@ -159,13 +159,18 @@ def replace_file(path: str | Path, data: bytes) -> None:
 
     The bytes go to ``path.tmp``, which is then renamed over ``path``, so a
     write cut short by a crash or a full disk leaves ``path`` as it was, or
-    absent, and never torn.
+    absent, and never torn.  A failed write or rename removes ``path.tmp``
+    and raises an OSError that names ``path``.
     """
     path = Path(path)
     path.parent.mkdir(parents=True, exist_ok=True)
     tmp = path.with_suffix(path.suffix + ".tmp")
-    tmp.write_bytes(data)
-    os.replace(tmp, path)
+    try:
+        tmp.write_bytes(data)
+        os.replace(tmp, path)
+    except OSError as exc:
+        tmp.unlink(missing_ok=True)
+        raise OSError(exc.errno, exc.strerror or str(exc), str(path)) from exc
 
 
 def save_fixture(path: str | Path, entries: Sequence[dict[str, str]]) -> None:

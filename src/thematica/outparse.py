@@ -11,13 +11,15 @@ The theme step yields ``### Theme K: Name`` blocks with member bullets and a
 ``**Description**:`` paragraph; the interpretation step yields prose sections
 under ``Theme K: Name`` headings.  All parsers are tolerant: malformed
 entries degrade into warnings, never hard failures, and every input line is
-accounted for as a record span, boilerplate, or a warning.
+accounted for as a record span, boilerplate, or a warning.  A code that
+:class:`CodeRecord` rejects (an empty or overlong label, page 0) is such an
+entry: it is excluded with a warning that gives the reason.
 """
 
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 from .errors import NoRecordsFound
 from .textnorm import label_key, normalize_label
@@ -47,6 +49,8 @@ _DESCRIPTION = re.compile(r"^\s*(?:\*\*)?Description(?:\*\*)?\s*:\s*(?P<rest>.*)
 
 _QUOTE_CHARS = "\"“”"
 
+MAX_LABEL_LENGTH = 200  # of a code label; compare matches human theme names as labels too
+
 
 @dataclass(frozen=True)
 class CodeRecord:
@@ -67,8 +71,8 @@ class CodeRecord:
     def __post_init__(self) -> None:
         if not self.label.strip():
             raise ValueError("code label must be non-empty")
-        if len(self.label) > 200:
-            raise ValueError(f"code label exceeds 200 characters: {self.label[:40]}...")
+        if len(self.label) > MAX_LABEL_LENGTH:
+            raise ValueError(f"code label exceeds {MAX_LABEL_LENGTH} characters: {self.label[:40]}...")
         if self.page is not None and self.page < 1:
             raise ValueError(f"page must be >= 1, got {self.page}")
         object.__setattr__(self, "key", label_key(self.label))
@@ -155,9 +159,9 @@ def parse_code_block(reply: str, expected_page: int, provenance: str = "llm") ->
 
     Codes missing a page reference fall back to ``expected_page`` with a
     warning; codes missing a quote, or whose quote is blank once its quote
-    marks are stripped, are excluded with a warning.  Content from
-    the emerging-code list delimiter onward belongs to
-    :func:`parse_emerging_code_list` and is treated as boilerplate here.
+    marks are stripped, and codes :class:`CodeRecord` rejects are excluded
+    with a warning.  Content from the emerging-code list delimiter onward
+    belongs to :func:`parse_emerging_code_list` and is boilerplate here.
     """
     if not reply.strip():
         raise NoRecordsFound("empty reply")
@@ -192,17 +196,19 @@ def parse_code_block(reply: str, expected_page: int, provenance: str = "llm") ->
             ))
             return
         clean = normalize_label(label)
-        if not clean:
-            warnings.append(ParseWarning(span[0], "empty_label", "code label empty after cleanup; excluded"))
+        try:
+            record = CodeRecord(label=clean, quote=quote,
+                                page=expected_page if page is None else page,
+                                provenance=provenance, raw_span=span)
+        except ValueError as exc:
+            warnings.append(ParseWarning(span[0], "invalid_code", f"{exc}; excluded"))
             return
         if page is None:
             warnings.append(ParseWarning(
                 span[0], "missing_page",
                 f"code {clean!r} cites no page; assuming page {expected_page}",
             ))
-            page = expected_page
-        records.append(CodeRecord(label=clean, quote=quote, page=page,
-                                  provenance=provenance, raw_span=span))
+        records.append(record)
         dialects.add(dialect)
 
     lines = reply.splitlines()
@@ -523,11 +529,7 @@ def parse_interpretation_block(reply: str, themes: list[ThemeRecord] | tuple[The
     updated = []
     for index, theme in enumerate(themes):
         if index in texts:
-            updated.append(ThemeRecord(
-                name=theme.name, member_labels=theme.member_labels,
-                description=theme.description, interpretation=texts[index],
-                raw_span=theme.raw_span,
-            ))
+            updated.append(replace(theme, interpretation=texts[index]))
         else:
             warnings.append(ParseWarning(0, "missing_interpretation",
                                          f"theme {theme.name!r} received no interpretation"))

@@ -14,7 +14,7 @@ from __future__ import annotations
 import json
 import threading
 from concurrent.futures import ThreadPoolExecutor, wait
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from datetime import datetime, timezone
 from functools import partial
 from pathlib import Path
@@ -107,16 +107,12 @@ class AnalysisArtifact:
     def complete(self) -> bool:
         return self.status == "complete"
 
-    def reply_key_order(self, page_count: int) -> list[str]:
-        keys = [f"page_{number}" for number in range(1, page_count + 1)]
-        keys.extend(("themes", "interpretations"))
-        return [key for key in keys if key in self.raw_replies]
-
     def to_dict(self) -> dict:
         page_count = self.corpus_fingerprint.get("page_count", 0)
-        replies = {key: self.raw_replies[key] for key in self.reply_key_order(page_count)}
-        extras = {key: value for key, value in self.raw_replies.items() if key not in replies}
-        replies.update(dict(sorted(extras.items())))
+        order = [*(f"page_{number}" for number in range(1, page_count + 1)),
+                 "themes", "interpretations"]
+        replies = {key: self.raw_replies[key] for key in order if key in self.raw_replies}
+        replies.update(sorted(item for item in self.raw_replies.items() if item[0] not in replies))
         return {
             "schema_version": self.schema_version,
             "status": self.status,
@@ -470,7 +466,6 @@ def run_analysis(corpus: Corpus, focus: StudyFocus, config: ModelConfig, transpo
 
         codebook = Codebook(coder_id="genai", provenance="llm", codes=tuple(records))
         regenerated = codebook.labels
-        record_keys = {record.key for record in records}
         if list_reply is not None:
             emerging = tuple(parse_emerging_code_list(list_reply))
             if emerging != regenerated:
@@ -479,7 +474,7 @@ def run_analysis(corpus: Corpus, focus: StudyFocus, config: ModelConfig, transpo
                     f"deduplication ({len(emerging)} vs {len(regenerated)} labels)"
                 )
             for label in emerging:
-                if label_key(label) not in record_keys:
+                if label_key(label) not in codebook.by_key:
                     parse_notes.append(
                         f"emerging label {label!r} is not among the extracted code labels")
         else:
@@ -497,7 +492,7 @@ def run_analysis(corpus: Corpus, focus: StudyFocus, config: ModelConfig, transpo
         parse_notes.extend(f"themes line {w.line}: {w.kind}: {w.detail}"
                            for w in theme_report.warnings)
         member_keys = {label_key(label) for theme in themes for label in theme.member_labels}
-        for key_label in sorted(member_keys - record_keys):
+        for key_label in sorted(member_keys.difference(codebook.by_key)):
             parse_notes.append(
                 f"theme member {key_label!r} does not match any extracted code label")
 
@@ -514,8 +509,7 @@ def run_analysis(corpus: Corpus, focus: StudyFocus, config: ModelConfig, transpo
                            for w in interp_report.warnings)
         # Past the stages a library error propagates as it is.
         stage = None
-        codebook = Codebook(coder_id="genai", provenance="llm", codes=tuple(records),
-                            emerging_labels=emerging, themes=themes)
+        codebook = replace(codebook, emerging_labels=emerging, themes=themes)
         trace = verify_codebook(codebook, corpus, trace_threshold)
         artifact.llm_codebook, artifact.trace = codebook, trace
         artifact.notes = parse_notes
@@ -552,30 +546,28 @@ def six_step_coverage(artifact: AnalysisArtifact,
     if not artifact.complete or artifact.llm_codebook is None:
         raise IncompleteArtifact("six-step coverage requires a complete artifact")
     book = artifact.llm_codebook
-    llm = SixStepCoverage(stages={
-        STAGE_QUOTATION: NOT_COVERED,
-        STAGE_KEYWORDS: "per-page code extraction" if book.codes else NOT_COVERED,
-        STAGE_CODING: "emerging-code list" if book.emerging_labels else NOT_COVERED,
-        STAGE_THEMES: "theme generation" if book.themes else NOT_COVERED,
-        STAGE_CONCEPTUALIZATION: (
-            "theme interpretation" if any(t.interpretation for t in book.themes) else NOT_COVERED
-        ),
-        STAGE_MODEL: NOT_COVERED,
-    })
-    coverages = {"llm": llm}
+    coverages = {"llm": _coverage(book, book.emerging_labels, (
+        "per-page code extraction", "emerging-code list", "theme generation",
+        "theme interpretation"))}
     if human is not None:
-        coverages[human.coder_id] = SixStepCoverage(stages={
-            STAGE_QUOTATION: NOT_COVERED,
-            STAGE_KEYWORDS: "manual coding" if human.codes else NOT_COVERED,
-            STAGE_CODING: "manual code list" if human.codes else NOT_COVERED,
-            STAGE_THEMES: "manual theme table" if human.themes else NOT_COVERED,
-            STAGE_CONCEPTUALIZATION: (
-                "written interpretations"
-                if any(t.interpretation for t in human.themes) else NOT_COVERED
-            ),
-            STAGE_MODEL: NOT_COVERED,
-        })
+        coverages[human.coder_id] = _coverage(human, human.codes, (
+            "manual coding", "manual code list", "manual theme table",
+            "written interpretations"))
     return coverages
+
+
+def _coverage(book: Codebook, code_list: tuple | None,
+              names: tuple[str, str, str, str]) -> SixStepCoverage:
+    """The six stages ``book`` covers, with ``code_list`` as its Coding evidence.
+
+    ``names`` say what covers Keywords, Coding, ThemeIdentification and
+    Conceptualization, in that order; each covers its stage only when its
+    content exists.
+    """
+    evidence = (book.codes, code_list, book.themes, any(t.interpretation for t in book.themes))
+    stages = {stage: name if present else NOT_COVERED
+              for stage, name, present in zip(SIX_STAGES[1:5], names, evidence)}
+    return SixStepCoverage(stages={STAGE_QUOTATION: NOT_COVERED, **stages, STAGE_MODEL: NOT_COVERED})
 
 
 @dataclass(frozen=True)

@@ -14,7 +14,7 @@ from dataclasses import dataclass
 from functools import cache
 from pathlib import Path
 
-from .corpus import Page
+from .corpus import Page, read_utf8
 from .errors import (
     EmptyCodes,
     EmptyFocus,
@@ -105,7 +105,7 @@ class PromptLibrary:
         self._templates: dict[str, str] = {}
         for step, filename in _TEMPLATE_FILES.items():
             path = self.template_dir / filename
-            text = path.read_text(encoding="utf-8").rstrip("\n")
+            text = read_utf8(path).rstrip("\n")
             _placeholders(text, step, filename)
             self._templates[step] = text
 

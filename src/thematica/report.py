@@ -39,7 +39,6 @@ class CoderMergeStats:
     similar_themes: int = 0
     coder_a_theme_overlap_pct: float | None = None
     coder_b_theme_overlap_pct: float | None = None
-    merged_theme_count: int = 0
 
 
 @dataclass
@@ -84,12 +83,11 @@ def render_code_listing(codebook: Codebook, trace: TraceabilityReport) -> str:
     return "\n".join(lines)
 
 
-def render_codes_csv(codebook: Codebook, trace: TraceabilityReport | None = None) -> str:
-    levels = [result.level for result in trace.results] if trace else [""] * len(codebook.codes)
+def render_codes_csv(codebook: Codebook, trace: TraceabilityReport) -> str:
     rows = [
         [record.label, record.quote, "" if record.page is None else record.page,
-         level, record.provenance]
-        for record, level in zip(codebook.codes, levels)
+         result.level, record.provenance]
+        for record, result in zip(codebook.codes, trace.results)
     ]
     return _csv_text(["label", "quote", "page", "trace_level", "provenance"], rows)
 
@@ -359,12 +357,7 @@ def write_report_bundle(bundle: ReportBundle, output_dir: str | Path) -> list[Pa
     """Write report.md and every CSV export; returns the written paths."""
     out = Path(output_dir)
     out.mkdir(parents=True, exist_ok=True)
-    written: list[Path] = []
-    report_path = out / "report.md"
-    report_path.write_text(bundle.markdown_report, encoding="utf-8")
-    written.append(report_path)
-    for name, text in bundle.csv_exports.items():
-        path = out / name
-        path.write_text(text, encoding="utf-8")
-        written.append(path)
-    return written
+    files = {"report.md": bundle.markdown_report, **bundle.csv_exports}
+    for name, text in files.items():
+        (out / name).write_text(text, encoding="utf-8")
+    return [out / name for name in files]

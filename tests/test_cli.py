@@ -118,6 +118,22 @@ def test_missing_input_file_is_a_clean_error(
     assert "file not found" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("make, message", [
+    (lambda tmp: Path("absent.txt"), "error: file not found: {path}\n"),
+    (lambda tmp: tmp, "error: {path}: Is a directory\n"),
+], ids=["missing", "directory"])
+def test_an_unreadable_transcript_is_one_line_naming_it(
+        tmp_path: Path, monkeypatch: pytest.MonkeyPatch, capsys, make, message: str) -> None:
+    monkeypatch.chdir(tmp_path)
+    path = make(tmp_path)
+    code = main(["analyze", "--input", str(path), "--focus", "f",
+                 "--research-question", "q", "--replay", "missing.json"])
+    assert code == 1
+    captured = capsys.readouterr()
+    assert captured.err == message.format(path=path)
+    assert captured.out == ""
+
+
 def test_incomplete_fixture_exits_partial_and_retains_artifact(
         sample_workspace: Path, monkeypatch: pytest.MonkeyPatch, capsys) -> None:
     monkeypatch.chdir(sample_workspace)
@@ -232,6 +248,49 @@ def test_unusable_alias_map_is_a_one_line_error(
     code = main(["compare", "--artifact", "out/analysis.json", "--human", "coder1.csv",
                  "--matcher", "alias_map", "--alias-map", "aliases.csv"])
     assert code == 1
+    captured = capsys.readouterr()
+    assert captured.err.startswith(message)
+    assert captured.err.count("\n") == 1
+    assert captured.out == ""
+
+
+HUMAN_HEADER = "coder_id,theme,code_label,supporting_quote,page\n"
+LONG_NAME = " ".join(["Overlong"] * 25)
+
+
+@pytest.mark.parametrize("files, argv, message", [
+    ({"h1.csv": HUMAN_HEADER + "h1,,Curiosity,,0\n"}, ["compare", "--human", "h1.csv"],
+     "error: h1.csv:2: page must be >= 1, got 0"),
+    ({"h1.csv": HUMAN_HEADER + f"h1,,{LONG_NAME},,\n"}, ["compare", "--human", "h1.csv"],
+     f"error: h1.csv:2: code label exceeds 200 characters: {LONG_NAME[:40]}..."),
+    ({"h1.csv": HUMAN_HEADER + f"h1,{LONG_NAME},Curiosity,,\n",
+      "h2.csv": HUMAN_HEADER + "h2,Theme,Curiosity,,\n"},
+     ["compare", "--human", "h1.csv", "--human", "h2.csv"],
+     "error: h1.csv:2: theme name exceeds 200 characters"),
+    ({"h1.csv": (HUMAN_HEADER + "h1,,Curios\xffity,,\n").encode("latin-1")},
+     ["compare", "--human", "h1.csv"],
+     "error: h1.csv is not valid UTF-8: 'utf-8' codec can't decode byte 0xff in position 58"),
+    ({"h1.csv": HUMAN_HEADER + "h1,Theme,Curiosity,,\n", "notes.txt": b"Theme: \xff\n"},
+     ["compare", "--human", "h1.csv", "--interpretations", "notes.txt"],
+     "error: notes.txt is not valid UTF-8: 'utf-8' codec can't decode byte 0xff in position 7"),
+    ({"templates/interpretation.txt": b"{themes} \xff\n"},
+     ["analyze", "--template-dir", "templates"],
+     "error: templates/interpretation.txt is not valid UTF-8: 'utf-8' codec can't decode "
+     "byte 0xff in position 9"),
+], ids=["page-0", "long-label", "long-theme-name", "csv-not-utf-8", "sidecar-not-utf-8",
+        "template-not-utf-8"])
+def test_malformed_human_inputs_and_templates_are_one_line_errors(
+        analyzed_workspace: Path, tmp_path: Path, monkeypatch: pytest.MonkeyPatch, capsys,
+        files: dict, argv: list[str], message: str) -> None:
+    workspace = copy_workspace(analyzed_workspace, tmp_path / "workspace")
+    monkeypatch.chdir(workspace)
+    if any(name.startswith("templates/") for name in files):
+        shutil.copytree(SAMPLES.parent / "templates", "templates")
+    for name, content in files.items():
+        if isinstance(content, str):
+            content = content.encode("utf-8")
+        Path(name).write_bytes(content)
+    assert main(["--config", "run_config.json", *argv]) == 1
     captured = capsys.readouterr()
     assert captured.err.startswith(message)
     assert captured.err.count("\n") == 1
@@ -522,9 +581,10 @@ def test_a_first_cache_write_cut_by_a_full_disk_leaves_no_torn_cache(
     monkeypatch.setattr(Path, "write_bytes", full_disk)
     capsys.readouterr()
     assert main(["--config", "run_config.json", "analyze"]) == 1
-    assert capsys.readouterr().err == "error: No space left on device\n"
+    assert capsys.readouterr().err == "error: out/response_cache.json: No space left on device\n"
     monkeypatch.setattr(Path, "write_bytes", write_bytes)
     assert not (sample_workspace / "out" / "response_cache.json").exists()
+    assert not (sample_workspace / "out" / "response_cache.json.tmp").exists()
 
     assert main(["--config", "run_config.json", "analyze"]) == 0
     for name in ("analysis.json", "response_cache.json"):

@@ -506,3 +506,33 @@ def test_quoted_segment_agrees_with_the_character_scan_it_replaced() -> None:
         spans += expected is not None
     # Texts with no quote, one quote and a quoted span all occur.
     assert 500 < spans < 4500
+
+
+OVERLONG_LABEL = " ".join(["Overlong"] * 25)
+
+
+@pytest.mark.parametrize("label, page, reason", [
+    ("**...**", "1", "code label must be non-empty"),
+    (OVERLONG_LABEL, "1", f"code label exceeds 200 characters: {OVERLONG_LABEL[:40]}..."),
+    ("Page Zero Code", "0", "page must be >= 1, got 0"),
+], ids=["empty-label", "overlong-label", "page-0"])
+@pytest.mark.parametrize("template", [
+    '1. {label}: "rejected words" - Page {page}\n2. **Kept Code**: "real words" - Page 1\n',
+    'Emerging Code: {label}\n- Supporting Sentence: "rejected words"\n- Page: Page {page}\n'
+    'Emerging Code: **Kept Code**\n- Supporting Sentence: "real words"\n- Page: Page 1\n',
+    '1. {label}\n- "rejected words"\n- Page {page}\n2. Kept Code\n- "real words"\n- Page 1\n',
+], ids=["d1", "d2", "d3"])
+def test_a_code_that_code_record_rejects_is_excluded_with_its_reason(
+        template: str, label: str, page: str, reason: str) -> None:
+    report = parse_code_block(template.format(label=label, page=page), expected_page=1)
+    assert [(r.label, r.quote) for r in report.records] == [("Kept Code", "real words")]
+    assert [(w.line, w.kind, w.detail) for w in report.warnings] == [
+        (1, "invalid_code", f"{reason}; excluded")]
+
+
+def test_a_rejected_code_that_cites_no_page_gets_one_warning() -> None:
+    report = parse_code_block('1. **...**: "words"\n2. **Kept Code**: "real words" - Page 4\n',
+                              expected_page=4)
+    assert [r.label for r in report.records] == ["Kept Code"]
+    assert [(w.line, w.kind, w.detail) for w in report.warnings] == [
+        (1, "invalid_code", "code label must be non-empty; excluded")]

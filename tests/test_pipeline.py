@@ -131,6 +131,45 @@ def test_parallel_extraction_matches_sequential(sample: dict, tmp_path: Path) ->
     assert parallel["raw_replies"] == sequential["raw_replies"]
 
 
+class ContextTransport:
+    """Serves one reply per request context, whatever the prompt holds.
+
+    Without ``replies`` it fills them from ``inner``; with them it lets a test
+    edit a reply and still serve the later requests whose prompts the edit
+    changes.
+    """
+
+    kind = "replay"
+
+    def __init__(self, inner: ReplayTransport | None = None,
+                 replies: dict[str, str] | None = None) -> None:
+        self.inner = inner
+        self.replies = dict(replies or {})
+
+    def send(self, config, messages, context=None):
+        if self.inner is not None:
+            self.replies[context] = self.inner.send(config, messages, context)
+        return self.replies[context]
+
+
+def test_a_page_reply_citing_page_0_excludes_that_code_and_completes(
+        sample: dict, tmp_path: Path) -> None:
+    recorder = ContextTransport(ReplayTransport(sample["fixture"]))
+    run_sample(sample, tmp_path / "clean", recorder)
+    replies = recorder.replies
+    replies["page 2 code extraction"] = replies["page 2 code extraction"].replace(
+        "- Page: Page 2", "- Page: Page 0", 1)
+    artifact = run_sample(sample, tmp_path / "edited", ContextTransport(replies=replies))
+    assert artifact.complete
+    assert len(artifact.llm_codebook.codes) == 58
+    assert "Confidentiality Assurance" not in artifact.llm_codebook.labels
+    assert "page 2 line 1: invalid_code: page must be >= 1, got 0; excluded" in artifact.notes
+    # The rerun reads the complete artifact the first run saved.
+    rerun = run_sample(sample, tmp_path / "edited", ContextTransport(replies=replies))
+    assert rerun.notes == artifact.notes
+    assert rerun.llm_codebook.codes == artifact.llm_codebook.codes
+
+
 class FailingPageTransport:
     """Replay wrapper whose send raises a non-library error on one page."""
 

@@ -34,7 +34,6 @@ SAMPLE_MERGE_STATS = CoderMergeStats(
     similar_codes=67, merged_codes=104,
     coder_a_themes=23, coder_b_themes=26, similar_themes=15,
     coder_a_theme_overlap_pct=1500 / 23, coder_b_theme_overlap_pct=1500 / 26,
-    merged_theme_count=34,
 )
 
 
