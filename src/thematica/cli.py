@@ -184,9 +184,6 @@ def _document_format(config: RunConfig) -> str:
 
 
 def _build_matcher(config: RunConfig) -> Matcher:
-    if config.matcher not in MATCHER_MODES:
-        raise ConfigError(f"unknown matcher mode {config.matcher!r}; "
-                          f"choose from {', '.join(MATCHER_MODES)}")
     try:
         if config.matcher != ALIAS_MAP:
             return Matcher(mode=config.matcher, jaccard_threshold=config.jaccard_threshold)

@@ -89,7 +89,8 @@ class Matcher:
 
     def __post_init__(self) -> None:
         if self.mode not in MATCHER_MODES:
-            raise ValueError(f"unknown matcher mode {self.mode!r}")
+            raise ValueError(f"unknown matcher mode {self.mode!r}; "
+                             f"choose from {', '.join(MATCHER_MODES)}")
         if not 0.0 < self.jaccard_threshold <= 1.0:
             raise ValueError(f"jaccard_threshold must be in (0, 1], got {self.jaccard_threshold}")
         if self.mode == ALIAS_MAP and self.alias_map is None:
@@ -289,7 +290,9 @@ def load_human_codebook(path: str | Path, interpretations_path: str | Path | Non
     Schema (header required): coder_id, theme, code_label, supporting_quote,
     page.  Quote and page may be empty.  The theme column groups rows into
     ThemeRecords in first-appearance order; an optional sidecar text file
-    with ``Theme: <name>`` headers attaches interpretation prose.
+    with ``Theme: <name>`` headers attaches interpretation prose.  Two code
+    labels, or two theme names, with one label key are a SchemaError that
+    names both lines.
     """
     path = Path(path)
     reader = csv.DictReader(io.StringIO(read_utf8(path)))
@@ -303,8 +306,8 @@ def load_human_codebook(path: str | Path, interpretations_path: str | Path | Non
 
     coder_id = ""
     codes: list[CodeRecord] = []
-    theme_members: dict[str, list[str]] = {}
-    theme_order: list[str] = []
+    first_codes: dict[str, tuple[str, int]] = {}  # label key -> label, line
+    first_themes: dict[str, tuple[str, int, list[str]]] = {}  # name key -> name, line, members
     quoteless = 0
     for line, row in enumerate(rows, start=2):
         row_coder = (row["coder_id"] or "").strip()
@@ -328,17 +331,24 @@ def load_human_codebook(path: str | Path, interpretations_path: str | Path | Non
         else:
             page = None
         try:
-            codes.append(CodeRecord(label=label, quote=quote, page=page, provenance="human"))
+            record = CodeRecord(label=label, quote=quote, page=page, provenance="human")
         except ValueError as exc:
             raise SchemaError(f"{path.name}:{line}: {exc}") from None
+        first, first_line = first_codes.setdefault(record.key, (label, line))
+        if first_line != line:
+            raise SchemaError(f"{path.name}:{line}: code label {label!r} collides with {first!r} "
+                              f"(line {first_line}) after normalization")
+        codes.append(record)
         theme_name = normalize_label(row["theme"] or "")
         if len(theme_name) > MAX_LABEL_LENGTH:
             raise SchemaError(f"{path.name}:{line}: theme name exceeds {MAX_LABEL_LENGTH} characters")
         if theme_name:
-            if theme_name not in theme_members:
-                theme_members[theme_name] = []
-                theme_order.append(theme_name)
-            theme_members[theme_name].append(label)
+            first, first_line, members = first_themes.setdefault(
+                label_key(theme_name), (theme_name, line, []))
+            if first != theme_name:
+                raise SchemaError(f"{path.name}:{line}: theme name {theme_name!r} collides with "
+                                  f"{first!r} (line {first_line}) after normalization")
+            members.append(label)
     if not coder_id:
         raise SchemaError(f"{path.name}: coder_id missing from every row")
     if quoteless:
@@ -347,12 +357,9 @@ def load_human_codebook(path: str | Path, interpretations_path: str | Path | Non
 
     interpretations = _load_theme_sidecar(interpretations_path) if interpretations_path else {}
     themes = tuple(
-        ThemeRecord(
-            name=name,
-            member_labels=tuple(theme_members[name]),
-            interpretation=interpretations.pop(label_key(name), None),
-        )
-        for name in theme_order
+        ThemeRecord(name=name, member_labels=tuple(members),
+                    interpretation=interpretations.pop(key, None))
+        for key, (name, _, members) in first_themes.items()
     )
     for leftover in interpretations.values():
         logger.warning("%s: interpretation section %r matches no theme", path.name, leftover[:40])

@@ -219,7 +219,8 @@ class _FixtureAppender:
     one positioned write of ``,\n{entry}\n]\n`` there: longer than what it
     covers, so nothing is left to truncate.  Each entry is one line.  That
     offset stays right only while this appender is the file's one writer;
-    the caller serializes appends.
+    the caller serializes appends.  A failed append raises an OSError that
+    names the fixture, as :func:`replace_file` does.
     """
 
     def __init__(self, path: str | Path) -> None:
@@ -233,21 +234,24 @@ class _FixtureAppender:
             replace_file(self.path, data)
             self._end = len(data) - len(_CLOSE)
             return
-        fd = os.open(self.path, os.O_RDWR)
         try:
-            if self._end is None:
-                at, separator = _fixture_end(fd, self.path)
-                data = separator + line + _CLOSE
-                _pwrite_all(fd, data, at)
-                os.ftruncate(fd, at + len(data))
-            else:
-                # Forgotten until this write is whole: after a failed one, the
-                # next append checks the tail again.
-                at, self._end = self._end, None
-                data = b",\n" + line + _CLOSE
-                _pwrite_all(fd, data, at)
-        finally:
-            os.close(fd)
+            fd = os.open(self.path, os.O_RDWR)
+            try:
+                if self._end is None:
+                    at, separator = _fixture_end(fd, self.path)
+                    data = separator + line + _CLOSE
+                    _pwrite_all(fd, data, at)
+                    os.ftruncate(fd, at + len(data))
+                else:
+                    # Forgotten until this write is whole: after a failed one,
+                    # the next append checks the tail again.
+                    at, self._end = self._end, None
+                    data = b",\n" + line + _CLOSE
+                    _pwrite_all(fd, data, at)
+            finally:
+                os.close(fd)
+        except OSError as exc:
+            raise OSError(exc.errno, exc.strerror or str(exc), str(self.path)) from exc
         self._end = at + len(data) - len(_CLOSE)
 
 

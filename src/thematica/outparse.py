@@ -9,11 +9,16 @@ The extraction step yields code lists in (at least) three dialects:
 
 The theme step yields ``### Theme K: Name`` blocks with member bullets and a
 ``**Description**:`` paragraph; the interpretation step yields prose sections
-under ``Theme K: Name`` headings.  All parsers are tolerant: malformed
+under ``Theme K: Name`` headings.  Both share one heading grammar, split by
+one function: ``#`` and ``**`` decorations are optional, prompt-cue echoes
+before the first heading are boilerplate, and other lines there are
+preamble, reported in one warning.  All parsers are tolerant: malformed
 entries degrade into warnings, never hard failures, and every input line is
 accounted for as a record span, boilerplate, or a warning.  A code that
-:class:`CodeRecord` rejects (an empty or overlong label, page 0) is such an
-entry: it is excluded with a warning that gives the reason.
+:class:`CodeRecord` rejects (an empty or overlong label, page 0), or a theme
+that :class:`ThemeRecord` rejects (a name that normalizes to nothing), is
+such an entry: it is excluded with an ``invalid_code`` or ``invalid_theme``
+warning that gives the reason.
 """
 
 from __future__ import annotations
@@ -365,96 +370,92 @@ def render_theme_digest(themes: list[ThemeRecord] | tuple[ThemeRecord, ...]) -> 
     return "\n\n".join(blocks)
 
 
+def _theme_sections(reply: str, heading: str) -> tuple[
+        list[tuple[int, int, str, list[tuple[int, str]]]], list[int], list[ParseWarning]]:
+    """Split a theme or interpretation reply on its ``Theme K: Name`` headers.
+
+    Returns the sections as (header line, number, normalized name, numbered
+    body lines), the boilerplate lines before the first header, and at most
+    one ``preamble`` warning for the prose among them, which counts as
+    boilerplate too.  ``heading`` names the header in that warning.
+    """
+    if not reply.strip():
+        raise NoRecordsFound("empty reply")
+    sections: list[tuple[int, int, str, list[tuple[int, str]]]] = []
+    head: list[tuple[int, str]] = []  # non-blank lines before the first header
+    for lineno, line in enumerate(reply.splitlines(), start=1):
+        header = _THEME_HEADER.match(line)
+        if header:
+            sections.append((lineno, int(header.group("number")),
+                             normalize_label(header.group("name")), []))
+        elif sections:
+            sections[-1][3].append((lineno, line))
+        elif line.strip():
+            head.append((lineno, line))
+    prose = [lineno for lineno, line in head if not _is_boilerplate(line)]
+    note = f"{len(prose)} line(s) before the first {heading} ignored"
+    warnings = [ParseWarning(prose[0], "preamble", note)] if prose else []
+    return sections, [lineno for lineno, _ in head], warnings
+
+
 def parse_theme_block(reply: str) -> ParseReport:
     """Parse a theme-generation reply into ThemeRecords.
 
     Recognizes ``### Theme K: Name`` headers, ``- **Label**`` member bullets,
     and ``**Description**:`` paragraphs.  Prose before the first header is
-    ignored with a note.  Themes without member bullets are kept but flagged.
+    ignored with a note.  Themes without member bullets are kept but flagged;
+    a theme :class:`ThemeRecord` rejects (a name that normalizes to nothing)
+    is excluded with a warning.
     """
-    if not reply.strip():
-        raise NoRecordsFound("empty reply")
-
+    sections, boilerplate, warnings = _theme_sections(reply, "theme header")
     records: list[ThemeRecord] = []
-    warnings: list[ParseWarning] = []
-    boilerplate: list[int] = []
-    preamble_lines: list[int] = []
-
-    name: str | None = None
-    start_line = 0
-    last_line = 0
-    members: list[str] = []
-    description_parts: list[str] = []
-    in_description = False
-
-    def close_theme() -> None:
-        nonlocal name, members, description_parts, in_description
-        if name is None:
-            return
+    for start_line, _, name, body in sections:
+        last_line = start_line
+        members: list[str] = []
+        description_parts: list[str] = []
+        in_description = False
+        for lineno, line in body:
+            if not line.strip():
+                continue
+            last_line = lineno
+            if _is_boilerplate(line):
+                boilerplate.append(lineno)
+                continue
+            desc = _DESCRIPTION.match(line)
+            if desc:
+                in_description = True
+                description_parts.append(desc.group("rest").strip())
+                continue
+            bullet = _DASH.match(line)
+            if bullet:
+                in_description = False
+                member = normalize_label(bullet.group("rest"))
+                if member:
+                    members.append(member)
+                else:
+                    warnings.append(ParseWarning(lineno, "empty_member", line.strip()))
+                continue
+            if in_description:
+                description_parts.append(line.strip())
+                continue
+            warnings.append(ParseWarning(lineno, "unrecognized_line", line.strip()))
+        try:
+            record = ThemeRecord(name=name, member_labels=tuple(members),
+                                 description=" ".join(filter(None, description_parts)),
+                                 raw_span=(start_line, last_line))
+        except ValueError as exc:
+            warnings.append(ParseWarning(start_line, "invalid_theme", f"{exc}; excluded"))
+            continue
         if not members:
             warnings.append(ParseWarning(start_line, "empty_members",
                                          f"theme {name!r} lists no member codes"))
-        records.append(ThemeRecord(
-            name=name,
-            member_labels=tuple(members),
-            description=" ".join(part for part in description_parts if part).strip(),
-            raw_span=(start_line, last_line),
-        ))
-        name = None
-        members = []
-        description_parts = []
-        in_description = False
-
-    for lineno, line in enumerate(reply.splitlines(), start=1):
-        if not line.strip():
-            if in_description:
-                description_parts.append("")
-            continue
-        header = _THEME_HEADER.match(line)
-        if header:
-            close_theme()
-            name = normalize_label(header.group("name"))
-            start_line = lineno
-            last_line = lineno
-            continue
-        if name is None:
-            preamble_lines.append(lineno)
-            continue
-        last_line = lineno
-        if _is_boilerplate(line):
-            boilerplate.append(lineno)
-            continue
-        desc = _DESCRIPTION.match(line)
-        if desc:
-            in_description = True
-            description_parts.append(desc.group("rest").strip())
-            continue
-        bullet = _DASH.match(line)
-        if bullet:
-            in_description = False
-            member = normalize_label(bullet.group("rest"))
-            if member:
-                members.append(member)
-            else:
-                warnings.append(ParseWarning(lineno, "empty_member", line.strip()))
-            continue
-        if in_description:
-            description_parts.append(line.strip())
-            continue
-        warnings.append(ParseWarning(lineno, "unrecognized_line", line.strip()))
-
-    close_theme()
+        records.append(record)
 
     if not records:
-        raise NoRecordsFound("reply contained no theme headers")
-    if preamble_lines:
-        boilerplate.extend(preamble_lines)
-        warnings.append(ParseWarning(
-            preamble_lines[0], "preamble",
-            f"{len(preamble_lines)} line(s) before the first theme header ignored",
-        ))
+        raise NoRecordsFound("reply contained no named theme header" if sections
+                             else "reply contained no theme headers")
     return ParseReport(records=tuple(records), warnings=tuple(warnings),
-                       dialect="theme", boilerplate_lines=tuple(sorted(boilerplate)))
+                       dialect="theme", boilerplate_lines=tuple(boilerplate))
 
 
 def parse_interpretation_block(reply: str, themes: list[ThemeRecord] | tuple[ThemeRecord, ...]) -> ParseReport:
@@ -466,52 +467,15 @@ def parse_interpretation_block(reply: str, themes: list[ThemeRecord] | tuple[The
     interpretations filled where matched; unmatched sections and themes left
     uncovered become warnings.
     """
-    if not reply.strip():
-        raise NoRecordsFound("empty reply")
-
-    sections: list[tuple[int, int, str, list[str]]] = []  # line, number, name, body lines
-    preamble_lines: list[int] = []
-    boilerplate: list[int] = []
-    current: tuple[int, int, str, list[str]] | None = None
-
-    for lineno, line in enumerate(reply.splitlines(), start=1):
-        header = _THEME_HEADER.match(line)
-        if header:
-            if current:
-                sections.append(current)
-            current = (lineno, int(header.group("number")),
-                       normalize_label(header.group("name")), [])
-            continue
-        if current is None:
-            if line.strip():
-                if _is_boilerplate(line):
-                    boilerplate.append(lineno)
-                else:
-                    preamble_lines.append(lineno)
-            continue
-        current[3].append(line)
-    if current:
-        sections.append(current)
+    sections, boilerplate, warnings = _theme_sections(reply, "heading")
     if not sections:
         raise NoRecordsFound("reply contained no theme interpretation headings")
-
-    warnings: list[ParseWarning] = []
-    if preamble_lines:
-        boilerplate.extend(preamble_lines)
-        warnings.append(ParseWarning(
-            preamble_lines[0], "preamble",
-            f"{len(preamble_lines)} line(s) before the first heading ignored",
-        ))
 
     by_key = {label_key(theme.name): index for index, theme in enumerate(themes)}
     texts: dict[int, str] = {}
     for line, number, section_name, body in sections:
-        text = "\n".join(body).strip()
-        target: int | None = None
-        if 1 <= number <= len(themes):
-            target = number - 1
-        elif label_key(section_name) in by_key:
-            target = by_key[label_key(section_name)]
+        text = "\n".join(body_line for _, body_line in body).strip()
+        target = number - 1 if 1 <= number <= len(themes) else by_key.get(label_key(section_name))
         if target is None:
             warnings.append(ParseWarning(line, "unmatched_section",
                                          f"no theme matches section {number} ({section_name!r})"))
@@ -536,4 +500,4 @@ def parse_interpretation_block(reply: str, themes: list[ThemeRecord] | tuple[The
             updated.append(theme)
 
     return ParseReport(records=tuple(updated), warnings=tuple(warnings),
-                       dialect="interpretation", boilerplate_lines=tuple(sorted(boilerplate)))
+                       dialect="interpretation", boilerplate_lines=tuple(boilerplate))

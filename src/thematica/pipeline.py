@@ -41,6 +41,7 @@ from .errors import (
 from .gateway import ChatMessage, Gateway, ModelConfig, replace_file
 from .outparse import (
     CodeRecord,
+    ParseReport,
     ThemeRecord,
     parse_code_block,
     parse_emerging_code_list,
@@ -304,6 +305,11 @@ def _trace_from_dict(data: dict, codebook: Codebook) -> TraceabilityReport:
     return TraceabilityReport(results=results, threshold=data.get("threshold", DEFAULT_THRESHOLD))
 
 
+def _notes(where: str, report: ParseReport) -> list[str]:
+    """One run note per parse warning, located by reply and line."""
+    return [f"{where} line {w.line}: {w.kind}: {w.detail}" for w in report.warnings]
+
+
 def _now(replay: bool) -> str:
     if replay:
         return EPOCH_TIMESTAMP
@@ -457,10 +463,7 @@ def run_analysis(corpus: Corpus, focus: StudyFocus, config: ModelConfig, transpo
             reply = artifact.raw_replies[f"page_{page.number}"]
             report = parse_code_block(reply, expected_page=page.number)
             records.extend(report.records)
-            parse_notes.extend(
-                f"page {page.number} line {warning.line}: {warning.kind}: {warning.detail}"
-                for warning in report.warnings
-            )
+            parse_notes.extend(_notes(f"page {page.number}", report))
             if report.has_code_list:
                 list_reply = reply
 
@@ -489,8 +492,7 @@ def run_analysis(corpus: Corpus, focus: StudyFocus, config: ModelConfig, transpo
             artifact.raw_replies["themes"] = ask(prompt, "theme generation")
         theme_report = parse_theme_block(artifact.raw_replies["themes"])
         themes = theme_report.records
-        parse_notes.extend(f"themes line {w.line}: {w.kind}: {w.detail}"
-                           for w in theme_report.warnings)
+        parse_notes.extend(_notes("themes", theme_report))
         member_keys = {label_key(label) for theme in themes for label in theme.member_labels}
         for key_label in sorted(member_keys.difference(codebook.by_key)):
             parse_notes.append(
@@ -505,8 +507,7 @@ def run_analysis(corpus: Corpus, focus: StudyFocus, config: ModelConfig, transpo
         interp_report = parse_interpretation_block(artifact.raw_replies["interpretations"],
                                                    themes)
         themes = tuple(interp_report.records)
-        parse_notes.extend(f"interpretations line {w.line}: {w.kind}: {w.detail}"
-                           for w in interp_report.warnings)
+        parse_notes.extend(_notes("interpretations", interp_report))
         # Past the stages a library error propagates as it is.
         stage = None
         codebook = replace(codebook, emerging_labels=emerging, themes=themes)

@@ -17,6 +17,7 @@ from conftest import source_env
 import thematica
 import thematica.cli
 import thematica.codebook
+import thematica.gateway
 from thematica.cli import main
 from thematica.errors import (
     AuthError,
@@ -26,7 +27,13 @@ from thematica.errors import (
     SchemaError,
     TransportError,
 )
-from thematica.gateway import ChatMessage, ModelConfig, load_fixture, request_digest
+from thematica.gateway import (
+    ChatMessage,
+    ModelConfig,
+    ReplayTransport,
+    load_fixture,
+    request_digest,
+)
 
 SAMPLES = Path(thematica.__file__).parent / "samples"
 
@@ -199,6 +206,56 @@ def test_interrupted_analysis_exits_2_only_when_a_rerun_can_help(
         assert transport.sent == sent
 
 
+class ThemeReplyTransport:
+    """Replays the sample's code extraction and answers the theme and
+    interpretation requests with the test's replies."""
+
+    kind = "replay"
+
+    def __init__(self, replies: dict[str, str]) -> None:
+        self.inner = ReplayTransport("session.json")
+        self.replies = replies
+        self.sent = 0
+
+    def send(self, config, messages, context=None):
+        self.sent += 1
+        if context in self.replies:
+            return self.replies[context]
+        return self.inner.send(config, messages, context)
+
+
+@pytest.mark.parametrize("themes, expected", [
+    ("### Theme 1: Motivations\n- **Curiosity-driven Migration**\n\n"
+     "### Theme 2: ...\n- **Family Support**\n", 0),
+    ("### Theme 1: **\n- **Family Support**\n", 1),
+], ids=["one-named", "none-named"])
+def test_a_nameless_theme_header_never_ends_in_a_traceback(
+        sample_workspace: Path, monkeypatch: pytest.MonkeyPatch, capsys,
+        themes: str, expected: int) -> None:
+    monkeypatch.chdir(sample_workspace)
+    transport = ThemeReplyTransport({
+        "theme generation": themes,
+        "interpretation": "Theme 1: Motivations\n\nWhy they left.\n",
+    })
+    monkeypatch.setattr(thematica.cli, "_resolve_transport", lambda config: transport)
+    artifact_path = sample_workspace / "out" / "analysis.json"
+    assert main(["--config", "run_config.json", "analyze"]) == expected
+    err = capsys.readouterr().err
+    first = artifact_path.read_bytes()
+    sent = transport.sent
+    if expected == 0:
+        notes = json.loads(first)["notes"]
+        assert "themes line 4: invalid_theme: theme name must be non-empty; excluded" in notes
+    else:
+        assert ("analysis interrupted during theme_generation: "
+                "reply contained no named theme header") in err
+        assert "a rerun fails the same way" in err
+    # The rerun reads the saved replies, sends nothing and ends the same way.
+    assert main(["--config", "run_config.json", "analyze"]) == expected
+    assert transport.sent == sent
+    assert artifact_path.read_bytes() == first
+
+
 @pytest.mark.parametrize("argv, message", [
     (["analyze", "--parallelism", "0"], "parallelism must be in 1..8, got 0"),
     (["analyze", "--temperature", "5"], "temperature must be in [0, 2], got 5.0"),
@@ -267,6 +324,12 @@ LONG_NAME = " ".join(["Overlong"] * 25)
       "h2.csv": HUMAN_HEADER + "h2,Theme,Curiosity,,\n"},
      ["compare", "--human", "h1.csv", "--human", "h2.csv"],
      "error: h1.csv:2: theme name exceeds 200 characters"),
+    ({"h1.csv": HUMAN_HEADER + "h1,,Family,,\nh1,,family,,\n"}, ["compare", "--human", "h1.csv"],
+     "error: h1.csv:3: code label 'family' collides with 'Family' (line 2) after normalization"),
+    ({"h1.csv": HUMAN_HEADER + "h1,Family,Curiosity,,\nh1,family,Peers,,\n",
+      "h2.csv": HUMAN_HEADER + "h2,Theme,Curiosity,,\n"},
+     ["compare", "--human", "h1.csv", "--human", "h2.csv"],
+     "error: h1.csv:3: theme name 'family' collides with 'Family' (line 2) after normalization"),
     ({"h1.csv": (HUMAN_HEADER + "h1,,Curios\xffity,,\n").encode("latin-1")},
      ["compare", "--human", "h1.csv"],
      "error: h1.csv is not valid UTF-8: 'utf-8' codec can't decode byte 0xff in position 58"),
@@ -277,8 +340,8 @@ LONG_NAME = " ".join(["Overlong"] * 25)
      ["analyze", "--template-dir", "templates"],
      "error: templates/interpretation.txt is not valid UTF-8: 'utf-8' codec can't decode "
      "byte 0xff in position 9"),
-], ids=["page-0", "long-label", "long-theme-name", "csv-not-utf-8", "sidecar-not-utf-8",
-        "template-not-utf-8"])
+], ids=["page-0", "long-label", "long-theme-name", "colliding-labels", "colliding-theme-names",
+        "csv-not-utf-8", "sidecar-not-utf-8", "template-not-utf-8"])
 def test_malformed_human_inputs_and_templates_are_one_line_errors(
         analyzed_workspace: Path, tmp_path: Path, monkeypatch: pytest.MonkeyPatch, capsys,
         files: dict, argv: list[str], message: str) -> None:
@@ -562,14 +625,7 @@ def test_verbose_applies_to_each_call_in_a_process(
         package_logger.setLevel(previous)
 
 
-def test_a_first_cache_write_cut_by_a_full_disk_leaves_no_torn_cache(
-        sample_workspace: Path, tmp_path: Path, monkeypatch: pytest.MonkeyPatch,
-        capsys) -> None:
-    clean = copy_workspace(sample_workspace, tmp_path / "clean")
-    monkeypatch.chdir(clean)
-    assert main(["--config", "run_config.json", "analyze"]) == 0
-
-    monkeypatch.chdir(sample_workspace)
+def _cut_first_write(monkeypatch: pytest.MonkeyPatch) -> None:
     write_bytes = Path.write_bytes
 
     def full_disk(path: Path, data: bytes) -> int:
@@ -579,11 +635,33 @@ def test_a_first_cache_write_cut_by_a_full_disk_leaves_no_torn_cache(
         raise OSError(errno.ENOSPC, "No space left on device")
 
     monkeypatch.setattr(Path, "write_bytes", full_disk)
-    capsys.readouterr()
-    assert main(["--config", "run_config.json", "analyze"]) == 1
+
+
+def _cut_later_append(monkeypatch: pytest.MonkeyPatch) -> None:
+    def full_disk(fd: int, data: bytes, offset: int) -> int:
+        raise OSError(errno.ENOSPC, "No space left on device")
+
+    monkeypatch.setattr(thematica.gateway.os, "pwrite", full_disk)
+
+
+@pytest.mark.parametrize("cut, cached", [(_cut_first_write, 0), (_cut_later_append, 1)],
+                         ids=["first-write", "later-append"])
+def test_a_cache_write_cut_by_a_full_disk_names_the_cache_and_a_rerun_resumes(
+        sample_workspace: Path, tmp_path: Path, monkeypatch: pytest.MonkeyPatch,
+        capsys, cut, cached: int) -> None:
+    clean = copy_workspace(sample_workspace, tmp_path / "clean")
+    monkeypatch.chdir(clean)
+    assert main(["--config", "run_config.json", "analyze"]) == 0
+
+    monkeypatch.chdir(sample_workspace)
+    with monkeypatch.context() as patch:
+        cut(patch)
+        capsys.readouterr()
+        assert main(["--config", "run_config.json", "analyze"]) == 1
     assert capsys.readouterr().err == "error: out/response_cache.json: No space left on device\n"
-    monkeypatch.setattr(Path, "write_bytes", write_bytes)
-    assert not (sample_workspace / "out" / "response_cache.json").exists()
+    cache = sample_workspace / "out" / "response_cache.json"
+    # A cut first write leaves no torn cache; a cut append keeps the entries before it.
+    assert (len(load_fixture(cache)) if cache.exists() else 0) == cached
     assert not (sample_workspace / "out" / "response_cache.json.tmp").exists()
 
     assert main(["--config", "run_config.json", "analyze"]) == 0
@@ -600,6 +678,17 @@ def test_unknown_config_key_is_a_configuration_error(
     err = capsys.readouterr().err
     assert "configuration error" in err
     assert "page_sise" in err
+
+
+def test_an_unknown_matcher_mode_in_a_config_file_lists_the_choices(
+        analyzed_workspace: Path, monkeypatch: pytest.MonkeyPatch, capsys) -> None:
+    monkeypatch.chdir(analyzed_workspace)
+    config = json.loads(Path("run_config.json").read_text(encoding="utf-8"))
+    Path("fuzzy.json").write_text(json.dumps({**config, "matcher": "fuzzy"}), encoding="utf-8")
+    assert main(["--config", "fuzzy.json", "compare", "--human", "coder1.csv"]) == 1
+    assert capsys.readouterr().err == (
+        "configuration error: unknown matcher mode 'fuzzy'; "
+        "choose from exact_normalized, alias_map, token_overlap\n")
 
 
 def test_config_file_errors_are_reported(

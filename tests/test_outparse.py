@@ -4,17 +4,25 @@ from __future__ import annotations
 
 import random
 import re
+from collections import Counter
+from dataclasses import replace
+from itertools import permutations
 
 import pytest
 
 from conftest import random_code_records, random_themes
 from thematica.errors import NoRecordsFound
-from thematica.textnorm import label_key
+from thematica.textnorm import label_key, normalize_label
 from thematica.outparse import (
     LIST_DELIMITER,
     CodeRecord,
+    ParseReport,
+    ParseWarning,
     ThemeRecord,
+    _DASH,
+    _DESCRIPTION,
     _QUOTE_CHARS,
+    _THEME_HEADER,
     _find_quoted_segment,
     _is_boilerplate,
     parse_code_block,
@@ -536,3 +544,249 @@ def test_a_rejected_code_that_cites_no_page_gets_one_warning() -> None:
     assert [r.label for r in report.records] == ["Kept Code"]
     assert [(w.line, w.kind, w.detail) for w in report.warnings] == [
         (1, "invalid_code", "code label must be non-empty; excluded")]
+
+
+@pytest.mark.parametrize("header", ["### Theme 2: ...", "### Theme 2: **"])
+def test_a_nameless_theme_header_is_excluded_with_one_warning(header: str) -> None:
+    reply = f"### Theme 1: Alpha\n- **One**\n\n{header}\n- **Two**\n"
+    report = parse_theme_block(reply)
+    assert [(t.name, t.member_labels, t.raw_span) for t in report.records] == [
+        ("Alpha", ("One",), (1, 2))]
+    assert [(w.line, w.kind, w.detail) for w in report.warnings] == [
+        (4, "invalid_theme", "theme name must be non-empty; excluded")]
+    with pytest.raises(NoRecordsFound, match="no named theme header"):
+        parse_theme_block(f"{header}\n- **Two**\n")
+    # The interpretation parser matches the section by its number, as before.
+    themes = (ThemeRecord(name="Alpha"), ThemeRecord(name="Beta"))
+    interpreted = parse_interpretation_block(f"{header}\n\nProse about beta.\n", themes)
+    assert interpreted.records[1].interpretation == "Prose about beta."
+
+
+# The theme and interpretation parsers before they shared one section
+# splitter, kept as the reference for the differential test below.
+def _reference_parse_theme_block(reply: str) -> ParseReport:
+    if not reply.strip():
+        raise NoRecordsFound("empty reply")
+
+    records: list[ThemeRecord] = []
+    warnings: list[ParseWarning] = []
+    boilerplate: list[int] = []
+    preamble_lines: list[int] = []
+
+    name: str | None = None
+    start_line = 0
+    last_line = 0
+    members: list[str] = []
+    description_parts: list[str] = []
+    in_description = False
+
+    def close_theme() -> None:
+        nonlocal name, members, description_parts, in_description
+        if name is None:
+            return
+        if not members:
+            warnings.append(ParseWarning(start_line, "empty_members",
+                                         f"theme {name!r} lists no member codes"))
+        records.append(ThemeRecord(
+            name=name,
+            member_labels=tuple(members),
+            description=" ".join(part for part in description_parts if part).strip(),
+            raw_span=(start_line, last_line),
+        ))
+        name = None
+        members = []
+        description_parts = []
+        in_description = False
+
+    for lineno, line in enumerate(reply.splitlines(), start=1):
+        if not line.strip():
+            if in_description:
+                description_parts.append("")
+            continue
+        header = _THEME_HEADER.match(line)
+        if header:
+            close_theme()
+            name = normalize_label(header.group("name"))
+            start_line = lineno
+            last_line = lineno
+            continue
+        if name is None:
+            preamble_lines.append(lineno)
+            continue
+        last_line = lineno
+        if _is_boilerplate(line):
+            boilerplate.append(lineno)
+            continue
+        desc = _DESCRIPTION.match(line)
+        if desc:
+            in_description = True
+            description_parts.append(desc.group("rest").strip())
+            continue
+        bullet = _DASH.match(line)
+        if bullet:
+            in_description = False
+            member = normalize_label(bullet.group("rest"))
+            if member:
+                members.append(member)
+            else:
+                warnings.append(ParseWarning(lineno, "empty_member", line.strip()))
+            continue
+        if in_description:
+            description_parts.append(line.strip())
+            continue
+        warnings.append(ParseWarning(lineno, "unrecognized_line", line.strip()))
+
+    close_theme()
+
+    if not records:
+        raise NoRecordsFound("reply contained no theme headers")
+    if preamble_lines:
+        boilerplate.extend(preamble_lines)
+        warnings.append(ParseWarning(
+            preamble_lines[0], "preamble",
+            f"{len(preamble_lines)} line(s) before the first theme header ignored",
+        ))
+    return ParseReport(records=tuple(records), warnings=tuple(warnings),
+                       dialect="theme", boilerplate_lines=tuple(sorted(boilerplate)))
+
+
+def _reference_parse_interpretation_block(reply: str, themes) -> ParseReport:
+    if not reply.strip():
+        raise NoRecordsFound("empty reply")
+
+    sections: list[tuple[int, int, str, list[str]]] = []
+    preamble_lines: list[int] = []
+    boilerplate: list[int] = []
+    current: tuple[int, int, str, list[str]] | None = None
+
+    for lineno, line in enumerate(reply.splitlines(), start=1):
+        header = _THEME_HEADER.match(line)
+        if header:
+            if current:
+                sections.append(current)
+            current = (lineno, int(header.group("number")),
+                       normalize_label(header.group("name")), [])
+            continue
+        if current is None:
+            if line.strip():
+                if _is_boilerplate(line):
+                    boilerplate.append(lineno)
+                else:
+                    preamble_lines.append(lineno)
+            continue
+        current[3].append(line)
+    if current:
+        sections.append(current)
+    if not sections:
+        raise NoRecordsFound("reply contained no theme interpretation headings")
+
+    warnings: list[ParseWarning] = []
+    if preamble_lines:
+        boilerplate.extend(preamble_lines)
+        warnings.append(ParseWarning(
+            preamble_lines[0], "preamble",
+            f"{len(preamble_lines)} line(s) before the first heading ignored",
+        ))
+
+    by_key = {label_key(theme.name): index for index, theme in enumerate(themes)}
+    texts: dict[int, str] = {}
+    for line, number, section_name, body in sections:
+        text = "\n".join(body).strip()
+        target: int | None = None
+        if 1 <= number <= len(themes):
+            target = number - 1
+        elif label_key(section_name) in by_key:
+            target = by_key[label_key(section_name)]
+        if target is None:
+            warnings.append(ParseWarning(line, "unmatched_section",
+                                         f"no theme matches section {number} ({section_name!r})"))
+            continue
+        if target in texts:
+            warnings.append(ParseWarning(line, "duplicate_section",
+                                         f"theme {themes[target].name!r} interpreted twice; keeping first"))
+            continue
+        if not text:
+            warnings.append(ParseWarning(line, "empty_interpretation",
+                                         f"section for {themes[target].name!r} has no prose"))
+            continue
+        texts[target] = text
+
+    updated = []
+    for index, theme in enumerate(themes):
+        if index in texts:
+            updated.append(replace(theme, interpretation=texts[index]))
+        else:
+            warnings.append(ParseWarning(0, "missing_interpretation",
+                                         f"theme {theme.name!r} received no interpretation"))
+            updated.append(theme)
+
+    return ParseReport(records=tuple(updated), warnings=tuple(warnings),
+                       dialect="interpretation", boilerplate_lines=tuple(sorted(boilerplate)))
+
+
+_THEME_NAMES = ("Alpha", "beta", "Family Support", "Work-life Balance", "Gamma", "**")
+# (header line, whether its name normalizes to nothing)
+_HEADER_LINES = tuple(
+    (form.format(n=n, name=name), not normalize_label(name))
+    for form in ("### Theme {n}: {name}", "## Theme {n}: {name}", "**Theme {n}: {name}**",
+                 "*** Theme {n}: {name} ***", "Theme {n}: {name}", "#### **Theme {n}: {name}**:")
+    for n in range(5) for name in _THEME_NAMES)
+_PROSE = ("Here are the themes:", "More prose about work.", "It covers migration.", "- ")
+_BOILERPLATE_LINES = ("Generated Themes:", "Interpretation of Themes", "Page 2:")
+_BODY_LINES = (
+    tuple(form.format(member) for form in ("- **{}**", "- {}", "  - {}")
+          for member in ("Curiosity", "Peer Influence", "**Family**", "1. Night Shifts", "**  **"))
+    + tuple(form.format(prose) for form in ("**Description**: {}", "Description: {}", "{}")
+            for prose in _PROSE)
+    + _BOILERPLATE_LINES + ("**Description**:", "", "", "  "))
+_THEME_LISTS = tuple(tuple(ThemeRecord(name=name, member_labels=("Curiosity",)) for name in names)
+                     for count in range(4) for names in permutations(_THEME_NAMES[:4], count))
+
+
+def _random_theme_reply(rng: random.Random) -> tuple[str, bool, bool]:
+    """A reply, whether a line before its first header is boilerplate, and
+    whether a header's name normalizes to nothing."""
+    lines = rng.choices(_PROSE[:2] + ("",) * 2 + _BOILERPLATE_LINES[:1], k=rng.randrange(3))
+    head_boilerplate = _BOILERPLATE_LINES[0] in lines
+    nameless = False
+    for _ in range(rng.choice((0, 1, 1, 2, 3))):
+        header, empty_name = rng.choice(_HEADER_LINES)
+        nameless |= empty_name
+        lines.append(header)
+        lines.extend(rng.choices(_BODY_LINES, k=rng.randrange(4)))
+    return "\n".join(lines) + rng.choice(("", "\n")), head_boilerplate, nameless
+
+
+def _outcome(parse, *args):
+    try:
+        return parse(*args)
+    except NoRecordsFound as exc:
+        return str(exc)
+
+
+def test_theme_sections_parse_as_the_two_scanners_they_replaced() -> None:
+    rng = random.Random(1906)
+    theme_replies = 0
+    for index in range(12_000):
+        reply, head_boilerplate, nameless = _random_theme_reply(rng)
+        if index % 2:
+            themes = rng.choice(_THEME_LISTS)
+            expected = _outcome(_reference_parse_interpretation_block, reply, themes)
+            assert _outcome(parse_interpretation_block, reply, themes) == expected, reply
+            continue
+        # A prompt-cue echo before the first header is boilerplate now, not
+        # preamble, and the reference raised ValueError on a nameless header.
+        if head_boilerplate or nameless:
+            continue
+        theme_replies += 1
+        expected = _outcome(_reference_parse_theme_block, reply)
+        actual = _outcome(parse_theme_block, reply)
+        if isinstance(expected, str):
+            assert actual == expected, reply
+            continue
+        assert actual.records == expected.records, reply
+        assert actual.boilerplate_lines == expected.boilerplate_lines, reply
+        assert actual.dialect == expected.dialect
+        # The preamble warning comes first now, so only the order may differ.
+        assert Counter(actual.warnings) == Counter(expected.warnings), reply
+    assert theme_replies > 3_500
