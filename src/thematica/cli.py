@@ -14,6 +14,7 @@ import logging
 import os
 import sys
 from dataclasses import dataclass, field, fields
+from itertools import zip_longest
 from pathlib import Path
 
 from .agreement import overlap_percentage
@@ -316,17 +317,18 @@ def cmd_compare(config: RunConfig, artifact_path: str | None, human_paths: list[
                 paper_reference: str | None = None) -> int:
     if not human_paths:
         raise ConfigError("at least one human codebook CSV is required (--human PATH)")
+    if len(human_paths) > 2:
+        raise ConfigError("compare supports at most two human codebooks")
+    sidecars = interpretation_paths or []
+    if len(sidecars) > len(human_paths):
+        raise ConfigError(f"more --interpretations ({len(sidecars)}) than --human ({len(human_paths)})")
     artifact = _load_complete_artifact(config, artifact_path)
 
-    sidecars = list(interpretation_paths or [])
-    sidecars.extend([None] * (len(human_paths) - len(sidecars)))
     books = [load_human_codebook(csv_path, sidecar)
-             for csv_path, sidecar in zip(human_paths, sidecars)]
+             for csv_path, sidecar in zip_longest(human_paths, sidecars)]
     matcher = _build_matcher(config)
 
-    if len(books) >= 2:
-        if len(books) > 2:
-            raise ConfigError("compare supports at most two human codebooks")
+    if len(books) == 2:
         human, stats = _consensus_codebook(books[0], books[1], matcher)
     else:
         human, stats = books[0], None

@@ -67,7 +67,11 @@ class RateLimited(ThematicaError):
 
 
 class TransportError(ThematicaError):
-    """Network failure, timeout, or non-retryable HTTP error."""
+    """Network failure, timeout, or server error that outlasted the retries."""
+
+
+class RequestRejected(ThematicaError):
+    """Endpoint refused the request itself (HTTP 4xx other than 408 and 429)."""
 
 
 class MalformedResponse(ThematicaError):

@@ -36,6 +36,7 @@ from .errors import (
     FixtureMiss,
     MalformedResponse,
     RateLimited,
+    RequestRejected,
     TransportError,
 )
 
@@ -310,10 +311,14 @@ class LiveTransport:
                     raise AuthError(f"endpoint rejected credential (HTTP {status}){where}")
                 if status == 429:
                     last_failure = "HTTP 429"
-                elif status is not None and status >= 500:
+                elif status == 408 or status >= 500:
                     last_failure = f"HTTP {status}"
                 elif status == 200:
                     return _extract_text(payload, where)
+                elif 400 <= status < 500:
+                    # A rerun sends the same request, so it is refused again.
+                    raise RequestRejected(f"endpoint rejected the request (HTTP {status}){where}"
+                                          f"{_error_excerpt(payload)}")
                 else:
                     raise TransportError(f"unexpected HTTP {status}{where}")
             if attempt < config.max_attempts:
@@ -321,6 +326,15 @@ class LiveTransport:
         if last_failure == "HTTP 429":
             raise RateLimited(f"rate limited after {config.max_attempts} attempts{where}")
         raise TransportError(f"{last_failure} after {config.max_attempts} attempts{where}")
+
+
+def _error_excerpt(payload) -> str:
+    """``: `` and the first 200 characters of the body's ``error.message``, if any."""
+    try:
+        message = " ".join(payload["error"]["message"].split())
+    except (TypeError, KeyError, AttributeError):
+        return ""
+    return f": {message[:200]}" if message else ""
 
 
 def _extract_text(payload, where: str) -> str:

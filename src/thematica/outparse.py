@@ -7,14 +7,16 @@ The extraction step yields code lists in (at least) three dialects:
   ``- Supporting Sentence: "quote"`` and ``- Page: Page N`` lines
 * D3, a numbered label line followed by ``- "quote"`` and ``- Page N`` lines
 
+:func:`parse_code_block` reads them in one loop: an ``Emerging Code:`` or
+numbered line starts an entry, which dash lines fill; a D1 line is complete.
+
 The theme step yields ``### Theme K: Name`` blocks with member bullets and a
 ``**Description**:`` paragraph; the interpretation step yields prose sections
 under ``Theme K: Name`` headings.  Both share one heading grammar, split by
 one function: ``#`` and ``**`` decorations are optional, prompt-cue echoes
-before the first heading are boilerplate, and other lines there are
-preamble, reported in one warning.  All parsers are tolerant: malformed
-entries degrade into warnings, never hard failures, and every input line is
-accounted for as a record span, boilerplate, or a warning.  A code that
+before the first heading are skipped, and other lines there are preamble,
+reported in one warning.  All parsers are tolerant: malformed entries and
+unrecognized lines become warnings, never failures.  A code that
 :class:`CodeRecord` rejects (an empty or overlong label, page 0), or a theme
 that :class:`ThemeRecord` rejects (a name that normalizes to nothing), is
 such an entry: it is excluded with an ``invalid_code`` or ``invalid_theme``
@@ -41,7 +43,7 @@ _BOILERPLATE = re.compile(
 )
 
 _NUMBERED = re.compile(r"^\s*(\d+)[.)]\s+(?P<rest>\S.*)$")
-_D2_START = re.compile(r"^\s*Emerging Code\s*:\s*(?P<label>\S.*)$", re.IGNORECASE)
+_D2_START = re.compile(r"^\s*Emerging Code\s*:\s*(?P<rest>\S.*)$", re.IGNORECASE)
 _DASH = re.compile(r"^\s*-\s+(?P<rest>\S.*)$")
 _SUPPORTING = re.compile(r"^Supporting Sentence\s*:\s*(?P<rest>.*)$", re.IGNORECASE)
 _PAGE_VALUE = re.compile(r"page\s*:?\s*(?:page\s+)?(\d+)", re.IGNORECASE)
@@ -109,19 +111,15 @@ class ParseWarning:
 
 @dataclass(frozen=True)
 class ParseReport:
-    """Parsed records plus the warning channel and detected dialect tag.
+    """Parsed records plus the warning channel.
 
-    ``boilerplate_lines`` lists structural lines (page headers, prompt-cue
-    echoes, list-section content) so that, together with record spans and
-    warning lines, every non-blank input line is accounted for.
-    ``has_code_list`` tells whether a code-extraction reply contains the
-    emerging-code list delimiter, so callers need not scan it again.
+    Malformed entries and unrecognized lines become ``warnings``, never
+    failures.  ``has_code_list`` tells whether a code-extraction reply has
+    the emerging-code list delimiter, so callers need not scan it again.
     """
 
     records: tuple = ()
     warnings: tuple[ParseWarning, ...] = ()
-    dialect: str = "none"
-    boilerplate_lines: tuple[int, ...] = ()
     has_code_list: bool = False
 
 
@@ -130,10 +128,8 @@ class _OpenCode:
     label: str
     start_line: int
     last_line: int
-    dialect: str
-    quote: str | None = None
+    quote: str = ""
     page: int | None = None
-    stray: list[tuple[int, str]] = field(default_factory=list)
 
 
 def _is_boilerplate(line: str) -> bool:
@@ -159,14 +155,14 @@ def _find_quoted_segment(text: str) -> tuple[int, int] | None:
     return first, last + 1
 
 
-def parse_code_block(reply: str, expected_page: int, provenance: str = "llm") -> ParseReport:
+def parse_code_block(reply: str, expected_page: int) -> ParseReport:
     """Parse one page's extraction reply into CodeRecords.
 
     Codes missing a page reference fall back to ``expected_page`` with a
     warning; codes missing a quote, or whose quote is blank once its quote
     marks are stripped, and codes :class:`CodeRecord` rejects are excluded
     with a warning.  Content from the emerging-code list delimiter onward
-    belongs to :func:`parse_emerging_code_list` and is boilerplate here.
+    belongs to :func:`parse_emerging_code_list` and is skipped here.
     """
     if not reply.strip():
         raise NoRecordsFound("empty reply")
@@ -175,125 +171,79 @@ def parse_code_block(reply: str, expected_page: int, provenance: str = "llm") ->
 
     records: list[CodeRecord] = []
     warnings: list[ParseWarning] = []
-    boilerplate: list[int] = []
-    dialects: set[str] = set()
-    recognized = 0
-    open_record: _OpenCode | None = None
-    in_list_section = False
 
-    def close_open() -> None:
-        nonlocal open_record, recognized
-        if open_record is None:
+    def finish(entry: _OpenCode) -> None:
+        if not entry.quote.strip():
+            warnings.append(ParseWarning(entry.start_line, "missing_quote",
+                                         f"code {entry.label!r} has no supporting sentence; excluded"))
             return
-        recognized += 1
-        for stray_line, stray_text in open_record.stray:
-            warnings.append(ParseWarning(stray_line, "unrecognized_attribute", stray_text))
-        _finalize(open_record.label, open_record.quote or "", open_record.page,
-                  (open_record.start_line, open_record.last_line), open_record.dialect)
-        open_record = None
-
-    def _finalize(label: str, quote: str, page: int | None,
-                  span: tuple[int, int], dialect: str) -> None:
-        if not quote.strip():
-            warnings.append(ParseWarning(
-                span[0], "missing_quote",
-                f"code {label!r} has no supporting sentence; excluded",
-            ))
-            return
-        clean = normalize_label(label)
+        label = normalize_label(entry.label)
         try:
-            record = CodeRecord(label=clean, quote=quote,
-                                page=expected_page if page is None else page,
-                                provenance=provenance, raw_span=span)
+            record = CodeRecord(label=label, quote=entry.quote,
+                                page=expected_page if entry.page is None else entry.page,
+                                raw_span=(entry.start_line, entry.last_line))
         except ValueError as exc:
-            warnings.append(ParseWarning(span[0], "invalid_code", f"{exc}; excluded"))
+            warnings.append(ParseWarning(entry.start_line, "invalid_code", f"{exc}; excluded"))
             return
-        if page is None:
-            warnings.append(ParseWarning(
-                span[0], "missing_page",
-                f"code {clean!r} cites no page; assuming page {expected_page}",
-            ))
+        if entry.page is None:
+            warnings.append(ParseWarning(entry.start_line, "missing_page",
+                                         f"code {label!r} cites no page; assuming page {expected_page}"))
         records.append(record)
-        dialects.add(dialect)
 
-    lines = reply.splitlines()
-    for lineno, line in enumerate(lines, start=1):
-        if in_list_section:
-            boilerplate.append(lineno)
+    entry: _OpenCode | None = None
+    found = has_code_list = False
+    for lineno, line in enumerate(reply.splitlines(), start=1):
+        if not line.strip() or _is_boilerplate(line):
             continue
-        if not line.strip():
-            continue
-        if LIST_DELIMITER.match(line):
-            close_open()
-            in_list_section = True
-            boilerplate.append(lineno)
-            continue
-        if _is_boilerplate(line):
-            boilerplate.append(lineno)
-            continue
+        if LIST_DELIMITER.match(line):  # never a boilerplate line
+            has_code_list = True
+            break
 
         d2 = _D2_START.match(line)
-        if d2:
-            close_open()
-            open_record = _OpenCode(label=d2.group("label"), start_line=lineno,
-                                    last_line=lineno, dialect="d2")
-            continue
-
-        numbered = _NUMBERED.match(line)
-        if numbered:
-            close_open()
-            rest = numbered.group("rest")
-            segment = _find_quoted_segment(rest)
-            if segment:
+        numbered = None if d2 else _NUMBERED.match(line)
+        if d2 or numbered:
+            if entry is not None:
+                finish(entry)
+            found = True
+            rest = (d2 or numbered).group("rest")
+            segment = _find_quoted_segment(rest) if numbered else None
+            if segment is None:
+                entry = _OpenCode(label=rest, start_line=lineno, last_line=lineno)
+            else:  # D1: label, quote and page on this one line
                 start, end = segment
-                label_part = rest[:start].rstrip()
-                if label_part.endswith(":"):
-                    label_part = label_part[:-1]
-                quote = _strip_quote_pair(rest[start:end])
-                tail = rest[end:]
-                page_match = _PAGE_VALUE.search(tail)
-                page = int(page_match.group(1)) if page_match else None
-                recognized += 1
-                _finalize(label_part, quote, page, (lineno, lineno), "d1")
-            else:
-                open_record = _OpenCode(label=rest, start_line=lineno,
-                                        last_line=lineno, dialect="d3")
+                page = _PAGE_VALUE.search(rest, end)
+                finish(_OpenCode(label=rest[:start].rstrip().removesuffix(":"), start_line=lineno,
+                                 last_line=lineno, quote=_strip_quote_pair(rest[start:end]),
+                                 page=int(page.group(1)) if page else None))
+                entry = None
             continue
 
-        dash = _DASH.match(line)
-        if dash and open_record is not None:
+        dash = _DASH.match(line) if entry is not None else None
+        if dash:
             rest = dash.group("rest")
-            open_record.last_line = lineno
+            entry.last_line = lineno
             supporting = _SUPPORTING.match(rest)
             if supporting:
-                open_record.quote = _strip_quote_pair(supporting.group("rest"))
-            elif _PAGE_LINE.match(rest):
-                page_match = _PAGE_VALUE.search(rest)
-                if page_match:
-                    open_record.page = int(page_match.group(1))
-                else:
-                    open_record.stray.append((lineno, rest))
-            elif rest and rest[0] in _QUOTE_CHARS:
-                open_record.quote = _strip_quote_pair(rest)
+                entry.quote = _strip_quote_pair(supporting.group("rest"))
+            elif _PAGE_LINE.match(rest) and (page := _PAGE_VALUE.search(rest)):
+                entry.page = int(page.group(1))
+            elif rest[0] in _QUOTE_CHARS:  # a "Page" line never starts with a quote
+                entry.quote = _strip_quote_pair(rest)
             else:
-                open_record.stray.append((lineno, rest))
+                warnings.append(ParseWarning(lineno, "unrecognized_attribute", rest))
             continue
 
         warnings.append(ParseWarning(lineno, "unrecognized_line", line.strip()))
 
-    close_open()
-
-    if recognized == 0:
-        if in_list_section:
-            warnings.append(ParseWarning(0, "list_only_reply",
-                                         "reply contains only an emerging-code list"))
-        else:
+    if entry is not None:
+        finish(entry)
+    if not found:
+        if not has_code_list:
             raise NoRecordsFound("reply contained no recognizable code structure")
-
-    dialect = dialects.pop() if len(dialects) == 1 else ("mixed" if dialects else "none")
+        warnings.append(ParseWarning(0, "list_only_reply",
+                                     "reply contains only an emerging-code list"))
     return ParseReport(records=tuple(records), warnings=tuple(warnings),
-                       dialect=dialect, boilerplate_lines=tuple(boilerplate),
-                       has_code_list=in_list_section)
+                       has_code_list=has_code_list)
 
 
 def parse_emerging_code_list(reply: str) -> list[str]:
@@ -371,18 +321,18 @@ def render_theme_digest(themes: list[ThemeRecord] | tuple[ThemeRecord, ...]) -> 
 
 
 def _theme_sections(reply: str, heading: str) -> tuple[
-        list[tuple[int, int, str, list[tuple[int, str]]]], list[int], list[ParseWarning]]:
+        list[tuple[int, int, str, list[tuple[int, str]]]], list[ParseWarning]]:
     """Split a theme or interpretation reply on its ``Theme K: Name`` headers.
 
     Returns the sections as (header line, number, normalized name, numbered
-    body lines), the boilerplate lines before the first header, and at most
-    one ``preamble`` warning for the prose among them, which counts as
-    boilerplate too.  ``heading`` names the header in that warning.
+    body lines) and at most one ``preamble`` warning for the prose before the
+    first header; prompt-cue echoes there are skipped.  ``heading`` names the
+    header in that warning.
     """
     if not reply.strip():
         raise NoRecordsFound("empty reply")
     sections: list[tuple[int, int, str, list[tuple[int, str]]]] = []
-    head: list[tuple[int, str]] = []  # non-blank lines before the first header
+    prose: list[int] = []
     for lineno, line in enumerate(reply.splitlines(), start=1):
         header = _THEME_HEADER.match(line)
         if header:
@@ -390,12 +340,10 @@ def _theme_sections(reply: str, heading: str) -> tuple[
                              normalize_label(header.group("name")), []))
         elif sections:
             sections[-1][3].append((lineno, line))
-        elif line.strip():
-            head.append((lineno, line))
-    prose = [lineno for lineno, line in head if not _is_boilerplate(line)]
+        elif line.strip() and not _is_boilerplate(line):
+            prose.append(lineno)
     note = f"{len(prose)} line(s) before the first {heading} ignored"
-    warnings = [ParseWarning(prose[0], "preamble", note)] if prose else []
-    return sections, [lineno for lineno, _ in head], warnings
+    return sections, [ParseWarning(prose[0], "preamble", note)] if prose else []
 
 
 def parse_theme_block(reply: str) -> ParseReport:
@@ -407,7 +355,7 @@ def parse_theme_block(reply: str) -> ParseReport:
     a theme :class:`ThemeRecord` rejects (a name that normalizes to nothing)
     is excluded with a warning.
     """
-    sections, boilerplate, warnings = _theme_sections(reply, "theme header")
+    sections, warnings = _theme_sections(reply, "theme header")
     records: list[ThemeRecord] = []
     for start_line, _, name, body in sections:
         last_line = start_line
@@ -419,7 +367,6 @@ def parse_theme_block(reply: str) -> ParseReport:
                 continue
             last_line = lineno
             if _is_boilerplate(line):
-                boilerplate.append(lineno)
                 continue
             desc = _DESCRIPTION.match(line)
             if desc:
@@ -454,8 +401,7 @@ def parse_theme_block(reply: str) -> ParseReport:
     if not records:
         raise NoRecordsFound("reply contained no named theme header" if sections
                              else "reply contained no theme headers")
-    return ParseReport(records=tuple(records), warnings=tuple(warnings),
-                       dialect="theme", boilerplate_lines=tuple(boilerplate))
+    return ParseReport(records=tuple(records), warnings=tuple(warnings))
 
 
 def parse_interpretation_block(reply: str, themes: list[ThemeRecord] | tuple[ThemeRecord, ...]) -> ParseReport:
@@ -467,7 +413,7 @@ def parse_interpretation_block(reply: str, themes: list[ThemeRecord] | tuple[The
     interpretations filled where matched; unmatched sections and themes left
     uncovered become warnings.
     """
-    sections, boilerplate, warnings = _theme_sections(reply, "heading")
+    sections, warnings = _theme_sections(reply, "heading")
     if not sections:
         raise NoRecordsFound("reply contained no theme interpretation headings")
 
@@ -499,5 +445,4 @@ def parse_interpretation_block(reply: str, themes: list[ThemeRecord] | tuple[The
                                          f"theme {theme.name!r} received no interpretation"))
             updated.append(theme)
 
-    return ParseReport(records=tuple(updated), warnings=tuple(warnings),
-                       dialect="interpretation", boilerplate_lines=tuple(boilerplate))
+    return ParseReport(records=tuple(updated), warnings=tuple(warnings))

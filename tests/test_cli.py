@@ -24,6 +24,7 @@ from thematica.errors import (
     FixtureMiss,
     MalformedResponse,
     RateLimited,
+    RequestRejected,
     SchemaError,
     TransportError,
 )
@@ -180,8 +181,9 @@ class ScriptedTransport:
     ('1. **Family Support**: "we moved" - Page {page}', 1),
     (SchemaError("reply does not match the expected schema"), 1),
     (AuthError("endpoint rejected credential (HTTP 401)"), 1),
+    (RequestRejected("endpoint rejected the request (HTTP 400)"), 1),
 ], ids=["transport", "rate-limit", "malformed", "fixture-miss",
-        "parse", "consolidation", "schema", "auth"])
+        "parse", "consolidation", "schema", "auth", "rejected"])
 def test_interrupted_analysis_exits_2_only_when_a_rerun_can_help(
         sample_workspace: Path, monkeypatch: pytest.MonkeyPatch, capsys,
         answer, expected: int) -> None:
@@ -421,6 +423,25 @@ def test_compare_rejects_more_than_two_coders(
                  "--human", "coder1.csv"])
     assert code == 1
     assert "at most two" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("flags, message", [
+    (["--human", "coder1.csv", "--interpretations", "s1.txt", "--interpretations", "s2.txt"],
+     "more --interpretations (2) than --human (1)"),
+    (["--human", "coder1.csv", "--human", "coder2.csv", "--human", "missing.csv"],
+     "compare supports at most two human codebooks"),
+], ids=["extra-sidecar", "third-coder"])
+def test_compare_checks_its_flag_counts_before_reading_a_csv(
+        analyzed_workspace: Path, tmp_path: Path, monkeypatch: pytest.MonkeyPatch, capsys,
+        flags: list[str], message: str) -> None:
+    workspace = copy_workspace(analyzed_workspace, tmp_path / "workspace")
+    monkeypatch.chdir(workspace)
+    for sidecar in ("s1.txt", "s2.txt"):
+        Path(sidecar).write_text("Theme: Professional background\nProse.\n", encoding="utf-8")
+    assert main(["--config", "run_config.json", "compare", *flags]) == 1
+    captured = capsys.readouterr()
+    assert captured.err == f"configuration error: {message}\n"
+    assert captured.out == ""
 
 
 def test_compare_of_coders_sharing_no_code_names_them_and_the_matcher(

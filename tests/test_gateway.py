@@ -18,6 +18,7 @@ from thematica.errors import (
     FixtureMiss,
     MalformedResponse,
     RateLimited,
+    RequestRejected,
     TransportError,
 )
 from thematica.gateway import (
@@ -207,12 +208,40 @@ def test_auth_failure_is_immediate() -> None:
     assert len(stub.calls) == 1
 
 
-def test_client_error_is_immediate_transport_error() -> None:
-    stub = StubHTTP([(404, None)])
-    transport, config, sleeps = live(stub)
-    with pytest.raises(TransportError, match="HTTP 404"):
+@pytest.mark.parametrize("status, error, attempts", [
+    (400, RequestRejected, 1),
+    (404, RequestRejected, 1),
+    (408, TransportError, 3),
+    (413, RequestRejected, 1),
+    (422, RequestRejected, 1),
+    (429, RateLimited, 3),
+    (500, TransportError, 3),
+    (503, TransportError, 3),
+])
+def test_each_http_status_gets_its_error_attempts_and_sleeps(
+        status: int, error: type, attempts: int) -> None:
+    message = "This model's maximum context length is 128000 tokens.\n" + "x" * 300
+    stub = StubHTTP([(status, {"error": {"message": message}})] * 3)
+    transport, _, sleeps = live(stub)
+    with pytest.raises(error) as raised:
+        transport.send(ModelConfig(max_attempts=3, backoff_base=0.5), MESSAGES,
+                       context="page 1 code extraction")
+    assert type(raised.value) is error
+    assert len(stub.calls) == attempts
+    assert sleeps == [0.5, 1.0][:attempts - 1]
+    if error is RequestRejected:
+        excerpt = " ".join(message.split())[:200]
+        assert str(raised.value) == (f"endpoint rejected the request (HTTP {status}) "
+                                     f"(page 1 code extraction): {excerpt}")
+
+
+@pytest.mark.parametrize("body", [None, {}, {"error": "bad"}, {"error": {"message": 7}},
+                                  {"error": {"message": "  "}}])
+def test_a_rejection_without_an_error_message_names_only_the_status(body) -> None:
+    transport, config, _ = live(StubHTTP([(400, body)]))
+    with pytest.raises(RequestRejected) as raised:
         transport.send(config, MESSAGES)
-    assert sleeps == []
+    assert str(raised.value) == "endpoint rejected the request (HTTP 400)"
 
 
 def test_network_failures_retry_then_raise() -> None:
