@@ -17,7 +17,7 @@ from __future__ import annotations
 import hashlib
 import math
 import zipfile
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from functools import cached_property
 from pathlib import Path
 from typing import Callable
@@ -33,41 +33,42 @@ OOXML_DOCX = "ooxml_docx"
 FORMATS = ("auto", PLAIN_TEXT, OOXML_DOCX)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, init=False)
 class Paragraph:
     """One non-empty paragraph; ``index`` is the 0-based ordinal among kept paragraphs."""
 
     index: int
     text: str
 
-    def __post_init__(self) -> None:
-        if not self.text.strip():
+    def __init__(self, index: int, text: str) -> None:
+        if not text.strip():
             raise EmptyDocument("paragraph text must be non-empty")
-        if self.index < 0:
+        if index < 0:
             raise ValueError("paragraph index must be >= 0")
+        self.__dict__.update(index=index, text=text)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, init=False)
 class Page:
     """An ordered block of paragraphs with a 1-based page number.
 
-    Quote tracing reads its :attr:`match_text` and maps spans back to
-    :attr:`text` with :meth:`source_span`; each builds its state once, lazily.
+    :attr:`text`, the paragraphs joined by single newlines, is built with the
+    page.  Quote tracing reads its :attr:`match_text` and maps spans back to
+    :attr:`text` with :meth:`source_span`; each of those builds its state
+    once, lazily, on first use.
     """
 
     number: int
     paragraphs: tuple[Paragraph, ...]
+    text: str = field(init=False, compare=False, repr=False)
 
-    def __post_init__(self) -> None:
-        if self.number < 1:
-            raise PageOutOfRange(f"page number must be >= 1, got {self.number}")
-        if not self.paragraphs:
-            raise EmptyDocument(f"page {self.number} has no paragraphs")
-
-    @cached_property
-    def text(self) -> str:
-        """The page's paragraphs joined by single newlines, built once and kept."""
-        return "\n".join(p.text for p in self.paragraphs)
+    def __init__(self, number: int, paragraphs: tuple[Paragraph, ...]) -> None:
+        if number < 1:
+            raise PageOutOfRange(f"page number must be >= 1, got {number}")
+        if not paragraphs:
+            raise EmptyDocument(f"page {number} has no paragraphs")
+        self.__dict__.update(number=number, paragraphs=paragraphs,
+                             text="\n".join([p.text for p in paragraphs]))
 
     @cached_property
     def match_text(self) -> str:
@@ -117,8 +118,8 @@ def load_document(path: str | Path, format: str = "auto") -> list[Paragraph]:
     """Load trimmed, non-empty paragraphs from a transcript file.
 
     ``format`` is ``plain_text``, ``ooxml_docx``, or ``auto`` (decided by the
-    ``.docx`` suffix).  Empty paragraphs are dropped; indices number the kept
-    paragraphs.
+    ``.docx`` suffix).  Each reader trims its paragraphs and drops the empty
+    ones; indices number the kept paragraphs.
     """
     file_path = Path(path)
     if format == "auto":
@@ -130,10 +131,7 @@ def load_document(path: str | Path, format: str = "auto") -> list[Paragraph]:
     else:
         raise ValueError(f"unknown format {format!r}; expected {PLAIN_TEXT!r} or {OOXML_DOCX!r}")
 
-    paragraphs = [
-        Paragraph(index, text)
-        for index, text in enumerate(t.strip() for t in texts if t.strip())
-    ]
+    paragraphs = [Paragraph(index, text) for index, text in enumerate(texts)]
     if not paragraphs:
         raise EmptyDocument(f"{file_path} contains no non-empty paragraphs")
     return paragraphs
@@ -161,10 +159,11 @@ def load_corpus(path: str | Path, page_size: int = 10, format: str = "auto") -> 
 def content_hash(corpus: Corpus) -> str:
     """Lowercase hex SHA-256 of the paragraph texts, newline-joined.
 
-    Stable across input formats that carry identical paragraph content, so an
-    artifact can be checked against a re-loaded corpus.
+    Stable across input formats and page sizes that carry identical paragraph
+    content, so an artifact can be checked against a re-loaded corpus.  The
+    pages' :attr:`Page.text`, newline-joined, are those same bytes.
     """
-    joined = "\n".join(p.text for p in corpus.paragraphs())
+    joined = "\n".join([page.text for page in corpus.pages])
     return hashlib.sha256(joined.encode("utf-8")).hexdigest()
 
 
@@ -210,6 +209,7 @@ def _read_docx(path: Path) -> list[str]:
     for child in body:
         # Only direct body paragraphs; skips tables and section properties.
         if child.tag == f"{_WORD_NS}p":
-            runs = [node.text or "" for node in child.iter(f"{_WORD_NS}t")]
-            texts.append("".join(runs))
+            text = "".join(node.text or "" for node in child.iter(f"{_WORD_NS}t")).strip()
+            if text:
+                texts.append(text)
     return texts

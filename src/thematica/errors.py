@@ -71,7 +71,8 @@ class TransportError(ThematicaError):
 
 
 class RequestRejected(ThematicaError):
-    """Endpoint refused the request itself (HTTP 4xx other than 408 and 429)."""
+    """Endpoint answered the request with a status that a rerun would get again:
+    any status other than 200, 401, 403, 408, 429 and 5xx, such as 204, 302 or 404."""
 
 
 class MalformedResponse(ThematicaError):

@@ -315,12 +315,10 @@ class LiveTransport:
                     last_failure = f"HTTP {status}"
                 elif status == 200:
                     return _extract_text(payload, where)
-                elif 400 <= status < 500:
+                else:
                     # A rerun sends the same request, so it is refused again.
                     raise RequestRejected(f"endpoint rejected the request (HTTP {status}){where}"
                                           f"{_error_excerpt(payload)}")
-                else:
-                    raise TransportError(f"unexpected HTTP {status}{where}")
             if attempt < config.max_attempts:
                 self._sleep(config.backoff_base * (2 ** (attempt - 1)))
         if last_failure == "HTTP 429":

@@ -59,12 +59,14 @@ _QUOTE_CHARS = "\"“”"
 MAX_LABEL_LENGTH = 200  # of a code label; compare matches human theme names as labels too
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, init=False)
 class CodeRecord:
     """One inductive code with its supporting quote and page reference.
 
     ``key`` is the label's matching key (:func:`label_key`), computed once
     here and read by codebooks, matching, merging and the presence matrix.
+    The constructor checks its arguments, then fills the record with one
+    ``__dict__`` update: every artifact load builds records by the thousand.
     """
 
     label: str
@@ -75,14 +77,16 @@ class CodeRecord:
     aliases: tuple[str, ...] = ()
     key: str = field(init=False, repr=False, compare=False, default="")
 
-    def __post_init__(self) -> None:
-        if not self.label.strip():
+    def __init__(self, label: str, quote: str, page: int | None, provenance: str = "llm",
+                 raw_span: tuple[int, int] | None = None, aliases: tuple[str, ...] = ()) -> None:
+        if not label.strip():
             raise ValueError("code label must be non-empty")
-        if len(self.label) > MAX_LABEL_LENGTH:
-            raise ValueError(f"code label exceeds {MAX_LABEL_LENGTH} characters: {self.label[:40]}...")
-        if self.page is not None and self.page < 1:
-            raise ValueError(f"page must be >= 1, got {self.page}")
-        object.__setattr__(self, "key", label_key(self.label))
+        if len(label) > MAX_LABEL_LENGTH:
+            raise ValueError(f"code label exceeds {MAX_LABEL_LENGTH} characters: {label[:40]}...")
+        if page is not None and page < 1:
+            raise ValueError(f"page must be >= 1, got {page}")
+        self.__dict__.update(label=label, quote=quote, page=page, provenance=provenance,
+                             raw_span=raw_span, aliases=aliases, key=label_key(label))
 
 
 @dataclass(frozen=True)

@@ -61,7 +61,7 @@ DEFAULT_THRESHOLD = 0.85
 _SENTENCE_SPLIT = re.compile(r"(?<=[.!?…])\s+")
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, init=False)
 class TraceResult:
     record: CodeRecord
     level: str
@@ -69,11 +69,14 @@ class TraceResult:
     matched_span: tuple[int, int] | None = None
     notes: tuple[str, ...] = ()
 
-    def __post_init__(self) -> None:
-        if self.level not in LEVELS:
-            raise ValueError(f"unknown trace level {self.level!r}")
-        if not 0.0 <= self.score <= 1.0:
-            raise ValueError(f"score must be in [0, 1], got {self.score}")
+    def __init__(self, record: CodeRecord, level: str, score: float,
+                 matched_span: tuple[int, int] | None = None, notes: tuple[str, ...] = ()) -> None:
+        if level not in LEVELS:
+            raise ValueError(f"unknown trace level {level!r}")
+        if not 0.0 <= score <= 1.0:
+            raise ValueError(f"score must be in [0, 1], got {score}")
+        self.__dict__.update(record=record, level=level, score=score,
+                             matched_span=matched_span, notes=notes)
 
 
 @dataclass(frozen=True)

@@ -2,7 +2,9 @@
 
 from __future__ import annotations
 
+import hashlib
 import math
+from dataclasses import FrozenInstanceError, fields
 from pathlib import Path
 
 import pytest
@@ -135,6 +137,40 @@ def test_page_text_joins_with_newlines() -> None:
     assert corpus.pages[0].text is corpus.pages[0].text
 
 
+@pytest.mark.parametrize("build, error, message", [
+    (lambda: Paragraph(0, "  \n "), EmptyDocument, "paragraph text must be non-empty"),
+    (lambda: Paragraph(-1, "alpha"), ValueError, "paragraph index must be >= 0"),
+    (lambda: Page(0, (Paragraph(0, "alpha"),)), PageOutOfRange, "page number must be >= 1, got 0"),
+    (lambda: Page(2, ()), EmptyDocument, "page 2 has no paragraphs"),
+])
+def test_paragraph_and_page_reject_invalid_fields(build, error: type, message: str) -> None:
+    with pytest.raises(error) as raised:
+        build()
+    assert type(raised.value) is error
+    assert str(raised.value) == message
+
+
+def test_paragraph_and_page_are_frozen_values() -> None:
+    paragraphs = (Paragraph(0, "one"), Paragraph(1, "two"))
+    page = Page(1, paragraphs)
+    twin = Page(number=1, paragraphs=(Paragraph(index=0, text="one"), Paragraph(index=1, text="two")))
+    assert page == twin and page is not twin
+    assert paragraphs[0] == Paragraph(0, "one") and paragraphs[0] != Paragraph(1, "one")
+    assert hash(paragraphs[0]) == hash((0, "one"))
+    assert hash(page) == hash(twin) == hash((1, paragraphs))
+    assert page != Page(2, paragraphs)
+    assert repr(paragraphs[0]) == "Paragraph(index=0, text='one')"
+    assert repr(page) == ("Page(number=1, paragraphs=(Paragraph(index=0, text='one'), "
+                          "Paragraph(index=1, text='two')))")
+    assert [f.name for f in fields(paragraphs[0]) if f.init] == ["index", "text"]
+    assert [f.name for f in fields(page) if f.init] == ["number", "paragraphs"]
+    with pytest.raises(FrozenInstanceError):
+        paragraphs[0].text = "other"
+    with pytest.raises(FrozenInstanceError):
+        page.number = 2
+    assert paragraphs[0].text == "one" and page.number == 1
+
+
 def test_corpus_rejects_noncontiguous_pages() -> None:
     page_one = Page(1, (Paragraph(0, "a"),))
     page_three = Page(3, (Paragraph(1, "b"),))
@@ -152,6 +188,13 @@ def test_content_hash_is_format_independent(tmp_path: Path) -> None:
     assert hash_txt == hash_docx
     assert content_hash(load_corpus(txt, page_size=1)) == hash_txt
     assert len(hash_txt) == 64 and set(hash_txt) <= set("0123456789abcdef")
+    # The documented definition: SHA-256 of the paragraph texts joined by
+    # newlines. Every stored analysis.json carries this value.
+    assert hash_txt == hashlib.sha256("\n".join(texts).encode("utf-8")).hexdigest()
+    seven = [f"Paragraph {i} of seven." for i in range(7)]
+    short_last = make_corpus(seven, page_size=3)
+    assert [len(page.paragraphs) for page in short_last.pages] == [3, 3, 1]
+    assert content_hash(short_last) == hashlib.sha256("\n".join(seven).encode("utf-8")).hexdigest()
 
 
 def test_content_hash_changes_with_content(tmp_path: Path) -> None:

@@ -209,6 +209,9 @@ def test_auth_failure_is_immediate() -> None:
 
 
 @pytest.mark.parametrize("status, error, attempts", [
+    (204, RequestRejected, 1),
+    (301, RequestRejected, 1),
+    (302, RequestRejected, 1),
     (400, RequestRejected, 1),
     (404, RequestRejected, 1),
     (408, TransportError, 3),

@@ -5,7 +5,7 @@ from __future__ import annotations
 import random
 import re
 from collections import Counter
-from dataclasses import dataclass, field, replace
+from dataclasses import FrozenInstanceError, dataclass, field, fields, replace
 from itertools import permutations
 
 import pytest
@@ -143,6 +143,46 @@ This theme is central to understanding why nurses and midwives from developing c
 
 def triples(report) -> list[tuple[str, str, int]]:
     return [(r.label, r.quote, r.page) for r in report.records]
+
+
+@pytest.mark.parametrize("kwargs, message", [
+    ({"label": "   ", "quote": "q", "page": 1}, "code label must be non-empty"),
+    ({"label": "x" * 201, "quote": "q", "page": 1},
+     "code label exceeds 200 characters: " + "x" * 40 + "..."),
+    ({"label": "Family", "quote": "q", "page": 0}, "page must be >= 1, got 0"),
+    # Both faults: the label is checked first.
+    ({"label": "", "quote": "q", "page": 0}, "code label must be non-empty"),
+])
+def test_code_record_rejects_invalid_fields_in_order(kwargs: dict, message: str) -> None:
+    with pytest.raises(ValueError) as raised:
+        CodeRecord(**kwargs)
+    assert type(raised.value) is ValueError
+    assert str(raised.value) == message
+
+
+def test_code_record_is_a_frozen_value_with_a_derived_key() -> None:
+    values = ("Family  Support", "My cousin helped.", 2, "human", (3, 9), ("Kin",))
+    record = CodeRecord(*values)
+    twin = CodeRecord(label="Family  Support", quote="My cousin helped.", page=2,
+                      provenance="human", raw_span=(3, 9), aliases=("Kin",))
+    assert record == twin and record is not twin
+    assert hash(record) == hash(twin) == hash(values)
+    assert record != replace(record, page=3)
+    assert repr(record) == ("CodeRecord(label='Family  Support', quote='My cousin helped.', "
+                            "page=2, provenance='human', raw_span=(3, 9), aliases=('Kin',))")
+    assert [(f.name, f.init) for f in fields(record)] == [
+        ("label", True), ("quote", True), ("page", True), ("provenance", True),
+        ("raw_span", True), ("aliases", True), ("key", False),
+    ]
+    assert CodeRecord("Probe", "q", None) == CodeRecord("Probe", "q", None, "llm", None, ())
+    assert record.key == label_key("Family  Support")
+    renamed = replace(record, label="Career Change")
+    assert renamed.key == label_key("Career Change")
+    assert renamed.aliases == ("Kin",) and renamed.page == 2
+    for name in ("label", "key"):
+        with pytest.raises(FrozenInstanceError):
+            setattr(record, name, "Other")
+    assert record.label == "Family  Support" and record.key == label_key("Family  Support")
 
 
 def test_inline_dialect_with_prompt_cue_echo() -> None:

@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import random
 from collections import Counter
+from dataclasses import FrozenInstanceError, fields
 from pathlib import Path
 from typing import Iterator
 
@@ -26,6 +27,7 @@ from thematica.trace import (
     FUZZY,
     NORMALIZED,
     TraceabilityReport,
+    TraceResult,
     _best_ends,
     _bottom_row,
     _halves_span,
@@ -136,6 +138,37 @@ def test_threshold_boundary_is_inclusive() -> None:
     assert result.score == pytest.approx(similarity)
     stricter = verify_quote(record(probe), corpus, threshold=similarity + 1e-6)
     assert stricter.level == FAILED
+
+
+@pytest.mark.parametrize("level, score, message", [
+    ("Bogus", 0.5, "unknown trace level 'Bogus'"),
+    (EXACT, -0.1, "score must be in [0, 1], got -0.1"),
+    (FUZZY, 1.5, "score must be in [0, 1], got 1.5"),
+])
+def test_trace_result_rejects_unknown_level_and_out_of_range_score(
+        level: str, score: float, message: str) -> None:
+    with pytest.raises(ValueError) as raised:
+        TraceResult(record=record("a quote"), level=level, score=score)
+    assert type(raised.value) is ValueError
+    assert str(raised.value) == message
+
+
+def test_trace_result_is_a_frozen_value() -> None:
+    probe = record("a quote", page=2)
+    result = TraceResult(probe, FUZZY, 0.9, (4, 11), ("close",))
+    twin = TraceResult(record=probe, level=FUZZY, score=0.9, matched_span=(4, 11), notes=("close",))
+    assert result == twin and result is not twin
+    assert hash(result) == hash(twin) == hash((probe, FUZZY, 0.9, (4, 11), ("close",)))
+    assert result != TraceResult(probe, FUZZY, 0.8, (4, 11), ("close",))
+    assert TraceResult(probe, FAILED, 0.0) == TraceResult(probe, FAILED, 0.0, None, ())
+    assert repr(result) == (f"TraceResult(record={probe!r}, level='Fuzzy', score=0.9, "
+                            "matched_span=(4, 11), notes=('close',))")
+    assert [(f.name, f.init) for f in fields(result)] == [
+        ("record", True), ("level", True), ("score", True), ("matched_span", True), ("notes", True),
+    ]
+    with pytest.raises(FrozenInstanceError):
+        result.level = EXACT
+    assert result.level == FUZZY
 
 
 def test_verify_codebook_preserves_order_and_counts() -> None:
