@@ -41,6 +41,7 @@ from .errors import (
     MalformedResponse,
     NoRecordsFound,
     RateLimited,
+    ReplyTruncated,
     ThematicaError,
     TransportError,
 )
@@ -199,6 +200,10 @@ def _what_to_change(cause: BaseException | None, artifact_path: Path) -> str:
     """Advice for an interruption that a plain rerun would repeat."""
     if isinstance(cause, AuthError):
         return f"set a valid credential in {ENV_VAR} (or {FALLBACK_ENV_VAR})"
+    if isinstance(cause, ReplyTruncated):
+        return ("raise max_tokens (--max-tokens or model.max_tokens in the config file) and "
+                "analyze into a fresh output directory: max_tokens is part of the artifact's "
+                f"configuration, so {artifact_path} refuses a new value")
     if isinstance(cause, (NoRecordsFound, DuplicateLabel)):
         return ("the model replies are persisted and are reused on resume; correct the "
                 f"offending reply under raw_replies in {artifact_path}, or revise the prompt "
@@ -368,8 +373,7 @@ def cmd_verify(config: RunConfig, artifact_path: str | None) -> int:
         )
     threshold = artifact.trace.threshold if artifact.trace else config.trace_threshold
     trace = verify_codebook(artifact.llm_codebook, corpus, threshold)
-    counts = trace.counts
-    print("trace summary: " + ", ".join(f"{level} {counts[level]}" for level in counts))
+    print(f"trace summary: {trace.summary}")
     print(f"verified share: {trace.verified_share:.2f}%")
     if trace.failures:
         for result in trace.failures:

@@ -75,6 +75,11 @@ class RequestRejected(ThematicaError):
     any status other than 200, 401, 403, 408, 429 and 5xx, such as 204, 302 or 404."""
 
 
+class ReplyTruncated(ThematicaError):
+    """Reply stopped at the max_tokens limit (finish_reason "length"); a rerun
+    of the same request would be cut the same way."""
+
+
 class MalformedResponse(ThematicaError):
     """Response carried no usable assistant text."""
 

@@ -36,6 +36,7 @@ from .errors import (
     FixtureMiss,
     MalformedResponse,
     RateLimited,
+    ReplyTruncated,
     RequestRejected,
     TransportError,
 )
@@ -314,7 +315,7 @@ class LiveTransport:
                 elif status == 408 or status >= 500:
                     last_failure = f"HTTP {status}"
                 elif status == 200:
-                    return _extract_text(payload, where)
+                    return _extract_text(payload, where, config.max_tokens)
                 else:
                     # A rerun sends the same request, so it is refused again.
                     raise RequestRejected(f"endpoint rejected the request (HTTP {status}){where}"
@@ -335,13 +336,19 @@ def _error_excerpt(payload) -> str:
     return f": {message[:200]}" if message else ""
 
 
-def _extract_text(payload, where: str) -> str:
+def _extract_text(payload, where: str, max_tokens: int) -> str:
+    """The reply's text; a reply cut at ``max_tokens`` raises ReplyTruncated."""
     if not isinstance(payload, dict):
         raise MalformedResponse(f"response body is not a JSON object{where}")
     choices = payload.get("choices")
     if not isinstance(choices, list) or not choices:
         raise MalformedResponse(f"response has no choices{where}")
-    message = choices[0].get("message") if isinstance(choices[0], dict) else None
+    choice = choices[0] if isinstance(choices[0], dict) else {}
+    if choice.get("finish_reason") == "length":
+        # The same request is cut again, so it is not retried, and the gateway
+        # caches and records nothing.
+        raise ReplyTruncated(f"reply stopped at the max_tokens limit of {max_tokens}{where}")
+    message = choice.get("message")
     content = message.get("content") if isinstance(message, dict) else None
     if not isinstance(content, str) or not content.strip():
         raise MalformedResponse(f"response choice has no content{where}")

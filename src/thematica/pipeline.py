@@ -12,7 +12,9 @@ a request, so a crashed run re-sends only the requests that were in flight.
 from __future__ import annotations
 
 import json
+import logging
 import threading
+import time
 from concurrent.futures import ThreadPoolExecutor, wait
 from dataclasses import dataclass, field, replace
 from datetime import datetime, timezone
@@ -53,6 +55,8 @@ from .outparse import (
 from .promptkit import PromptLibrary, StudyFocus, default_library
 from .textnorm import label_key
 from .trace import DEFAULT_THRESHOLD, TraceabilityReport, TraceResult, verify_codebook
+
+logger = logging.getLogger(__name__)
 
 SCHEMA_VERSION = 1
 EPOCH_TIMESTAMP = "1970-01-01T00:00:00Z"
@@ -305,6 +309,14 @@ def _trace_from_dict(data: dict, codebook: Codebook) -> TraceabilityReport:
     return TraceabilityReport(results=results, threshold=data.get("threshold", DEFAULT_THRESHOLD))
 
 
+def _log_stage(started: float, message: str, *args) -> float:
+    """Log one finished stage at info level with its wall time since
+    ``started``; return the time now, when the next stage starts."""
+    now = time.perf_counter()
+    logger.info(message + " (%.1f ms)", *args, (now - started) * 1000)
+    return now
+
+
 def _notes(where: str, report: ParseReport) -> list[str]:
     """One run note per parse warning, located by reply and line."""
     return [f"{where} line {w.line}: {w.kind}: {w.detail}" for w in report.warnings]
@@ -387,6 +399,7 @@ def run_analysis(corpus: Corpus, focus: StudyFocus, config: ModelConfig, transpo
         artifact = load_artifact(path)
         _check_resume(artifact, fingerprint, snapshot)
         if artifact.complete and not recording:
+            logger.info("%s is complete: no stage runs", path)
             return artifact
     else:
         stamp = _now(replay)
@@ -398,20 +411,27 @@ def run_analysis(corpus: Corpus, focus: StudyFocus, config: ModelConfig, transpo
     cache_path = out_dir / "response_cache.json" if out_dir else None
     gateway = Gateway(config, transport, cache_path=cache_path, record_path=record_path)
 
+    # Where each reply came from: "cache", or the transport's kind.
+    sources: list[str] = []
+
     def ask(prompt, context: str) -> str:
         messages = (ChatMessage("system", prompt.system_message),
                     ChatMessage("user", prompt.user_message))
-        return gateway.complete(messages, context=context).text
+        completion = gateway.complete(messages, context=context)
+        sources.append(completion.transport)
+        return completion.text
 
     # Where the run is, named by the interruption a library error becomes.
     stage: str | None = "code_extraction"
     page_number: int | None = None
+    started = time.perf_counter()
     try:
         # step 1: per-page code extraction.  Workers take the next pending page
         # until none is left; after a failure or an interrupt no page starts,
         # and a request in flight finishes and keeps its reply.
-        pages = iter([page for page in corpus.pages
-                      if recording or f"page_{page.number}" not in artifact.raw_replies])
+        asked = [page for page in corpus.pages
+                 if recording or f"page_{page.number}" not in artifact.raw_replies]
+        pages = iter(asked)
         replies: dict[int, str] = {}
         failures: list[tuple[bool, int, BaseException]] = []
         take, stop, go = threading.Lock(), threading.Event(), threading.Event()
@@ -453,6 +473,9 @@ def run_analysis(corpus: Corpus, focus: StudyFocus, config: ModelConfig, transpo
             # A non-library error goes first, then the lowest failing page.
             _, page_number, exc = min(failures)
             raise exc
+        cached = sources.count("cache")
+        started = _log_stage(started, "code extraction: %d pages asked, %d replies sent, "
+                             "%d from the cache", len(asked), len(sources) - cached, cached)
 
         # step 2: consolidation
         stage = "consolidation"
@@ -483,6 +506,8 @@ def run_analysis(corpus: Corpus, focus: StudyFocus, config: ModelConfig, transpo
         else:
             # The record labels themselves, so every one has a record key.
             emerging = regenerated
+        started = _log_stage(started, "consolidation: %d codes, %d parse notes",
+                             len(codebook.codes), len(parse_notes))
 
         # step 3: theme generation
         stage = "theme_generation"
@@ -497,6 +522,7 @@ def run_analysis(corpus: Corpus, focus: StudyFocus, config: ModelConfig, transpo
         for key_label in sorted(member_keys.difference(codebook.by_key)):
             parse_notes.append(
                 f"theme member {key_label!r} does not match any extracted code label")
+        started = _log_stage(started, "theme generation: %d themes", len(themes))
 
         # step 4: interpretation
         stage = "interpretation"
@@ -508,6 +534,8 @@ def run_analysis(corpus: Corpus, focus: StudyFocus, config: ModelConfig, transpo
                                                    themes)
         themes = tuple(interp_report.records)
         parse_notes.extend(_notes("interpretations", interp_report))
+        _log_stage(started, "interpretation: %d of %d themes interpreted",
+                   sum(1 for theme in themes if theme.interpretation), len(themes))
         # Past the stages a library error propagates as it is.
         stage = None
         codebook = replace(codebook, emerging_labels=emerging, themes=themes)

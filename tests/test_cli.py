@@ -6,6 +6,7 @@ import errno
 import json
 import logging
 import os
+import re
 import shutil
 import subprocess
 import sys
@@ -106,6 +107,42 @@ def test_record_sends_live_and_writes_a_replayable_session(
     assert len(load_fixture(sample_workspace / "recorded.json")) == len(session)
     assert ((sample_workspace / "replayed" / "analysis.json").read_bytes()
             == (sample_workspace / "clean" / "analysis.json").read_bytes())
+
+
+@pytest.mark.parametrize("finish, expected, kept", [
+    ({"finish_reason": "stop"}, 0, True),
+    ({}, 0, True),
+    ({"finish_reason": "length"}, 1, False),
+], ids=["stop", "absent", "length"])
+def test_a_reply_cut_at_max_tokens_exits_1_and_is_neither_cached_nor_recorded(
+        sample_workspace: Path, monkeypatch: pytest.MonkeyPatch, capsys,
+        finish: dict, expected: int, kept: bool) -> None:
+    monkeypatch.chdir(sample_workspace)
+    monkeypatch.setenv("THEMATICA_API_KEY", "k")
+    replies = {entry["digest"]: entry["response"]
+               for entry in load_fixture(sample_workspace / "session.json")}
+    posts: list[dict] = []
+
+    def http_post(url: str, headers: dict, body: dict, timeout: float):
+        posts.append(body)
+        messages = [ChatMessage(m["role"], m["content"]) for m in body["messages"]]
+        content = replies[request_digest(ModelConfig(), messages)]
+        return 200, {"choices": [{"message": {"content": content}, **finish}]}
+
+    monkeypatch.setattr("thematica.gateway._requests_post", http_post)
+    assert main(["--config", "run_config.json", "analyze", "--record", "recorded.json"]) == expected
+    cache = sample_workspace / "out" / "response_cache.json"
+    assert cache.exists() is kept
+    assert (sample_workspace / "recorded.json").exists() is kept
+    if kept:
+        assert len(load_fixture(cache)) == len(posts) == len(replies)
+        return
+    # One request and no retry: the same request would be cut again.
+    assert len(posts) == 1
+    err = capsys.readouterr().err
+    assert ("analysis interrupted during code_extraction at page 1: reply stopped at the "
+            "max_tokens limit of 1000 (page 1 code extraction)") in err
+    assert "a rerun fails the same way: raise max_tokens" in err
 
 
 def test_analyze_without_input_fails_cleanly(
@@ -644,6 +681,49 @@ def test_verbose_applies_to_each_call_in_a_process(
             assert replayed == ([logging.INFO] if verbose else []), verbose
     finally:
         package_logger.setLevel(previous)
+
+
+def test_verbose_logs_each_stage_and_leaves_stdout_and_files_unchanged(
+        sample_workspace: Path, tmp_path: Path, monkeypatch: pytest.MonkeyPatch,
+        caplog, capsys) -> None:
+    quiet = sample_workspace
+    verbose = copy_workspace(sample_workspace, tmp_path / "verbose")
+    package_logger = logging.getLogger("thematica")
+    previous = package_logger.level
+    runs = {}
+    try:
+        for workspace, flags in ((quiet, []), (verbose, ["--verbose"])):
+            monkeypatch.chdir(workspace)
+            caplog.clear()
+            codes = [main(["--config", "run_config.json", *flags, command])
+                     for command in ("analyze", "verify")]
+            logged = [(record.levelno, record.name, record.getMessage())
+                      for record in caplog.records if record.name.startswith("thematica")]
+            runs[workspace] = codes, capsys.readouterr().out, logged
+    finally:
+        package_logger.setLevel(previous)
+
+    assert runs[quiet][:2] == runs[verbose][:2]
+    assert runs[quiet][0] == [0, 0]
+    assert runs[quiet][2] == []
+    files = sorted(path.name for path in (quiet / "out").iterdir())
+    assert files == sorted(path.name for path in (verbose / "out").iterdir())
+    for name in files:
+        assert (quiet / "out" / name).read_bytes() == (verbose / "out" / name).read_bytes(), name
+
+    timed = re.compile(r"(.*) \(\d+\.\d ms\)")
+    stages = [(level, name, timed.fullmatch(message).group(1))
+              for level, name, message in runs[verbose][2]]
+    trace = (logging.INFO, "thematica.trace", "trace: Exact 59, Normalized 0, Fuzzy 0, Failed 0")
+    assert stages == [
+        (logging.INFO, "thematica.pipeline",
+         "code extraction: 16 pages asked, 16 replies sent, 0 from the cache"),
+        (logging.INFO, "thematica.pipeline", "consolidation: 59 codes, 2 parse notes"),
+        (logging.INFO, "thematica.pipeline", "theme generation: 4 themes"),
+        (logging.INFO, "thematica.pipeline", "interpretation: 4 of 4 themes interpreted"),
+        trace,  # analyze
+        trace,  # verify
+    ]
 
 
 def _cut_first_write(monkeypatch: pytest.MonkeyPatch) -> None:

@@ -28,6 +28,7 @@ from thematica.trace import (
     NORMALIZED,
     TraceabilityReport,
     TraceResult,
+    _MASK_LOOP_BELOW,
     _best_ends,
     _bottom_row,
     _halves_span,
@@ -454,14 +455,23 @@ def test_transposed_kernel_equals_the_column_wise_reference_on_small_alphabets()
 
 
 def test_transposed_kernel_equals_the_column_wise_reference_on_long_patterns() -> None:
+    # The texts straddle _MASK_LOOP_BELOW, where the bit masks switch from one
+    # loop over the text to one str.translate per pattern character, and the
+    # first cases sit on either side of it.
     rng = random.Random(19)
-    for _ in range(300):
+    around = (_MASK_LOOP_BELOW - 1, _MASK_LOOP_BELOW, _MASK_LOOP_BELOW + 1)
+    for case in range(300):
         alphabet = rng.choice(("ab ", "abcd ", "aßﬁİ bc"))
-        text = "".join(rng.choice(alphabet) for _ in range(rng.randint(60, 240)))
+        length = around[case % 3] if case < 30 else rng.randint(60, 2 * _MASK_LOOP_BELOW)
+        text = "".join(rng.choice(alphabet) for _ in range(length))
         start = rng.randrange(len(text))
         pattern = mutate(rng, text[start:start + rng.randint(40, 90)], alphabet + "x",
                          rng.randint(0, 8))
         assert_kernel_equals_reference(pattern, text)
+        if pattern:
+            for global_mode in (False, True):
+                assert _bottom_row(pattern, text, global_mode) == \
+                    [len(pattern), *reference_last_row(pattern, text, global_mode)], (pattern, text)
 
 
 def test_transposed_kernel_equals_the_column_wise_reference_on_real_pages(
