@@ -72,7 +72,8 @@ class TransportError(ThematicaError):
 
 class RequestRejected(ThematicaError):
     """Endpoint answered the request with a status that a rerun would get again:
-    any status other than 200, 401, 403, 408, 429 and 5xx, such as 204, 302 or 404."""
+    any status other than 200, 401, 403, 408, 429 and 5xx, such as 204, 302 or 404;
+    or its content filter stopped the reply (finish_reason "content_filter")."""
 
 
 class ReplyTruncated(ThematicaError):

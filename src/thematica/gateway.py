@@ -3,19 +3,25 @@
 Requests are hashed over (model, temperature, max_tokens, messages); the
 digest keys both the in-memory response cache and the on-disk fixtures, so a
 recorded session doubles as a replay fixture.  Replay never touches the
-network, which keeps pipeline runs byte-deterministic.  Each request is
-hashed once: :class:`Gateway` hashes it, and the replay lookup that follows
-in the same thread gets that digest from :func:`request_digest`'s one-entry
-memo instead of encoding the request again.
+network, which keeps pipeline runs byte-deterministic.  The digest is the
+SHA-256 of the request as compact JSON with sorted keys.  The config's part
+of that text, before and after the message list, is encoded once per
+:class:`ModelConfig` object with :mod:`json`; each role and content goes
+through the C string encoder, so no request builds a JSON encoder.  Each
+request is hashed once: :class:`Gateway` hashes it, and the replay lookup
+that follows in the same thread gets that digest from
+:func:`request_digest`'s one-entry memo instead of encoding the request
+again.
 
 Every fixture is a JSON array of ``{digest, response}`` objects, and in a run
 the :class:`Gateway` writes them: each new reply goes into the response
 cache, and each reply it returns into the record fixture, once per digest.
 A reply is appended as one line over the array's closing bracket, so
 persisting n replies writes O(total reply bytes) and the file is a valid
-fixture after every request.  The tail of each fixture is read and checked
-once per run, at its first append; after that each reply is one positioned
-write at the end the previous append left.
+fixture after every request.  Each fixture is opened once per run, at its
+first append, and its tail is read and checked then; after that each reply
+is one positioned write, through the same descriptor, at the end the
+previous append left.  :meth:`Gateway.close` closes the descriptors.
 """
 
 from __future__ import annotations
@@ -27,6 +33,8 @@ import re
 import threading
 import time
 from dataclasses import dataclass
+from functools import cached_property
+from json.encoder import encode_basestring
 from pathlib import Path
 from typing import Callable, Sequence
 
@@ -74,6 +82,18 @@ class ModelConfig:
         if not 1 <= self.parallelism <= 8:
             raise ValueError(f"parallelism must be in 1..8, got {self.parallelism}")
 
+    @cached_property
+    def _digest_affixes(self) -> tuple[str, str]:
+        """The canonical request text before and after its message list.
+
+        Keys in sorted order, as ``json.dumps(sort_keys=True)`` writes them.
+        Each config object encodes its own values, so ``temperature`` 1, 1.0
+        and True encode apart, as they did when every request was dumped whole.
+        """
+        model = json.dumps(self.model_id, ensure_ascii=False)
+        return (f'{{"max_tokens":{json.dumps(self.max_tokens)},"messages":[',
+                f'],"model":{model},"temperature":{json.dumps(self.temperature)}}}')
+
 
 @dataclass(frozen=True)
 class ChatMessage:
@@ -95,14 +115,10 @@ class Completion:
 
 
 def _canonical_digest(config: ModelConfig, messages: tuple[tuple[str, str], ...]) -> str:
-    payload = {
-        "model": config.model_id,
-        "temperature": config.temperature,
-        "max_tokens": config.max_tokens,
-        "messages": [{"role": role, "content": content} for role, content in messages],
-    }
-    canonical = json.dumps(payload, sort_keys=True, ensure_ascii=False, separators=(",", ":"))
-    return hashlib.sha256(canonical.encode("utf-8")).hexdigest()
+    head, tail = config._digest_affixes
+    body = ",".join(f'{{"content":{encode_basestring(content)},"role":{encode_basestring(role)}}}'
+                    for role, content in messages)
+    return hashlib.sha256(f"{head}{body}{tail}".encode("utf-8")).hexdigest()
 
 
 # Each thread's last (config, messages, digest): a transport that hashes the
@@ -219,42 +235,55 @@ class _FixtureAppender:
     reads, whether :func:`save_fixture` or earlier appends wrote it.  It
     remembers the offset of the ``\n]\n`` it wrote, so every later append is
     one positioned write of ``,\n{entry}\n]\n`` there: longer than what it
-    covers, so nothing is left to truncate.  Each entry is one line.  That
-    offset stays right only while this appender is the file's one writer;
-    the caller serializes appends.  A failed append raises an OSError that
-    names the fixture, as :func:`replace_file` does.
+    covers, so nothing is left to truncate.  Each entry is one line, as
+    ``json.dumps(entry, ensure_ascii=False)`` writes it.  The file stays open
+    from the first append that opens it until :meth:`close`.  The offset
+    stays right only while this appender is the file's one writer; the
+    caller serializes appends.  A failed append closes the file and forgets
+    the offset, so the next one opens it and checks the tail again, and
+    raises an OSError that names the fixture, as :func:`replace_file` does.
     """
 
     def __init__(self, path: str | Path) -> None:
-        self.path = Path(path)
+        self._fd: int | None = None
         self._end: int | None = None
+        self.path = Path(path)
 
-    def append(self, entry: dict[str, str]) -> None:
-        line = json.dumps(entry, ensure_ascii=False).encode("utf-8")
+    def append(self, digest: str, response: str) -> None:
+        line = (f'{{"digest": {encode_basestring(digest)}, '
+                f'"response": {encode_basestring(response)}}}').encode("utf-8")
         if self._end is None and not self.path.exists():
             data = b"[\n" + line + _CLOSE
             replace_file(self.path, data)
             self._end = len(data) - len(_CLOSE)
             return
         try:
-            fd = os.open(self.path, os.O_RDWR)
-            try:
-                if self._end is None:
-                    at, separator = _fixture_end(fd, self.path)
-                    data = separator + line + _CLOSE
-                    _pwrite_all(fd, data, at)
-                    os.ftruncate(fd, at + len(data))
-                else:
-                    # Forgotten until this write is whole: after a failed one,
-                    # the next append checks the tail again.
-                    at, self._end = self._end, None
-                    data = b",\n" + line + _CLOSE
-                    _pwrite_all(fd, data, at)
-            finally:
-                os.close(fd)
+            if self._fd is None:
+                self._fd = os.open(self.path, os.O_RDWR)
+            if self._end is None:
+                at, separator = _fixture_end(self._fd, self.path)
+                data = separator + line + _CLOSE
+                _pwrite_all(self._fd, data, at)
+                os.ftruncate(self._fd, at + len(data))
+            else:
+                at, data = self._end, b",\n" + line + _CLOSE
+                _pwrite_all(self._fd, data, at)
+        except FixtureCorrupt:
+            self.close()
+            raise
         except OSError as exc:
+            self.close()
             raise OSError(exc.errno, exc.strerror or str(exc), str(self.path)) from exc
         self._end = at + len(data) - len(_CLOSE)
+
+    def close(self) -> None:
+        """Close the file and forget its end; a later append checks the tail again."""
+        fd, self._fd, self._end = self._fd, None, None
+        if fd is not None:
+            os.close(fd)
+
+    # An appender dropped without close() does not leak its descriptor.
+    __del__ = close
 
 
 class _NetworkFailure(Exception):
@@ -337,17 +366,21 @@ def _error_excerpt(payload) -> str:
 
 
 def _extract_text(payload, where: str, max_tokens: int) -> str:
-    """The reply's text; a reply cut at ``max_tokens`` raises ReplyTruncated."""
+    """The reply's text; a reply cut at ``max_tokens`` raises ReplyTruncated,
+    and one the endpoint's content filter stopped raises RequestRejected."""
     if not isinstance(payload, dict):
         raise MalformedResponse(f"response body is not a JSON object{where}")
     choices = payload.get("choices")
     if not isinstance(choices, list) or not choices:
         raise MalformedResponse(f"response has no choices{where}")
     choice = choices[0] if isinstance(choices[0], dict) else {}
-    if choice.get("finish_reason") == "length":
-        # The same request is cut again, so it is not retried, and the gateway
-        # caches and records nothing.
+    # The same request would be stopped again, so neither stop is retried,
+    # and the gateway caches and records nothing.
+    finish = choice.get("finish_reason")
+    if finish == "length":
         raise ReplyTruncated(f"reply stopped at the max_tokens limit of {max_tokens}{where}")
+    if finish == "content_filter":
+        raise RequestRejected(f"the endpoint's content filter stopped the reply{where}")
     message = choice.get("message")
     content = message.get("content") if isinstance(message, dict) else None
     if not isinstance(content, str) or not content.strip():
@@ -425,12 +458,20 @@ class Gateway:
             if digest not in self._cache:
                 self._cache[digest] = text
                 if self._cache_log:
-                    self._cache_log.append({"digest": digest, "response": text})
+                    self._cache_log.append(digest, text)
             self._record(digest, text)
         return Completion(request_digest=digest, text=text, transport=self.transport.kind)
 
     def _record(self, digest: str, text: str) -> None:
         """Append a returned reply to the record fixture, once; hold ``_lock``."""
         if self._record_log and digest not in self._recorded:
-            self._record_log.append({"digest": digest, "response": text})
+            self._record_log.append(digest, text)
             self._recorded.add(digest)
+
+    def close(self) -> None:
+        """Close the fixtures this gateway appends to; a later append opens
+        its fixture again and checks the tail."""
+        with self._lock:
+            for log in (self._cache_log, self._record_log):
+                if log:
+                    log.close()

@@ -7,8 +7,11 @@ The extraction step yields code lists in (at least) three dialects:
   ``- Supporting Sentence: "quote"`` and ``- Page: Page N`` lines
 * D3, a numbered label line followed by ``- "quote"`` and ``- Page N`` lines
 
-:func:`parse_code_block` reads them in one loop: an ``Emerging Code:`` or
-numbered line starts an entry, which dash lines fill; a D1 line is complete.
+:func:`parse_code_block` reads them in one loop that classifies each line
+with one compiled grammar, built from the line patterns below: blank,
+boilerplate, list delimiter, ``Emerging Code:``, numbered or dash, the first
+that matches.  An ``Emerging Code:`` or numbered line starts an entry, which
+dash lines fill; a D1 line is complete.
 
 The theme step yields ``### Theme K: Name`` blocks with member bullets and a
 ``**Description**:`` paragraph; the interpretation step yields prose sections
@@ -53,6 +56,25 @@ _THEME_HEADER = re.compile(
     re.IGNORECASE,
 )
 _DESCRIPTION = re.compile(r"^\s*(?:\*\*)?Description(?:\*\*)?\s*:\s*(?P<rest>.*)$", re.IGNORECASE)
+
+
+def _line_grammar(**alternatives: re.Pattern) -> re.Pattern:
+    """One pattern trying ``alternatives`` in order, each named by its keyword.
+
+    A pattern's ``rest`` group takes its name; a pattern without one is
+    wrapped in a group of that name.  Either way the named group closes
+    last, so ``lastgroup`` of a match names the alternative that matched.
+    """
+    sources = [pattern.pattern.replace("(?P<rest>", f"(?P<{name}>")
+               if "(?P<rest>" in pattern.pattern else f"(?P<{name}>{pattern.pattern})"
+               for name, pattern in alternatives.items()]
+    return re.compile("|".join(sources), re.IGNORECASE)
+
+
+# A code reply's line kinds, first match wins; no match is an unrecognized line.
+_CODE_LINE = _line_grammar(blank=re.compile(r"\s*$"), boilerplate=_BOILERPLATE,
+                           delimiter=LIST_DELIMITER, d2=_D2_START, numbered=_NUMBERED,
+                           dash=_DASH)
 
 _QUOTE_CHARS = "\"“”"
 
@@ -197,20 +219,20 @@ def parse_code_block(reply: str, expected_page: int) -> ParseReport:
     entry: _OpenCode | None = None
     found = has_code_list = False
     for lineno, line in enumerate(reply.splitlines(), start=1):
-        if not line.strip() or _is_boilerplate(line):
+        match = _CODE_LINE.match(line)
+        kind = match.lastgroup if match else None
+        if kind in ("blank", "boilerplate"):
             continue
-        if LIST_DELIMITER.match(line):  # never a boilerplate line
+        if kind == "delimiter":
             has_code_list = True
             break
 
-        d2 = _D2_START.match(line)
-        numbered = None if d2 else _NUMBERED.match(line)
-        if d2 or numbered:
+        if kind in ("d2", "numbered"):
             if entry is not None:
                 finish(entry)
             found = True
-            rest = (d2 or numbered).group("rest")
-            segment = _find_quoted_segment(rest) if numbered else None
+            rest = match.group(kind)
+            segment = _find_quoted_segment(rest) if kind == "numbered" else None
             if segment is None:
                 entry = _OpenCode(label=rest, start_line=lineno, last_line=lineno)
             else:  # D1: label, quote and page on this one line
@@ -222,9 +244,8 @@ def parse_code_block(reply: str, expected_page: int) -> ParseReport:
                 entry = None
             continue
 
-        dash = _DASH.match(line) if entry is not None else None
-        if dash:
-            rest = dash.group("rest")
+        if kind == "dash" and entry is not None:
+            rest = match.group(kind)
             entry.last_line = lineno
             supporting = _SUPPORTING.match(rest)
             if supporting:

@@ -518,7 +518,10 @@ def run_analysis(corpus: Corpus, focus: StudyFocus, config: ModelConfig, transpo
         theme_report = parse_theme_block(artifact.raw_replies["themes"])
         themes = theme_report.records
         parse_notes.extend(_notes("themes", theme_report))
-        member_keys = {label_key(label) for theme in themes for label in theme.member_labels}
+        # A member that is a code label has its key in the code's record.
+        code_keys = {record.label: record.key for record in codebook.codes}
+        member_keys = {code_keys[label] if label in code_keys else label_key(label)
+                       for theme in themes for label in theme.member_labels}
         for key_label in sorted(member_keys.difference(codebook.by_key)):
             parse_notes.append(
                 f"theme member {key_label!r} does not match any extracted code label")
@@ -558,6 +561,7 @@ def run_analysis(corpus: Corpus, focus: StudyFocus, config: ModelConfig, transpo
         artifact.updated = _now(replay)
         if artifact.path:
             artifact.save()
+        gateway.close()
     return artifact
 
 

@@ -156,3 +156,24 @@ def sample_workspace(samples_dir: Path, tmp_path: Path) -> Path:
     target = tmp_path / "samples"
     shutil.copytree(samples_dir, target)
     return target
+
+
+@pytest.fixture()
+def fixture_opens(monkeypatch: pytest.MonkeyPatch) -> dict[str, list]:
+    """The (path, descriptor) of every ``os.open`` call and the descriptor of
+    every ``os.close`` call, in order."""
+    calls: dict[str, list] = {"opened": [], "closed": []}
+    real_open, real_close = os.open, os.close
+
+    def counting_open(path, flags, *args, **kwargs):
+        fd = real_open(path, flags, *args, **kwargs)
+        calls["opened"].append((Path(path), fd))
+        return fd
+
+    def counting_close(fd: int) -> None:
+        calls["closed"].append(fd)
+        real_close(fd)
+
+    monkeypatch.setattr(os, "open", counting_open)
+    monkeypatch.setattr(os, "close", counting_close)
+    return calls

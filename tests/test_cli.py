@@ -109,14 +109,21 @@ def test_record_sends_live_and_writes_a_replayable_session(
             == (sample_workspace / "clean" / "analysis.json").read_bytes())
 
 
-@pytest.mark.parametrize("finish, expected, kept", [
-    ({"finish_reason": "stop"}, 0, True),
-    ({}, 0, True),
-    ({"finish_reason": "length"}, 1, False),
-], ids=["stop", "absent", "length"])
+@pytest.mark.parametrize("finish, expected, kept, messages", [
+    ({"finish_reason": "stop"}, 0, True, ()),
+    ({}, 0, True, ()),
+    ({"finish_reason": "length"}, 1, False, (
+        "analysis interrupted during code_extraction at page 1: reply stopped at the "
+        "max_tokens limit of 1000 (page 1 code extraction)",
+        "a rerun fails the same way: raise max_tokens")),
+    ({"finish_reason": "content_filter"}, 1, False, (
+        "analysis interrupted during code_extraction at page 1: the endpoint's content "
+        "filter stopped the reply (page 1 code extraction)",
+        "a rerun fails the same way: remove the cause above")),
+], ids=["stop", "absent", "length", "content_filter"])
 def test_a_reply_cut_at_max_tokens_exits_1_and_is_neither_cached_nor_recorded(
         sample_workspace: Path, monkeypatch: pytest.MonkeyPatch, capsys,
-        finish: dict, expected: int, kept: bool) -> None:
+        finish: dict, expected: int, kept: bool, messages: tuple[str, ...]) -> None:
     monkeypatch.chdir(sample_workspace)
     monkeypatch.setenv("THEMATICA_API_KEY", "k")
     replies = {entry["digest"]: entry["response"]
@@ -140,9 +147,8 @@ def test_a_reply_cut_at_max_tokens_exits_1_and_is_neither_cached_nor_recorded(
     # One request and no retry: the same request would be cut again.
     assert len(posts) == 1
     err = capsys.readouterr().err
-    assert ("analysis interrupted during code_extraction at page 1: reply stopped at the "
-            "max_tokens limit of 1000 (page 1 code extraction)") in err
-    assert "a rerun fails the same way: raise max_tokens" in err
+    for message in messages:
+        assert message in err
 
 
 def test_analyze_without_input_fails_cleanly(

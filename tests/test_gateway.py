@@ -10,6 +10,8 @@ from concurrent.futures import ThreadPoolExecutor
 from pathlib import Path
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from thematica import gateway as gateway_module
 from thematica.errors import (
@@ -24,6 +26,7 @@ from thematica.errors import (
 from thematica.gateway import (
     ENV_VAR,
     FALLBACK_ENV_VAR,
+    ROLES,
     ChatMessage,
     Gateway,
     LiveTransport,
@@ -125,6 +128,35 @@ def test_equal_configs_that_encode_apart_get_their_own_digests() -> None:
     for config in (integer, real, integer, real):
         assert request_digest(config, MESSAGES) == reference_digest(config, MESSAGES)
     assert request_digest(integer, MESSAGES) != request_digest(real, MESSAGES)
+
+
+# Characters that JSON escapes, that JavaScript-minded encoders escape
+# (U+2028, U+2029), and that UTF-8 writes in two and in four bytes.
+_AWKWARD = ['"', "\\", "\x00", "\x1f", "\n", "\t", "\x7f", "\u2028", "\u2029", "ü", "\U0001f600"]
+_UTF8_TEXTS = st.text(st.characters(codec="utf-8") | st.sampled_from(_AWKWARD))
+# With a lone surrogate too, which no UTF-8 text can hold.
+_ANY_TEXTS = st.text(st.characters() | st.sampled_from([*_AWKWARD, "\ud800"]),
+                     min_size=1, max_size=40)
+
+
+@settings(max_examples=400, deadline=None)
+@given(messages=st.lists(st.tuples(st.sampled_from(ROLES), _ANY_TEXTS), max_size=4),
+       temperature=st.sampled_from([0, 1, 1.0, True, False, 0.3, 2.0]),
+       model_id=st.sampled_from(["gpt-4-turbo", "modèle-ünï 😀"]) | _ANY_TEXTS,
+       max_tokens=st.integers(1, 10 ** 6))
+@example(messages=[("user", "lone \ud800 surrogate")], temperature=1, model_id="gpt-4-turbo",
+         max_tokens=1000)
+def test_request_digest_equals_the_digest_of_the_whole_request_dumped_at_once(
+        messages, temperature, model_id: str, max_tokens: int) -> None:
+    config = ModelConfig(model_id=model_id, temperature=temperature, max_tokens=max_tokens)
+    chat = [ChatMessage(role, content) for role, content in messages]
+    try:
+        expected = reference_digest(config, chat)
+    except ValueError as exc:
+        with pytest.raises(type(exc)):
+            request_digest(config, chat)
+        return
+    assert request_digest(config, chat) == expected
 
 
 def test_a_message_list_changed_between_calls_is_hashed_again() -> None:
@@ -491,7 +523,7 @@ def test_concurrent_completions_append_every_reply_once(tmp_path: Path) -> None:
 
 def append_fixture_entry(path: Path, entry: dict[str, str]) -> None:
     """One append through a fresh appender, which checks the file's tail first."""
-    gateway_module._FixtureAppender(path).append(entry)
+    gateway_module._FixtureAppender(path).append(entry["digest"], entry["response"])
 
 
 def test_append_extends_empty_and_indented_fixtures(tmp_path: Path) -> None:
@@ -562,6 +594,59 @@ def test_an_append_after_a_failed_write_checks_the_tail_again(
     with pytest.raises(FixtureCorrupt):
         gateway.complete((ChatMessage("user", "third"),))
     assert path.read_bytes() == damaged
+
+
+@settings(max_examples=200, deadline=None)
+@given(entries=st.lists(st.tuples(_UTF8_TEXTS, _UTF8_TEXTS), min_size=1, max_size=3))
+def test_each_appended_entry_is_the_line_json_dumps_writes(
+        tmp_path_factory: pytest.TempPathFactory, entries) -> None:
+    path = tmp_path_factory.mktemp("fixture") / "cache.json"
+    appender = gateway_module._FixtureAppender(path)
+    for digest, response in entries:
+        appender.append(digest, response)
+    appender.close()
+    lines = [json.dumps({"digest": digest, "response": response}, ensure_ascii=False)
+             for digest, response in entries]
+    assert path.read_text(encoding="utf-8") == "[\n" + ",\n".join(lines) + "\n]\n"
+
+
+def test_a_failed_append_closes_the_fixture_and_the_next_one_reopens_it(
+        tmp_path: Path, monkeypatch: pytest.MonkeyPatch, fixture_opens: dict) -> None:
+    path = tmp_path / "cache.json"
+    tail_reads: list[Path] = []
+    check = gateway_module._fixture_end
+
+    def counting_check(fd: int, fixture: Path):
+        tail_reads.append(fixture)
+        return check(fd, fixture)
+
+    monkeypatch.setattr(gateway_module, "_fixture_end", counting_check)
+    gateway = Gateway(CONFIG, EchoTransport(), cache_path=path)
+    for text in ("first", "second", "third"):
+        gateway.complete((ChatMessage("user", text),))
+    # Created by a rename, then opened once for the appends after it.
+    assert [opened for opened, _ in fixture_opens["opened"]] == [path]
+    assert tail_reads == []
+    (_, fd), = fixture_opens["opened"]
+    write = gateway_module._pwrite_all
+
+    def full_disk(fd: int, data: bytes, offset: int) -> None:
+        raise OSError(errno.ENOSPC, "No space left on device")
+
+    monkeypatch.setattr(gateway_module, "_pwrite_all", full_disk)
+    with pytest.raises(OSError, match="No space left on device"):
+        gateway.complete((ChatMessage("user", "fourth"),))
+    assert fd in fixture_opens["closed"]
+    monkeypatch.setattr(gateway_module, "_pwrite_all", write)
+    gateway.complete((ChatMessage("user", "fifth"),))
+    assert [opened for opened, _ in fixture_opens["opened"]] == [path, path]
+    assert tail_reads == [path]
+    gateway.complete((ChatMessage("user", "sixth"),))
+    fixture_opens["closed"].clear()
+    gateway.close()
+    assert fixture_opens["opened"][1][1] in fixture_opens["closed"]
+    assert [entry["response"] for entry in load_fixture(path)] == [
+        f"reply to {text}" for text in ("first", "second", "third", "fifth", "sixth")]
 
 
 def test_append_refuses_a_file_that_is_not_an_array(tmp_path: Path) -> None:

@@ -1017,3 +1017,128 @@ def test_code_block_parses_as_the_parser_it_replaced() -> None:
         reordered += actual[2] != expected[2]
     assert min(outcomes.values()) > 500, outcomes
     assert 0 < reordered < 600
+
+
+@dataclass
+class _ParentOpenCode:
+    label: str
+    start_line: int
+    last_line: int
+    quote: str = ""
+    page: int | None = None
+
+
+def _parent_parse_code_block(reply: str, expected_page: int) -> ParseReport:
+    """The code-reply parser before its lines were classified by one grammar:
+    it tried the line patterns one at a time."""
+    if not reply.strip():
+        raise NoRecordsFound("empty reply")
+    if expected_page < 1:
+        raise ValueError(f"expected_page must be >= 1, got {expected_page}")
+
+    records: list[CodeRecord] = []
+    warnings: list[ParseWarning] = []
+
+    def finish(entry: _ParentOpenCode) -> None:
+        if not entry.quote.strip():
+            warnings.append(ParseWarning(entry.start_line, "missing_quote",
+                                         f"code {entry.label!r} has no supporting sentence; excluded"))
+            return
+        label = normalize_label(entry.label)
+        try:
+            record = CodeRecord(label=label, quote=entry.quote,
+                                page=expected_page if entry.page is None else entry.page,
+                                raw_span=(entry.start_line, entry.last_line))
+        except ValueError as exc:
+            warnings.append(ParseWarning(entry.start_line, "invalid_code", f"{exc}; excluded"))
+            return
+        if entry.page is None:
+            warnings.append(ParseWarning(entry.start_line, "missing_page",
+                                         f"code {label!r} cites no page; assuming page {expected_page}"))
+        records.append(record)
+
+    entry: _ParentOpenCode | None = None
+    found = has_code_list = False
+    for lineno, line in enumerate(reply.splitlines(), start=1):
+        if not line.strip() or _is_boilerplate(line):
+            continue
+        if LIST_DELIMITER.match(line):  # never a boilerplate line
+            has_code_list = True
+            break
+
+        d2 = _D2_START.match(line)
+        numbered = None if d2 else _NUMBERED.match(line)
+        if d2 or numbered:
+            if entry is not None:
+                finish(entry)
+            found = True
+            rest = (d2 or numbered).group("rest")
+            segment = _find_quoted_segment(rest) if numbered else None
+            if segment is None:
+                entry = _ParentOpenCode(label=rest, start_line=lineno, last_line=lineno)
+            else:  # D1: label, quote and page on this one line
+                start, end = segment
+                page = _PAGE_VALUE.search(rest, end)
+                finish(_ParentOpenCode(label=rest[:start].rstrip().removesuffix(":"),
+                                       start_line=lineno, last_line=lineno,
+                                       quote=_strip_quote_pair(rest[start:end]),
+                                       page=int(page.group(1)) if page else None))
+                entry = None
+            continue
+
+        dash = _DASH.match(line) if entry is not None else None
+        if dash:
+            rest = dash.group("rest")
+            entry.last_line = lineno
+            supporting = _SUPPORTING.match(rest)
+            if supporting:
+                entry.quote = _strip_quote_pair(supporting.group("rest"))
+            elif _PAGE_LINE.match(rest) and (page := _PAGE_VALUE.search(rest)):
+                entry.page = int(page.group(1))
+            elif rest[0] in _QUOTE_CHARS:  # a "Page" line never starts with a quote
+                entry.quote = _strip_quote_pair(rest)
+            else:
+                warnings.append(ParseWarning(lineno, "unrecognized_attribute", rest))
+            continue
+
+        warnings.append(ParseWarning(lineno, "unrecognized_line", line.strip()))
+
+    if entry is not None:
+        finish(entry)
+    if not found:
+        if not has_code_list:
+            raise NoRecordsFound("reply contained no recognizable code structure")
+        warnings.append(ParseWarning(0, "list_only_reply",
+                                     "reply contains only an emerging-code list"))
+    return ParseReport(records=tuple(records), warnings=tuple(warnings),
+                       has_code_list=has_code_list)
+
+
+# Besides the lines above: delimiters and entry headers in other cases,
+# lines of Unicode whitespace only, and lines that fall between the grammar's
+# alternatives.
+_MORE_CODE_LINES = (
+    "--- LIST OF ALL EMERGING CODES ---", "  --List Of All Emerging Codes--  ",
+    "- List of All Emerging Codes ---", "EMERGING CODE: **Loud Label**",
+    "EMERGING CODES WITH SUPPORTING SENTENCES AND PAGE NUMBERS:", "page 9 :",
+    " ", " \t", " 　 ", "1.no space after the number", "12 no delimiter",
+    "-", "- ", "—— dashes", "Emerging Code:", "Emerging Code: ", "Code: Stray",
+)
+
+
+def test_code_block_parses_as_the_line_by_line_parser_before_the_grammar() -> None:
+    rng = random.Random(2024)
+    lines = _CODE_LINES + _MORE_CODE_LINES
+    outcomes: Counter = Counter()
+    for _ in range(10_000):
+        reply = "\n".join(rng.choices(lines, k=rng.randint(1, 10))) + rng.choice(("", "\n"))
+        page = rng.randint(1, 3)
+        expected = _code_outcome(_parent_parse_code_block, reply, page)
+        assert _code_outcome(parse_code_block, reply, page) == expected, reply
+        if isinstance(expected, str):
+            outcomes["no records"] += 1
+            continue
+        outcomes["records" if expected[0] else "no records kept"] += 1
+        outcomes["code list"] += expected[1]
+        outcomes.update(warning.kind for warning in expected[2])
+    assert min(outcomes.values()) > 100, outcomes

@@ -423,6 +423,16 @@ def test_artifact_is_written_once_per_run(sample: dict, tmp_path: Path,
     assert artifact_saves == [tmp_path / "interrupted" / "analysis.json"]
 
 
+@pytest.fixture
+def default_sigint():
+    """Python's own SIGINT handler for the test, so that a SIGINT raises
+    KeyboardInterrupt however the suite was started: a background job of a
+    non-interactive shell starts Python with SIGINT ignored."""
+    previous = signal.signal(signal.SIGINT, signal.default_int_handler)
+    yield
+    signal.signal(signal.SIGINT, previous)
+
+
 def page_of(context: str) -> int | None:
     return int(context.split()[1]) if context.startswith("page ") else None
 
@@ -465,6 +475,7 @@ class InterruptingTransport:
         return self.inner.send(config, messages, context)
 
 
+@pytest.mark.usefixtures("default_sigint")
 @pytest.mark.parametrize("parallelism", [1, 2])
 def test_interrupt_stops_the_run_and_saves_the_artifact_once(
         sample: dict, tmp_path: Path, artifact_saves: list[Path], parallelism: int) -> None:
@@ -487,6 +498,7 @@ def test_interrupt_stops_the_run_and_saves_the_artifact_once(
     assert counting.sent == len(sample["corpus"].pages) + 2 - len(cached)
 
 
+@pytest.mark.usefixtures("default_sigint")
 def test_interrupted_parallel_run_saves_every_finished_page_reply(
         sample: dict, tmp_path: Path) -> None:
     out_dir = tmp_path / "run"
@@ -502,6 +514,7 @@ def test_interrupted_parallel_run_saves_every_finished_page_reply(
     assert sorted(partial.raw_replies.values()) == sorted(entry["response"] for entry in cached)
 
 
+@pytest.mark.usefixtures("default_sigint")
 def test_interrupted_sequential_run_keeps_the_reply_in_flight(
         sample: dict, tmp_path: Path) -> None:
     out_dir = tmp_path / "run"
@@ -532,6 +545,7 @@ class HoldingTransport:
         return self.inner.send(config, messages, context)
 
 
+@pytest.mark.usefixtures("default_sigint")
 def test_second_interrupt_during_shutdown_keeps_every_finished_page_reply(
         sample: dict, tmp_path: Path, monkeypatch: pytest.MonkeyPatch) -> None:
     pools: list[ThreadPoolExecutor] = []
@@ -833,6 +847,27 @@ def test_each_fixture_tail_is_read_once_per_run(
     assert tail_reads == [record_path]
     assert ([entry["response"] for entry in load_fixture(record_path)]
             == [older[0]["response"], *recorded.raw_replies.values()])
+
+
+def test_each_run_opens_its_response_cache_once_and_closes_it(
+        sample: dict, tmp_path: Path, fixture_opens: dict) -> None:
+    out_dir = tmp_path / "run"
+    cache_path = out_dir / "response_cache.json"
+
+    def cache_descriptors() -> list[int]:
+        return [fd for path, fd in fixture_opens["opened"] if path == cache_path]
+
+    with pytest.raises(AnalysisInterrupted):
+        run_sample(sample, out_dir,
+                   transport=CountingTransport(ReplayTransport(sample["fixture"]), fail_after=5))
+    # The first reply creates the cache; the four after it share one descriptor.
+    first, = cache_descriptors()
+    assert first in fixture_opens["closed"]
+    fixture_opens["closed"].clear()
+    run_sample(sample, out_dir)
+    _, second = cache_descriptors()
+    assert second in fixture_opens["closed"]
+    assert len(load_fixture(cache_path)) == len(sample["corpus"].pages) + 2
 
 
 # Runs run_analysis at parallelism 2 with a replay transport that answers
