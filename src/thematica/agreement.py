@@ -14,15 +14,7 @@ from fractions import Fraction
 from typing import Sequence
 
 from .codebook import Codebook, Matcher, MatchResult, merge_order
-from .errors import (
-    DegenerateMarginals,
-    LengthMismatch,
-    PartExceedsTotal,
-    SimilarExceedsOwn,
-    ZeroBaseline,
-    ZeroOwnCount,
-    ZeroTotal,
-)
+from .errors import AgreementInputError
 
 
 @dataclass(frozen=True)
@@ -91,7 +83,7 @@ def format_percent(value: float | Fraction | int) -> str:
 def percentage_pair(count_a: int, count_b: int) -> tuple[Fraction, Fraction]:
     """Exact (difference, similarity) percentages; they sum to exactly 100."""
     if count_a == 0:
-        raise ZeroBaseline("baseline count_a must be positive")
+        raise AgreementInputError("baseline count_a must be positive")
     if count_a < 0 or count_b < 0:
         raise ValueError("counts must be non-negative")
     difference = Fraction(count_a - count_b, count_a) * 100
@@ -111,29 +103,29 @@ def percentage_similarity(count_a: int, count_b: int) -> float:
 def share_percentage(part: int, total: int) -> float:
     """part / total × 100."""
     if total == 0:
-        raise ZeroTotal("total must be positive")
+        raise AgreementInputError("total must be positive")
     if total < 0 or part < 0:
         raise ValueError("counts must be non-negative")
     if part > total:
-        raise PartExceedsTotal(f"part {part} exceeds total {total}")
+        raise AgreementInputError(f"part {part} exceeds total {total}")
     return float(Fraction(part, total) * 100)
 
 
 def overlap_percentage(similar: int, own_count: int) -> float:
     """similar / own_count × 100, a coder's share of overlapping codes."""
     if own_count == 0:
-        raise ZeroOwnCount("own_count must be positive")
+        raise AgreementInputError("own_count must be positive")
     if own_count < 0 or similar < 0:
         raise ValueError("counts must be non-negative")
     if similar > own_count:
-        raise SimilarExceedsOwn(f"similar {similar} exceeds own count {own_count}")
+        raise AgreementInputError(f"similar {similar} exceeds own count {own_count}")
     return float(Fraction(similar, own_count) * 100)
 
 
 def _check_binary_pair(x: Sequence[int], y: Sequence[int]) -> None:
     """Raise unless ``x`` and ``y`` are binary vectors of one length."""
     if len(x) != len(y):
-        raise LengthMismatch(f"vector lengths differ: {len(x)} vs {len(y)}")
+        raise AgreementInputError(f"vector lengths differ: {len(x)} vs {len(y)}")
     for value in (*x, *y):
         if value not in (0, 1):
             raise ValueError(f"vectors must be binary, got {value!r}")
@@ -143,7 +135,7 @@ def cohens_kappa(x: Sequence[int], y: Sequence[int]) -> float:
     """Cohen's kappa for two binary vectors, computed with exact rationals."""
     _check_binary_pair(x, y)
     if len(x) == 0:
-        raise LengthMismatch("vectors must be non-empty")
+        raise AgreementInputError("vectors must be non-empty")
     n = len(x)
     observed = sum(1 for a, b in zip(x, y) if a == b)
     ones_x = sum(x)
@@ -152,9 +144,8 @@ def cohens_kappa(x: Sequence[int], y: Sequence[int]) -> float:
     p_e = (Fraction(ones_x, n) * Fraction(ones_y, n)
            + Fraction(n - ones_x, n) * Fraction(n - ones_y, n))
     if p_e == 1:
-        if list(x) == list(y):
-            return 1.0
-        raise DegenerateMarginals("expected agreement is 1 but vectors differ")
+        # Only when both vectors are all ones or both all zeros, so they are equal.
+        return 1.0
     return float((p_o - p_e) / (1 - p_e))
 
 
@@ -171,7 +162,7 @@ def positive_specific_agreement(x: Sequence[int], y: Sequence[int]) -> float:
     both = sum(1 for a, b in zip(x, y) if a and b)
     positives = sum(x) + sum(y)
     if positives == 0:
-        raise DegenerateMarginals("neither vector has a positive cell")
+        raise AgreementInputError("neither vector has a positive cell")
     return float(Fraction(2 * both, positives))
 
 

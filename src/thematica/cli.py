@@ -13,9 +13,10 @@ import json
 import logging
 import os
 import sys
-from dataclasses import dataclass, field, fields
+from dataclasses import dataclass, field
 from itertools import zip_longest
 from pathlib import Path
+from typing import get_args, get_type_hints
 
 from .agreement import overlap_percentage
 from .codebook import (
@@ -32,18 +33,10 @@ from .codebook import (
 from .corpus import FORMATS, content_hash, load_corpus
 from .errors import (
     AnalysisInterrupted,
-    AuthError,
     ConfigError,
-    DuplicateLabel,
     EmptyCodebook,
-    FixtureMiss,
     IncompleteArtifact,
-    MalformedResponse,
-    NoRecordsFound,
-    RateLimited,
-    ReplyTruncated,
     ThematicaError,
-    TransportError,
 )
 from .gateway import (
     ENV_VAR,
@@ -67,12 +60,26 @@ EXIT_TRACE_FAILURES = 3
 
 DEFAULT_FIXTURE_NAME = "session.json"
 
-# Failures that leave no reply persisted for the failed request, so a rerun
-# sends that request again and can succeed.  Every other interruption comes
-# from persisted replies or fixed inputs, and a rerun repeats it.
-RESUMABLE_CAUSES = (TransportError, RateLimited, MalformedResponse, FixtureMiss)
 
-_MODEL_KEYS = tuple(f.name for f in fields(ModelConfig))
+def _field_types(cls: type) -> dict[str, tuple[type, ...]]:
+    """The value types each field of the dataclass ``cls`` accepts.
+
+    An optional field leaves out None, which a config source skips, and a
+    float field also takes an int (so a bool too, as a subclass of int).
+    """
+    table = {}
+    for name, hint in get_type_hints(cls).items():
+        kinds = tuple(kind for kind in get_args(hint) or (hint,) if kind is not type(None))
+        table[name] = (*kinds, int) if float in kinds else kinds
+    return table
+
+
+def _check_type(types: dict[str, tuple[type, ...]], noun: str, key: str, value: object) -> None:
+    if not isinstance(value, types[key]):
+        raise ConfigError(f"{noun} {key!r} must be {types[key][0].__name__}, got {value!r}")
+
+
+_MODEL_TYPES = _field_types(ModelConfig)
 
 
 @dataclass
@@ -98,7 +105,6 @@ class RunConfig:
     @classmethod
     def from_sources(cls, file_data: dict | None, overrides: dict) -> "RunConfig":
         config = cls()
-        known = {f.name for f in fields(cls)}
         for source in (file_data or {}), overrides:
             for key, value in source.items():
                 if value is None:
@@ -106,11 +112,14 @@ class RunConfig:
                 if key == "model":
                     if not isinstance(value, dict):
                         raise ConfigError("config key 'model' must be an object")
-                    unknown = set(value) - set(_MODEL_KEYS)
+                    unknown = set(value) - set(_MODEL_TYPES)
                     if unknown:
                         raise ConfigError(f"unknown model option(s): {', '.join(sorted(unknown))}")
+                    for option, setting in value.items():
+                        _check_type(_MODEL_TYPES, "model option", option, setting)
                     config.model.update(value)
-                elif key in known:
+                elif key in _RUN_TYPES:
+                    _check_type(_RUN_TYPES, "config key", key, value)
                     setattr(config, key, value)
                 else:
                     raise ConfigError(f"unknown config key {key!r}")
@@ -131,6 +140,9 @@ class RunConfig:
             raise ConfigError("research_question is required (--research-question or config file)")
         return StudyFocus(focus_description=self.focus_description,
                           research_question=self.research_question)
+
+
+_RUN_TYPES = _field_types(RunConfig)
 
 
 def _load_json_object(path: str | None, noun: str) -> dict | None:
@@ -196,21 +208,6 @@ def _build_matcher(config: RunConfig) -> Matcher:
         raise ConfigError(str(exc)) from exc
 
 
-def _what_to_change(cause: BaseException | None, artifact_path: Path) -> str:
-    """Advice for an interruption that a plain rerun would repeat."""
-    if isinstance(cause, AuthError):
-        return f"set a valid credential in {ENV_VAR} (or {FALLBACK_ENV_VAR})"
-    if isinstance(cause, ReplyTruncated):
-        return ("raise max_tokens (--max-tokens or model.max_tokens in the config file) and "
-                "analyze into a fresh output directory: max_tokens is part of the artifact's "
-                f"configuration, so {artifact_path} refuses a new value")
-    if isinstance(cause, (NoRecordsFound, DuplicateLabel)):
-        return ("the model replies are persisted and are reused on resume; correct the "
-                f"offending reply under raw_replies in {artifact_path}, or revise the prompt "
-                "templates and analyze into a fresh output directory")
-    return "remove the cause above before rerunning"
-
-
 def _load_complete_artifact(config: RunConfig, artifact_path: str | None) -> AnalysisArtifact:
     path = Path(artifact_path) if artifact_path else Path(config.output_dir) / "analysis.json"
     if not path.exists():
@@ -249,14 +246,15 @@ def cmd_analyze(config: RunConfig, paper_reference: str | None = None) -> int:
     except AnalysisInterrupted as exc:
         where = f" at page {exc.page}" if exc.page else ""
         print(f"analysis interrupted during {exc.stage}{where}: {exc.cause}", file=sys.stderr)
-        # run_analysis always attaches the artifact, saved in the output directory.
-        path = exc.artifact.path
-        resumable = isinstance(exc.cause, RESUMABLE_CAUSES)
-        suffix = "; rerun to resume" if resumable else ""
+        # run_analysis always attaches the artifact, saved in the output
+        # directory, and the library error that stopped the run.
+        path, cause = exc.artifact.path, exc.cause
+        suffix = "; rerun to resume" if cause.resumable else ""
         print(f"partial artifact retained at {path}{suffix}", file=sys.stderr)
-        if resumable:
+        if cause.resumable:
             return EXIT_PARTIAL
-        print(f"a rerun fails the same way: {_what_to_change(exc.cause, path)}", file=sys.stderr)
+        print(f"a rerun fails the same way: {cause.rerun_hint.format(artifact=path)}",
+              file=sys.stderr)
         return EXIT_ERROR
 
     paths = _write_model_report(artifact, output_dir, paper_reference)
@@ -464,9 +462,8 @@ def main(argv: list[str] | None = None) -> int:
     try:
         file_data = _load_json_object(args.config, "config file")
         # Each flag is stored under the name of the field it overrides.
-        overrides = {f.name: getattr(args, f.name) for f in fields(RunConfig)
-                     if hasattr(args, f.name)}
-        model_overrides = {key: getattr(args, key) for key in _MODEL_KEYS
+        overrides = {name: getattr(args, name) for name in _RUN_TYPES if hasattr(args, name)}
+        model_overrides = {key: getattr(args, key) for key in _MODEL_TYPES
                            if getattr(args, key, None) is not None}
         if model_overrides:
             overrides["model"] = model_overrides

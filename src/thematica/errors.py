@@ -3,6 +3,11 @@
 Every library-raised error derives from :class:`ThematicaError` so callers can
 catch one type at the boundary.  The classes are grouped by the module that
 raises them; a few (``SchemaError``, ``ConfigError``) are shared.
+
+Each class declares whether a rerun can help when it stops an analysis:
+``resumable`` is true only where the failed request left no reply behind, so
+a rerun sends it again, and ``rerun_hint`` says what to change otherwise.  A
+new class is not resumable unless it says so.
 """
 
 from __future__ import annotations
@@ -10,6 +15,10 @@ from __future__ import annotations
 
 class ThematicaError(Exception):
     """Base class for all errors raised by this package."""
+
+    resumable = False
+    # What to change before a rerun; ``{artifact}`` is the artifact's path.
+    rerun_hint = "remove the cause above before rerunning"
 
 
 # --- corpus -----------------------------------------------------------------
@@ -32,28 +41,13 @@ class PageOutOfRange(ThematicaError):
 
 # --- promptkit --------------------------------------------------------------
 
-class EmptyFocus(ThematicaError):
-    """Study focus or research question is blank."""
+class EmptyPromptInput(ThematicaError):
+    """Study focus, research question, page, code digest or theme digest is blank."""
 
 
-class EmptyPage(ThematicaError):
-    """Page passed to prompt rendering has no text."""
-
-
-class EmptyCodes(ThematicaError):
-    """Code digest passed to theme-prompt rendering is blank."""
-
-
-class EmptyThemes(ThematicaError):
-    """Theme digest passed to interpretation-prompt rendering is blank."""
-
-
-class UnknownPlaceholder(ThematicaError):
-    """Prompt template uses a placeholder outside the supported set."""
-
-
-class MissingPlaceholder(ThematicaError):
-    """Prompt template lacks a placeholder its step requires."""
+class TemplateError(ThematicaError):
+    """Prompt template uses a placeholder outside its step's set, or lacks one
+    its step requires."""
 
 
 # --- llm_gateway ------------------------------------------------------------
@@ -61,13 +55,20 @@ class MissingPlaceholder(ThematicaError):
 class AuthError(ThematicaError):
     """API credential missing or rejected."""
 
+    # gateway.ENV_VAR and FALLBACK_ENV_VAR, spelt out: gateway imports this module.
+    rerun_hint = "set a valid credential in THEMATICA_API_KEY (or OPENAI_API_KEY)"
+
 
 class RateLimited(ThematicaError):
     """Endpoint kept answering 429 after the retry budget was spent."""
 
+    resumable = True
+
 
 class TransportError(ThematicaError):
     """Network failure, timeout, or server error that outlasted the retries."""
+
+    resumable = True
 
 
 class RequestRejected(ThematicaError):
@@ -80,13 +81,21 @@ class ReplyTruncated(ThematicaError):
     """Reply stopped at the max_tokens limit (finish_reason "length"); a rerun
     of the same request would be cut the same way."""
 
+    rerun_hint = ("raise max_tokens (--max-tokens or model.max_tokens in the config file) and "
+                  "analyze into a fresh output directory: max_tokens is part of the artifact's "
+                  "configuration, so {artifact} refuses a new value")
+
 
 class MalformedResponse(ThematicaError):
     """Response carried no usable assistant text."""
 
+    resumable = True
+
 
 class FixtureMiss(ThematicaError):
     """Replay fixture has no entry for the request digest (prompt drift)."""
+
+    resumable = True
 
 
 class FixtureCorrupt(ThematicaError):
@@ -95,8 +104,18 @@ class FixtureCorrupt(ThematicaError):
 
 # --- outparse ---------------------------------------------------------------
 
+# The replies are persisted before they are parsed or consolidated, so a
+# rerun reads the same reply and fails the same way.
+_PERSISTED_REPLY_HINT = (
+    "the model replies are persisted and are reused on resume; correct the offending reply "
+    "under raw_replies in {artifact}, or revise the prompt templates and analyze into a "
+    "fresh output directory")
+
+
 class NoRecordsFound(ThematicaError):
     """Reply contained no recognizable code/theme structure."""
+
+    rerun_hint = _PERSISTED_REPLY_HINT
 
 
 # --- codebook ---------------------------------------------------------------
@@ -107,6 +126,8 @@ class EmptyCodebook(ThematicaError):
 
 class DuplicateLabel(ThematicaError):
     """Two codes in one codebook normalize to the same label."""
+
+    rerun_hint = _PERSISTED_REPLY_HINT
 
 
 class AliasChain(ThematicaError):
@@ -123,32 +144,10 @@ class SchemaError(ThematicaError):
 
 # --- agreement --------------------------------------------------------------
 
-class ZeroBaseline(ThematicaError):
-    """Percentage difference needs a positive baseline count."""
-
-
-class ZeroTotal(ThematicaError):
-    """Share computation needs a positive total."""
-
-
-class PartExceedsTotal(ThematicaError):
-    """Share numerator exceeds its total."""
-
-
-class ZeroOwnCount(ThematicaError):
-    """Overlap computation needs a positive own-count."""
-
-
-class SimilarExceedsOwn(ThematicaError):
-    """Overlap numerator exceeds the coder's own count."""
-
-
-class LengthMismatch(ThematicaError):
-    """Kappa vectors differ in length."""
-
-
-class DegenerateMarginals(ThematicaError):
-    """Expected agreement is 1 while the vectors differ (unreachable guard)."""
+class AgreementInputError(ThematicaError):
+    """Counts or vectors outside an agreement statistic's domain: a zero
+    baseline, total or own count, a part above its whole, vectors of unequal
+    length or empty, or no positive cell."""
 
 
 # --- pipeline ---------------------------------------------------------------

@@ -15,14 +15,7 @@ from functools import cache
 from pathlib import Path
 
 from .corpus import Page, read_utf8
-from .errors import (
-    EmptyCodes,
-    EmptyFocus,
-    EmptyPage,
-    EmptyThemes,
-    MissingPlaceholder,
-    UnknownPlaceholder,
-)
+from .errors import EmptyPromptInput, TemplateError
 
 CODE_EXTRACTION = "CodeExtraction"
 THEME_GENERATION = "ThemeGeneration"
@@ -58,9 +51,9 @@ class StudyFocus:
 
     def __post_init__(self) -> None:
         if not self.focus_description.strip():
-            raise EmptyFocus("focus_description must be non-empty")
+            raise EmptyPromptInput("focus_description must be non-empty")
         if not self.research_question.strip():
-            raise EmptyFocus("research_question must be non-empty")
+            raise EmptyPromptInput("research_question must be non-empty")
 
 
 @dataclass(frozen=True)
@@ -75,23 +68,23 @@ def _placeholders(template: str, step: str, filename: str) -> set[str]:
     try:
         parsed = list(string.Formatter().parse(template))
     except ValueError as exc:
-        raise UnknownPlaceholder(f"{filename}: malformed placeholder syntax: {exc}") from exc
+        raise TemplateError(f"{filename}: malformed placeholder syntax: {exc}") from exc
     for _, field_name, format_spec, conversion in parsed:
         if field_name is None:
             continue
         if not field_name or not field_name.isidentifier() or format_spec or conversion:
-            raise UnknownPlaceholder(
+            raise TemplateError(
                 f"{filename}: only bare named placeholders are supported, got {field_name!r}"
             )
         names.add(field_name)
     unknown = names - _ALLOWED[step]
     if unknown:
-        raise UnknownPlaceholder(
+        raise TemplateError(
             f"{filename}: placeholder(s) {', '.join(sorted(unknown))} not allowed for {step}"
         )
     missing = _REQUIRED[step] - names
     if missing:
-        raise MissingPlaceholder(
+        raise TemplateError(
             f"{filename}: required placeholder(s) {', '.join(sorted(missing))} absent"
         )
     return names
@@ -122,7 +115,7 @@ class PromptLibrary:
 
     def render_code_extraction(self, page: Page, focus: StudyFocus) -> RenderedPrompt:
         if not page.text.strip():
-            raise EmptyPage(f"page {page.number} has no text")
+            raise EmptyPromptInput(f"page {page.number} has no text")
         return self._render(CODE_EXTRACTION, {
             "page_number": str(page.number),
             "text_segment": page.text,
@@ -132,7 +125,7 @@ class PromptLibrary:
 
     def render_theme_generation(self, codes_digest: str, focus: StudyFocus) -> RenderedPrompt:
         if not codes_digest.strip():
-            raise EmptyCodes("codes digest must be non-empty")
+            raise EmptyPromptInput("codes digest must be non-empty")
         return self._render(THEME_GENERATION, {
             "codes": codes_digest,
             "focus": focus.focus_description,
@@ -141,7 +134,7 @@ class PromptLibrary:
 
     def render_interpretation(self, themes_digest: str, focus: StudyFocus) -> RenderedPrompt:
         if not themes_digest.strip():
-            raise EmptyThemes("themes digest must be non-empty")
+            raise EmptyPromptInput("themes digest must be non-empty")
         return self._render(INTERPRETATION, {
             "themes": themes_digest,
             "focus": focus.focus_description,

@@ -37,16 +37,7 @@ from thematica.codebook import (
     match_codes,
     merge_codebooks,
 )
-from thematica.errors import (
-    DegenerateMarginals,
-    InconsistentMatch,
-    LengthMismatch,
-    PartExceedsTotal,
-    SimilarExceedsOwn,
-    ZeroBaseline,
-    ZeroOwnCount,
-    ZeroTotal,
-)
+from thematica.errors import AgreementInputError, InconsistentMatch
 from thematica.outparse import CodeRecord
 from thematica.textnorm import label_key
 
@@ -81,7 +72,7 @@ def test_percentage_pair_is_exactly_complementary() -> None:
 
 
 def test_zero_baseline_rejected() -> None:
-    with pytest.raises(ZeroBaseline):
+    with pytest.raises(AgreementInputError, match="baseline count_a must be positive"):
         percentage_difference(0, 10)
     with pytest.raises(ValueError):
         percentage_pair(5, -1)
@@ -95,9 +86,9 @@ def test_share_reference_values() -> None:
 
 
 def test_share_guards() -> None:
-    with pytest.raises(ZeroTotal):
+    with pytest.raises(AgreementInputError, match="total must be positive"):
         share_percentage(1, 0)
-    with pytest.raises(PartExceedsTotal):
+    with pytest.raises(AgreementInputError, match="part 5 exceeds total 4"):
         share_percentage(5, 4)
 
 
@@ -107,9 +98,9 @@ def test_overlap_reference_values() -> None:
 
 
 def test_overlap_guards() -> None:
-    with pytest.raises(ZeroOwnCount):
+    with pytest.raises(AgreementInputError, match="own_count must be positive"):
         overlap_percentage(1, 0)
-    with pytest.raises(SimilarExceedsOwn):
+    with pytest.raises(AgreementInputError, match="similar 7 exceeds own count 6"):
         overlap_percentage(7, 6)
 
 
@@ -154,9 +145,9 @@ def test_kappa_reference_points() -> None:
 
 
 def test_kappa_validation() -> None:
-    with pytest.raises(LengthMismatch):
+    with pytest.raises(AgreementInputError, match="vector lengths differ: 2 vs 1"):
         cohens_kappa([1, 0], [1])
-    with pytest.raises(LengthMismatch):
+    with pytest.raises(AgreementInputError, match="vectors must be non-empty"):
         cohens_kappa([], [])
     with pytest.raises(ValueError):
         cohens_kappa([2, 0], [1, 0])
@@ -168,11 +159,11 @@ def test_positive_specific_agreement_reference_points_and_validation() -> None:
     assert positive_specific_agreement([1, 0], [0, 1]) == 0.0
     # Rows where both are 0 do not count.
     assert positive_specific_agreement([1, 1, 0, 0, 0], [1, 0, 0, 0, 0]) == pytest.approx(2 / 3)
-    with pytest.raises(LengthMismatch):
+    with pytest.raises(AgreementInputError, match="vector lengths differ: 2 vs 1"):
         positive_specific_agreement([1, 0], [1])
     with pytest.raises(ValueError):
         positive_specific_agreement([2, 0], [1, 0])
-    with pytest.raises(DegenerateMarginals):
+    with pytest.raises(AgreementInputError, match="neither vector has a positive cell"):
         positive_specific_agreement([0, 0], [0, 0])
 
 
@@ -245,6 +236,18 @@ def test_kappa_constant_vector_edge_cases() -> None:
     assert cohens_kappa([1, 1, 1], [1, 1, 1]) == 1.0
     assert cohens_kappa([0, 0], [0, 0]) == 1.0
     assert cohens_kappa([1, 1], [0, 0]) == 0.0
+
+
+def test_kappa_never_raises_and_is_one_whenever_expected_agreement_is_one() -> None:
+    # Every pair of binary vectors of length 1 to 6, 5,460 pairs in all.
+    for n in range(1, 7):
+        vectors = list(itertools.product((0, 1), repeat=n))
+        for x, y in itertools.product(vectors, repeat=2):
+            p_e = (Fraction(sum(x), n) * Fraction(sum(y), n)
+                   + Fraction(n - sum(x), n) * Fraction(n - sum(y), n))
+            kappa = cohens_kappa(x, y)
+            if p_e == 1:
+                assert x == y and kappa == 1.0
 
 
 def _confusion_matrix_kappa(x: list[int], y: list[int]) -> float:

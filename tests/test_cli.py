@@ -19,16 +19,8 @@ import thematica
 import thematica.cli
 import thematica.codebook
 import thematica.gateway
+from thematica import errors
 from thematica.cli import main
-from thematica.errors import (
-    AuthError,
-    FixtureMiss,
-    MalformedResponse,
-    RateLimited,
-    RequestRejected,
-    SchemaError,
-    TransportError,
-)
 from thematica.gateway import (
     ChatMessage,
     ModelConfig,
@@ -215,38 +207,71 @@ class ScriptedTransport:
         return self.answer.format(page=page)
 
 
-@pytest.mark.parametrize("answer, expected", [
-    (TransportError("connection reset"), 2),
-    (RateLimited("HTTP 429 after 5 attempts"), 2),
-    (MalformedResponse("response has no choices"), 2),
-    (FixtureMiss("no fixture entry"), 2),
-    ("I am sorry, I cannot code this page.", 1),
-    ('1. **Family Support**: "we moved" - Page {page}', 1),
-    (SchemaError("reply does not match the expected schema"), 1),
-    (AuthError("endpoint rejected credential (HTTP 401)"), 1),
-    (RequestRejected("endpoint rejected the request (HTTP 400)"), 1),
-], ids=["transport", "rate-limit", "malformed", "fixture-miss",
-        "parse", "consolidation", "schema", "auth", "rejected"])
+REMOVE_THE_CAUSE = "remove the cause above before rerunning"
+CORRECT_THE_REPLY = ("the model replies are persisted and are reused on resume; correct the "
+                     "offending reply under raw_replies in out/analysis.json, or revise the "
+                     "prompt templates and analyze into a fresh output directory")
+
+# The outcome of an analysis stopped by each error class in errors.py, written
+# out here rather than read from the classes: exit 2 with "rerun to resume"
+# for the four failures that leave no reply behind, and for every other class
+# exit 1 with the advice after "a rerun fails the same way: ".
+# AnalysisInterrupted has no row: run_analysis raises it around the error
+# that stopped the run, so it is never the cause that analyze reports.
+INTERRUPTIONS = [
+    ("transport", errors.TransportError("connection reset"), 2, None),
+    ("rate-limit", errors.RateLimited("HTTP 429 after 5 attempts"), 2, None),
+    ("malformed", errors.MalformedResponse("response has no choices"), 2, None),
+    ("fixture-miss", errors.FixtureMiss("no fixture entry"), 2, None),
+    ("auth", errors.AuthError("endpoint rejected credential (HTTP 401)"), 1,
+     "set a valid credential in THEMATICA_API_KEY (or OPENAI_API_KEY)"),
+    ("truncated", errors.ReplyTruncated("reply stopped at the max_tokens limit of 1000"), 1,
+     "raise max_tokens (--max-tokens or model.max_tokens in the config file) and analyze "
+     "into a fresh output directory: max_tokens is part of the artifact's configuration, "
+     "so out/analysis.json refuses a new value"),
+    ("no-records", errors.NoRecordsFound("reply contained no code list"), 1, CORRECT_THE_REPLY),
+    ("duplicate", errors.DuplicateLabel("labels 'A' and 'a' collide"), 1, CORRECT_THE_REPLY),
+    ("parse", "I am sorry, I cannot code this page.", 1, CORRECT_THE_REPLY),
+    ("consolidation", '1. **Family Support**: "we moved" - Page {page}', 1, CORRECT_THE_REPLY),
+    ("schema", errors.SchemaError("reply does not match the expected schema"), 1,
+     REMOVE_THE_CAUSE),
+    ("rejected", errors.RequestRejected("endpoint rejected the request (HTTP 400)"), 1,
+     REMOVE_THE_CAUSE),
+    *((error.__name__, error(f"a {error.__name__}"), 1, REMOVE_THE_CAUSE) for error in (
+        errors.ThematicaError, errors.DecodeError, errors.EmptyDocument,
+        errors.InvalidPageSize, errors.PageOutOfRange, errors.EmptyPromptInput,
+        errors.TemplateError, errors.FixtureCorrupt, errors.EmptyCodebook,
+        errors.AliasChain, errors.InconsistentMatch, errors.AgreementInputError,
+        errors.ResumeMismatch, errors.IncompleteArtifact, errors.ConfigError)),
+]
+
+
+@pytest.mark.parametrize("answer, expected, advice",
+                         [row[1:] for row in INTERRUPTIONS], ids=[row[0] for row in INTERRUPTIONS])
 def test_interrupted_analysis_exits_2_only_when_a_rerun_can_help(
         sample_workspace: Path, monkeypatch: pytest.MonkeyPatch, capsys,
-        answer, expected: int) -> None:
+        answer, expected: int, advice: str | None) -> None:
+    defined = {value for value in vars(errors).values()
+               if isinstance(value, type) and issubclass(value, errors.ThematicaError)}
+    assert {type(row[1]) for row in INTERRUPTIONS if isinstance(row[1], Exception)} == (
+        defined - {errors.AnalysisInterrupted})
+
     transport = ScriptedTransport(answer)
     monkeypatch.setattr(thematica.cli, "_resolve_transport", lambda config: transport)
     monkeypatch.chdir(sample_workspace)
     assert main(["--config", "run_config.json", "analyze"]) == expected
-    err = capsys.readouterr().err
-    assert "partial artifact retained at out/analysis.json" in err
+    err = capsys.readouterr().err.splitlines()
+    assert err[0].startswith("analysis interrupted during ")
     if expected == 2:
-        assert "rerun to resume" in err
+        assert err[1:] == ["partial artifact retained at out/analysis.json; rerun to resume"]
         return
-    assert "rerun to resume" not in err
-    assert "a rerun fails the same way" in err
+    assert err[1:] == ["partial artifact retained at out/analysis.json",
+                       f"a rerun fails the same way: {advice}"]
 
     # The replies that caused the failure are persisted, so a rerun repeats
     # it without another request.
     if not isinstance(answer, Exception):
         sent = transport.sent
-        assert "raw_replies in out/analysis.json" in err
         assert main(["--config", "run_config.json", "analyze"]) == 1
         assert transport.sent == sent
 
@@ -785,6 +810,25 @@ def test_unknown_config_key_is_a_configuration_error(
     err = capsys.readouterr().err
     assert "configuration error" in err
     assert "page_sise" in err
+
+
+@pytest.mark.parametrize("setting, message", [
+    ({"page_size": "ten"}, "config key 'page_size' must be int, got 'ten'"),
+    ({"trace_threshold": "x"}, "config key 'trace_threshold' must be float, got 'x'"),
+    ({"model": {"temperature": "hot"}}, "model option 'temperature' must be float, got 'hot'"),
+    ({"model": {"parallelism": 2.5}}, "model option 'parallelism' must be int, got 2.5"),
+    ({"input": 7}, "config key 'input' must be str, got 7"),
+], ids=["page-size", "trace-threshold", "temperature", "parallelism", "input"])
+def test_a_config_value_of_the_wrong_type_is_one_line_naming_it(
+        analyzed_workspace: Path, monkeypatch: pytest.MonkeyPatch, capsys,
+        setting: dict, message: str) -> None:
+    monkeypatch.chdir(analyzed_workspace)
+    config = json.loads(Path("run_config.json").read_text(encoding="utf-8"))
+    Path("typed.json").write_text(json.dumps({**config, **setting}), encoding="utf-8")
+    assert main(["--config", "typed.json", "analyze"]) == 1
+    captured = capsys.readouterr()
+    assert captured.err == f"configuration error: {message}\n"
+    assert "Traceback" not in captured.err and captured.out == ""
 
 
 def test_an_unknown_matcher_mode_in_a_config_file_lists_the_choices(

@@ -7,14 +7,7 @@ from pathlib import Path
 import pytest
 
 from conftest import make_corpus
-from thematica.errors import (
-    EmptyCodes,
-    EmptyFocus,
-    EmptyPage,
-    EmptyThemes,
-    MissingPlaceholder,
-    UnknownPlaceholder,
-)
+from thematica.errors import EmptyPromptInput, TemplateError
 from thematica.promptkit import (
     CODE_EXTRACTION,
     INTERPRETATION,
@@ -73,16 +66,16 @@ def test_theme_and_interpretation_prompts_embed_payloads() -> None:
 
 
 def test_blank_payloads_are_rejected() -> None:
-    with pytest.raises(EmptyCodes):
+    with pytest.raises(EmptyPromptInput, match="codes digest must be non-empty"):
         default_library().render_theme_generation("   ", FOCUS)
-    with pytest.raises(EmptyThemes):
+    with pytest.raises(EmptyPromptInput, match="themes digest must be non-empty"):
         default_library().render_interpretation("", FOCUS)
 
 
 def test_study_focus_requires_both_fields() -> None:
-    with pytest.raises(EmptyFocus):
+    with pytest.raises(EmptyPromptInput, match="focus_description must be non-empty"):
         StudyFocus(focus_description=" ", research_question="ok")
-    with pytest.raises(EmptyFocus):
+    with pytest.raises(EmptyPromptInput, match="research_question must be non-empty"):
         StudyFocus(focus_description="ok", research_question="")
 
 
@@ -91,7 +84,7 @@ def test_empty_page_is_rejected_at_render_time() -> None:
         number = 1
         text = "   "
 
-    with pytest.raises(EmptyPage):
+    with pytest.raises(EmptyPromptInput, match="page 1 has no text"):
         default_library().render_code_extraction(HollowPage(), FOCUS)
 
 
@@ -118,20 +111,22 @@ def test_custom_template_dir_loads_and_renders(tmp_path: Path) -> None:
 def test_unknown_placeholder_rejected_at_load(tmp_path: Path) -> None:
     bad = _write_templates(tmp_path / "bad",
                            extraction="Page {page_number}\n{text_segment}\n{surprise}")
-    with pytest.raises(UnknownPlaceholder, match="surprise"):
+    with pytest.raises(TemplateError,
+                       match=r"placeholder\(s\) surprise not allowed for CodeExtraction"):
         PromptLibrary(bad)
 
 
 def test_missing_required_placeholder_rejected_at_load(tmp_path: Path) -> None:
     bad = _write_templates(tmp_path / "bad", extraction="Page {page_number} only")
-    with pytest.raises(MissingPlaceholder, match="text_segment"):
+    with pytest.raises(TemplateError, match=r"required placeholder\(s\) text_segment absent"):
         PromptLibrary(bad)
 
 
 def test_format_spec_and_positional_placeholders_rejected(tmp_path: Path) -> None:
-    with pytest.raises(UnknownPlaceholder):
+    bare_only = "only bare named placeholders are supported, got "
+    with pytest.raises(TemplateError, match=bare_only + "'codes'"):
         PromptLibrary(_write_templates(tmp_path / "a", themes="Codes: {codes:>10}"))
-    with pytest.raises(UnknownPlaceholder):
+    with pytest.raises(TemplateError, match=bare_only + "''"):
         PromptLibrary(_write_templates(tmp_path / "b", themes="Codes: {codes} and {}"))
 
 
