@@ -101,12 +101,17 @@ class CodeRecord:
 
     def __init__(self, label: str, quote: str, page: int | None, provenance: str = "llm",
                  raw_span: tuple[int, int] | None = None, aliases: tuple[str, ...] = ()) -> None:
-        if not label.strip():
-            raise ValueError("code label must be non-empty")
-        if len(label) > MAX_LABEL_LENGTH:
-            raise ValueError(f"code label exceeds {MAX_LABEL_LENGTH} characters: {label[:40]}...")
-        if page is not None and page < 1:
-            raise ValueError(f"page must be >= 1, got {page}")
+        try:
+            if not label.strip():
+                raise ValueError("code label must be non-empty")
+            if len(label) > MAX_LABEL_LENGTH:
+                raise ValueError(f"code label exceeds {MAX_LABEL_LENGTH} characters: {label[:40]}...")
+            if page is not None and page < 1:
+                raise ValueError(f"page must be >= 1, got {page}")
+        except AttributeError:
+            raise ValueError(f"code label must be a string, got {label!r}") from None
+        except TypeError:
+            raise ValueError(f"page must be a number, got {page!r}") from None
         self.__dict__.update(label=label, quote=quote, page=page, provenance=provenance,
                              raw_span=raw_span, aliases=aliases, key=label_key(label))
 

@@ -7,18 +7,22 @@ the output directory's response cache as it arrives, and the artifact JSON
 is written once, when the run stops: at completion or at any failure.  A
 rerun resumes from the artifact and gets every reply the cache holds without
 a request, so a crashed run re-sends only the requests that were in flight.
+:meth:`AnalysisArtifact.save` writes the artifact without building a tree of
+dicts: one formatter per record kind (raw reply, code, theme, trace result)
+writes each record's line, with the bytes the JSON encoder would write.
 """
 
 from __future__ import annotations
 
 import json
 import logging
+import math
 import threading
 import time
 from concurrent.futures import ThreadPoolExecutor, wait
 from dataclasses import dataclass, field, replace
 from datetime import datetime, timezone
-from functools import partial
+from json.encoder import encode_basestring as _string  # a string as _encode writes it
 from pathlib import Path
 
 from .agreement import (
@@ -112,25 +116,6 @@ class AnalysisArtifact:
     def complete(self) -> bool:
         return self.status == "complete"
 
-    def to_dict(self) -> dict:
-        page_count = self.corpus_fingerprint.get("page_count", 0)
-        order = [*(f"page_{number}" for number in range(1, page_count + 1)),
-                 "themes", "interpretations"]
-        replies = {key: self.raw_replies[key] for key in order if key in self.raw_replies}
-        replies.update(sorted(item for item in self.raw_replies.items() if item[0] not in replies))
-        return {
-            "schema_version": self.schema_version,
-            "status": self.status,
-            "corpus": self.corpus_fingerprint,
-            "config": self.config_snapshot,
-            "created": self.created,
-            "updated": self.updated,
-            "raw_replies": replies,
-            "notes": list(self.notes),
-            "llm_codebook": _codebook_to_dict(self.llm_codebook) if self.llm_codebook else None,
-            "trace": _trace_to_dict(self.trace) if self.trace else None,
-        }
-
     @classmethod
     def from_dict(cls, data: dict, path: Path | None = None) -> "AnalysisArtifact":
         codebook = _codebook_from_dict(data["llm_codebook"]) if data.get("llm_codebook") else None
@@ -158,29 +143,108 @@ class AnalysisArtifact:
         if target is None:
             raise ValueError("no artifact path configured")
         self.path = target
-        replace_file(target, (_layout(self.to_dict()) + "\n").encode("utf-8"))
+        replace_file(target, self.to_json().encode("utf-8"))
         return target
+
+    def to_json(self) -> str:
+        """The artifact as :meth:`save` writes it: indented by two spaces, with
+        one reply, note, code, emerging label, theme or trace result per line."""
+        page_count = self.corpus_fingerprint.get("page_count", 0)
+        order = [*(f"page_{number}" for number in range(1, page_count + 1)),
+                 "themes", "interpretations"]
+        replies = {key: self.raw_replies[key] for key in order if key in self.raw_replies}
+        replies.update(sorted(item for item in self.raw_replies.items() if item[0] not in replies))
+        codebook = trace = "null"
+        if book := self.llm_codebook:
+            emerging = book.emerging_labels
+            codebook = _object(1, coder_id=_layout(book.coder_id, 2),
+                               provenance=_layout(book.provenance, 2),
+                               codes=_block("[", "]", 2, map(_code_line, book.codes)),
+                               emerging_labels="null" if emerging is None
+                               else _block("[", "]", 2, map(_value, emerging)),
+                               themes=_block("[", "]", 2, map(_theme_line, book.themes)))
+        if self.trace:
+            trace = _object(1, threshold=_layout(self.trace.threshold, 2),
+                            results=_block("[", "]", 2, map(_result_line, self.trace.results)))
+        return _object(
+            0, schema_version=_layout(self.schema_version, 1), status=_layout(self.status, 1),
+            corpus=_layout(self.corpus_fingerprint, 1), config=_layout(self.config_snapshot, 1),
+            created=_layout(self.created, 1), updated=_layout(self.updated, 1),
+            raw_replies=_block("{", "}", 1, (f"{_string(key)}: {_string(reply)}"
+                                             for key, reply in replies.items())),
+            notes=_layout(list(self.notes), 1), llm_codebook=codebook, trace=trace) + "\n"
 
 
 # The C encoder: json.dumps takes the pure-Python one whenever indent is set.
-# The artifact is a fresh tree of plain values, so there is no cycle to check.
+# An artifact holds plain values read from JSON or parsed, so no cycle to check.
 _encode = json.JSONEncoder(ensure_ascii=False, check_circular=False).encode
 # Values nested this deep are written on one line: one reply, code, theme or
 # trace result per line of the artifact.
 _LINE_DEPTH = 3
 
 
+def _block(opener: str, closer: str, depth: int, rows) -> str:
+    """An object or array of ready-written ``rows`` as :func:`_layout` writes it
+    at ``depth``: one row per line."""
+    inner = "\n" + "  " * (depth + 1)
+    body = ("," + inner).join(rows)
+    return f"{opener}{inner}{body}\n{'  ' * depth}{closer}" if body else opener + closer
+
+
+def _object(depth: int, **rows: str) -> str:
+    return _block("{", "}", depth, (f'"{key}": {text}' for key, text in rows.items()))
+
+
 def _layout(value, depth: int = 0) -> str:
     """``value`` as JSON, indented by two spaces down to ``_LINE_DEPTH``."""
-    if not value or not isinstance(value, (dict, list)):
+    if depth == _LINE_DEPTH or not value or not isinstance(value, (dict, list)):
         return _encode(value)
-    nested = _encode if depth + 1 == _LINE_DEPTH else partial(_layout, depth=depth + 1)
-    inner = "\n" + "  " * (depth + 1)
     if isinstance(value, dict):
-        body = [f"{inner}{_encode(key)}: {nested(item)}" for key, item in value.items()]
-        return "{" + ",".join(body) + "\n" + "  " * depth + "}"
-    body = [inner + nested(item) for item in value]
-    return "[" + ",".join(body) + "\n" + "  " * depth + "]"
+        return _block("{", "}", depth, (f"{_encode(key)}: {_layout(item, depth + 1)}"
+                                        for key, item in value.items()))
+    return _block("[", "]", depth, (_layout(item, depth + 1) for item in value))
+
+
+def _value(value) -> str:
+    """``value`` as :data:`_encode` writes it; a string, an int or a finite
+    float without a call into the encoder."""
+    kind = type(value)
+    if kind is str:
+        return _string(value)
+    if kind is int or kind is float and math.isfinite(value):
+        return repr(value)
+    return _encode(value)
+
+
+def _values(items) -> str:
+    return "[" + ", ".join(map(_value, items)) + "]" if items else "[]"
+
+
+def _span(span) -> str:
+    if type(span) is tuple and len(span) == 2 and type(span[0]) is type(span[1]) is int:
+        return "[%d, %d]" % span
+    return _encode(span) if span else "null"
+
+
+# One formatter per record kind, each writing the line _encode writes for the
+# record's fields.  Labels, theme names and trace levels are strings: their
+# constructors check that.
+def _code_line(record: CodeRecord) -> str:
+    return (f'{{"label": {_string(record.label)}, "quote": {_value(record.quote)}, '
+            f'"page": {_value(record.page)}, "provenance": {_value(record.provenance)}, '
+            f'"raw_span": {_span(record.raw_span)}, "aliases": {_values(record.aliases)}}}')
+
+
+def _theme_line(theme: ThemeRecord) -> str:
+    return (f'{{"name": {_string(theme.name)}, "member_labels": {_values(theme.member_labels)}, '
+            f'"description": {_value(theme.description)}, '
+            f'"interpretation": {_value(theme.interpretation)}}}')
+
+
+def _result_line(result: TraceResult) -> str:
+    return (f'{{"label": {_string(result.record.label)}, "level": {_string(result.level)}, '
+            f'"score": {_value(result.score)}, "matched_span": {_span(result.matched_span)}, '
+            f'"notes": {_values(result.notes)}}}')
 
 
 # The type each top-level section of an artifact must have, where present.
@@ -221,34 +285,6 @@ def load_artifact(path: str | Path) -> AnalysisArtifact:
         raise SchemaError(f"{path}: malformed artifact: {exc}") from None
 
 
-def _codebook_to_dict(codebook: Codebook) -> dict:
-    return {
-        "coder_id": codebook.coder_id,
-        "provenance": codebook.provenance,
-        "codes": [
-            {
-                "label": record.label,
-                "quote": record.quote,
-                "page": record.page,
-                "provenance": record.provenance,
-                "raw_span": list(record.raw_span) if record.raw_span else None,
-                "aliases": list(record.aliases),
-            }
-            for record in codebook.codes
-        ],
-        "emerging_labels": list(codebook.emerging_labels) if codebook.emerging_labels is not None else None,
-        "themes": [
-            {
-                "name": theme.name,
-                "member_labels": list(theme.member_labels),
-                "description": theme.description,
-                "interpretation": theme.interpretation,
-            }
-            for theme in codebook.themes
-        ],
-    }
-
-
 def _codebook_from_dict(data: dict) -> Codebook:
     return Codebook(
         coder_id=data["coder_id"],
@@ -275,22 +311,6 @@ def _codebook_from_dict(data: dict) -> Codebook:
             for item in data.get("themes", ())
         ),
     )
-
-
-def _trace_to_dict(trace: TraceabilityReport) -> dict:
-    return {
-        "threshold": trace.threshold,
-        "results": [
-            {
-                "label": result.record.label,
-                "level": result.level,
-                "score": result.score,
-                "matched_span": list(result.matched_span) if result.matched_span else None,
-                "notes": list(result.notes),
-            }
-            for result in trace.results
-        ],
-    }
 
 
 def _trace_from_dict(data: dict, codebook: Codebook) -> TraceabilityReport:

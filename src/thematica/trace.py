@@ -89,8 +89,11 @@ class TraceResult:
                  matched_span: tuple[int, int] | None = None, notes: tuple[str, ...] = ()) -> None:
         if level not in LEVELS:
             raise ValueError(f"unknown trace level {level!r}")
-        if not 0.0 <= score <= 1.0:
-            raise ValueError(f"score must be in [0, 1], got {score}")
+        try:
+            if not 0.0 <= score <= 1.0:
+                raise ValueError(f"score must be in [0, 1], got {score}")
+        except TypeError:
+            raise ValueError(f"score must be a number, got {score!r}") from None
         self.__dict__.update(record=record, level=level, score=score,
                              matched_span=matched_span, notes=notes)
 

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import errno
+import hashlib
 import json
 import logging
 import os
@@ -59,6 +60,19 @@ def test_analyze_reports_counts_and_writes_outputs(
     assert (sample_workspace / "out" / "analysis.json").exists()
     assert (sample_workspace / "out" / "report.md").exists()
     assert (sample_workspace / "out" / "codes.csv").exists()
+
+
+def test_the_sample_replay_writes_the_reference_artifact_bytes(
+        sample_workspace: Path, monkeypatch: pytest.MonkeyPatch) -> None:
+    # Replayed as the README's Quick start replays it, so corpus.source_path is
+    # transcript.txt.  Two runs of one writer agree even when both change the
+    # layout; these bytes change only when the reference is changed too.
+    monkeypatch.chdir(sample_workspace)
+    assert main(["--config", "run_config.json", "analyze"]) == 0
+    written = (sample_workspace / "out" / "analysis.json").read_bytes()
+    assert len(written) == 45_603
+    assert hashlib.sha256(written).hexdigest() == (
+        "2eb93dd919d6c98dd2eff0cfa3464b97e281e9ce55df5fcb9dcbb445e0180431")
 
 
 def test_second_analyze_resumes_completed_artifact(
@@ -597,6 +611,27 @@ def test_hand_edited_artifact_with_a_json_error_is_a_clean_error(
     assert captured.out == ""
     assert captured.err == (f"error: out/analysis.json: not valid JSON at line {line} "
                             "column 5: Expecting property name enclosed in double quotes\n")
+
+
+@pytest.mark.parametrize("section, field, value, message", [
+    ("trace", "score", "x", "score must be a number, got 'x'"),
+    ("llm_codebook", "page", "one", "page must be a number, got 'one'"),
+    ("llm_codebook", "label", 3, "code label must be a string, got 3"),
+], ids=["score", "page", "label"])
+def test_a_hand_edited_value_of_the_wrong_type_is_one_line_naming_its_field(
+        analyzed_workspace: Path, tmp_path: Path, monkeypatch: pytest.MonkeyPatch, capsys,
+        section: str, field: str, value: object, message: str) -> None:
+    workspace = copy_workspace(analyzed_workspace, tmp_path / "edited")
+    artifact_path = workspace / "out" / "analysis.json"
+    data = json.loads(artifact_path.read_text(encoding="utf-8"))
+    records = data["trace"]["results"] if section == "trace" else data[section]["codes"]
+    records[0][field] = value
+    artifact_path.write_text(json.dumps(data), encoding="utf-8")
+    monkeypatch.chdir(workspace)
+    assert main(["--config", "run_config.json", "verify"]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"error: out/analysis.json: malformed artifact: {message}\n"
 
 
 @pytest.mark.parametrize("argv", [

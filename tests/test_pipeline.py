@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import hashlib
 import json
+import math
 import os
 import signal
 import subprocess
@@ -49,7 +50,7 @@ from thematica.pipeline import (
     six_step_coverage,
 )
 from thematica.promptkit import StudyFocus, default_library
-from thematica.trace import EXACT
+from thematica.trace import EXACT, LEVELS, TraceabilityReport
 
 
 class CountingTransport:
@@ -288,6 +289,138 @@ def test_artifact_layout_keeps_non_ascii_and_control_characters() -> None:
     assert "\\u0000" in written and "\\n" in written
 
 
+def _codebook_to_dict(codebook: Codebook) -> dict:
+    return {
+        "coder_id": codebook.coder_id,
+        "provenance": codebook.provenance,
+        "codes": [
+            {
+                "label": record.label,
+                "quote": record.quote,
+                "page": record.page,
+                "provenance": record.provenance,
+                "raw_span": list(record.raw_span) if record.raw_span else None,
+                "aliases": list(record.aliases),
+            }
+            for record in codebook.codes
+        ],
+        "emerging_labels": list(codebook.emerging_labels) if codebook.emerging_labels is not None else None,
+        "themes": [
+            {
+                "name": theme.name,
+                "member_labels": list(theme.member_labels),
+                "description": theme.description,
+                "interpretation": theme.interpretation,
+            }
+            for theme in codebook.themes
+        ],
+    }
+
+
+def _trace_to_dict(trace: TraceabilityReport) -> dict:
+    return {
+        "threshold": trace.threshold,
+        "results": [
+            {
+                "label": result.record.label,
+                "level": result.level,
+                "score": result.score,
+                "matched_span": list(result.matched_span) if result.matched_span else None,
+                "notes": list(result.notes),
+            }
+            for result in trace.results
+        ],
+    }
+
+
+def reference_json(artifact: AnalysisArtifact) -> str:
+    """The artifact as a tree of dicts and lists laid out by ``_layout``: the
+    serializer that ``AnalysisArtifact.to_json`` must match byte for byte."""
+    page_count = artifact.corpus_fingerprint.get("page_count", 0)
+    order = [*(f"page_{number}" for number in range(1, page_count + 1)),
+             "themes", "interpretations"]
+    replies = {key: artifact.raw_replies[key] for key in order if key in artifact.raw_replies}
+    replies.update(sorted(item for item in artifact.raw_replies.items() if item[0] not in replies))
+    return pipeline._layout({
+        "schema_version": artifact.schema_version,
+        "status": artifact.status,
+        "corpus": artifact.corpus_fingerprint,
+        "config": artifact.config_snapshot,
+        "created": artifact.created,
+        "updated": artifact.updated,
+        "raw_replies": replies,
+        "notes": list(artifact.notes),
+        "llm_codebook": _codebook_to_dict(artifact.llm_codebook) if artifact.llm_codebook else None,
+        "trace": _trace_to_dict(artifact.trace) if artifact.trace else None,
+    }) + "\n"
+
+
+# Field values an artifact file may hold, as load_artifact admits them.
+_TEXTS = st.text(max_size=12) | st.sampled_from(
+    ["Ghana – “quoted” café", "\x00", "\u2028", '"', "\\", "\n\t", "\ud7ff\U0001f600"])
+_SCALARS = (st.none() | st.booleans() | st.integers() | st.floats() | _TEXTS)
+_LEAVES = _SCALARS | st.lists(_SCALARS, max_size=2) | st.dictionaries(_TEXTS, _SCALARS, max_size=2)
+_SPANS = (st.none() | st.just([]) | st.lists(st.integers() | st.booleans(), min_size=2, max_size=2)
+          | st.lists(_SCALARS, min_size=1, max_size=3))
+_CODES = st.fixed_dictionaries(
+    {"label": _TEXTS, "quote": _LEAVES,
+     "page": st.none() | st.integers(min_value=1) | st.floats(min_value=1)
+     | st.sampled_from([True, math.nan])},
+    optional={"provenance": _LEAVES, "raw_span": _SPANS, "aliases": st.lists(_LEAVES, max_size=2)})
+_THEMES = st.fixed_dictionaries(
+    {"name": _TEXTS.map("Theme {}".format), "member_labels": st.lists(_LEAVES, max_size=3)},
+    optional={"description": _LEAVES, "interpretation": st.none() | _TEXTS})
+_RESULTS = st.fixed_dictionaries(
+    {"level": st.sampled_from(LEVELS),
+     "score": st.sampled_from([0, 1, False, True, 0.1, 1e-07, 5e-324]) | st.floats(0.0, 1.0)},
+    optional={"matched_span": _SPANS, "notes": st.lists(_LEAVES, max_size=2)})
+
+
+@st.composite
+def artifact_data(draw) -> dict:
+    """An artifact's JSON data, with or without a codebook and a trace."""
+    codes = draw(st.lists(_CODES, max_size=4))
+    for number, code in enumerate(codes):
+        # A number of its own keeps each label's key apart from the others'.
+        code["label"] = f"Code {number} {code['label']}"
+    data = {
+        "schema_version": draw(_SCALARS), "status": draw(_TEXTS),
+        "corpus": {"page_count": draw(st.integers(0, 3)),
+                   **draw(st.dictionaries(_TEXTS, _JSON_VALUES, max_size=2))},
+        "config": draw(st.dictionaries(_TEXTS, _JSON_VALUES, max_size=3)),
+        "created": draw(_SCALARS), "updated": draw(_SCALARS),
+        "raw_replies": draw(st.dictionaries(
+            st.sampled_from(["page_1", "page_2", "page_3", "themes", "interpretations"]) | _TEXTS,
+            _TEXTS, max_size=5)),
+        "notes": draw(st.lists(_JSON_VALUES, max_size=3)),
+    }
+    if draw(st.booleans()):
+        data["llm_codebook"] = draw(st.fixed_dictionaries(
+            {"coder_id": _TEXTS.map("coder {}".format), "provenance": _LEAVES,
+             "codes": st.just(codes)},
+            optional={"emerging_labels": st.none() | st.lists(_LEAVES, max_size=3),
+                      "themes": st.lists(_THEMES, max_size=3)}))
+        if draw(st.booleans()):
+            data["trace"] = {"threshold": draw(_SCALARS),
+                             "results": draw(st.lists(_RESULTS, min_size=len(codes),
+                                                      max_size=len(codes)))}
+    return data
+
+
+@settings(max_examples=200, deadline=None)
+@given(artifact_data())
+def test_written_artifact_matches_the_reference_serializer(data: dict) -> None:
+    artifact = AnalysisArtifact.from_dict(data)
+    assert artifact.to_json() == reference_json(artifact)
+
+
+def test_saved_artifact_matches_the_reference_serializer(
+        completed: AnalysisArtifact, tmp_path: Path) -> None:
+    target = completed.save(tmp_path / "analysis.json")
+    completed.path = None
+    assert target.read_text(encoding="utf-8") == reference_json(completed)
+
+
 def test_saved_artifact_has_one_line_per_code_theme_and_trace_result(
         completed: AnalysisArtifact, tmp_path: Path) -> None:
     target = completed.save(tmp_path / "analysis.json")
@@ -325,10 +458,10 @@ def test_partial_artifact_in_another_layout_resumes_to_a_fresh_runs_bytes(
 def test_old_indented_complete_artifact_loads_and_saves_in_the_current_layout(
         completed: AnalysisArtifact, tmp_path: Path) -> None:
     old = tmp_path / "old.json"
-    old.write_text(json.dumps(completed.to_dict(), indent=2, ensure_ascii=False) + "\n",
-                   encoding="utf-8")
+    old.write_text(json.dumps(json.loads(completed.to_json()), indent=2, ensure_ascii=False)
+                   + "\n", encoding="utf-8")
     loaded = load_artifact(old)
-    assert loaded.to_dict() == completed.to_dict()
+    assert loaded.to_json() == completed.to_json()
     current = completed.save(tmp_path / "current.json")
     completed.path = None
     assert loaded.save(tmp_path / "resaved.json").read_bytes() == current.read_bytes()
@@ -366,7 +499,7 @@ def test_artifact_with_a_stray_comma_raises_schema_error_at_its_line_and_column(
 def test_unreadable_artifact_raises_schema_error_naming_the_path(
         completed: AnalysisArtifact, tmp_path: Path, damage, message: str) -> None:
     path = tmp_path / "analysis.json"
-    path.write_text(damage(completed.to_dict()), encoding="utf-8")
+    path.write_text(damage(json.loads(completed.to_json())), encoding="utf-8")
     with pytest.raises(SchemaError) as err:
         load_artifact(path)
     assert str(err.value).startswith(f"{path}: ")

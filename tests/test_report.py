@@ -19,6 +19,7 @@ from thematica.outparse import CodeRecord
 from thematica.pipeline import AnalysisArtifact, compare, run_analysis, six_step_coverage
 from thematica.promptkit import StudyFocus
 from thematica.report import (
+    METRIC_KEYS,
     CoderMergeStats,
     build_report,
     render_code_listing,
@@ -168,6 +169,30 @@ def test_float_reference_comparison_uses_display_rounding(sample_run: dict) -> N
     assert not any("human_share_pct" in note for note in bundle.inconsistency_notes)
     assert any("table4.genai_share_pct: computed 46.09 differs from the reference value 40.00"
                in note for note in bundle.inconsistency_notes)
+
+
+def test_a_reference_key_that_names_no_metric_becomes_a_note(sample_run: dict) -> None:
+    reference = {"table1": {"similar_cods": 67, "similar_codes": 67}, "tabel4": {"total": 1}}
+    bundle = build_report(sample_run["artifact"], bundle=sample_run["bundle"],
+                          human_tables=SAMPLE_MERGE_STATS, paper_reference=reference)
+    assert [note for note in bundle.inconsistency_notes if "no metric" in note] == [
+        "tabel4.total: names no metric, so its reference value is not checked",
+        "table1.similar_cods: names no metric, so its reference value is not checked",
+    ]
+
+
+def test_a_metric_this_comparison_does_not_compute_gets_no_note(sample_run: dict) -> None:
+    # One coder and no merge statistics: table1 and table2 are not computed.
+    bundle = build_report(sample_run["artifact"], bundle=sample_run["bundle"],
+                          paper_reference=sample_run["reference"])
+    assert not any(note.startswith(("table1.", "table2.")) for note in bundle.inconsistency_notes)
+
+
+def test_metric_keys_are_the_metrics_a_full_comparison_computes(sample_run: dict) -> None:
+    bundle = build_report(sample_run["artifact"], bundle=sample_run["bundle"],
+                          human_tables=SAMPLE_MERGE_STATS)
+    rows = list(csv.reader(io.StringIO(bundle.csv_exports["summary.csv"])))[1:]
+    assert {row[0] for row in rows if not row[0].startswith("trace.")} == METRIC_KEYS
 
 
 def test_summary_csv_display_column_matches_formatting(sample_run: dict) -> None:
