@@ -16,9 +16,8 @@ import sys
 from dataclasses import dataclass, field
 from itertools import zip_longest
 from pathlib import Path
-from typing import get_args, get_type_hints
+from typing import TYPE_CHECKING, get_args, get_type_hints
 
-from .agreement import overlap_percentage
 from .codebook import (
     ALIAS_MAP,
     EXACT_NORMALIZED,
@@ -48,9 +47,11 @@ from .gateway import (
 from .outparse import CodeRecord, ThemeRecord
 from .pipeline import AnalysisArtifact, compare, load_artifact, run_analysis, six_step_coverage
 from .promptkit import PromptLibrary, StudyFocus
-from .report import CoderMergeStats, build_report, write_report_bundle
 from .trace import DEFAULT_THRESHOLD, verify_codebook
 
+# Only the commands that report or compare import report and agreement: verify never does.
+if TYPE_CHECKING:
+    from .report import CoderMergeStats
 logger = logging.getLogger(__name__)
 
 EXIT_OK = 0
@@ -221,6 +222,7 @@ def _load_complete_artifact(config: RunConfig, artifact_path: str | None) -> Ana
 def _write_model_report(artifact: AnalysisArtifact, output_dir: str | Path,
                         paper_reference: str | None) -> list[Path]:
     """Write the report of the model's outputs alone, with its six-stage coverage."""
+    from .report import build_report, write_report_bundle
     bundle = build_report(artifact, coverages=six_step_coverage(artifact),
                           paper_reference=_load_json_object(paper_reference, "reference file"))
     return write_report_bundle(bundle, output_dir)
@@ -281,6 +283,8 @@ def _theme_pseudo_codebook(codebook: Codebook) -> Codebook | None:
 def _consensus_codebook(first: Codebook, second: Codebook, matcher: Matcher) -> tuple[
         Codebook, CoderMergeStats]:
     """Merge two human codebooks and derive the consensus (similar-codes) book."""
+    from .agreement import overlap_percentage
+    from .report import CoderMergeStats
     match = match_codes(first, second, matcher)
     if not match.pairs:
         raise EmptyCodebook(f"coders {first.coder_id!r} and {second.coder_id!r} share no code under "
@@ -318,6 +322,7 @@ def _consensus_codebook(first: Codebook, second: Codebook, matcher: Matcher) -> 
 def cmd_compare(config: RunConfig, artifact_path: str | None, human_paths: list[str],
                 interpretation_paths: list[str] | None = None,
                 paper_reference: str | None = None) -> int:
+    from .report import build_report, write_report_bundle
     if not human_paths:
         raise ConfigError("at least one human codebook CSV is required (--human PATH)")
     if len(human_paths) > 2:

@@ -21,7 +21,6 @@ from dataclasses import dataclass, field
 from functools import cached_property
 from pathlib import Path
 from typing import Callable
-from xml.etree import ElementTree
 
 from .errors import DecodeError, EmptyDocument, InvalidPageSize, PageOutOfRange
 from .textnorm import normalize_for_match, source_index
@@ -190,6 +189,7 @@ def _read_plain_text(path: Path) -> list[str]:
 
 
 def _read_docx(path: Path) -> list[str]:
+    from xml.etree import ElementTree  # only a .docx needs the XML parser
     try:
         with zipfile.ZipFile(path) as package:
             try:

@@ -108,6 +108,10 @@ class CodeRecord:
                 raise ValueError(f"code label exceeds {MAX_LABEL_LENGTH} characters: {label[:40]}...")
             if page is not None and page < 1:
                 raise ValueError(f"page must be >= 1, got {page}")
+            if type(page) is bool:
+                raise ValueError(f"page must be a number, got {page!r}")
+            if not isinstance(quote, str):
+                raise ValueError(f"quote must be a string, got {quote!r}")
         except AttributeError:
             raise ValueError(f"code label must be a string, got {label!r}") from None
         except TypeError:

@@ -24,17 +24,8 @@ from dataclasses import dataclass, field, replace
 from datetime import datetime, timezone
 from json.encoder import encode_basestring as _string  # a string as _encode writes it
 from pathlib import Path
+from typing import TYPE_CHECKING
 
-from .agreement import (
-    AgreementSummary,
-    PresenceMatrix,
-    build_table4_summary,
-    cohens_kappa,
-    overlap_percentage,
-    positive_specific_agreement,
-    presence_matrix,
-    share_percentage,
-)
 from .codebook import Codebook, Matcher, MatchResult, match_codes
 from .corpus import Corpus, content_hash
 from .errors import (
@@ -59,6 +50,9 @@ from .outparse import (
 from .promptkit import PromptLibrary, StudyFocus, default_library
 from .textnorm import label_key
 from .trace import DEFAULT_THRESHOLD, TraceabilityReport, TraceResult, verify_codebook
+
+if TYPE_CHECKING:  # compare imports the statistics when it runs
+    from .agreement import AgreementSummary, PresenceMatrix
 
 logger = logging.getLogger(__name__)
 
@@ -227,10 +221,10 @@ def _span(span) -> str:
 
 
 # One formatter per record kind, each writing the line _encode writes for the
-# record's fields.  Labels, theme names and trace levels are strings: their
-# constructors check that.
+# record's fields.  Labels, quotes, theme names and trace levels are strings:
+# their constructors check that.
 def _code_line(record: CodeRecord) -> str:
-    return (f'{{"label": {_string(record.label)}, "quote": {_value(record.quote)}, '
+    return (f'{{"label": {_string(record.label)}, "quote": {_string(record.quote)}, '
             f'"page": {_value(record.page)}, "provenance": {_value(record.provenance)}, '
             f'"raw_span": {_span(record.raw_span)}, "aliases": {_values(record.aliases)}}}')
 
@@ -277,6 +271,10 @@ def load_artifact(path: str | Path) -> AnalysisArtifact:
     for key, reply in data.get("raw_replies", {}).items():
         if not isinstance(reply, str):
             raise SchemaError(f"{path}: raw_replies[{key!r}] must be a string")
+    page_count = data.get("corpus", {}).get("page_count", 0)
+    if type(page_count) is not int or page_count < 0:
+        raise SchemaError(f"{path}: corpus 'page_count' must be a non-negative integer, "
+                          f"got {page_count!r}")
     try:
         return AnalysisArtifact.from_dict(data, path=path)
     except KeyError as exc:
@@ -304,13 +302,21 @@ def _codebook_from_dict(data: dict) -> Codebook:
         themes=tuple(
             ThemeRecord(
                 name=item["name"],
-                member_labels=tuple(item["member_labels"]),
+                member_labels=_strings(item["member_labels"],
+                                       f"theme {item['name']!r} member_labels"),
                 description=item.get("description", ""),
                 interpretation=item.get("interpretation"),
             )
             for item in data.get("themes", ())
         ),
     )
+
+
+def _strings(items, what: str) -> tuple[str, ...]:
+    """The JSON list of strings ``items`` as a tuple; ``what`` names it in the error."""
+    if not isinstance(items, list) or not all(isinstance(item, str) for item in items):
+        raise ValueError(f"{what} must be a list of strings, got {items!r}")
+    return tuple(items)
 
 
 def _trace_from_dict(data: dict, codebook: Codebook) -> TraceabilityReport:
@@ -647,6 +653,8 @@ class ComparisonBundle:
 def compare(artifact: AnalysisArtifact, human_merged: Codebook,
             matcher: Matcher) -> ComparisonBundle:
     """Compute the code-count, presence, overlap, and theme-share statistics."""
+    from .agreement import (build_table4_summary, cohens_kappa, overlap_percentage,
+                            positive_specific_agreement, presence_matrix, share_percentage)
     if not artifact.complete or artifact.llm_codebook is None:
         raise IncompleteArtifact("comparison requires a complete artifact")
     llm = artifact.llm_codebook

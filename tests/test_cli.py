@@ -204,6 +204,28 @@ def test_incomplete_fixture_exits_partial_and_retains_artifact(
     assert artifact["status"] == "partial"
 
 
+@pytest.mark.parametrize("page_count", ["16", True, -1, 16.0])
+def test_a_page_count_that_is_not_a_count_is_one_line_and_leaves_the_artifact_alone(
+        sample_workspace: Path, monkeypatch: pytest.MonkeyPatch, capsys,
+        page_count: object) -> None:
+    monkeypatch.chdir(sample_workspace)
+    (sample_workspace / "broken.json").write_text("[]", encoding="utf-8")
+    assert main(["--config", "run_config.json", "analyze", "--replay", "broken.json"]) == 2
+    artifact_path = sample_workspace / "out" / "analysis.json"
+    data = json.loads(artifact_path.read_text(encoding="utf-8"))
+    data["corpus"]["page_count"] = page_count
+    artifact_path.write_text(json.dumps(data), encoding="utf-8")
+    edited = artifact_path.read_bytes()
+    capsys.readouterr()
+
+    assert main(["--config", "run_config.json", "analyze"]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == ("error: out/analysis.json: corpus 'page_count' must be a "
+                            f"non-negative integer, got {page_count!r}\n")
+    assert artifact_path.read_bytes() == edited
+
+
 class ScriptedTransport:
     """Answers every code-extraction request from a script, without a fixture."""
 
@@ -615,16 +637,22 @@ def test_hand_edited_artifact_with_a_json_error_is_a_clean_error(
 
 @pytest.mark.parametrize("section, field, value, message", [
     ("trace", "score", "x", "score must be a number, got 'x'"),
-    ("llm_codebook", "page", "one", "page must be a number, got 'one'"),
-    ("llm_codebook", "label", 3, "code label must be a string, got 3"),
-], ids=["score", "page", "label"])
+    ("codes", "page", "one", "page must be a number, got 'one'"),
+    ("codes", "page", True, "page must be a number, got True"),
+    ("codes", "label", 3, "code label must be a string, got 3"),
+    ("codes", "quote", None, "quote must be a string, got None"),
+    ("themes", "member_labels", "abc", "theme 'Personal and Professional Motivations for "
+     "Migration' member_labels must be a list of strings, got 'abc'"),
+    ("themes", "member_labels", ["Curiosity", 7], "theme 'Personal and Professional "
+     "Motivations for Migration' member_labels must be a list of strings, got ['Curiosity', 7]"),
+], ids=["score", "page", "page-true", "label", "quote-null", "members-string", "member-number"])
 def test_a_hand_edited_value_of_the_wrong_type_is_one_line_naming_its_field(
         analyzed_workspace: Path, tmp_path: Path, monkeypatch: pytest.MonkeyPatch, capsys,
         section: str, field: str, value: object, message: str) -> None:
     workspace = copy_workspace(analyzed_workspace, tmp_path / "edited")
     artifact_path = workspace / "out" / "analysis.json"
     data = json.loads(artifact_path.read_text(encoding="utf-8"))
-    records = data["trace"]["results"] if section == "trace" else data[section]["codes"]
+    records = data["trace"]["results"] if section == "trace" else data["llm_codebook"][section]
     records[0][field] = value
     artifact_path.write_text(json.dumps(data), encoding="utf-8")
     monkeypatch.chdir(workspace)
@@ -942,6 +970,37 @@ def test_offline_commands_never_import_requests(sample_workspace: Path) -> None:
     assert child.returncode == 0, child.stderr
     result = json.loads(child.stdout.splitlines()[-1])
     assert result == {"codes": [0, 0, 0, 0], "after_import": False, "after_commands": False}
+
+
+# Runs one command in a fresh interpreter and prints, as the last line, its
+# exit code and which of the comparison and report layers, and the XML parser
+# that only a .docx transcript needs, it imported.
+_LAYERS_OF_ONE_COMMAND = """
+import json, sys
+from thematica.cli import main
+code = main(sys.argv[1:])
+print(json.dumps({"code": code, "loaded": [name for name in (
+    "thematica.agreement", "thematica.report", "xml.etree.ElementTree") if name in sys.modules]}))
+"""
+
+
+@pytest.mark.parametrize("argv, code, loaded", [
+    (["verify"], 0, []),
+    (["analyze", "--replay", "broken.json"], 2, []),
+    (["compare", "--human", "coder1.csv", "--human", "coder2.csv"], 0,
+     ["thematica.agreement", "thematica.report"]),
+], ids=["verify", "partial-analyze", "compare"])
+def test_a_command_imports_the_comparison_and_report_layers_only_if_it_runs_them(
+        analyzed_workspace: Path, tmp_path: Path, argv: list[str], code: int,
+        loaded: list[str]) -> None:
+    workspace = copy_workspace(analyzed_workspace, tmp_path / "workspace")
+    if argv[0] == "analyze":
+        shutil.rmtree(workspace / "out")
+        (workspace / "broken.json").write_text("[]", encoding="utf-8")
+    child = subprocess.run([sys.executable, "-c", _LAYERS_OF_ONE_COMMAND,
+                            "--config", "run_config.json", *argv], cwd=workspace,
+                           env=source_env(), capture_output=True, text=True, timeout=120)
+    assert json.loads(child.stdout.splitlines()[-1]) == {"code": code, "loaded": loaded}
 
 
 def test_python_dash_m_thematica_runs_the_cli(sample_workspace: Path) -> None:

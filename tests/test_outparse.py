@@ -152,6 +152,10 @@ def triples(report) -> list[tuple[str, str, int]]:
     ({"label": "Family", "quote": "q", "page": 0}, "page must be >= 1, got 0"),
     # Both faults: the label is checked first.
     ({"label": "", "quote": "q", "page": 0}, "code label must be non-empty"),
+    ({"label": "Family", "quote": None, "page": 1}, "quote must be a string, got None"),
+    ({"label": "Family", "quote": "q", "page": True}, "page must be a number, got True"),
+    # The page's range is checked before the quote's type.
+    ({"label": "Family", "quote": 7, "page": 0}, "page must be >= 1, got 0"),
 ])
 def test_code_record_rejects_invalid_fields_in_order(kwargs: dict, message: str) -> None:
     with pytest.raises(ValueError) as raised:

@@ -363,12 +363,12 @@ _LEAVES = _SCALARS | st.lists(_SCALARS, max_size=2) | st.dictionaries(_TEXTS, _S
 _SPANS = (st.none() | st.just([]) | st.lists(st.integers() | st.booleans(), min_size=2, max_size=2)
           | st.lists(_SCALARS, min_size=1, max_size=3))
 _CODES = st.fixed_dictionaries(
-    {"label": _TEXTS, "quote": _LEAVES,
+    {"label": _TEXTS, "quote": _TEXTS,
      "page": st.none() | st.integers(min_value=1) | st.floats(min_value=1)
-     | st.sampled_from([True, math.nan])},
+     | st.just(math.nan)},
     optional={"provenance": _LEAVES, "raw_span": _SPANS, "aliases": st.lists(_LEAVES, max_size=2)})
 _THEMES = st.fixed_dictionaries(
-    {"name": _TEXTS.map("Theme {}".format), "member_labels": st.lists(_LEAVES, max_size=3)},
+    {"name": _TEXTS.map("Theme {}".format), "member_labels": st.lists(_TEXTS, max_size=3)},
     optional={"description": _LEAVES, "interpretation": st.none() | _TEXTS})
 _RESULTS = st.fixed_dictionaries(
     {"level": st.sampled_from(LEVELS),
