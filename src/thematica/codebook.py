@@ -25,6 +25,7 @@ from collections import Counter, defaultdict
 from dataclasses import dataclass, field
 from itertools import chain
 from pathlib import Path
+from typing import Iterator
 
 from .errors import (
     AliasChain,
@@ -261,8 +262,8 @@ def merge_order(a: Codebook, b: Codebook, match: MatchResult) -> tuple[
 def merge_codebooks(a: Codebook, b: Codebook, match: MatchResult) -> tuple[Codebook, int]:
     """Merge two codebooks under the similar-codes-count-once rule.
 
-    Paired codes keep coder A's record, with coder B's label recorded as an
-    alias when it differs; outliers from both sides carry over unchanged.
+    Paired codes keep a copy of coder A's record, its key included, with coder B's
+    label as an alias when it differs; outliers from both sides carry over unchanged.
     Returns the merged codebook and the merge count |A| + |B| − |pairs|.
     """
     partner, rows = merge_order(a, b, match)
@@ -271,11 +272,9 @@ def merge_codebooks(a: Codebook, b: Codebook, match: MatchResult) -> tuple[Codeb
         label_b = partner.get(record.label)
         if label_b is not None:
             extra = (label_b,) if b.by_key.get(record.key) != label_b else ()
-            merged[position] = CodeRecord(
-                label=record.label, quote=record.quote, page=record.page,
-                provenance="human-merged", raw_span=record.raw_span,
-                aliases=record.aliases + extra,
-            )
+            kept = merged[position] = object.__new__(CodeRecord)
+            kept.__dict__.update(record.__dict__, provenance="human-merged",
+                                 aliases=record.aliases + extra)
     merged_book = Codebook(
         coder_id=f"{a.coder_id}+{b.coder_id}",
         provenance="human-merged",
@@ -284,23 +283,39 @@ def merge_codebooks(a: Codebook, b: Codebook, match: MatchResult) -> tuple[Codeb
     return merged_book, len(merged)
 
 
+def _csv_rows(path: Path, columns: tuple[str, ...], missing: str) -> Iterator[tuple[int, list[str]]]:
+    """The physical start line and the ``columns`` cells of each non-blank data row.
+
+    As with csv.DictReader, a repeated name takes its last column and a short row
+    reads "" for its missing cells; ``missing`` formats the absent column names.
+    """
+    reader = csv.reader(io.StringIO(read_utf8(path)))
+    position = {name: index for index, name in enumerate(next(reader, []))}
+    if absent := [column for column in columns if column not in position]:
+        raise SchemaError(f"{path.name}: " + missing.format(", ".join(absent)))
+    picks = [position[column] for column in columns]
+    width = max(picks) + 1
+    line = reader.line_num
+    for row in reader:
+        if row:
+            row += [""] * (width - len(row))
+            yield line + 1, [row[index] for index in picks]
+        line = reader.line_num
+
+
 def load_human_codebook(path: str | Path, interpretations_path: str | Path | None = None) -> Codebook:
     """Load a human coder's codebook from CSV.
 
     Schema (header required): coder_id, theme, code_label, supporting_quote,
-    page.  Quote and page may be empty.  The theme column groups rows into
-    ThemeRecords in first-appearance order; an optional sidecar text file
-    with ``Theme: <name>`` headers attaches interpretation prose.  Two code
-    labels, or two theme names, with one label key are a SchemaError that
-    names both lines.
+    page.  Quote and page may be empty; blank rows are skipped.  The theme
+    column groups rows into ThemeRecords in first-appearance order (each
+    distinct theme cell is normalized and keyed once); an optional sidecar
+    text file with ``Theme: <name>`` headers attaches interpretation prose.
+    Every row error names the physical file line the row starts on; two code
+    labels, or two theme names, with one label key are a SchemaError naming both.
     """
     path = Path(path)
-    reader = csv.DictReader(io.StringIO(read_utf8(path)))
-    header = reader.fieldnames or []
-    missing = [column for column in HUMAN_CSV_COLUMNS if column not in header]
-    if missing:
-        raise SchemaError(f"{path.name}: missing column(s) {', '.join(missing)}")
-    rows = list(reader)
+    rows = list(_csv_rows(path, HUMAN_CSV_COLUMNS, "missing column(s) {}"))
     if not rows:
         raise EmptyCodebook(f"{path.name}: no data rows")
 
@@ -308,30 +323,23 @@ def load_human_codebook(path: str | Path, interpretations_path: str | Path | Non
     codes: list[CodeRecord] = []
     first_codes: dict[str, tuple[str, int]] = {}  # label key -> label, line
     first_themes: dict[str, tuple[str, int, list[str]]] = {}  # name key -> name, line, members
-    quoteless = 0
-    for line, row in enumerate(rows, start=2):
-        row_coder = (row["coder_id"] or "").strip()
-        if row_coder:
-            if not coder_id:
-                coder_id = row_coder
-            elif row_coder != coder_id:
+    theme_cells: dict[str, tuple[str, str]] = {}  # raw theme cell -> name, name key
+    for line, (row_coder, theme_cell, label_cell, quote, page_field) in rows:
+        row_coder = row_coder.strip()
+        if row_coder and row_coder != coder_id:
+            if coder_id:
                 raise SchemaError(f"{path.name}:{line}: mixed coder ids {coder_id!r} and {row_coder!r}")
-        label = normalize_label(row["code_label"] or "")
+            coder_id = row_coder
+        label = normalize_label(label_cell)
         if not label:
             raise SchemaError(f"{path.name}:{line}: empty code_label")
-        quote = (row["supporting_quote"] or "").strip()
-        if not quote:
-            quoteless += 1
-        page_field = (row["page"] or "").strip()
-        if page_field:
-            try:
-                page: int | None = int(page_field)
-            except ValueError as exc:
-                raise SchemaError(f"{path.name}:{line}: page {page_field!r} is not an integer") from exc
-        else:
-            page = None
+        page_field = page_field.strip()
         try:
-            record = CodeRecord(label=label, quote=quote, page=page, provenance="human")
+            page = int(page_field) if page_field else None
+        except ValueError as exc:
+            raise SchemaError(f"{path.name}:{line}: page {page_field!r} is not an integer") from exc
+        try:
+            record = CodeRecord(label=label, quote=quote.strip(), page=page, provenance="human")
         except ValueError as exc:
             raise SchemaError(f"{path.name}:{line}: {exc}") from None
         first, first_line = first_codes.setdefault(record.key, (label, line))
@@ -339,19 +347,21 @@ def load_human_codebook(path: str | Path, interpretations_path: str | Path | Non
             raise SchemaError(f"{path.name}:{line}: code label {label!r} collides with {first!r} "
                               f"(line {first_line}) after normalization")
         codes.append(record)
-        theme_name = normalize_label(row["theme"] or "")
-        if len(theme_name) > MAX_LABEL_LENGTH:
-            raise SchemaError(f"{path.name}:{line}: theme name exceeds {MAX_LABEL_LENGTH} characters")
+        if (theme := theme_cells.get(theme_cell)) is None:
+            name = normalize_label(theme_cell)
+            if len(name) > MAX_LABEL_LENGTH:
+                raise SchemaError(f"{path.name}:{line}: theme name exceeds {MAX_LABEL_LENGTH} characters")
+            theme = theme_cells[theme_cell] = (name, label_key(name))
+        theme_name, theme_key = theme
         if theme_name:
-            first, first_line, members = first_themes.setdefault(
-                label_key(theme_name), (theme_name, line, []))
+            first, first_line, members = first_themes.setdefault(theme_key, (theme_name, line, []))
             if first != theme_name:
                 raise SchemaError(f"{path.name}:{line}: theme name {theme_name!r} collides with "
                                   f"{first!r} (line {first_line}) after normalization")
             members.append(label)
     if not coder_id:
         raise SchemaError(f"{path.name}: coder_id missing from every row")
-    if quoteless:
+    if quoteless := sum(not record.quote for record in codes):
         logger.warning("%s: %d of %d rows have no supporting quote",
                        path.name, quoteless, len(rows))
 
@@ -396,23 +406,19 @@ def load_alias_map(path: str | Path) -> dict[str, str]:
 def load_alias_matcher(path: str | Path, jaccard_threshold: float = 0.6) -> Matcher:
     """The alias-mode Matcher of the alias map at ``path`` (see :func:`load_alias_map`).
 
-    Building the Matcher resolves every alias key once and rejects chains.
+    Rows are read as in :func:`load_human_codebook`, each error naming a physical
+    line; building the Matcher resolves every alias key once and rejects chains.
     """
     path = Path(path)
-    with path.open(encoding="utf-8", newline="") as handle:
-        reader = csv.DictReader(handle)
-        header = reader.fieldnames or []
-        if "from_label" not in header or "to_label" not in header:
-            raise SchemaError(f"{path.name}: expected columns from_label, to_label")
-        mapping: dict[str, str] = {}
-        for line, row in enumerate(reader, start=2):
-            source = normalize_label(row["from_label"] or "")
-            target = normalize_label(row["to_label"] or "")
-            if not source or not target:
-                raise SchemaError(f"{path.name}:{line}: empty label")
-            existing = mapping.get(source)
-            if existing is not None and label_key(existing) != label_key(target):
-                raise SchemaError(f"{path.name}:{line}: {source!r} aliased to both "
-                                  f"{existing!r} and {target!r}")
-            mapping[source] = target
+    mapping: dict[str, str] = {}
+    for line, (source, target) in _csv_rows(path, ("from_label", "to_label"),
+                                             "expected columns from_label, to_label"):
+        source, target = normalize_label(source), normalize_label(target)
+        if not source or not target:
+            raise SchemaError(f"{path.name}:{line}: empty label")
+        existing = mapping.get(source)
+        if existing is not None and label_key(existing) != label_key(target):
+            raise SchemaError(f"{path.name}:{line}: {source!r} aliased to both "
+                              f"{existing!r} and {target!r}")
+        mapping[source] = target
     return Matcher(mode=ALIAS_MAP, alias_map=mapping, jaccard_threshold=jaccard_threshold)

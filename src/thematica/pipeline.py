@@ -294,11 +294,13 @@ def _codebook_from_dict(data: dict) -> Codebook:
                 page=item["page"],
                 provenance=item.get("provenance", "llm"),
                 raw_span=tuple(item["raw_span"]) if item.get("raw_span") else None,
-                aliases=tuple(item.get("aliases", ())),
+                aliases=() if item.get("aliases", []) == [] else
+                _strings(item["aliases"], f"code {item['label']!r} aliases"),
             )
             for item in data["codes"]
         ),
-        emerging_labels=tuple(data["emerging_labels"]) if data.get("emerging_labels") is not None else None,
+        emerging_labels=None if data.get("emerging_labels") is None else
+        () if data["emerging_labels"] == [] else _strings(data["emerging_labels"], "emerging_labels"),
         themes=tuple(
             ThemeRecord(
                 name=item["name"],

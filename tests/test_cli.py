@@ -401,7 +401,8 @@ def test_alias_matcher_requires_map_path(
 
 @pytest.mark.parametrize("content, message", [
     (b"from_label,to_label\nA,B\nB,C\n", "error: alias target 'B' is itself aliased to 'C'"),
-    (b"from_label,to_label\n\xff,B\n", "configuration error: 'utf-8' codec can't decode byte 0xff"),
+    (b"from_label,to_label\n\xff,B\n",
+     "error: aliases.csv is not valid UTF-8: 'utf-8' codec can't decode byte 0xff"),
 ], ids=["chained", "not-utf-8"])
 def test_unusable_alias_map_is_a_one_line_error(
         analyzed_workspace: Path, monkeypatch: pytest.MonkeyPatch, capsys,
@@ -654,6 +655,29 @@ def test_a_hand_edited_value_of_the_wrong_type_is_one_line_naming_its_field(
     data = json.loads(artifact_path.read_text(encoding="utf-8"))
     records = data["trace"]["results"] if section == "trace" else data["llm_codebook"][section]
     records[0][field] = value
+    artifact_path.write_text(json.dumps(data), encoding="utf-8")
+    monkeypatch.chdir(workspace)
+    assert main(["--config", "run_config.json", "verify"]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"error: out/analysis.json: malformed artifact: {message}\n"
+
+
+@pytest.mark.parametrize("field, value, message", [
+    ("emerging_labels", "abc", "emerging_labels must be a list of strings, got 'abc'"),
+    ("emerging_labels", ["Curiosity", 7],
+     "emerging_labels must be a list of strings, got ['Curiosity', 7]"),
+    ("aliases", "xyz", "code 'Academic Background of Researcher' aliases must be a list of "
+     "strings, got 'xyz'"),
+], ids=["emerging-string", "emerging-number", "aliases-string"])
+def test_a_string_where_a_label_list_belongs_is_one_line_naming_its_field(
+        analyzed_workspace: Path, tmp_path: Path, monkeypatch: pytest.MonkeyPatch, capsys,
+        field: str, value: object, message: str) -> None:
+    workspace = copy_workspace(analyzed_workspace, tmp_path / "edited")
+    artifact_path = workspace / "out" / "analysis.json"
+    data = json.loads(artifact_path.read_text(encoding="utf-8"))
+    book = data["llm_codebook"]
+    (book if field == "emerging_labels" else book["codes"][0])[field] = value
     artifact_path.write_text(json.dumps(data), encoding="utf-8")
     monkeypatch.chdir(workspace)
     assert main(["--config", "run_config.json", "verify"]) == 1

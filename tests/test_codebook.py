@@ -2,36 +2,48 @@
 
 from __future__ import annotations
 
+import csv
+import io
 import logging
 import random
+import re
+from collections import Counter
 from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import thematica
 import thematica.codebook
+import thematica.outparse
 from thematica.codebook import (
     ALIAS_MAP,
     EXACT_NORMALIZED,
+    HUMAN_CSV_COLUMNS,
     TOKEN_OVERLAP,
     Codebook,
     MatchResult,
     Matcher,
     load_alias_map,
+    load_alias_matcher,
     load_human_codebook,
     match_codes,
     merge_codebooks,
 )
+from thematica.corpus import read_utf8
 from thematica.errors import (
     AliasChain,
     DuplicateLabel,
     EmptyCodebook,
     InconsistentMatch,
     SchemaError,
+    ThematicaError,
 )
-from thematica.outparse import CodeRecord
-from thematica.textnorm import label_key
+from thematica.outparse import MAX_LABEL_LENGTH, CodeRecord, ThemeRecord
+from thematica.textnorm import label_key, normalize_label
+
+SAMPLES = Path(thematica.__file__).parent / "samples"
 
 
 def book(coder_id: str, labels: list[str], provenance: str = "human") -> Codebook:
@@ -502,3 +514,261 @@ def test_load_alias_map_round_trip_and_conflicts(tmp_path: Path) -> None:
     headerless.write_text("x,y\nA,B\n", encoding="utf-8")
     with pytest.raises(SchemaError, match="from_label"):
         load_alias_map(headerless)
+
+
+def test_load_human_codebook_names_the_physical_line_of_the_row_at_fault(tmp_path: Path) -> None:
+    header = ",".join(HUMAN_CSV_COLUMNS)
+    path = tmp_path / "c.csv"
+    # A blank line 3 and a quoted two-line cell on lines 4-5 put the third row on line 6.
+    path.write_text(f'{header}\nc1,T,One,,1\n\nc1,T,Two,"first\nsecond",2\nc1,T,Three,,0\n',
+                    encoding="utf-8")
+    with pytest.raises(SchemaError) as caught:
+        load_human_codebook(path)
+    assert str(caught.value) == "c.csv:6: page must be >= 1, got 0"
+
+    path.write_text(f'{header}\nc1,T,One,,1\n\nc1,T,Two,"first\nsecond",2\nc1,T,two,,3\n',
+                    encoding="utf-8")
+    with pytest.raises(SchemaError) as caught:
+        load_human_codebook(path)
+    assert str(caught.value) == ("c.csv:6: code label 'two' collides with 'Two' (line 4) "
+                                 "after normalization")
+
+
+def test_load_alias_map_names_the_physical_line_of_the_row_at_fault(tmp_path: Path) -> None:
+    path = tmp_path / "a.csv"
+    path.write_text("from_label,to_label\n\nA,B\nC,\n", encoding="utf-8")
+    with pytest.raises(SchemaError) as caught:
+        load_alias_map(path)
+    assert str(caught.value) == "a.csv:4: empty label"
+
+    path.write_text('from_label,to_label\n\n"A\na",B\nA a,C\n', encoding="utf-8")
+    with pytest.raises(SchemaError) as caught:
+        load_alias_map(path)
+    assert str(caught.value) == "a.csv:5: 'A a' aliased to both 'B' and 'C'"
+
+
+def _counting(monkeypatch: pytest.MonkeyPatch) -> Counter:
+    """Count the label normalizations and keys that codebooks and records compute."""
+    calls: Counter = Counter()
+    for module, name in ((thematica.codebook, "normalize_label"),
+                         (thematica.codebook, "label_key"), (thematica.outparse, "label_key")):
+        def counted(text: str, original=getattr(module, name), name: str = name) -> str:
+            calls[name] += 1
+            return original(text)
+        monkeypatch.setattr(module, name, counted)
+    return calls
+
+
+def test_load_human_codebook_normalizes_and_keys_each_theme_cell_once(
+        monkeypatch: pytest.MonkeyPatch) -> None:
+    calls = _counting(monkeypatch)
+    codebook = load_human_codebook(SAMPLES / "coder1.csv")
+    # One normalization and one key per code label of the 69 rows, and one
+    # of each per distinct theme cell of the 23.
+    assert len(codebook.codes) == 69
+    assert len(codebook.themes) == 23
+    assert calls == {"normalize_label": 92, "label_key": 92}
+
+
+def test_merge_codebooks_copies_the_keys_of_paired_records(monkeypatch: pytest.MonkeyPatch) -> None:
+    first = load_human_codebook(SAMPLES / "coder1.csv")
+    second = load_human_codebook(SAMPLES / "coder2.csv")
+    match = match_codes(first, second, load_alias_matcher(SAMPLES / "alias_map.csv"))
+    assert len(match.pairs) == 67
+    calls = _counting(monkeypatch)
+    merged, count = merge_codebooks(first, second, match)
+    assert calls == {}
+    assert count == 104
+    assert [record.key for record in merged.codes] == [label_key(r.label) for r in merged.codes]
+    assert sum(record.provenance == "human-merged" for record in merged.codes) == 67
+
+
+# The loaders as they read with csv.DictReader, which counted data rows, not
+# file lines: what the positional reader must still read, apart from the lines.
+def reference_load_human_codebook(path: Path) -> Codebook:
+    reader = csv.DictReader(io.StringIO(read_utf8(path)))
+    header = reader.fieldnames or []
+    missing = [column for column in HUMAN_CSV_COLUMNS if column not in header]
+    if missing:
+        raise SchemaError(f"{path.name}: missing column(s) {', '.join(missing)}")
+    rows = list(reader)
+    if not rows:
+        raise EmptyCodebook(f"{path.name}: no data rows")
+    coder_id = ""
+    codes: list[CodeRecord] = []
+    first_codes: dict[str, tuple[str, int]] = {}
+    first_themes: dict[str, tuple[str, int, list[str]]] = {}
+    for line, row in enumerate(rows, start=2):
+        row_coder = (row["coder_id"] or "").strip()
+        if row_coder:
+            if not coder_id:
+                coder_id = row_coder
+            elif row_coder != coder_id:
+                raise SchemaError(f"{path.name}:{line}: mixed coder ids {coder_id!r} and {row_coder!r}")
+        label = normalize_label(row["code_label"] or "")
+        if not label:
+            raise SchemaError(f"{path.name}:{line}: empty code_label")
+        quote = (row["supporting_quote"] or "").strip()
+        page_field = (row["page"] or "").strip()
+        if page_field:
+            try:
+                page: int | None = int(page_field)
+            except ValueError as exc:
+                raise SchemaError(f"{path.name}:{line}: page {page_field!r} is not an integer") from exc
+        else:
+            page = None
+        try:
+            record = CodeRecord(label=label, quote=quote, page=page, provenance="human")
+        except ValueError as exc:
+            raise SchemaError(f"{path.name}:{line}: {exc}") from None
+        first, first_line = first_codes.setdefault(record.key, (label, line))
+        if first_line != line:
+            raise SchemaError(f"{path.name}:{line}: code label {label!r} collides with {first!r} "
+                              f"(line {first_line}) after normalization")
+        codes.append(record)
+        theme_name = normalize_label(row["theme"] or "")
+        if len(theme_name) > MAX_LABEL_LENGTH:
+            raise SchemaError(f"{path.name}:{line}: theme name exceeds {MAX_LABEL_LENGTH} characters")
+        if theme_name:
+            first, first_line, members = first_themes.setdefault(
+                label_key(theme_name), (theme_name, line, []))
+            if first != theme_name:
+                raise SchemaError(f"{path.name}:{line}: theme name {theme_name!r} collides with "
+                                  f"{first!r} (line {first_line}) after normalization")
+            members.append(label)
+    if not coder_id:
+        raise SchemaError(f"{path.name}: coder_id missing from every row")
+    themes = tuple(ThemeRecord(name=name, member_labels=tuple(members))
+                   for name, _, members in first_themes.values())
+    return Codebook(coder_id=coder_id, provenance="human", codes=tuple(codes), themes=themes)
+
+
+def reference_load_alias_matcher(path: Path) -> Matcher:
+    with path.open(encoding="utf-8", newline="") as handle:
+        reader = csv.DictReader(handle)
+        header = reader.fieldnames or []
+        if "from_label" not in header or "to_label" not in header:
+            raise SchemaError(f"{path.name}: expected columns from_label, to_label")
+        mapping: dict[str, str] = {}
+        for line, row in enumerate(reader, start=2):
+            source = normalize_label(row["from_label"] or "")
+            target = normalize_label(row["to_label"] or "")
+            if not source or not target:
+                raise SchemaError(f"{path.name}:{line}: empty label")
+            existing = mapping.get(source)
+            if existing is not None and label_key(existing) != label_key(target):
+                raise SchemaError(f"{path.name}:{line}: {source!r} aliased to both "
+                                  f"{existing!r} and {target!r}")
+            mapping[source] = target
+    return Matcher(mode=ALIAS_MAP, alias_map=mapping)
+
+
+def _often(common: list, rare: list) -> st.SearchStrategy:
+    """Each common value three times as likely as each rare one."""
+    return st.sampled_from(common * 3 + rare)
+
+
+_HUMAN_CELLS = {
+    "coder_id": _often(["c1"], [" c1 ", "", "c2"]),
+    "theme": _often(["Push Factors", "Pull", "Push, Pull", "Push\nPull"],
+                    ["push factors", "PUSH FACTORS", "Push  Factors!", "**Pull**", "1. Pull",
+                     "pull", "", "T" * 201]),
+    "code_label": st.text(alphabet="abcdefgh", min_size=3, max_size=6) | _often(
+        ["Low Pay", "No Training", "Pay, and Hours", "two\nlines", '"quoted"'],
+        ["low pay", "Low  Pay!", "**Low Pay**", "1. No Training", "", " ", "*_*"]),
+    "supporting_quote": st.sampled_from(["", "a quote", "with, a comma", "two\nlines", '"said"']),
+    "page": _often(["", "1", "2", " 3 ", "12"], ["0", "-1", "x"]),
+}
+_ALIAS_CELLS = {name: _often(["A", "B", "C", "D, E", "F\nG", "H"], ["a", "A!", "**b**", ""])
+                for name in ("from_label", "to_label")}
+_OTHER_CELLS = st.sampled_from(["", "note", "x, y", "one\ntwo"])
+
+
+@st.composite
+def csv_files(draw, cells: dict) -> tuple[str, list[int]]:
+    """CSV text with the ``cells`` columns, and the physical start line of each non-blank data row.
+
+    Columns come in any order, some are missing or extra, and a name may be
+    repeated; rows may be blank, short or long; cells hold quoted commas,
+    quoted newlines and labels that collide after normalization.
+    """
+    header = draw(st.permutations(list(cells) + draw(st.lists(
+        st.sampled_from(["notes", "extra"]), max_size=2))))
+    if draw(st.sampled_from([False] * 9 + [True])):
+        dropped = draw(st.sampled_from(list(cells)))
+        header = [name for name in header if name != dropped]
+    for _ in range(draw(_often([0], [1, 2]))):
+        header.insert(draw(st.integers(0, len(header))), draw(st.sampled_from(header)))
+    lead = [[]] * draw(st.sampled_from([0] * 9 + [1]))
+    rows: list[list[str]] = []
+    for _ in range(draw(st.integers(1, 8))):
+        row = [draw(cells.get(name, _OTHER_CELLS)) for name in header]
+        shape = draw(_often(["full", "full", "blank"], ["short", "long"]))
+        if shape == "blank":
+            row = []
+        elif shape == "short":
+            row = row[:draw(st.integers(1, len(row)))]
+        elif shape == "long":
+            row += draw(st.lists(_OTHER_CELLS, min_size=1, max_size=2))
+        rows.append(row)
+    buffer = io.StringIO()
+    writer = csv.writer(buffer, lineterminator="\n")
+    writer.writerows(lead + [header])
+    starts: list[int] = []
+    for row in rows:
+        if row:
+            starts.append(buffer.getvalue().count("\n") + 1)
+        writer.writerow(row)
+    return buffer.getvalue(), starts
+
+
+def _outcome(load, path: Path):
+    try:
+        return load(path)
+    except ThematicaError as exc:  # compared by class and message
+        return exc
+
+
+def _at_physical_lines(message: str, starts: list[int]) -> str:
+    """A reference message with each data-row number replaced by the row's physical line."""
+    def physical(found: re.Match) -> str:
+        return found.group(1) + str(starts[int(found.group(2)) - 2]) + found.group(3)
+    return re.sub(r"(^\S+?:|\(line )(\d+)(:|\))", physical, message)
+
+
+def _assert_same_outcome(got, expected, starts: list[int]) -> None:
+    if isinstance(expected, ThematicaError):
+        assert type(got) is type(expected)
+        assert str(got) == _at_physical_lines(str(expected), starts)
+    else:
+        assert got == expected
+
+
+@settings(max_examples=300, deadline=None)
+@given(csv_files(_HUMAN_CELLS))
+def test_load_human_codebook_reads_what_the_dict_reader_read(
+        tmp_path_factory: pytest.TempPathFactory, table: tuple[str, list[int]]) -> None:
+    text, starts = table
+    path = tmp_path_factory.mktemp("human") / "coder.csv"
+    path.write_text(text, encoding="utf-8")
+    got = _outcome(load_human_codebook, path)
+    expected = _outcome(reference_load_human_codebook, path)
+    _assert_same_outcome(got, expected, starts)
+    if isinstance(got, Codebook):
+        assert [record.key for record in got.codes] == [record.key for record in expected.codes]
+        assert [theme.member_labels for theme in got.themes] == [
+            theme.member_labels for theme in expected.themes]
+
+
+@settings(max_examples=300, deadline=None)
+@given(csv_files(_ALIAS_CELLS))
+def test_load_alias_matcher_reads_what_the_dict_reader_read(
+        tmp_path_factory: pytest.TempPathFactory, table: tuple[str, list[int]]) -> None:
+    text, starts = table
+    path = tmp_path_factory.mktemp("alias") / "aliases.csv"
+    path.write_text(text, encoding="utf-8")
+    got = _outcome(load_alias_matcher, path)
+    expected = _outcome(reference_load_alias_matcher, path)
+    _assert_same_outcome(got, expected, starts)
+    if isinstance(got, Matcher):
+        assert list(got.alias_map.items()) == list(expected.alias_map.items())

@@ -366,7 +366,7 @@ _CODES = st.fixed_dictionaries(
     {"label": _TEXTS, "quote": _TEXTS,
      "page": st.none() | st.integers(min_value=1) | st.floats(min_value=1)
      | st.just(math.nan)},
-    optional={"provenance": _LEAVES, "raw_span": _SPANS, "aliases": st.lists(_LEAVES, max_size=2)})
+    optional={"provenance": _LEAVES, "raw_span": _SPANS, "aliases": st.lists(_TEXTS, max_size=2)})
 _THEMES = st.fixed_dictionaries(
     {"name": _TEXTS.map("Theme {}".format), "member_labels": st.lists(_TEXTS, max_size=3)},
     optional={"description": _LEAVES, "interpretation": st.none() | _TEXTS})
@@ -398,7 +398,7 @@ def artifact_data(draw) -> dict:
         data["llm_codebook"] = draw(st.fixed_dictionaries(
             {"coder_id": _TEXTS.map("coder {}".format), "provenance": _LEAVES,
              "codes": st.just(codes)},
-            optional={"emerging_labels": st.none() | st.lists(_LEAVES, max_size=3),
+            optional={"emerging_labels": st.none() | st.lists(_TEXTS, max_size=3),
                       "themes": st.lists(_THEMES, max_size=3)}))
         if draw(st.booleans()):
             data["trace"] = {"threshold": draw(_SCALARS),
