@@ -202,9 +202,9 @@ def build_table4_summary(human_similar_count: int, llm_count: int) -> AgreementS
         notes.append("second coder count exceeds the baseline; difference is negative")
     ratio_share = Fraction(similar_count, total) * 100 if 0 <= similar_count <= total else None
     if ratio_share is None or round_display(ratio_share) != round_display(similarity):
-        shown = format_percent(ratio_share) if ratio_share is not None else "undefined"
+        shown = f"{format_percent(ratio_share)}%" if ratio_share is not None else "undefined"
         notes.append(
-            f"similar-count share {similar_count}/{total} = {shown}% differs from "
+            f"similar-count share {similar_count}/{total} = {shown} differs from "
             f"the formula-based similarity {format_percent(similarity)}%"
         )
     return AgreementSummary(

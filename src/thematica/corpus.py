@@ -10,6 +10,12 @@ comments).
 Plain-text blocks that span several physical lines are treated as one
 soft-wrapped paragraph; the lines are rejoined with single spaces so quotes
 never straddle an artificial line break.
+
+A corpus from :func:`load_corpus` builds each page's text straight from the
+paragraph texts; the page's :class:`Paragraph` objects are built on first
+access of :attr:`Page.paragraphs`, since the pipeline reads only page numbers
+and texts.  The pages equal those :func:`paginate` builds from
+:func:`load_document`.
 """
 
 from __future__ import annotations
@@ -54,7 +60,9 @@ class Page:
     :attr:`text`, the paragraphs joined by single newlines, is built with the
     page.  Quote tracing reads its :attr:`match_text` and maps spans back to
     :attr:`text` with :meth:`source_span`; each of those builds its state
-    once, lazily, on first use.
+    once, lazily, on first use.  So does :attr:`paragraphs` on a page that
+    :func:`load_corpus` built: it keeps the paragraph texts and builds the
+    :class:`Paragraph` objects on first access.
     """
 
     number: int
@@ -68,6 +76,25 @@ class Page:
             raise EmptyDocument(f"page {number} has no paragraphs")
         self.__dict__.update(number=number, paragraphs=paragraphs,
                              text="\n".join([p.text for p in paragraphs]))
+
+    @classmethod
+    def _from_texts(cls, number: int, first_index: int, texts: tuple[str, ...]) -> Page:
+        """A page of trimmed, non-empty reader texts whose paragraphs are built on first access."""
+        page = cls.__new__(cls)
+        page.__dict__.update(number=number, text="\n".join(texts),
+                             _first_index=first_index, _texts=texts)
+        return page
+
+    def __getattr__(self, name: str) -> tuple[Paragraph, ...]:
+        # Normal lookup failed: only a page from _from_texts lacks a field,
+        # its paragraphs until their first access.
+        state = self.__dict__
+        if name != "paragraphs" or "_texts" not in state:
+            raise AttributeError(f"{type(self).__name__!r} object has no attribute {name!r}")
+        paragraphs = tuple(Paragraph(index, text)
+                           for index, text in enumerate(state["_texts"], state["_first_index"]))
+        state["paragraphs"] = paragraphs
+        return paragraphs
 
     @cached_property
     def match_text(self) -> str:
@@ -96,8 +123,7 @@ class Corpus:
     page_size: int = 10
 
     def __post_init__(self) -> None:
-        if self.page_size < 1:
-            raise InvalidPageSize(f"page_size must be >= 1, got {self.page_size}")
+        _check_page_size(self.page_size)
         for position, page in enumerate(self.pages, start=1):
             if page.number != position:
                 raise PageOutOfRange(
@@ -120,26 +146,12 @@ def load_document(path: str | Path, format: str = "auto") -> list[Paragraph]:
     ``.docx`` suffix).  Each reader trims its paragraphs and drops the empty
     ones; indices number the kept paragraphs.
     """
-    file_path = Path(path)
-    if format == "auto":
-        format = OOXML_DOCX if file_path.suffix.lower() == ".docx" else PLAIN_TEXT
-    if format == PLAIN_TEXT:
-        texts = _read_plain_text(file_path)
-    elif format == OOXML_DOCX:
-        texts = _read_docx(file_path)
-    else:
-        raise ValueError(f"unknown format {format!r}; expected {PLAIN_TEXT!r} or {OOXML_DOCX!r}")
-
-    paragraphs = [Paragraph(index, text) for index, text in enumerate(texts)]
-    if not paragraphs:
-        raise EmptyDocument(f"{file_path} contains no non-empty paragraphs")
-    return paragraphs
+    return [Paragraph(index, text) for index, text in enumerate(_read_texts(Path(path), format))]
 
 
 def paginate(paragraphs: list[Paragraph], page_size: int = 10, source_path: str = "") -> Corpus:
     """Group paragraphs into pages of ``page_size``; the last page may be short."""
-    if page_size < 1:
-        raise InvalidPageSize(f"page_size must be >= 1, got {page_size}")
+    _check_page_size(page_size)
     if not paragraphs:
         raise EmptyDocument("cannot paginate an empty paragraph list")
     pages = tuple(
@@ -151,8 +163,17 @@ def paginate(paragraphs: list[Paragraph], page_size: int = 10, source_path: str 
 
 
 def load_corpus(path: str | Path, page_size: int = 10, format: str = "auto") -> Corpus:
-    """Convenience: load a document and paginate it in one call."""
-    return paginate(load_document(path, format=format), page_size=page_size, source_path=str(path))
+    """Load a document and paginate it in one call.
+
+    The corpus equals ``paginate(load_document(path, format), page_size,
+    str(path))``, but its pages build their :class:`Paragraph` objects on
+    first access of :attr:`Page.paragraphs`.
+    """
+    texts = tuple(_read_texts(Path(path), format))
+    _check_page_size(page_size)
+    pages = tuple(Page._from_texts(number, first, texts[first:first + page_size])
+                  for number, first in enumerate(range(0, len(texts), page_size), start=1))
+    return Corpus(source_path=str(path), pages=pages, page_size=page_size)
 
 
 def content_hash(corpus: Corpus) -> str:
@@ -167,19 +188,41 @@ def content_hash(corpus: Corpus) -> str:
 
 
 def read_utf8(path: Path) -> str:
-    """The text of the file at ``path``; bytes that are not UTF-8 raise DecodeError."""
+    """The text of the file at ``path``, without a leading UTF-8 byte-order
+    mark; bytes that are not UTF-8 raise DecodeError."""
     try:
-        return path.read_text(encoding="utf-8")
+        return path.read_text(encoding="utf-8-sig")
     except UnicodeDecodeError as exc:
         raise DecodeError(f"{path} is not valid UTF-8: {exc}") from exc
+
+
+def _check_page_size(page_size: int) -> None:
+    if page_size < 1:
+        raise InvalidPageSize(f"page_size must be >= 1, got {page_size}")
+
+
+def _read_texts(path: Path, format: str) -> list[str]:
+    """The trimmed, non-empty paragraph texts of the transcript at ``path``."""
+    if format == "auto":
+        format = OOXML_DOCX if path.suffix.lower() == ".docx" else PLAIN_TEXT
+    if format == PLAIN_TEXT:
+        texts = _read_plain_text(path)
+    elif format == OOXML_DOCX:
+        texts = _read_docx(path)
+    else:
+        raise ValueError(f"unknown format {format!r}; expected {PLAIN_TEXT!r} or {OOXML_DOCX!r}")
+    if not texts:
+        raise EmptyDocument(f"{path} contains no non-empty paragraphs")
+    return texts
 
 
 def _read_plain_text(path: Path) -> list[str]:
     blocks: list[str] = []
     current: list[str] = []
     for line in read_utf8(path).splitlines():
-        if line.strip():
-            current.append(line.strip())
+        line = line.strip()
+        if line:
+            current.append(line)
         elif current:
             blocks.append(" ".join(current))
             current = []

@@ -467,6 +467,25 @@ def test_malformed_human_inputs_and_templates_are_one_line_errors(
     assert captured.out == ""
 
 
+@pytest.mark.parametrize("name, argv", [
+    ("transcript.txt", ["verify"]),
+    ("coder1.csv", ["compare", "--human", "coder1.csv", "--human", "coder2.csv"]),
+    ("alias_map.csv", ["compare", "--human", "coder1.csv", "--human", "coder2.csv"]),
+], ids=["transcript", "coder-csv", "alias-map"])
+def test_a_utf8_byte_order_mark_is_not_text(
+        analyzed_workspace: Path, tmp_path: Path, monkeypatch: pytest.MonkeyPatch, capsys,
+        name: str, argv: list[str]) -> None:
+    # Spreadsheet programs start a "CSV UTF-8" file with one; a transcript
+    # with one still has the content hash the artifact recorded.
+    workspace = copy_workspace(analyzed_workspace, tmp_path / "workspace")
+    monkeypatch.chdir(workspace)
+    assert main(["--config", "run_config.json", *argv]) == 0
+    without = capsys.readouterr()
+    Path(name).write_bytes(b"\xef\xbb\xbf" + Path(name).read_bytes())
+    assert main(["--config", "run_config.json", *argv]) == 0
+    assert capsys.readouterr() == without
+
+
 def test_alias_matcher_computes_each_alias_key_once(monkeypatch: pytest.MonkeyPatch) -> None:
     keys: list[str] = []
     label_key = thematica.codebook.label_key
@@ -497,6 +516,22 @@ def test_compare_two_coders_prints_agreement_summary(
     assert "note: table1.merged_codes: computed 104 differs from the reference value 106" in out
     assert (analyzed_workspace / "out" / "matrix.csv").exists()
     assert (analyzed_workspace / "out" / "summary.csv").exists()
+
+
+def test_an_undefined_similar_count_share_is_printed_without_a_percent_sign(
+        analyzed_workspace: Path, tmp_path: Path, monkeypatch: pytest.MonkeyPatch,
+        capsys) -> None:
+    # Token overlap pairs 3 of 69 and 102 codes, so the similar count exceeds
+    # the total and its share is undefined.
+    workspace = copy_workspace(analyzed_workspace, tmp_path / "workspace")
+    monkeypatch.chdir(workspace)
+    assert main(["--config", "run_config.json", "compare", "--matcher", "token_overlap",
+                 "--human", "coder1.csv", "--human", "coder2.csv"]) == 0
+    out = capsys.readouterr().out
+    assert ("note: similar-count share 118/62 = undefined differs from the formula-based "
+            "similarity 1966.67%\n") in out
+    report = (workspace / "out" / "report.md").read_text(encoding="utf-8")
+    assert "- similar-count share 118/62 = undefined differs from" in report
 
 
 @pytest.mark.parametrize("labels", [("Curiosity", "Curiosity-driven Migration"),

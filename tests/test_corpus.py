@@ -2,8 +2,12 @@
 
 from __future__ import annotations
 
+import codecs
+import copy
+import dataclasses
 import hashlib
 import math
+import pickle
 from dataclasses import FrozenInstanceError, fields
 from pathlib import Path
 
@@ -11,6 +15,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from thematica.cli import main
 from thematica.corpus import (
     OOXML_DOCX,
     PLAIN_TEXT,
@@ -187,6 +192,11 @@ def test_content_hash_is_format_independent(tmp_path: Path) -> None:
     hash_docx = content_hash(load_corpus(docx, page_size=2))
     assert hash_txt == hash_docx
     assert content_hash(load_corpus(txt, page_size=1)) == hash_txt
+    # A UTF-8 byte-order mark is not text.
+    marked = tmp_path / "marked.txt"
+    marked.write_bytes(codecs.BOM_UTF8 + txt.read_bytes())
+    assert load_corpus(marked, page_size=1).pages[0].text == texts[0]
+    assert content_hash(load_corpus(marked, page_size=2)) == hash_txt
     assert len(hash_txt) == 64 and set(hash_txt) <= set("0123456789abcdef")
     # The documented definition: SHA-256 of the paragraph texts joined by
     # newlines. Every stored analysis.json carries this value.
@@ -221,3 +231,129 @@ def test_pagination_laws(texts: list[str], page_size: int) -> None:
     for page in corpus.pages[:-1]:
         assert len(page.paragraphs) == page_size
     assert 1 <= len(corpus.pages[-1].paragraphs) <= page_size
+
+
+_line = st.one_of(
+    st.just(""),
+    st.sampled_from([" ", "\t", "\u00a0", " \u00a0\t "]),
+    st.text(alphabet="ab c.\u00a0\tß", min_size=1, max_size=16),
+)
+_line_break = st.sampled_from(["\n", "\n\n", "\n \n\n", "\r\n", "\r\n\r\n", "\r", "\x0c",
+                               "\u2028"])
+_block = st.lists(st.tuples(_line, _line_break), min_size=1, max_size=6).map(
+    lambda lines: "".join(line + end for line, end in lines))
+_transcripts = st.builds(lambda bom, blocks: bom + "\n\n".join(blocks),
+                         st.sampled_from(["", "\ufeff"]), st.lists(_block, max_size=40))
+
+
+def assert_loaded_as_paginated(path: Path, page_size: int, format: str = "auto") -> None:
+    """load_corpus equals paging load_document's paragraphs, before and after
+    the loaded pages build their paragraphs."""
+    try:
+        eager = paginate(load_document(path, format), page_size, str(path))
+    except EmptyDocument as error:
+        with pytest.raises(EmptyDocument) as raised:
+            load_corpus(path, page_size, format)
+        assert str(raised.value) == str(error)
+        return
+    loaded = load_corpus(path, page_size, format)
+    assert content_hash(loaded) == content_hash(eager)
+    assert (loaded.source_path, loaded.page_size) == (eager.source_path, eager.page_size)
+    assert len(loaded.pages) == len(eager.pages)
+    for lazy, built in zip(loaded.pages, eager.pages):
+        assert (lazy.number, lazy.text) == (built.number, built.text)
+        assert lazy == built and built == lazy
+        assert hash(lazy) == hash(built)
+        assert repr(lazy) == repr(built)
+        assert lazy.paragraphs == built.paragraphs
+    assert loaded == eager and eager == loaded
+    assert loaded.paragraphs() == eager.paragraphs()
+
+
+@settings(max_examples=200, deadline=None)
+@given(transcript=_transcripts, page_size=st.integers(min_value=1, max_value=12))
+def test_load_corpus_equals_paginated_paragraphs(tmp_path_factory, transcript: str,
+                                                  page_size: int) -> None:
+    path = tmp_path_factory.mktemp("loaded") / "transcript.txt"
+    path.write_bytes(transcript.encode("utf-8"))
+    assert_loaded_as_paginated(path, page_size)
+
+
+@pytest.mark.parametrize("page_size", [1, 2, 3])
+def test_load_corpus_equals_paginated_paragraphs_of_a_docx(tmp_path: Path,
+                                                            page_size: int) -> None:
+    # A run with a line break inside stays one paragraph of the loaded page.
+    path = write_docx(tmp_path / "doc.docx",
+                      ["Opening.", "  ", "Line one\nline two", "Middle.", "Closing."])
+    assert_loaded_as_paginated(path, page_size)
+
+
+@pytest.fixture()
+def paragraph_inits(monkeypatch: pytest.MonkeyPatch) -> list[int]:
+    """One entry per Paragraph construction."""
+    calls: list[int] = []
+    real_init = Paragraph.__init__
+
+    def counting_init(self, index: int, text: str) -> None:
+        calls.append(index)
+        real_init(self, index, text)
+
+    monkeypatch.setattr(Paragraph, "__init__", counting_init)
+    return calls
+
+
+def test_a_loaded_page_builds_its_paragraphs_on_first_access(
+        samples_dir: Path, paragraph_inits: list[int]) -> None:
+    corpus = load_corpus(samples_dir / "transcript.txt", page_size=4)
+    assert paragraph_inits == []
+    page = corpus.pages[2]
+    assert page.text and page.match_text and paragraph_inits == []
+    paragraphs = page.paragraphs
+    assert paragraph_inits == [8, 9, 10, 11] == [p.index for p in paragraphs]
+    assert page.paragraphs is paragraphs and len(paragraph_inits) == len(paragraphs)
+
+
+def test_analyze_and_verify_build_no_paragraph(
+        sample_workspace: Path, monkeypatch: pytest.MonkeyPatch,
+        paragraph_inits: list[int]) -> None:
+    monkeypatch.chdir(sample_workspace)
+    assert main(["--config", "run_config.json", "analyze"]) == 0
+    assert main(["--config", "run_config.json", "verify"]) == 0
+    assert paragraph_inits == []
+
+
+def test_a_loaded_page_copies_pickles_and_stays_frozen(samples_dir: Path) -> None:
+    path = samples_dir / "transcript.txt"
+    built = paginate(load_document(path), 3, str(path)).pages[1]
+
+    def loaded() -> Page:
+        return load_corpus(path, page_size=3).pages[1]
+
+    assert dataclasses.asdict(loaded()) == dataclasses.asdict(built)
+    for twin in (copy.copy(loaded()), copy.deepcopy(loaded()),
+                 pickle.loads(pickle.dumps(loaded()))):
+        assert twin == built and repr(twin) == repr(built) and twin.text == built.text
+    moved = dataclasses.replace(loaded(), number=7)
+    assert moved == dataclasses.replace(built, number=7) and moved.text == built.text
+    page = loaded()
+    with pytest.raises(FrozenInstanceError):
+        page.paragraphs = ()
+    with pytest.raises(FrozenInstanceError):
+        page.number = 2
+    with pytest.raises(AttributeError, match="'Page' object has no attribute 'paragraph'"):
+        page.paragraph
+    assert page == built
+
+
+@pytest.mark.parametrize("content, error", [
+    (b"\n \n", EmptyDocument),
+    (b"\xff broken\n", DecodeError),
+    (b"content\n", InvalidPageSize),
+], ids=["empty", "not-utf-8", "valid"])
+def test_load_corpus_reports_a_bad_file_before_a_bad_page_size(
+        tmp_path: Path, content: bytes, error: type) -> None:
+    path = tmp_path / "a.txt"
+    path.write_bytes(content)
+    with pytest.raises(error):
+        load_corpus(path, page_size=0)
+
