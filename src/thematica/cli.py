@@ -29,10 +29,11 @@ from .codebook import (
     match_codes,
     merge_codebooks,
 )
-from .corpus import FORMATS, content_hash, load_corpus
+from .corpus import FORMATS, content_hash, load_corpus, read_utf8
 from .errors import (
     AnalysisInterrupted,
     ConfigError,
+    DecodeError,
     EmptyCodebook,
     IncompleteArtifact,
     ThematicaError,
@@ -150,11 +151,14 @@ def _load_json_object(path: str | None, noun: str) -> dict | None:
     """The JSON object in the file at ``path``, or None without a path.
 
     ``noun`` names the file in the configuration error any failure becomes.
+    A leading UTF-8 byte-order mark is skipped, as in every other input.
     """
     if not path:
         return None
     try:
-        data = json.loads(Path(path).read_text(encoding="utf-8"))
+        data = json.loads(read_utf8(Path(path)))
+    except DecodeError as exc:
+        raise ConfigError(f"{noun} {exc}") from None
     except FileNotFoundError:
         raise ConfigError(f"{noun} not found: {path}") from None
     except OSError as exc:

@@ -271,10 +271,15 @@ def load_artifact(path: str | Path) -> AnalysisArtifact:
     for key, reply in data.get("raw_replies", {}).items():
         if not isinstance(reply, str):
             raise SchemaError(f"{path}: raw_replies[{key!r}] must be a string")
-    page_count = data.get("corpus", {}).get("page_count", 0)
+    corpus = data.get("corpus", {})
+    page_count = corpus.get("page_count", 0)
     if type(page_count) is not int or page_count < 0:
         raise SchemaError(f"{path}: corpus 'page_count' must be a non-negative integer, "
                           f"got {page_count!r}")
+    page_size = corpus.get("page_size")
+    if "page_size" in corpus and (type(page_size) is not int or page_size < 1):
+        raise SchemaError(f"{path}: corpus 'page_size' must be a positive integer, "
+                          f"got {page_size!r}")
     try:
         return AnalysisArtifact.from_dict(data, path=path)
     except KeyError as exc:
@@ -287,30 +292,40 @@ def _codebook_from_dict(data: dict) -> Codebook:
     return Codebook(
         coder_id=data["coder_id"],
         provenance=data["provenance"],
-        codes=tuple(
-            CodeRecord(
-                label=item["label"],
-                quote=item["quote"],
-                page=item["page"],
-                provenance=item.get("provenance", "llm"),
-                raw_span=tuple(item["raw_span"]) if item.get("raw_span") else None,
-                aliases=() if item.get("aliases", []) == [] else
-                _strings(item["aliases"], f"code {item['label']!r} aliases"),
-            )
-            for item in data["codes"]
-        ),
+        codes=tuple(map(_code_from_dict, data["codes"])),
         emerging_labels=None if data.get("emerging_labels") is None else
         () if data["emerging_labels"] == [] else _strings(data["emerging_labels"], "emerging_labels"),
-        themes=tuple(
-            ThemeRecord(
-                name=item["name"],
-                member_labels=_strings(item["member_labels"],
-                                       f"theme {item['name']!r} member_labels"),
-                description=item.get("description", ""),
-                interpretation=item.get("interpretation"),
-            )
-            for item in data.get("themes", ())
-        ),
+        themes=tuple(map(_theme_from_dict, data.get("themes", ()))),
+    )
+
+
+def _code_from_dict(item: dict) -> CodeRecord:
+    provenance = item.get("provenance", "llm")
+    if type(provenance) is not str:
+        raise ValueError(f"code {item['label']!r} provenance must be a string, got {provenance!r}")
+    return CodeRecord(
+        label=item["label"],
+        quote=item["quote"],
+        page=item["page"],
+        provenance=provenance,
+        raw_span=tuple(item["raw_span"]) if item.get("raw_span") else None,
+        aliases=() if item.get("aliases", []) == [] else
+        _strings(item["aliases"], f"code {item['label']!r} aliases"),
+    )
+
+
+def _theme_from_dict(item: dict) -> ThemeRecord:
+    description, interpretation = item.get("description", ""), item.get("interpretation")
+    if type(description) is not str:
+        raise ValueError(f"theme {item['name']!r} description must be a string, got {description!r}")
+    if interpretation is not None and type(interpretation) is not str:
+        raise ValueError(f"theme {item['name']!r} interpretation must be a string or null, "
+                         f"got {interpretation!r}")
+    return ThemeRecord(
+        name=item["name"],
+        member_labels=_strings(item["member_labels"], f"theme {item['name']!r} member_labels"),
+        description=description,
+        interpretation=interpretation,
     )
 
 

@@ -15,29 +15,31 @@ of the normalized cited page, and each of the m normalized quote characters
 is one round of big-int operations.  A quote costs m rounds over an n-bit
 int, not n rounds.  Each round reads the bit mask of its quote character
 (bit j set where the text holds that character).  A short text, such as
-the m + 2 characters a one-edit quote aligns over, builds every mask in one
-loop over its characters; a text of ``_MASK_LOOP_BELOW`` characters or more,
-such as a whole page, builds one mask per distinct quote character with one
-``str.translate`` and one ``int(…, 2)``, whose cost hardly grows with the
-text.  On a short text the loop costs less than those calls; on a page it
-costs more.
+the m + d characters before a best end that a reverse pass reads, builds
+every mask in one loop over its characters; a text of ``_MASK_LOOP_BELOW``
+characters or more, such as a whole page, builds one mask per distinct
+quote character with one ``str.translate`` and one ``int(…, 2)``, whose
+cost hardly grows with the text.  On a short text the loop costs less than
+those calls; on a page it costs more.
 
-A partition (pigeonhole) filter narrows those n bits first (Baeza-Yates &
+A partition (pigeonhole) filter runs before any row (Baeza-Yates &
 Navarro 1999, Algorithmica 23(2); Navarro 2001, ACM Comput. Surv. 33(1)):
 a window within k edits of the quote holds one of k + 1 pieces of the quote
-unchanged.  The rounds first run over the span that the first and last
-occurrences of the quote's two halves allow, found by ``str.find`` and
-``str.rfind``; a best distance of 0 or 1 there is the page's.  A larger
-best there is only an upper bound, so the rounds then run over the whole
-page.  A quote with one edit so aligns over about m + 2 characters, not the
-page; one with no intact half runs over the whole page once, as before; and
-one whose best window is more than one edit away, but which keeps a half
-intact, pays the short pass on top of the full one.
+unchanged.  The first and last occurrences of the quote's two halves, found
+by ``str.find`` and ``str.rfind``, bound a span holding every window within
+one edit.  When every occurrence agrees on one placement, the span is at
+most m + 2 characters wide and holds at most nine windows of m - 1 to m + 1
+characters; at k = 1 the filter's verification is then a string comparison
+of each with the quote, not an alignment.  Rows run over the whole page
+only for a wider span (a half at several placements), for a quote with no
+window within one edit, or when no half occurs.
 
 The matched window's start is recovered only when the similarity reaches
-the threshold, by reverse global passes of the same kernel over at most
-m + d characters before each best end (d the distance).  Ties resolve to
-the lowest distance, then the leftmost start, then the leftmost end.
+the threshold.  At distance d of 0 or 1, the windows ending at each best
+end are compared with the quote, longest first; at d > 1, reverse global
+passes of the same kernel run over at most m + d characters before each
+best end.  Ties resolve to the lowest distance, then the leftmost start,
+then the leftmost end.
 
 The "found on page k" scan and the per-sentence diagnostics only need the
 Exact and Normalized levels, so they check substrings and never align.  A
@@ -195,49 +197,91 @@ def _halves_span(pattern: str, text: str) -> tuple[int, int] | None:
     return max(0, lowest), min(len(text), highest)
 
 
+def _edits_within_one(pattern: str, window: str) -> int:
+    """The edit distance between pattern and window if it is 0 or 1, else 2.
+
+    The common prefix's length k is found by halving slice comparisons; the
+    first difference is then a substitution, an insertion or a deletion at
+    k exactly when the rest after it compares equal.
+    """
+    m, n = len(pattern), len(window)
+    if abs(m - n) > 1:
+        return 2
+    k, hi = 0, min(m, n)
+    if pattern[:1] != window[:1]:
+        hi = 0  # most windows of a span differ from the first character
+    while k < hi:
+        mid = (k + hi + 1) // 2
+        if pattern[:mid] == window[:mid]:
+            k = mid
+        else:
+            hi = mid - 1
+    if k == m == n:
+        return 0
+    # Past the first difference, a substitution skips one character of
+    # each, a deletion one of the pattern, an insertion one of the window.
+    return 1 if pattern[k + (m >= n):] == window[k + (n >= m):] else 2
+
+
 def _best_ends(pattern: str, text: str) -> tuple[int, list[int]]:
     """Lowest edit distance from pattern to any window of text.
 
     Returns the distance and, ascending, every end j such that some window
     text[s:j] reaches it (j = 0, the empty window, counts at distance m).
 
-    The row first runs over :func:`_halves_span`.  A best distance b <= 1
-    there is the page's, and so is every end at it.  When b > 1, no half
-    occurs, or the pattern is shorter than 2, the row runs over the whole
-    text.
+    When :func:`_halves_span` is at most m + 2 characters wide (the halves
+    agree on one placement, or on two that an end of the text cuts short),
+    it holds at most nine windows of m - 1 to m + 1 characters.  Each is
+    compared with the pattern directly (:func:`_edits_within_one`); if one
+    is within one edit, that distance and every end reaching it are the
+    page's, and no row runs.  A wider span, a short span with no window
+    within one edit, no half, or a pattern shorter than 2 runs the row over
+    the whole text.
     """
-    span = _halves_span(pattern, text) if len(pattern) > 1 else None
-    lo = 0
-    if span is not None:
+    m = len(pattern)
+    span = _halves_span(pattern, text) if m > 1 else None
+    if span is not None and span[1] - span[0] <= m + 2:
         lo, hi = span
-        row = _bottom_row(pattern, text[lo:hi], global_mode=False)
-        best = min(row)
-    if span is None or best > 1:
-        lo = 0
-        row = _bottom_row(pattern, text, global_mode=False)
-        best = min(row)
+        ends_at: list[set[int]] = [set(), set()]  # at distance 0, 1
+        for length in (m - 1, m, m + 1):
+            for start in range(lo, hi - length + 1):
+                distance = _edits_within_one(pattern, text[start:start + length])
+                if distance < 2:
+                    ends_at[distance].add(start + length)
+        for best in (0, 1):
+            if ends_at[best]:
+                return best, sorted(ends_at[best])
+    row = _bottom_row(pattern, text, global_mode=False)
+    best = min(row)
     ends = [row.index(best)]
     for _ in range(row.count(best) - 1):
         ends.append(row.index(best, ends[-1] + 1))
-    return best, [lo + end for end in ends]
+    return best, ends
 
 
 def _leftmost_window(pattern: str, text: str, distance: int, ends: list[int]) -> tuple[int, int]:
     """The leftmost-starting window at ``distance``, then the leftmost end.
 
     ``distance`` and ``ends`` come from :func:`_best_ends`.  A window at
-    distance d is at most m + d characters long, so for each end a reverse
-    global pass over that many characters finds its lowest start: the
-    longest suffix of text[:end] whose distance to the pattern is d.
+    distance d is m - d to m + d characters long.  At d <= 1 each end's
+    windows are compared with the pattern directly, longest first; at d > 1
+    a reverse global pass over the m + d characters before each end finds
+    its lowest start: the longest suffix of text[:end] whose distance to the
+    pattern is d.
     """
+    m = len(pattern)
     reversed_pattern = pattern[::-1]
     best_start, best_end = len(text) + 1, 0
     for end in ends:
-        lowest = max(0, end - len(pattern) - distance)
+        lowest = max(0, end - m - distance)
         if lowest >= best_start:
             break  # ends ascend, so no later window can start further left
-        row = _bottom_row(reversed_pattern, text[lowest:end][::-1], global_mode=True)
-        longest = len(row) - 1 - row[::-1].index(distance)
+        if distance <= 1:
+            longest = next(length for length in range(end - lowest, m - distance - 1, -1)
+                           if _edits_within_one(pattern, text[end - length:end]) == distance)
+        else:
+            row = _bottom_row(reversed_pattern, text[lowest:end][::-1], global_mode=True)
+            longest = len(row) - 1 - row[::-1].index(distance)
         if end - longest < best_start:
             best_start, best_end = end - longest, end
     return best_start, best_end

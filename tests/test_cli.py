@@ -681,7 +681,14 @@ def test_hand_edited_artifact_with_a_json_error_is_a_clean_error(
      "Migration' member_labels must be a list of strings, got 'abc'"),
     ("themes", "member_labels", ["Curiosity", 7], "theme 'Personal and Professional "
      "Motivations for Migration' member_labels must be a list of strings, got ['Curiosity', 7]"),
-], ids=["score", "page", "page-true", "label", "quote-null", "members-string", "member-number"])
+    ("codes", "provenance", ["x"], "code 'Academic Background of Researcher' provenance must "
+     "be a string, got ['x']"),
+    ("themes", "description", {"a": 1}, "theme 'Personal and Professional Motivations for "
+     "Migration' description must be a string, got {'a': 1}"),
+    ("themes", "interpretation", 5, "theme 'Personal and Professional Motivations for "
+     "Migration' interpretation must be a string or null, got 5"),
+], ids=["score", "page", "page-true", "label", "quote-null", "members-string", "member-number",
+        "provenance-list", "description-object", "interpretation-number"])
 def test_a_hand_edited_value_of_the_wrong_type_is_one_line_naming_its_field(
         analyzed_workspace: Path, tmp_path: Path, monkeypatch: pytest.MonkeyPatch, capsys,
         section: str, field: str, value: object, message: str) -> None:
@@ -922,6 +929,63 @@ def test_a_cache_write_cut_by_a_full_disk_names_the_cache_and_a_rerun_resumes(
     for name in ("analysis.json", "response_cache.json"):
         assert ((sample_workspace / "out" / name).read_bytes()
                 == (clean / "out" / name).read_bytes()), name
+
+
+def test_a_config_with_a_byte_order_mark_analyzes_as_without_one(
+        analyzed_workspace: Path, sample_workspace: Path, monkeypatch: pytest.MonkeyPatch,
+        capsys) -> None:
+    monkeypatch.chdir(sample_workspace)
+    Path("bom.json").write_bytes(b"\xef\xbb\xbf" + Path("run_config.json").read_bytes())
+    assert main(["--config", "bom.json", "analyze"]) == 0
+    assert "analysis complete: 59 codes" in capsys.readouterr().out
+    assert ((sample_workspace / "out" / "analysis.json").read_bytes()
+            == (analyzed_workspace / "out" / "analysis.json").read_bytes())
+
+
+def test_a_paper_reference_with_a_byte_order_mark_gives_the_same_notes(
+        analyzed_workspace: Path, tmp_path: Path, monkeypatch: pytest.MonkeyPatch,
+        capsys) -> None:
+    workspace = copy_workspace(analyzed_workspace, tmp_path / "workspace")
+    monkeypatch.chdir(workspace)
+    Path("bom_reference.json").write_bytes(
+        b"\xef\xbb\xbf" + Path("paper_reference.json").read_bytes())
+    outputs = []
+    for reference in ("paper_reference.json", "bom_reference.json"):
+        assert main(["--config", "run_config.json", "compare", "--human", "coder1.csv",
+                     "--human", "coder2.csv", "--paper-reference", reference]) == 0
+        outputs.append(capsys.readouterr().out)
+    assert outputs[1] == outputs[0]
+    assert "note: table1.merged_codes: computed 104 differs from the reference value 106" \
+        in outputs[1]
+
+
+def test_a_config_that_is_not_utf_8_is_one_configuration_error_naming_it(
+        tmp_path: Path, monkeypatch: pytest.MonkeyPatch, capsys) -> None:
+    monkeypatch.chdir(tmp_path)
+    Path("latin.json").write_bytes('{"focus_description": "caf\xe9"}'.encode("latin-1"))
+    assert main(["--config", "latin.json", "analyze"]) == 1
+    captured = capsys.readouterr()
+    assert captured.err.startswith("configuration error: config file latin.json is not valid "
+                                   "UTF-8: 'utf-8' codec can't decode byte 0xe9")
+    assert captured.err.count("\n") == 1
+    assert captured.out == ""
+
+
+@pytest.mark.parametrize("page_size", ["10", True, 0, 10.0, None])
+def test_a_page_size_that_is_not_a_positive_int_is_one_line_naming_it(
+        analyzed_workspace: Path, tmp_path: Path, monkeypatch: pytest.MonkeyPatch, capsys,
+        page_size: object) -> None:
+    workspace = copy_workspace(analyzed_workspace, tmp_path / "edited")
+    artifact_path = workspace / "out" / "analysis.json"
+    data = json.loads(artifact_path.read_text(encoding="utf-8"))
+    data["corpus"]["page_size"] = page_size
+    artifact_path.write_text(json.dumps(data), encoding="utf-8")
+    monkeypatch.chdir(workspace)
+    assert main(["--config", "run_config.json", "verify"]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == ("error: out/analysis.json: corpus 'page_size' must be a "
+                            f"positive integer, got {page_size!r}\n")
 
 
 def test_unknown_config_key_is_a_configuration_error(

@@ -410,6 +410,15 @@ def artifact_data(draw) -> dict:
 @settings(max_examples=200, deadline=None)
 @given(artifact_data())
 def test_written_artifact_matches_the_reference_serializer(data: dict) -> None:
+    book = data.get("llm_codebook") or {}
+    wrong = [field for field, items in (("provenance", book.get("codes", [])),
+                                        ("description", book.get("themes", [])))
+             if any(type(item.get(field, "")) is not str for item in items)]
+    if wrong:
+        # load_artifact reports this ValueError as a SchemaError.
+        with pytest.raises(ValueError, match=f"{wrong[0]} must be a string"):
+            AnalysisArtifact.from_dict(data)
+        return
     artifact = AnalysisArtifact.from_dict(data)
     assert artifact.to_json() == reference_json(artifact)
 

@@ -541,6 +541,42 @@ def test_piece_filter_gives_the_full_page_distance_and_ends() -> None:
     assert _best_ends(pattern, text) == (2, [3 + len(two_edits)])
 
 
+@st.composite
+def _cut_and_edited(draw) -> tuple[str, str]:
+    """A text and a pattern cut from it, then edited up to twice.
+
+    Small alphabets and repeated units put a half at several placements and
+    tie ends; "ß", "İ" and "ﬁ" casefold to two characters each.
+    """
+    alphabet = draw(st.sampled_from(("ab", "abc", "ab ", "abcdefgh", "aßﬁİ s")))
+    if draw(st.booleans()):
+        text = draw(st.text(alphabet, min_size=1, max_size=4)) * draw(st.integers(1, 12))
+    else:
+        text = draw(st.text(alphabet, min_size=1, max_size=40))
+    if "ß" in alphabet:
+        text = normalize_for_match(text) or "ss"
+    start = draw(st.integers(0, len(text) - 1))
+    chars = list(text[start:start + draw(st.integers(1, 12))])
+    for _ in range(draw(st.integers(0, 2))):
+        position = draw(st.integers(0, len(chars)))
+        kind = draw(st.sampled_from(("insert", "substitute", "delete")))
+        if kind == "insert" or position == len(chars):
+            chars.insert(position, draw(st.sampled_from(alphabet)))
+        elif kind == "substitute":
+            chars[position] = draw(st.sampled_from(alphabet))
+        else:
+            del chars[position]
+    return "".join(chars), text
+
+
+@settings(max_examples=400, deadline=None)
+@given(data=_cut_and_edited())
+def test_comparison_and_rows_place_a_quote_as_the_column_wise_reference(
+        data: tuple[str, str]) -> None:
+    pattern, text = data
+    assert_kernel_equals_reference(pattern, text)
+
+
 def test_piece_filter_aligns_a_one_edit_quote_only_around_its_intact_half(
         monkeypatch: pytest.MonkeyPatch) -> None:
     page = normalize_for_match(" ".join(PAGE_ONE + PAGE_TWO))
@@ -556,25 +592,45 @@ def test_piece_filter_aligns_a_one_edit_quote_only_around_its_intact_half(
     m = len(quote)
     one_edit = [quote[:position] + edit + quote[position + 1:]
                 for position in (4, m // 2 + 4) for edit in ("#", "", "#" + quote[position])]
+    # The intact half occurs once, so its span is about m + 2 characters
+    # wide and comparison settles the quote without a row.
     for pattern in one_edit:
         lengths.clear()
         result = _best_ends(pattern, page)
         assert result == reference_best_ends(pattern, page)
         assert result[0] == 1
-        assert len(lengths) == 1 and lengths[0] <= len(pattern) + 2, pattern
+        assert lengths == [], pattern
     # An edit in each half leaves no half intact: one row over the whole page.
     no_intact_half = "#" + quote[1:-1] + "#"
     lengths.clear()
     assert _best_ends(no_intact_half, page) == reference_best_ends(no_intact_half, page)
     assert lengths == [len(page)]
-    # Two edits in the second half: the first half's short row reads 2, an
-    # upper bound only, so the whole page follows once.
+    # Two edits in the second half: no window of the first half's span is
+    # within one edit, so the whole page follows once, and only it.
     two_edits_in_one_half = quote[:-4] + "#" + quote[-3] + "#" + quote[-1]
     lengths.clear()
     result = _best_ends(two_edits_in_one_half, page)
     assert result == reference_best_ends(two_edits_in_one_half, page)
     assert result[0] == 2
-    assert len(lengths) == 2 and lengths[0] <= m + 2 and lengths[1] == len(page)
+    assert lengths == [len(page)]
+    # The leftmost window of a one-edit quote is found by comparison too.
+    for pattern in one_edit:
+        distance, ends = _best_ends(pattern, page)
+        lengths.clear()
+        assert _leftmost_window(pattern, page, distance, ends) == \
+            reference_leftmost_window(pattern, page, distance, ends)
+        assert lengths == []
+    # With the first half also just before the quote, the halves give two
+    # placements and a span wider than m + 2, which the whole-page row
+    # settles.
+    half = m // 2
+    echo_page = page.replace(quote, quote[:half] + " " + quote)
+    pattern = quote[:half + 4] + "#" + quote[half + 5:]
+    lo, hi = _halves_span(pattern, echo_page)
+    assert hi - lo == m + 2 + half + 1
+    result = _best_ends(pattern, echo_page)
+    assert result == reference_best_ends(pattern, echo_page)
+    assert result[0] == 1
 
 
 def test_aligner_runs_once_per_quote_and_pages_normalize_at_most_once(
