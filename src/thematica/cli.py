@@ -406,7 +406,10 @@ class _Parser(argparse.ArgumentParser):
         self.exit(EXIT_ERROR, f"{self.prog}: error: {message}\n")
 
 
-def _build_parser() -> argparse.ArgumentParser:
+def _build_parser(tokens: list[str]) -> argparse.ArgumentParser:
+    """The command-line parser.  A subcommand gets its options only when its
+    name is one of ``tokens``, the command line: building every option costs
+    more than parsing one command line."""
     parser = _Parser(
         prog="thematica",
         description="Stepwise thematic analysis of interview transcripts with "
@@ -419,53 +422,56 @@ def _build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     analyze = sub.add_parser("analyze", help="run the full analysis over a transcript")
-    analyze.add_argument("--input", help="transcript file (.docx or plain text)")
-    analyze.add_argument("--format", choices=FORMATS)
-    analyze.add_argument("--page-size", type=int, dest="page_size",
-                         help="paragraphs per page (default 10)")
-    analyze.add_argument("--focus", dest="focus_description",
-                         help="what the coding should focus on")
-    analyze.add_argument("--research-question", dest="research_question")
-    analyze.add_argument("--model-id")
-    analyze.add_argument("--temperature", type=float)
-    analyze.add_argument("--max-tokens", type=int)
-    analyze.add_argument("--endpoint-url")
-    analyze.add_argument("--timeout", type=float)
-    analyze.add_argument("--parallelism", type=int)
-    analyze.add_argument("--trace-threshold", type=float, dest="trace_threshold")
-    analyze.add_argument("--template-dir", dest="template_dir")
-    analyze.add_argument("--paper-reference", dest="paper_reference",
-                         help="JSON file of expected values for discrepancy footnotes")
-    transport = analyze.add_mutually_exclusive_group()
-    transport.add_argument("--replay", metavar="FIXTURE", help="replay a recorded session")
-    transport.add_argument("--record", metavar="FIXTURE", help="send live, record to FIXTURE")
-    transport.add_argument("--live", action="store_true", help="send live requests")
-
-    compare_p = sub.add_parser("compare", help="compare the artifact against human codebooks")
-    compare_p.add_argument("--artifact")
-    compare_p.add_argument("--human", action="append", default=[],
-                           help="human codebook CSV (repeat for two coders)")
-    compare_p.add_argument("--interpretations", action="append", default=[],
-                           help="interpretation sidecar for the matching --human (positional)")
-    compare_p.add_argument("--matcher", choices=list(MATCHER_MODES))
-    compare_p.add_argument("--alias-map", dest="alias_map")
-    compare_p.add_argument("--jaccard-threshold", type=float, dest="jaccard_threshold")
-    compare_p.add_argument("--paper-reference", dest="paper_reference")
-
+    compare = sub.add_parser("compare", help="compare the artifact against human codebooks")
     verify = sub.add_parser("verify", help="re-check quote traceability of an artifact")
-    verify.add_argument("--artifact")
-    verify.add_argument("--input", help="the corpus the artifact was built from")
-    verify.add_argument("--format", choices=FORMATS)
-
     report = sub.add_parser("report", help="regenerate reports from an artifact")
-    report.add_argument("--artifact")
-    report.add_argument("--paper-reference", dest="paper_reference")
+    if "analyze" in tokens:
+        analyze.add_argument("--input", help="transcript file (.docx or plain text)")
+        analyze.add_argument("--format", choices=FORMATS)
+        analyze.add_argument("--page-size", type=int, dest="page_size",
+                             help="paragraphs per page (default 10)")
+        analyze.add_argument("--focus", dest="focus_description",
+                             help="what the coding should focus on")
+        analyze.add_argument("--research-question", dest="research_question")
+        analyze.add_argument("--model-id")
+        analyze.add_argument("--temperature", type=float)
+        analyze.add_argument("--max-tokens", type=int)
+        analyze.add_argument("--endpoint-url")
+        analyze.add_argument("--timeout", type=float)
+        analyze.add_argument("--parallelism", type=int)
+        analyze.add_argument("--trace-threshold", type=float, dest="trace_threshold")
+        analyze.add_argument("--template-dir", dest="template_dir")
+        analyze.add_argument("--paper-reference", dest="paper_reference",
+                             help="JSON file of expected values for discrepancy footnotes")
+        transport = analyze.add_mutually_exclusive_group()
+        transport.add_argument("--replay", metavar="FIXTURE", help="replay a recorded session")
+        transport.add_argument("--record", metavar="FIXTURE",
+                               help="send live, record to FIXTURE")
+        transport.add_argument("--live", action="store_true", help="send live requests")
+    if "compare" in tokens:
+        compare.add_argument("--artifact")
+        compare.add_argument("--human", action="append", default=[],
+                             help="human codebook CSV (repeat for two coders)")
+        compare.add_argument("--interpretations", action="append", default=[],
+                             help="interpretation sidecar for the matching --human (positional)")
+        compare.add_argument("--matcher", choices=list(MATCHER_MODES))
+        compare.add_argument("--alias-map", dest="alias_map")
+        compare.add_argument("--jaccard-threshold", type=float, dest="jaccard_threshold")
+        compare.add_argument("--paper-reference", dest="paper_reference")
+    if "verify" in tokens:
+        verify.add_argument("--artifact")
+        verify.add_argument("--input", help="the corpus the artifact was built from")
+        verify.add_argument("--format", choices=FORMATS)
+    if "report" in tokens:
+        report.add_argument("--artifact")
+        report.add_argument("--paper-reference", dest="paper_reference")
     return parser
 
 
 def main(argv: list[str] | None = None) -> int:
-    parser = _build_parser()
-    args = parser.parse_args(argv)
+    tokens = sys.argv[1:] if argv is None else argv
+    parser = _build_parser(tokens)
+    args = parser.parse_args(tokens)
     logging.basicConfig(format="%(levelname)s %(name)s: %(message)s")
 
     try:

@@ -7,23 +7,28 @@ The extraction step yields code lists in (at least) three dialects:
   ``- Supporting Sentence: "quote"`` and ``- Page: Page N`` lines
 * D3, a numbered label line followed by ``- "quote"`` and ``- Page N`` lines
 
-:func:`parse_code_block` reads them in one loop that classifies each line
-with one compiled grammar, built from the line patterns below: blank,
-boilerplate, list delimiter, ``Emerging Code:``, numbered or dash, the first
-that matches.  An ``Emerging Code:`` or numbered line starts an entry, which
-dash lines fill; a D1 line is complete.
+Each reply kind has one grammar: a compiled pattern whose alternatives are
+the kinds of its lines, tried in order.  Each line is classified by one match
+against it; the alternative that matched names the line's kind, and its groups
+hold what the parser reads, so no line is matched again.  A code reply's kinds
+are blank, boilerplate, list delimiter, a whole D1 code (label, quote and cited
+page), the label line that opens a D2 or D3 entry, and the dash lines that fill
+the entry: its quote, its page, or an unrecognized attribute.
 
 The theme step yields ``### Theme K: Name`` blocks with member bullets and a
 ``**Description**:`` paragraph; the interpretation step yields prose sections
-under ``Theme K: Name`` headings.  Both share one heading grammar, split by
-one function: ``#`` and ``**`` decorations are optional, prompt-cue echoes
-before the first heading are skipped, and other lines there are preamble,
-reported in one warning.  All parsers are tolerant: malformed entries and
-unrecognized lines become warnings, never failures.  A code that
-:class:`CodeRecord` rejects (an empty or overlong label, page 0), or a theme
-that :class:`ThemeRecord` rejects (a name that normalizes to nothing), is
-such an entry: it is excluded with an ``invalid_code`` or ``invalid_theme``
-warning that gives the reason.
+under ``Theme K: Name`` headings.  One function splits both on their headers,
+classifying each line by the theme grammar (header, blank, boilerplate,
+description, dash); the interpretation parser reads only the headers.  ``#``
+and ``**`` decorations are optional, prompt-cue echoes before the first
+heading are skipped, and other lines there are preamble, reported in one
+warning.
+
+All parsers are tolerant: malformed entries and unrecognized lines become
+warnings, never failures.  A code that :class:`CodeRecord` rejects (an empty
+or overlong label, page 0), or a theme that :class:`ThemeRecord` rejects (a
+name that normalizes to nothing), is such an entry: it is excluded with an
+``invalid_code`` or ``invalid_theme`` warning that gives the reason.
 """
 
 from __future__ import annotations
@@ -46,37 +51,44 @@ _BOILERPLATE = re.compile(
 )
 
 _NUMBERED = re.compile(r"^\s*(\d+)[.)]\s+(?P<rest>\S.*)$")
-_D2_START = re.compile(r"^\s*Emerging Code\s*:\s*(?P<rest>\S.*)$", re.IGNORECASE)
 _DASH = re.compile(r"^\s*-\s+(?P<rest>\S.*)$")
-_SUPPORTING = re.compile(r"^Supporting Sentence\s*:\s*(?P<rest>.*)$", re.IGNORECASE)
-_PAGE_VALUE = re.compile(r"page\s*:?\s*(?:page\s+)?(\d+)", re.IGNORECASE)
-_PAGE_LINE = re.compile(r"^\s*Page\b", re.IGNORECASE)
-_THEME_HEADER = re.compile(
-    r"^\s*(?:#{1,6}\s*)?(?:\*{2,3}\s*)?Theme\s+(?P<number>\d+)\s*:\s*(?P<name>.+?)\s*(?:\*{2,3})?\s*:?\s*$",
-    re.IGNORECASE,
-)
-_DESCRIPTION = re.compile(r"^\s*(?:\*\*)?Description(?:\*\*)?\s*:\s*(?P<rest>.*)$", re.IGNORECASE)
+_QUOTE_CHARS = "\"“”"
+_PAGE_CITED = r"page\s*:?\s*(?:page\s+)?(?P<{}>\d+)"  # a cited page; format() names its group
 
 
-def _line_grammar(**alternatives: re.Pattern) -> re.Pattern:
-    """One pattern trying ``alternatives`` in order, each named by its keyword.
+def _line_grammar(**alternatives: str) -> re.Pattern:
+    """One pattern trying the ``alternatives`` sources in order, each named by
+    its keyword.
 
-    A pattern's ``rest`` group takes its name; a pattern without one is
+    A source's ``rest`` group takes its name; a source without one is
     wrapped in a group of that name.  Either way the named group closes
     last, so ``lastgroup`` of a match names the alternative that matched.
     """
-    sources = [pattern.pattern.replace("(?P<rest>", f"(?P<{name}>")
-               if "(?P<rest>" in pattern.pattern else f"(?P<{name}>{pattern.pattern})"
-               for name, pattern in alternatives.items()]
-    return re.compile("|".join(sources), re.IGNORECASE)
+    return re.compile("|".join(
+        source.replace("(?P<rest>", f"(?P<{name}>") if "(?P<rest>" in source
+        else f"(?P<{name}>{source})" for name, source in alternatives.items()), re.IGNORECASE)
 
 
 # A code reply's line kinds, first match wins; no match is an unrecognized line.
-_CODE_LINE = _line_grammar(blank=re.compile(r"\s*$"), boilerplate=_BOILERPLATE,
-                           delimiter=LIST_DELIMITER, d2=_D2_START, numbered=_NUMBERED,
-                           dash=_DASH)
+# ``code`` is a whole D1 entry: its quote runs from the first to the last quote
+# character after the number, and its page is the first one cited after that.
+# ``entry`` opens a D2 or D3 entry, which ``quote``, ``page`` and ``dash`` lines
+# fill; a ``page`` line names the first page it cites.
+_CODE_LINE = _line_grammar(
+    blank=r"\s*$", boilerplate=_BOILERPLATE.pattern, delimiter=LIST_DELIMITER.pattern,
+    code=rf"^\s*\d+[.)]\s+(?P<label>[^{_QUOTE_CHARS}]*)[{_QUOTE_CHARS}](?P<said>.*)"
+         rf"[{_QUOTE_CHARS}](?:.*?{_PAGE_CITED.format('cited')})?.*$",
+    entry=r"^\s*(?:Emerging Code\s*:\s*|\d+[.)]\s+)(?P<rest>\S.*)$",
+    quote=rf"^\s*-\s+(?:Supporting Sentence\s*:\s*|(?=[{_QUOTE_CHARS}]))(?P<rest>.*)$",
+    page=rf"^\s*-\s+(?=page\b).*?{_PAGE_CITED.format('rest')}.*$",
+    dash=_DASH.pattern)
 
-_QUOTE_CHARS = "\"“”"
+# A theme or interpretation reply's line kinds, first match wins.
+_THEME_LINE = _line_grammar(
+    header=r"^\s*(?:#{1,6}\s*)?(?:\*{2,3}\s*)?Theme\s+(?P<number>\d+)\s*:\s*(?P<rest>.+?)\s*"
+           r"(?:\*{2,3})?\s*:?\s*$",
+    blank=r"\s*$", boilerplate=_BOILERPLATE.pattern,
+    description=r"^\s*(?:\*\*)?Description(?:\*\*)?\s*:\s*(?P<rest>.*)$", dash=_DASH.pattern)
 
 MAX_LABEL_LENGTH = 200  # of a code label; compare matches human theme names as labels too
 
@@ -158,19 +170,6 @@ class ParseReport:
     has_code_list: bool = False
 
 
-@dataclass
-class _OpenCode:
-    label: str
-    start_line: int
-    last_line: int
-    quote: str = ""
-    page: int | None = None
-
-
-def _is_boilerplate(line: str) -> bool:
-    return _BOILERPLATE.match(line) is not None
-
-
 def _strip_quote_pair(text: str) -> str:
     text = text.strip()
     if len(text) >= 2 and text[0] in _QUOTE_CHARS and text[-1] in _QUOTE_CHARS:
@@ -178,16 +177,25 @@ def _strip_quote_pair(text: str) -> str:
     return text
 
 
-def _find_quoted_segment(text: str) -> tuple[int, int] | None:
-    """Index range [start, end) spanning the first through last quote char."""
-    starts = [i for i in map(text.find, _QUOTE_CHARS) if i >= 0]
-    if not starts:
-        return None
-    first = min(starts)
-    last = max(map(text.rfind, _QUOTE_CHARS))
-    if last == first:
-        return None
-    return first, last + 1
+def _close_code(records: list[CodeRecord], warnings: list[ParseWarning], expected_page: int,
+                label: str, quote: str, page: int | None, start: int, last: int) -> None:
+    """Add the code of lines ``start`` to ``last`` to ``records``, or say in
+    ``warnings`` why it is excluded."""
+    if not quote.strip():
+        warnings.append(ParseWarning(start, "missing_quote",
+                                     f"code {label!r} has no supporting sentence; excluded"))
+        return
+    label = normalize_label(label)
+    try:
+        record = CodeRecord(label, quote, expected_page if page is None else page,
+                            raw_span=(start, last))
+    except ValueError as exc:
+        warnings.append(ParseWarning(start, "invalid_code", f"{exc}; excluded"))
+        return
+    if page is None:
+        warnings.append(ParseWarning(start, "missing_page",
+                                     f"code {label!r} cites no page; assuming page {expected_page}"))
+    records.append(record)
 
 
 def parse_code_block(reply: str, expected_page: int) -> ParseReport:
@@ -206,71 +214,43 @@ def parse_code_block(reply: str, expected_page: int) -> ParseReport:
 
     records: list[CodeRecord] = []
     warnings: list[ParseWarning] = []
-
-    def finish(entry: _OpenCode) -> None:
-        if not entry.quote.strip():
-            warnings.append(ParseWarning(entry.start_line, "missing_quote",
-                                         f"code {entry.label!r} has no supporting sentence; excluded"))
-            return
-        label = normalize_label(entry.label)
-        try:
-            record = CodeRecord(label=label, quote=entry.quote,
-                                page=expected_page if entry.page is None else entry.page,
-                                raw_span=(entry.start_line, entry.last_line))
-        except ValueError as exc:
-            warnings.append(ParseWarning(entry.start_line, "invalid_code", f"{exc}; excluded"))
-            return
-        if entry.page is None:
-            warnings.append(ParseWarning(entry.start_line, "missing_page",
-                                         f"code {label!r} cites no page; assuming page {expected_page}"))
-        records.append(record)
-
-    entry: _OpenCode | None = None
+    # The open entry: its label (None when no entry is open), first and last
+    # line, quote and page.
+    label, start, last, quote, page = None, 0, 0, "", None
     found = has_code_list = False
     for lineno, line in enumerate(reply.splitlines(), start=1):
         match = _CODE_LINE.match(line)
-        kind = match.lastgroup if match else None
-        if kind in ("blank", "boilerplate"):
+        kind = match and match.lastgroup
+        if kind == "blank" or kind == "boilerplate":
             continue
         if kind == "delimiter":
             has_code_list = True
             break
-
-        if kind in ("d2", "numbered"):
-            if entry is not None:
-                finish(entry)
+        if kind == "code" or kind == "entry":
+            if label is not None:
+                _close_code(records, warnings, expected_page, label, quote, page, start, last)
             found = True
-            rest = match.group(kind)
-            segment = _find_quoted_segment(rest) if kind == "numbered" else None
-            if segment is None:
-                entry = _OpenCode(label=rest, start_line=lineno, last_line=lineno)
-            else:  # D1: label, quote and page on this one line
-                start, end = segment
-                page = _PAGE_VALUE.search(rest, end)
-                finish(_OpenCode(label=rest[:start].rstrip().removesuffix(":"), start_line=lineno,
-                                 last_line=lineno, quote=_strip_quote_pair(rest[start:end]),
-                                 page=int(page.group(1)) if page else None))
-                entry = None
-            continue
-
-        if kind == "dash" and entry is not None:
-            rest = match.group(kind)
-            entry.last_line = lineno
-            supporting = _SUPPORTING.match(rest)
-            if supporting:
-                entry.quote = _strip_quote_pair(supporting.group("rest"))
-            elif _PAGE_LINE.match(rest) and (page := _PAGE_VALUE.search(rest)):
-                entry.page = int(page.group(1))
-            elif rest[0] in _QUOTE_CHARS:  # a "Page" line never starts with a quote
-                entry.quote = _strip_quote_pair(rest)
+            if kind == "entry":
+                label, start, last, quote, page = match["entry"], lineno, lineno, "", None
+                continue
+            cited = match["cited"]
+            _close_code(records, warnings, expected_page,
+                        match["label"].rstrip().removesuffix(":"), match["said"],
+                        int(cited) if cited else None, lineno, lineno)
+            label = None
+        elif label is None or kind is None:
+            warnings.append(ParseWarning(lineno, "unrecognized_line", line.strip()))
+        else:
+            last = lineno
+            if kind == "quote":
+                quote = _strip_quote_pair(match["quote"])
+            elif kind == "page":
+                page = int(match["page"])
             else:
-                warnings.append(ParseWarning(lineno, "unrecognized_attribute", rest))
-            continue
+                warnings.append(ParseWarning(lineno, "unrecognized_attribute", match["dash"]))
 
-        warnings.append(ParseWarning(lineno, "unrecognized_line", line.strip()))
-
-    if entry is not None:
-        finish(entry)
+    if label is not None:
+        _close_code(records, warnings, expected_page, label, quote, page, start, last)
     if not found:
         if not has_code_list:
             raise NoRecordsFound("reply contained no recognizable code structure")
@@ -355,26 +335,28 @@ def render_theme_digest(themes: list[ThemeRecord] | tuple[ThemeRecord, ...]) -> 
 
 
 def _theme_sections(reply: str, heading: str) -> tuple[
-        list[tuple[int, int, str, list[tuple[int, str]]]], list[ParseWarning]]:
+        list[tuple[int, int, str, list[tuple[int, str, str | None, re.Match | None]]]],
+        list[ParseWarning]]:
     """Split a theme or interpretation reply on its ``Theme K: Name`` headers.
 
-    Returns the sections as (header line, number, normalized name, numbered
-    body lines) and at most one ``preamble`` warning for the prose before the
-    first header; prompt-cue echoes there are skipped.  ``heading`` names the
-    header in that warning.
+    Returns the sections as (header line, number, normalized name, body
+    lines) and at most one ``preamble`` warning for the prose before the
+    first header; prompt-cue echoes there are skipped.  A body line is its
+    number, its text, and its kind and match in :data:`_THEME_LINE`.
+    ``heading`` names the header in the warning.
     """
     if not reply.strip():
         raise NoRecordsFound("empty reply")
-    sections: list[tuple[int, int, str, list[tuple[int, str]]]] = []
+    sections: list[tuple[int, int, str, list]] = []
     prose: list[int] = []
     for lineno, line in enumerate(reply.splitlines(), start=1):
-        header = _THEME_HEADER.match(line)
-        if header:
-            sections.append((lineno, int(header.group("number")),
-                             normalize_label(header.group("name")), []))
+        match = _THEME_LINE.match(line)
+        kind = match and match.lastgroup
+        if kind == "header":
+            sections.append((lineno, int(match["number"]), normalize_label(match["header"]), []))
         elif sections:
-            sections[-1][3].append((lineno, line))
-        elif line.strip() and not _is_boilerplate(line):
+            sections[-1][3].append((lineno, line, kind, match))
+        elif kind != "blank" and kind != "boilerplate":
             prose.append(lineno)
     note = f"{len(prose)} line(s) before the first {heading} ignored"
     return sections, [ParseWarning(prose[0], "preamble", note)] if prose else []
@@ -396,30 +378,26 @@ def parse_theme_block(reply: str) -> ParseReport:
         members: list[str] = []
         description_parts: list[str] = []
         in_description = False
-        for lineno, line in body:
-            if not line.strip():
+        for lineno, line, kind, match in body:
+            if kind == "blank":
                 continue
             last_line = lineno
-            if _is_boilerplate(line):
+            if kind == "boilerplate":
                 continue
-            desc = _DESCRIPTION.match(line)
-            if desc:
+            if kind == "description":
                 in_description = True
-                description_parts.append(desc.group("rest").strip())
-                continue
-            bullet = _DASH.match(line)
-            if bullet:
+                description_parts.append(match["description"].strip())
+            elif kind == "dash":
                 in_description = False
-                member = normalize_label(bullet.group("rest"))
+                member = normalize_label(match["dash"])
                 if member:
                     members.append(member)
                 else:
                     warnings.append(ParseWarning(lineno, "empty_member", line.strip()))
-                continue
-            if in_description:
+            elif in_description:
                 description_parts.append(line.strip())
-                continue
-            warnings.append(ParseWarning(lineno, "unrecognized_line", line.strip()))
+            else:
+                warnings.append(ParseWarning(lineno, "unrecognized_line", line.strip()))
         try:
             record = ThemeRecord(name=name, member_labels=tuple(members),
                                  description=" ".join(filter(None, description_parts)),
@@ -454,7 +432,7 @@ def parse_interpretation_block(reply: str, themes: list[ThemeRecord] | tuple[The
     by_key = {label_key(theme.name): index for index, theme in enumerate(themes)}
     texts: dict[int, str] = {}
     for line, number, section_name, body in sections:
-        text = "\n".join(body_line for _, body_line in body).strip()
+        text = "\n".join(body_line for _, body_line, _, _ in body).strip()
         target = number - 1 if 1 <= number <= len(themes) else by_key.get(label_key(section_name))
         if target is None:
             warnings.append(ParseWarning(line, "unmatched_section",

@@ -526,12 +526,14 @@ def run_analysis(corpus: Corpus, focus: StudyFocus, config: ModelConfig, transpo
         parse_notes: list[str] = []
         list_reply: str | None = None
         for page in corpus.pages:
+            page_number = page.number
             reply = artifact.raw_replies[f"page_{page.number}"]
             report = parse_code_block(reply, expected_page=page.number)
             records.extend(report.records)
             parse_notes.extend(_notes(f"page {page.number}", report))
             if report.has_code_list:
                 list_reply = reply
+        page_number = None  # colliding labels are found across pages, not on one
 
         codebook = Codebook(coder_id="genai", provenance="llm", codes=tuple(records))
         regenerated = codebook.labels

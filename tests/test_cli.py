@@ -362,6 +362,23 @@ def test_a_nameless_theme_header_never_ends_in_a_traceback(
     assert artifact_path.read_bytes() == first
 
 
+@pytest.mark.parametrize("reply, stop", [
+    ("I cannot help with that.",
+     "consolidation at page 3: reply contained no recognizable code structure"),
+    ('1. **Family Support**: "we moved" - Page 3\n2. **Family support**: "we left" - Page 3',
+     "consolidation: labels 'Family Support' and 'Family support' collide after normalization"),
+], ids=["refusal", "duplicate"])
+def test_a_consolidation_stop_names_the_page_whose_reply_stopped_it(
+        sample_workspace: Path, monkeypatch: pytest.MonkeyPatch, capsys,
+        reply: str, stop: str) -> None:
+    # Colliding labels are found once every page is read, so they name no page.
+    monkeypatch.chdir(sample_workspace)
+    transport = ThemeReplyTransport({"page 3 code extraction": reply})
+    monkeypatch.setattr(thematica.cli, "_resolve_transport", lambda config: transport)
+    assert main(["--config", "run_config.json", "analyze"]) == 1
+    assert capsys.readouterr().err.splitlines()[0] == f"analysis interrupted during {stop}"
+
+
 @pytest.mark.parametrize("argv, message", [
     (["analyze", "--parallelism", "0"], "parallelism must be in 1..8, got 0"),
     (["analyze", "--temperature", "5"], "temperature must be in [0, 2], got 5.0"),
@@ -1036,6 +1053,29 @@ def test_config_file_errors_are_reported(
     (tmp_path / "list.json").write_text("[1, 2]", encoding="utf-8")
     assert main(["--config", "list.json", "analyze"]) == 1
     assert "must contain a JSON object" in capsys.readouterr().err
+
+
+def _exit_and_output(parse, argv: list[str], capsys) -> tuple[int, str, str]:
+    with pytest.raises(SystemExit) as done:
+        parse(argv)
+    return (done.value.code, *capsys.readouterr())
+
+
+COMMANDS = ["analyze", "compare", "verify", "report"]
+
+
+@pytest.mark.parametrize("argv", [
+    ["--help"], *([name, "--help"] for name in COMMANDS), [], ["bogus"], ["analyze", "--bogus"],
+    ["verify", "--replay", "x"], ["compare", "--matcher", "nope"], ["-h", "verify"],
+], ids=lambda argv: " ".join(argv) or "none")
+def test_the_parser_prints_what_the_parser_with_every_subcommand_prints(
+        argv: list[str], monkeypatch: pytest.MonkeyPatch, capsys) -> None:
+    # main builds only the options of the subcommands named on its command line.
+    monkeypatch.setenv("COLUMNS", "80")
+    printed = _exit_and_output(main, argv, capsys)
+    assert printed[0] in (0, 1) and printed[1:] != ("", "")
+    assert printed == _exit_and_output(thematica.cli._build_parser(COMMANDS).parse_args, argv,
+                                       capsys)
 
 
 def test_transport_flags_are_mutually_exclusive(sample_workspace: Path,

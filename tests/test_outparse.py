@@ -9,6 +9,8 @@ from dataclasses import FrozenInstanceError, dataclass, field, fields, replace
 from itertools import permutations
 
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from conftest import random_code_records, random_themes
 from thematica.errors import NoRecordsFound
@@ -19,17 +21,11 @@ from thematica.outparse import (
     ParseReport,
     ParseWarning,
     ThemeRecord,
-    _D2_START,
+    _BOILERPLATE,
+    _CODE_LINE,
     _DASH,
-    _DESCRIPTION,
     _NUMBERED,
-    _PAGE_LINE,
-    _PAGE_VALUE,
     _QUOTE_CHARS,
-    _SUPPORTING,
-    _THEME_HEADER,
-    _find_quoted_segment,
-    _is_boilerplate,
     _strip_quote_pair,
     parse_code_block,
     parse_emerging_code_list,
@@ -39,6 +35,35 @@ from thematica.outparse import (
     render_codes_digest,
     render_theme_digest,
 )
+
+# Line patterns and helpers that the parsers read before each reply kind had
+# one grammar; the reference parsers below still use them.
+_D2_START = re.compile(r"^\s*Emerging Code\s*:\s*(?P<rest>\S.*)$", re.IGNORECASE)
+_SUPPORTING = re.compile(r"^Supporting Sentence\s*:\s*(?P<rest>.*)$", re.IGNORECASE)
+_PAGE_VALUE = re.compile(r"page\s*:?\s*(?:page\s+)?(\d+)", re.IGNORECASE)
+_PAGE_LINE = re.compile(r"^\s*Page\b", re.IGNORECASE)
+_THEME_HEADER = re.compile(
+    r"^\s*(?:#{1,6}\s*)?(?:\*{2,3}\s*)?Theme\s+(?P<number>\d+)\s*:\s*(?P<name>.+?)\s*(?:\*{2,3})?\s*:?\s*$",
+    re.IGNORECASE,
+)
+_DESCRIPTION = re.compile(r"^\s*(?:\*\*)?Description(?:\*\*)?\s*:\s*(?P<rest>.*)$", re.IGNORECASE)
+
+
+def _is_boilerplate(line: str) -> bool:
+    return _BOILERPLATE.match(line) is not None
+
+
+def _find_quoted_segment(text: str) -> tuple[int, int] | None:
+    """Index range [start, end) spanning the first through last quote char."""
+    starts = [i for i in map(text.find, _QUOTE_CHARS) if i >= 0]
+    if not starts:
+        return None
+    first = min(starts)
+    last = max(map(text.rfind, _QUOTE_CHARS))
+    if last == first:
+        return None
+    return first, last + 1
+
 
 INLINE_WITH_CUE = """Emerging Codes with Supporting Sentences and Page Number:
 
@@ -557,6 +582,14 @@ def test_quoted_segment_agrees_with_the_character_scan_it_replaced() -> None:
         expected = _scan_quoted_segment(text)
         assert _find_quoted_segment(text) == expected, repr(text)
         spans += expected is not None
+        # The grammar reads a numbered line as a whole D1 code exactly when
+        # the scan finds a span after the number, and splits it there.
+        match = _CODE_LINE.match(f"1. x{text}")
+        assert (match.lastgroup == "code") == (expected is not None), repr(text)
+        if expected is not None:
+            first, end = expected
+            assert match["label"] == "x" + text[:first], repr(text)
+            assert match["said"] == text[first + 1:end - 1], repr(text)
     # Texts with no quote, one quote and a quoted span all occur.
     assert 500 < spans < 4500
 
@@ -1146,3 +1179,77 @@ def test_code_block_parses_as_the_line_by_line_parser_before_the_grammar() -> No
         outcomes["code list"] += expected[1]
         outcomes.update(warning.kind for warning in expected[2])
     assert min(outcomes.values()) > 100, outcomes
+
+
+# Lines at the edges of the grammars' alternatives, in other letter cases and
+# behind Unicode whitespace: the quote characters one, two or three at a time,
+# an empty label, a page cited after other words or before another page, a
+# supporting sentence without its colon.  A reply is a run of entries, each
+# an opening line and the attribute lines that may fill it; the lines that
+# open an entry or give it a quote are drawn more often, so that more entries
+# show their page.
+_EDGE_OPENERS = (
+    '{n}. **{words}**: {q}{words}{q} - Page {page}', '{n}) L{words}: {q}a{words} - Page {page}',
+    '{n}. **Label**: {q}a{q} b {q} - page: page {page}', '{n}. {q}{words}{q} - Page {page}',
+    '{n}. **Label**:{q}a{words}{q}{words}', '{n}. :{q}{q}',
+    '{n}. L{words}{q}a{q} Page {page}, page {n}',
+    *('Emerging Code:{sp}**L{words}**', '{n}.{sp}L{words}') * 3, 'Page {page}:',
+    '--- List of All Emerging Codes ---', '', '{sp}', '{words}',
+)
+_EDGE_ATTRIBUTES = (
+    *('-{sp}Supporting Sentence:{sp}{q}a{words}{q}', '-{sp}{q}a{words}{q}') * 3,
+    '-{sp}Supporting Sentence {q}a{words}{q}', '-{sp}Supporting Sentence{sp}:', '-{sp}{q}{words}',
+    '-{sp}{q}', '-{sp}Page: none', '-{sp}Page: none, see page {page}', '-{sp}Page: Page {page}',
+    '-{sp}page {page}{words}', *('-{sp}Page {page} or page {n}',) * 2, '-{sp}see page {page}',
+    '-{sp}Pages {page}', '-{sp}Page{words}', '-{sp}{words}', '', '{words}',
+)
+_EDGE_HEADERS = ('### Theme {n}: {words}', '**Theme {n}: L{words}**', 'Theme {n}:{sp}L{words}:')
+_EDGE_BODIES = (
+    '-{sp}**{words}**', '-{sp}{words}', '**Description**:{sp}{words}', 'Description{sp}:{words}',
+    'Generated Themes:', '', '{sp}', '{words}',
+)
+_SPACES = st.sampled_from(("", " ", "\t", "\u00a0", "\u2003", "\u3000", "\x1f"))
+_CASES = st.sampled_from((str, str.upper, str.lower, str.swapcase, str.title))
+
+
+@st.composite
+def _edge_line(draw, templates: tuple[str, ...]) -> str:
+    line = draw(st.sampled_from(templates)).format(
+        n=draw(st.integers(0, 12)), page=draw(st.integers(0, 12)),
+        q=draw(st.sampled_from(_QUOTE_CHARS)), sp=draw(_SPACES),
+        words=draw(st.text("aB :-*.0Page " + _QUOTE_CHARS, max_size=10)))
+    return draw(_SPACES) + draw(_CASES)(line)
+
+
+def _edge_reply(openers: tuple[str, ...], fillers: tuple[str, ...]):
+    entry = st.tuples(_edge_line(openers), st.lists(_edge_line(fillers), max_size=4))
+    return st.tuples(st.lists(_edge_line(fillers), max_size=2),
+                     st.lists(entry, min_size=1, max_size=4)).map(
+        lambda reply: "\n".join(reply[0] + [line for opener, lines in reply[1]
+                                            for line in (opener, *lines)]))
+
+
+@settings(max_examples=400, deadline=None)
+@given(reply=_edge_reply(_EDGE_OPENERS, _EDGE_ATTRIBUTES), page=st.integers(1, 3))
+def test_code_grammar_edges_parse_as_the_line_by_line_parser(reply: str, page: int) -> None:
+    expected = _code_outcome(_parent_parse_code_block, reply, page)
+    assert _code_outcome(parse_code_block, reply, page) == expected
+
+
+@settings(max_examples=250, deadline=None)
+@given(reply=_edge_reply(_EDGE_HEADERS, _EDGE_BODIES))
+def test_theme_grammar_edges_parse_as_the_scanner_it_replaced(reply: str) -> None:
+    headers = [(index, _THEME_HEADER.match(line)) for index, line in enumerate(reply.splitlines())]
+    headers = [(index, header) for index, header in headers if header]
+    # As in the differential test above: a prompt-cue echo before the first
+    # header is boilerplate now, and the reference raised on a nameless header.
+    first = headers[0][0] if headers else len(reply.splitlines())
+    assume(not any(_is_boilerplate(line) for line in reply.splitlines()[:first]))
+    assume(all(normalize_label(header["name"]) for _, header in headers))
+    expected = _outcome(_reference_parse_theme_block, reply)
+    actual = _outcome(parse_theme_block, reply)
+    if isinstance(expected, str):
+        assert actual == expected
+        return
+    assert actual.records == expected.records
+    assert Counter(actual.warnings) == Counter(expected.warnings)
