@@ -61,6 +61,9 @@ EXIT_PARTIAL = 2
 EXIT_TRACE_FAILURES = 3
 
 DEFAULT_FIXTURE_NAME = "session.json"
+# What a retired --record flag, or "transport": "record" in a config, prints.
+RECORD_RETIRED = ("--record is retired: analyze with --live, then rerun offline with "
+                  "--replay OUTPUT_DIR/response_cache.json")
 
 
 def _field_types(cls: type) -> dict[str, tuple[type, ...]]:
@@ -178,17 +181,16 @@ def _resolve_transport(config: RunConfig):
             logger.info("replaying fixture %s", candidate)
             return ReplayTransport(candidate)
         raise ConfigError(
-            "no transport selected: pass --replay FIXTURE, --record FIXTURE, or --live "
+            "no transport selected: pass --replay FIXTURE or --live "
             f"(a fixture named {DEFAULT_FIXTURE_NAME} in the output directory is replayed automatically)"
         )
     if mode == "replay":
         if not config.fixture:
             raise ConfigError("replay transport requires a fixture path (--replay FIXTURE)")
         return ReplayTransport(config.fixture)
-    if mode == "record" and not config.fixture:
-        raise ConfigError("record transport requires a fixture path (--record FIXTURE)")
-    if mode in ("live", "record"):
-        # A record run sends live; the gateway writes its replies to the fixture.
+    if mode == "record":
+        raise ConfigError(RECORD_RETIRED)
+    if mode == "live":
         if not (os.environ.get(ENV_VAR) or os.environ.get(FALLBACK_ENV_VAR)):
             raise ConfigError(f"live transport requires a credential: set {ENV_VAR} "
                               f"(or {FALLBACK_ENV_VAR})")
@@ -242,13 +244,11 @@ def cmd_analyze(config: RunConfig, paper_reference: str | None = None) -> int:
     transport = _resolve_transport(config)
     library = PromptLibrary(config.template_dir) if config.template_dir else None
     output_dir = Path(config.output_dir)
-    record_path = config.fixture if config.transport == "record" else None
 
     try:
         artifact = run_analysis(corpus, focus, model, transport,
                                 output_dir=output_dir, library=library,
-                                trace_threshold=config.trace_threshold,
-                                record_path=record_path)
+                                trace_threshold=config.trace_threshold)
     except AnalysisInterrupted as exc:
         where = f" at page {exc.page}" if exc.page else ""
         print(f"analysis interrupted during {exc.stage}{where}: {exc.cause}", file=sys.stderr)
@@ -445,8 +445,7 @@ def _build_parser(tokens: list[str]) -> argparse.ArgumentParser:
                              help="JSON file of expected values for discrepancy footnotes")
         transport = analyze.add_mutually_exclusive_group()
         transport.add_argument("--replay", metavar="FIXTURE", help="replay a recorded session")
-        transport.add_argument("--record", metavar="FIXTURE",
-                               help="send live, record to FIXTURE")
+        transport.add_argument("--record", help=argparse.SUPPRESS)
         transport.add_argument("--live", action="store_true", help="send live requests")
     if "compare" in tokens:
         compare.add_argument("--artifact")
@@ -487,7 +486,6 @@ def main(argv: list[str] | None = None) -> int:
             overrides["fixture"] = args.replay
         elif getattr(args, "record", None):
             overrides["transport"] = "record"
-            overrides["fixture"] = args.record
         elif getattr(args, "live", False):
             overrides["transport"] = "live"
         config = RunConfig.from_sources(file_data, overrides)

@@ -2,7 +2,7 @@
 
 Requests are hashed over (model, temperature, max_tokens, messages); the
 digest keys both the in-memory response cache and the on-disk fixtures, so a
-recorded session doubles as a replay fixture.  Replay never touches the
+run's response cache doubles as its replay fixture.  Replay never touches the
 network, which keeps pipeline runs byte-deterministic.  The digest is the
 SHA-256 of the request as compact JSON with sorted keys.  The config's part
 of that text, before and after the message list, is encoded once per
@@ -14,14 +14,13 @@ that follows in the same thread gets that digest from
 again.
 
 Every fixture is a JSON array of ``{digest, response}`` objects, and in a run
-the :class:`Gateway` writes them: each new reply goes into the response
-cache, and each reply it returns into the record fixture, once per digest.
-A reply is appended as one line over the array's closing bracket, so
-persisting n replies writes O(total reply bytes) and the file is a valid
-fixture after every request.  Each fixture is opened once per run, at its
-first append, and its tail is read and checked then; after that each reply
-is one positioned write, through the same descriptor, at the end the
-previous append left.  :meth:`Gateway.close` closes the descriptors.
+the :class:`Gateway` writes one, the response cache: each new reply goes in
+once per digest.  A reply is appended as one line over the array's closing
+bracket, so persisting n replies writes O(total reply bytes) and the file is
+a valid fixture after every request.  The cache is opened once per run, at
+its first append, and its tail is read and checked then; after that each
+reply is one positioned write, through the same descriptor, at the end the
+previous append left.  :meth:`Gateway.close` closes the descriptor.
 """
 
 from __future__ import annotations
@@ -291,7 +290,7 @@ class _NetworkFailure(Exception):
 
 
 def _requests_post(url: str, headers: dict[str, str], body: dict, timeout: float):
-    # Imported here, not at the top: only live and record runs send over HTTP,
+    # Imported here, not at the top: only live runs send over HTTP,
     # and the HTTP stack would double the start-up time of every offline command.
     import requests
 
@@ -375,7 +374,7 @@ def _extract_text(payload, where: str, max_tokens: int) -> str:
         raise MalformedResponse(f"response has no choices{where}")
     choice = choices[0] if isinstance(choices[0], dict) else {}
     # The same request would be stopped again, so neither stop is retried,
-    # and the gateway caches and records nothing.
+    # and the gateway caches nothing.
     finish = choice.get("finish_reason")
     if finish == "length":
         raise ReplyTruncated(f"reply stopped at the max_tokens limit of {max_tokens}{where}")
@@ -417,30 +416,22 @@ class Gateway:
 
     With a ``cache_path``, the cache starts from that fixture and every reply
     the transport returns is appended to it before ``complete`` returns, so
-    a rerun after a crash gets every finished request from the cache.  With
-    a ``record_path``, every reply ``complete`` returns, cache hits included,
-    is appended to that fixture unless it already holds the digest, so the
-    fixture replays a resumed run as well as a fresh one.
+    a rerun after a crash gets every finished request from the cache, and a
+    :class:`ReplayTransport` over the file reruns the whole analysis
+    offline.  A corrupt cache is refused here, before any request is sent.
     """
 
     def __init__(self, config: ModelConfig, transport,
-                 cache_path: str | Path | None = None,
-                 record_path: str | Path | None = None) -> None:
+                 cache_path: str | Path | None = None) -> None:
         self.config = config
         self.transport = transport
         self.cache_path = Path(cache_path) if cache_path else None
-        self.record_path = Path(record_path) if record_path else None
         self._lock = threading.Lock()
         self._cache: dict[str, str] = {}
-        self._recorded: set[str] = set()
         self._cache_log = _FixtureAppender(self.cache_path) if self.cache_path else None
-        self._record_log = _FixtureAppender(self.record_path) if self.record_path else None
         if self.cache_path and self.cache_path.exists():
             for entry in load_fixture(self.cache_path):
                 self._cache[entry["digest"]] = entry["response"]
-        if self.record_path and self.record_path.exists():
-            # Refuse a corrupt fixture before paying for a live request.
-            self._recorded = {entry["digest"] for entry in load_fixture(self.record_path)}
 
     def complete(self, messages: Sequence[ChatMessage],
                  context: str | None = None) -> Completion:
@@ -449,9 +440,8 @@ class Gateway:
         digest = request_digest(self.config, messages)
         with self._lock:
             if digest in self._cache:
-                text = self._cache[digest]
-                self._record(digest, text)
-                return Completion(request_digest=digest, text=text, transport="cache")
+                return Completion(request_digest=digest, text=self._cache[digest],
+                                  transport="cache")
         text = self.transport.send(self.config, messages, context)
         with self._lock:
             # A concurrent request for the same digest may have cached it first.
@@ -459,19 +449,11 @@ class Gateway:
                 self._cache[digest] = text
                 if self._cache_log:
                     self._cache_log.append(digest, text)
-            self._record(digest, text)
         return Completion(request_digest=digest, text=text, transport=self.transport.kind)
 
-    def _record(self, digest: str, text: str) -> None:
-        """Append a returned reply to the record fixture, once; hold ``_lock``."""
-        if self._record_log and digest not in self._recorded:
-            self._record_log.append(digest, text)
-            self._recorded.add(digest)
-
     def close(self) -> None:
-        """Close the fixtures this gateway appends to; a later append opens
-        its fixture again and checks the tail."""
+        """Close the response cache; a later append opens it again and checks
+        the tail."""
         with self._lock:
-            for log in (self._cache_log, self._record_log):
-                if log:
-                    log.close()
+            if self._cache_log:
+                self._cache_log.close()

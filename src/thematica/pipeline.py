@@ -289,6 +289,8 @@ def load_artifact(path: str | Path) -> AnalysisArtifact:
 
 
 def _codebook_from_dict(data: dict) -> Codebook:
+    if type(data["coder_id"]) is not str:
+        raise ValueError(f"codebook coder_id must be a string, got {data['coder_id']!r}")
     return Codebook(
         coder_id=data["coder_id"],
         provenance=data["provenance"],
@@ -315,6 +317,8 @@ def _code_from_dict(item: dict) -> CodeRecord:
 
 
 def _theme_from_dict(item: dict) -> ThemeRecord:
+    if type(item["name"]) is not str:
+        raise ValueError(f"theme name must be a string, got {item['name']!r}")
     description, interpretation = item.get("description", ""), item.get("interpretation")
     if type(description) is not str:
         raise ValueError(f"theme {item['name']!r} description must be a string, got {description!r}")
@@ -415,8 +419,7 @@ def _check_resume(artifact: AnalysisArtifact, fingerprint: dict, snapshot: dict)
 def run_analysis(corpus: Corpus, focus: StudyFocus, config: ModelConfig, transport,
                  output_dir: str | Path | None = None,
                  library: PromptLibrary | None = None,
-                 trace_threshold: float = DEFAULT_THRESHOLD,
-                 record_path: str | Path | None = None) -> AnalysisArtifact:
+                 trace_threshold: float = DEFAULT_THRESHOLD) -> AnalysisArtifact:
     """Run (or resume) the full stepwise analysis and return the artifact.
 
     A complete artifact on disk is returned untouched without any model
@@ -424,11 +427,6 @@ def run_analysis(corpus: Corpus, focus: StudyFocus, config: ModelConfig, transpo
     stops early saves it as partial; a library error then becomes
     AnalysisInterrupted carrying the stage, page, artifact, and cause, and
     any other exception propagates unchanged.
-
-    With a ``record_path``, the run also asks for the replies an earlier run
-    got, which the response cache in ``output_dir`` serves (without one they
-    are sent again), so every reply of the analysis goes into that fixture;
-    a complete artifact is run again to record it.
     """
     library = library or default_library()
     replay = getattr(transport, "kind", "live") == "replay"
@@ -437,11 +435,10 @@ def run_analysis(corpus: Corpus, focus: StudyFocus, config: ModelConfig, transpo
 
     out_dir = Path(output_dir) if output_dir else None
     path = out_dir / "analysis.json" if out_dir else None
-    recording = record_path is not None
     if path and path.exists():
         artifact = load_artifact(path)
         _check_resume(artifact, fingerprint, snapshot)
-        if artifact.complete and not recording:
+        if artifact.complete:
             logger.info("%s is complete: no stage runs", path)
             return artifact
     else:
@@ -452,7 +449,7 @@ def run_analysis(corpus: Corpus, focus: StudyFocus, config: ModelConfig, transpo
         )
 
     cache_path = out_dir / "response_cache.json" if out_dir else None
-    gateway = Gateway(config, transport, cache_path=cache_path, record_path=record_path)
+    gateway = Gateway(config, transport, cache_path=cache_path)
 
     # Where each reply came from: "cache", or the transport's kind.
     sources: list[str] = []
@@ -472,8 +469,7 @@ def run_analysis(corpus: Corpus, focus: StudyFocus, config: ModelConfig, transpo
         # step 1: per-page code extraction.  Workers take the next pending page
         # until none is left; after a failure or an interrupt no page starts,
         # and a request in flight finishes and keeps its reply.
-        asked = [page for page in corpus.pages
-                 if recording or f"page_{page.number}" not in artifact.raw_replies]
+        asked = [page for page in corpus.pages if f"page_{page.number}" not in artifact.raw_replies]
         pages = iter(asked)
         replies: dict[int, str] = {}
         failures: list[tuple[bool, int, BaseException]] = []
@@ -557,7 +553,7 @@ def run_analysis(corpus: Corpus, focus: StudyFocus, config: ModelConfig, transpo
         # step 3: theme generation
         stage = "theme_generation"
         codes_digest = render_codes_digest(codebook.codes)
-        if recording or "themes" not in artifact.raw_replies:
+        if "themes" not in artifact.raw_replies:
             prompt = library.render_theme_generation(codes_digest, focus)
             artifact.raw_replies["themes"] = ask(prompt, "theme generation")
         theme_report = parse_theme_block(artifact.raw_replies["themes"])
@@ -575,7 +571,7 @@ def run_analysis(corpus: Corpus, focus: StudyFocus, config: ModelConfig, transpo
         # step 4: interpretation
         stage = "interpretation"
         themes_digest = render_theme_digest(themes)
-        if recording or "interpretations" not in artifact.raw_replies:
+        if "interpretations" not in artifact.raw_replies:
             prompt = library.render_interpretation(themes_digest, focus)
             artifact.raw_replies["interpretations"] = ask(prompt, "interpretation")
         interp_report = parse_interpretation_block(artifact.raw_replies["interpretations"],

@@ -93,7 +93,7 @@ def test_live_transport_requires_credential(
     assert "THEMATICA_API_KEY" in err
 
 
-def test_record_sends_live_and_writes_a_replayable_session(
+def test_a_live_runs_response_cache_replays_the_same_artifact(
         sample_workspace: Path, monkeypatch: pytest.MonkeyPatch) -> None:
     monkeypatch.chdir(sample_workspace)
     monkeypatch.setenv("THEMATICA_API_KEY", "k")
@@ -106,11 +106,11 @@ def test_record_sends_live_and_writes_a_replayable_session(
             "content": replies[request_digest(ModelConfig(), messages)]}}]}
 
     monkeypatch.setattr("thematica.gateway._requests_post", http_post)
-    for argv in (["--output-dir", "live", "analyze", "--record", "recorded.json"],
-                 ["--output-dir", "replayed", "analyze", "--replay", "recorded.json"],
+    for argv in (["--output-dir", "live", "analyze", "--live"],
+                 ["--output-dir", "replayed", "analyze", "--replay", "live/response_cache.json"],
                  ["--output-dir", "clean", "analyze"]):
         assert main(["--config", "run_config.json", *argv]) == 0
-    assert len(load_fixture(sample_workspace / "recorded.json")) == len(session)
+    assert load_fixture(sample_workspace / "live" / "response_cache.json") == session
     assert ((sample_workspace / "replayed" / "analysis.json").read_bytes()
             == (sample_workspace / "clean" / "analysis.json").read_bytes())
 
@@ -127,7 +127,7 @@ def test_record_sends_live_and_writes_a_replayable_session(
         "filter stopped the reply (page 1 code extraction)",
         "a rerun fails the same way: remove the cause above")),
 ], ids=["stop", "absent", "length", "content_filter"])
-def test_a_reply_cut_at_max_tokens_exits_1_and_is_neither_cached_nor_recorded(
+def test_a_reply_cut_at_max_tokens_exits_1_and_is_not_cached(
         sample_workspace: Path, monkeypatch: pytest.MonkeyPatch, capsys,
         finish: dict, expected: int, kept: bool, messages: tuple[str, ...]) -> None:
     monkeypatch.chdir(sample_workspace)
@@ -143,10 +143,9 @@ def test_a_reply_cut_at_max_tokens_exits_1_and_is_neither_cached_nor_recorded(
         return 200, {"choices": [{"message": {"content": content}, **finish}]}
 
     monkeypatch.setattr("thematica.gateway._requests_post", http_post)
-    assert main(["--config", "run_config.json", "analyze", "--record", "recorded.json"]) == expected
+    assert main(["--config", "run_config.json", "analyze", "--live"]) == expected
     cache = sample_workspace / "out" / "response_cache.json"
     assert cache.exists() is kept
-    assert (sample_workspace / "recorded.json").exists() is kept
     if kept:
         assert len(load_fixture(cache)) == len(posts) == len(replies)
         return
@@ -379,6 +378,22 @@ def test_a_consolidation_stop_names_the_page_whose_reply_stopped_it(
     assert capsys.readouterr().err.splitlines()[0] == f"analysis interrupted during {stop}"
 
 
+# What a leftover --record flag or "transport": "record" prints: the response
+# cache of a --live run is its replay fixture.
+RECORD_RETIRED = ("--record is retired: analyze with --live, then rerun offline with "
+                  "--replay OUTPUT_DIR/response_cache.json")
+
+
+@pytest.fixture
+def posts(monkeypatch: pytest.MonkeyPatch) -> list[dict]:
+    """The bodies of the live requests a test sends, with a credential set."""
+    sent: list[dict] = []
+    monkeypatch.setenv("THEMATICA_API_KEY", "k")
+    monkeypatch.setattr("thematica.gateway._requests_post",
+                        lambda url, headers, body, timeout: sent.append(body) or (500, None))
+    return sent
+
+
 @pytest.mark.parametrize("argv, message", [
     (["analyze", "--parallelism", "0"], "parallelism must be in 1..8, got 0"),
     (["analyze", "--temperature", "5"], "temperature must be in [0, 2], got 5.0"),
@@ -388,16 +403,18 @@ def test_a_consolidation_stop_names_the_page_whose_reply_stopped_it(
     (["analyze", "--trace-threshold=-1"], "trace_threshold must be in [0, 1], got -1.0"),
     (["compare", "--human", "coder1.csv", "--matcher", "token_overlap",
       "--jaccard-threshold", "0"], "jaccard_threshold must be in (0, 1], got 0.0"),
+    (["--output-dir", "fresh", "analyze", "--record", "x.json"], RECORD_RETIRED),
 ], ids=["parallelism", "temperature", "max-tokens", "timeout", "trace-threshold-high",
-        "trace-threshold-negative", "jaccard-threshold"])
+        "trace-threshold-negative", "jaccard-threshold", "retired-record-flag"])
 def test_out_of_range_options_are_configuration_errors(
-        analyzed_workspace: Path, monkeypatch: pytest.MonkeyPatch, capsys,
+        analyzed_workspace: Path, monkeypatch: pytest.MonkeyPatch, capsys, posts: list[dict],
         argv: list[str], message: str) -> None:
     monkeypatch.chdir(analyzed_workspace)
     assert main(["--config", "run_config.json", *argv]) == 1
     captured = capsys.readouterr()
     assert captured.err == f"configuration error: {message}\n"
     assert captured.out == ""
+    assert posts == []
 
 
 def test_compare_requires_a_human_codebook(
@@ -704,15 +721,20 @@ def test_hand_edited_artifact_with_a_json_error_is_a_clean_error(
      "Migration' description must be a string, got {'a': 1}"),
     ("themes", "interpretation", 5, "theme 'Personal and Professional Motivations for "
      "Migration' interpretation must be a string or null, got 5"),
+    ("themes", "name", 7, "theme name must be a string, got 7"),
+    ("codebook", "coder_id", ["x"], "codebook coder_id must be a string, got ['x']"),
 ], ids=["score", "page", "page-true", "label", "quote-null", "members-string", "member-number",
-        "provenance-list", "description-object", "interpretation-number"])
+        "provenance-list", "description-object", "interpretation-number", "theme-name",
+        "coder-id"])
 def test_a_hand_edited_value_of_the_wrong_type_is_one_line_naming_its_field(
         analyzed_workspace: Path, tmp_path: Path, monkeypatch: pytest.MonkeyPatch, capsys,
         section: str, field: str, value: object, message: str) -> None:
     workspace = copy_workspace(analyzed_workspace, tmp_path / "edited")
     artifact_path = workspace / "out" / "analysis.json"
     data = json.loads(artifact_path.read_text(encoding="utf-8"))
-    records = data["trace"]["results"] if section == "trace" else data["llm_codebook"][section]
+    book = data["llm_codebook"]
+    records = (data["trace"]["results"] if section == "trace" else
+               [book] if section == "codebook" else book[section])
     records[0][field] = value
     artifact_path.write_text(json.dumps(data), encoding="utf-8")
     monkeypatch.chdir(workspace)
@@ -1021,9 +1043,11 @@ def test_unknown_config_key_is_a_configuration_error(
     ({"model": {"temperature": "hot"}}, "model option 'temperature' must be float, got 'hot'"),
     ({"model": {"parallelism": 2.5}}, "model option 'parallelism' must be int, got 2.5"),
     ({"input": 7}, "config key 'input' must be str, got 7"),
-], ids=["page-size", "trace-threshold", "temperature", "parallelism", "input"])
+    ({"transport": "record", "output_dir": "fresh"}, RECORD_RETIRED),
+], ids=["page-size", "trace-threshold", "temperature", "parallelism", "input",
+        "retired-record-transport"])
 def test_a_config_value_of_the_wrong_type_is_one_line_naming_it(
-        analyzed_workspace: Path, monkeypatch: pytest.MonkeyPatch, capsys,
+        analyzed_workspace: Path, monkeypatch: pytest.MonkeyPatch, capsys, posts: list[dict],
         setting: dict, message: str) -> None:
     monkeypatch.chdir(analyzed_workspace)
     config = json.loads(Path("run_config.json").read_text(encoding="utf-8"))
@@ -1032,6 +1056,7 @@ def test_a_config_value_of_the_wrong_type_is_one_line_naming_it(
     captured = capsys.readouterr()
     assert captured.err == f"configuration error: {message}\n"
     assert "Traceback" not in captured.err and captured.out == ""
+    assert posts == []
 
 
 def test_an_unknown_matcher_mode_in_a_config_file_lists_the_choices(

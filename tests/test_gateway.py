@@ -405,10 +405,10 @@ def test_replay_transport_miss_names_context_and_fixture(tmp_path: Path) -> None
     assert "drifted" in str(err.value)
 
 
-def test_record_transport_appends_and_replays(tmp_path: Path) -> None:
-    path = tmp_path / "session.json"
+def test_a_live_gateways_cache_replays_what_it_sent(tmp_path: Path) -> None:
+    path = tmp_path / "response_cache.json"
     stub = StubHTTP([(200, ok_payload("captured"))])
-    gateway = Gateway(CONFIG, LiveTransport(api_key="k", http_post=stub), record_path=path)
+    gateway = Gateway(CONFIG, LiveTransport(api_key="k", http_post=stub), cache_path=path)
     assert gateway.complete(MESSAGES).text == "captured"
     entries = load_fixture(path)
     assert len(entries) == 1
@@ -417,21 +417,12 @@ def test_record_transport_appends_and_replays(tmp_path: Path) -> None:
     assert replay.send(CONFIG, MESSAGES) == "captured"
 
 
-def test_record_transport_extends_existing_fixture(tmp_path: Path) -> None:
-    path = tmp_path / "session.json"
-    save_fixture(path, [{"digest": "d" * 64, "response": "old"}])
-    stub = StubHTTP([(200, ok_payload("new"))])
-    gateway = Gateway(CONFIG, LiveTransport(api_key="k", http_post=stub), record_path=path)
-    gateway.complete(MESSAGES)
-    assert [entry["response"] for entry in load_fixture(path)] == ["old", "new"]
-
-
-def test_record_transport_refuses_a_corrupt_fixture_before_sending(tmp_path: Path) -> None:
-    path = tmp_path / "session.json"
+def test_a_corrupt_cache_is_refused_before_sending(tmp_path: Path) -> None:
+    path = tmp_path / "response_cache.json"
     path.write_text('[{"digest": "xyz", "response": "r"}]', encoding="utf-8")
     stub = StubHTTP([])
     with pytest.raises(FixtureCorrupt):
-        Gateway(CONFIG, LiveTransport(api_key="k", http_post=stub), record_path=path)
+        Gateway(CONFIG, LiveTransport(api_key="k", http_post=stub), cache_path=path)
     assert stub.calls == []
 
 
@@ -461,22 +452,6 @@ def test_gateway_preloads_cache_from_disk(tmp_path: Path) -> None:
     assert (completion.text, completion.transport) == ("warm", "cache")
 
 
-def test_gateway_records_cache_hits_once(tmp_path: Path) -> None:
-    digest = request_digest(CONFIG, MESSAGES)
-    cache_path = tmp_path / "cache.json"
-    save_fixture(cache_path, [{"digest": digest, "response": "warm"}])
-    record_path = tmp_path / "recorded.json"
-    stub = StubHTTP([])
-    for _ in range(2):
-        # A second gateway finds the digest in the fixture and appends nothing.
-        gateway = Gateway(CONFIG, LiveTransport(api_key="k", http_post=stub),
-                          cache_path=cache_path, record_path=record_path)
-        for _ in range(2):
-            assert gateway.complete(MESSAGES).transport == "cache"
-    assert load_fixture(record_path) == [{"digest": digest, "response": "warm"}]
-    assert stub.calls == []
-
-
 def test_gateway_appends_each_new_reply_to_the_cache_once(tmp_path: Path) -> None:
     other = (ChatMessage("user", "Summarize page 2."),)
     fixture = tmp_path / "session.json"
@@ -503,8 +478,8 @@ class EchoTransport:
 
 
 def test_concurrent_completions_append_every_reply_once(tmp_path: Path) -> None:
-    cache_path, record_path = tmp_path / "cache.json", tmp_path / "session.json"
-    gateway = Gateway(CONFIG, EchoTransport(), cache_path=cache_path, record_path=record_path)
+    cache_path = tmp_path / "cache.json"
+    gateway = Gateway(CONFIG, EchoTransport(), cache_path=cache_path)
     prompts = [f"page {number}" for number in range(200)]
     interval = sys.getswitchinterval()
     sys.setswitchinterval(1e-6)
@@ -515,10 +490,9 @@ def test_concurrent_completions_append_every_reply_once(tmp_path: Path) -> None:
                           prompts + prompts, timeout=60))
     finally:
         sys.setswitchinterval(interval)
-    for path in (cache_path, record_path):
-        entries = load_fixture(path)
-        assert sorted(entry["response"] for entry in entries) == sorted(
-            f"reply to {text}" for text in prompts)
+    entries = load_fixture(cache_path)
+    assert sorted(entry["response"] for entry in entries) == sorted(
+        f"reply to {text}" for text in prompts)
 
 
 def append_fixture_entry(path: Path, entry: dict[str, str]) -> None:
@@ -560,12 +534,12 @@ def test_gateway_appends_keep_existing_fixtures_valid_after_every_reply(tmp_path
     padded = tmp_path / "padded.json"
     padded.write_text(json.dumps(old, indent=1)[:-1] + " \n" * 12 + "]" + " \t\n" * 10,
                       encoding="utf-8")
-    gateway = Gateway(CONFIG, EchoTransport(), cache_path=indented, record_path=padded)
+    gateways = [Gateway(CONFIG, EchoTransport(), cache_path=path) for path in (indented, padded)]
     new = []
     for number in range(5):
         messages = (ChatMessage("user", f"page {number} ünïcode ] {'x' * number}"),)
-        text = gateway.complete(messages).text
-        new.append({"digest": request_digest(CONFIG, messages), "response": text})
+        texts = [gateway.complete(messages).text for gateway in gateways]
+        new.append({"digest": request_digest(CONFIG, messages), "response": texts[0]})
         for path in (indented, padded):
             assert load_fixture(path) == old + new
     # Each appended entry is one line after the old content.

@@ -878,41 +878,35 @@ class SessionHTTP:
         return 200, {"choices": [{"message": {"content": self.replies[digest]}}]}
 
 
-def test_resumed_record_run_writes_a_fixture_that_replays_the_whole_analysis(
+def test_a_resumed_live_runs_response_cache_replays_the_whole_analysis(
         sample: dict, tmp_path: Path) -> None:
     config, out_dir = sample["config"], tmp_path / "out"
+    cache_path = out_dir / "response_cache.json"
     prompt = default_library().render_code_extraction(sample["corpus"].pages[5], sample["focus"])
     page_6 = request_digest(config, (ChatMessage("system", prompt.system_message),
                                      ChatMessage("user", prompt.user_message)))
     session_size = len(load_fixture(sample["fixture"]))
 
-    def record(fixture: str, http: SessionHTTP) -> AnalysisArtifact:
+    def send_live(http: SessionHTTP) -> AnalysisArtifact:
         live = LiveTransport(api_key="k", http_post=http, sleep=lambda seconds: None)
-        return run_analysis(sample["corpus"], sample["focus"], config, live,
-                            output_dir=out_dir, record_path=tmp_path / fixture)
+        return run_analysis(sample["corpus"], sample["focus"], config, live, output_dir=out_dir)
 
     with pytest.raises(AnalysisInterrupted) as stopped:
-        record("first.json", SessionHTTP(sample["fixture"], config, fail_digest=page_6))
+        send_live(SessionHTTP(sample["fixture"], config, fail_digest=page_6))
     assert stopped.value.page == 6
-    assert len(load_fixture(tmp_path / "first.json")) == 5
+    assert len(load_fixture(cache_path)) == 5
 
-    # The resume sends only what the first run lacked, and records every reply.
+    # The resume sends only what the first run lacked; the cache then holds every reply.
     http = SessionHTTP(sample["fixture"], config)
-    assert record("second.json", http).status == "complete"
+    assert send_live(http).status == "complete"
     assert http.calls == session_size - 5
-    assert len(load_fixture(tmp_path / "second.json")) == session_size
+    assert len(load_fixture(cache_path)) == session_size
 
     run_sample(sample, tmp_path / "clean")
     run_analysis(sample["corpus"], sample["focus"], config,
-                 ReplayTransport(tmp_path / "second.json"), output_dir=tmp_path / "replayed")
+                 ReplayTransport(cache_path), output_dir=tmp_path / "replayed")
     assert ((tmp_path / "replayed" / "analysis.json").read_bytes()
             == (tmp_path / "clean" / "analysis.json").read_bytes())
-
-    # Recording over a complete run writes the whole session without a request.
-    http = SessionHTTP(sample["fixture"], config)
-    assert record("third.json", http).status == "complete"
-    assert http.calls == 0
-    assert len(load_fixture(tmp_path / "third.json")) == session_size
 
 
 class CacheCheckingTransport:
@@ -976,19 +970,6 @@ def test_each_fixture_tail_is_read_once_per_run(
     assert tail_reads == [cache_path]
     assert ([entry["response"] for entry in load_fixture(cache_path)]
             == list(resumed.raw_replies.values()))
-
-    # A record run that extends an existing fixture reads its tail once too.
-    record_path = tmp_path / "session.json"
-    older = [{"digest": "e" * 64, "response": "an older session"}]
-    save_fixture(record_path, older)
-    tail_reads.clear()
-    live = LiveTransport(api_key="k", http_post=SessionHTTP(sample["fixture"], sample["config"]),
-                         sleep=lambda seconds: None)
-    recorded = run_analysis(sample["corpus"], sample["focus"], sample["config"], live,
-                            output_dir=tmp_path / "recorded", record_path=record_path)
-    assert tail_reads == [record_path]
-    assert ([entry["response"] for entry in load_fixture(record_path)]
-            == [older[0]["response"], *recorded.raw_replies.values()])
 
 
 def test_each_run_opens_its_response_cache_once_and_closes_it(
