@@ -367,13 +367,13 @@ def cmd_compare(config: RunConfig, artifact_path: str | None, human_paths: list[
 
 def cmd_verify(config: RunConfig, artifact_path: str | None) -> int:
     artifact = _load_complete_artifact(config, artifact_path)
-    source = config.input or artifact.corpus_fingerprint.get("source_path")
+    source = config.input or artifact.corpus_fingerprint["source_path"]
     if not source:
         raise ConfigError("a corpus path is required (--input PATH)")
-    corpus = load_corpus(source, page_size=artifact.corpus_fingerprint.get("page_size", 10),
+    corpus = load_corpus(source, page_size=artifact.corpus_fingerprint["page_size"],
                          format=_document_format(config))
     fresh_hash = content_hash(corpus)
-    recorded = artifact.corpus_fingerprint.get("content_hash")
+    recorded = artifact.corpus_fingerprint["content_hash"]
     if fresh_hash != recorded:
         raise ConfigError(
             f"corpus hash {fresh_hash} does not match the artifact's {recorded}"

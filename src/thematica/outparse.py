@@ -118,16 +118,14 @@ class CodeRecord:
                 raise ValueError("code label must be non-empty")
             if len(label) > MAX_LABEL_LENGTH:
                 raise ValueError(f"code label exceeds {MAX_LABEL_LENGTH} characters: {label[:40]}...")
+            if page is not None and type(page) is not int:
+                raise ValueError(f"page must be an int or None, got {page!r}")
             if page is not None and page < 1:
                 raise ValueError(f"page must be >= 1, got {page}")
-            if type(page) is bool:
-                raise ValueError(f"page must be a number, got {page!r}")
             if not isinstance(quote, str):
                 raise ValueError(f"quote must be a string, got {quote!r}")
         except AttributeError:
             raise ValueError(f"code label must be a string, got {label!r}") from None
-        except TypeError:
-            raise ValueError(f"page must be a number, got {page!r}") from None
         self.__dict__.update(label=label, quote=quote, page=page, provenance=provenance,
                              raw_span=raw_span, aliases=aliases, key=label_key(label))
 

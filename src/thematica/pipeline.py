@@ -9,7 +9,8 @@ rerun resumes from the artifact and gets every reply the cache holds without
 a request, so a crashed run re-sends only the requests that were in flight.
 :meth:`AnalysisArtifact.save` writes the artifact without building a tree of
 dicts: one formatter per record kind (raw reply, code, theme, trace result)
-writes each record's line, with the bytes the JSON encoder would write.
+writes each record's line, with the bytes the JSON encoder would write.  One
+field table per record kind checks every value :func:`load_artifact` reads.
 """
 
 from __future__ import annotations
@@ -22,14 +23,17 @@ import time
 from concurrent.futures import ThreadPoolExecutor, wait
 from dataclasses import dataclass, field, replace
 from datetime import datetime, timezone
+from itertools import chain
 from json.encoder import encode_basestring as _string  # a string as _encode writes it
 from pathlib import Path
-from typing import TYPE_CHECKING
+from types import NoneType
+from typing import TYPE_CHECKING, Callable, NamedTuple
 
 from .codebook import Codebook, Matcher, MatchResult, match_codes
 from .corpus import Corpus, content_hash
 from .errors import (
     AnalysisInterrupted,
+    DuplicateLabel,
     IncompleteArtifact,
     ResumeMismatch,
     SchemaError,
@@ -112,25 +116,20 @@ class AnalysisArtifact:
 
     @classmethod
     def from_dict(cls, data: dict, path: Path | None = None) -> "AnalysisArtifact":
-        codebook = _codebook_from_dict(data["llm_codebook"]) if data.get("llm_codebook") else None
-        trace = None
-        if data.get("trace"):
-            if codebook is None:
-                raise IncompleteArtifact("artifact has a trace section but no codebook")
-            trace = _trace_from_dict(data["trace"], codebook)
-        return cls(
-            corpus_fingerprint=data["corpus"],
-            config_snapshot=data["config"],
-            status=data["status"],
-            raw_replies=dict(data.get("raw_replies", {})),
-            notes=list(data.get("notes", [])),
-            llm_codebook=codebook,
-            trace=trace,
-            created=data.get("created", EPOCH_TIMESTAMP),
-            updated=data.get("updated", EPOCH_TIMESTAMP),
-            schema_version=data.get("schema_version", SCHEMA_VERSION),
-            path=path,
-        )
+        """The artifact ``data`` holds; a value its field does not admit raises SchemaError."""
+        corpus, config, status, replies, notes, book, trace, *stamps = _record(data, _ARTIFACT, "")
+        _record(corpus, _CORPUS, "corpus.")
+        if book is not None:
+            book, = _built(Codebook, _CODEBOOK, [book], "llm_codebook.")
+        if trace is not None:
+            results, threshold = _record(trace, _TRACE, "trace.")
+            codes = book.codes if book else ()
+            if len(results) != len(codes):  # result i traces code i
+                raise SchemaError(f"trace.results must hold one result per code of llm_codebook "
+                                  f"({len(codes)}), got {len(results)}")
+            trace = TraceabilityReport(_built(TraceResult, _RESULT, results, "trace.results[{}].",
+                                              codes), threshold)
+        return cls(corpus, config, status, dict(replies), list(notes), book, trace, *stamps, path)
 
     def save(self, path: str | Path | None = None) -> Path:
         target = Path(path) if path else self.path
@@ -210,50 +209,140 @@ def _value(value) -> str:
     return _encode(value)
 
 
-def _values(items) -> str:
-    return "[" + ", ".join(map(_value, items)) + "]" if items else "[]"
+def _strings(items) -> str:
+    return "[" + ", ".join(map(_string, items)) + "]" if items else "[]"
 
 
 def _span(span) -> str:
-    if type(span) is tuple and len(span) == 2 and type(span[0]) is type(span[1]) is int:
-        return "[%d, %d]" % span
-    return _encode(span) if span else "null"
+    return "[%d, %d]" % span if span else "null"
 
 
 # One formatter per record kind, each writing the line _encode writes for the
-# record's fields.  Labels, quotes, theme names and trace levels are strings:
-# their constructors check that.
+# record's fields.  The field tables below admit only declared types, and the
+# constructors check labels, quotes, pages, theme names and trace levels.
 def _code_line(record: CodeRecord) -> str:
+    page = "null" if record.page is None else record.page
     return (f'{{"label": {_string(record.label)}, "quote": {_string(record.quote)}, '
-            f'"page": {_value(record.page)}, "provenance": {_value(record.provenance)}, '
-            f'"raw_span": {_span(record.raw_span)}, "aliases": {_values(record.aliases)}}}')
+            f'"page": {page}, "provenance": {_string(record.provenance)}, '
+            f'"raw_span": {_span(record.raw_span)}, "aliases": {_strings(record.aliases)}}}')
 
 
 def _theme_line(theme: ThemeRecord) -> str:
-    return (f'{{"name": {_string(theme.name)}, "member_labels": {_values(theme.member_labels)}, '
-            f'"description": {_value(theme.description)}, '
+    return (f'{{"name": {_string(theme.name)}, "member_labels": {_strings(theme.member_labels)}, '
+            f'"description": {_string(theme.description)}, '
             f'"interpretation": {_value(theme.interpretation)}}}')
 
 
 def _result_line(result: TraceResult) -> str:
     return (f'{{"label": {_string(result.record.label)}, "level": {_string(result.level)}, '
             f'"score": {_value(result.score)}, "matched_span": {_span(result.matched_span)}, '
-            f'"notes": {_values(result.notes)}}}')
+            f'"notes": {_strings(result.notes)}}}')
 
 
-# The type each top-level section of an artifact must have, where present.
-_SECTION_TYPES = (("corpus", dict), ("config", dict), ("status", str),
-                  ("raw_replies", dict), ("notes", list),
-                  ("llm_codebook", (dict, type(None))), ("trace", (dict, type(None))))
+_MISSING = object()  # what a field that a record lacks reads as
+
+
+class _Kind(NamedTuple):
+    """What the values of a field must be: of one of ``types`` (a bool is not an
+    int), each element of a list or object of kind ``element``, and ``check`` true
+    of the column.  A list with an element kind is read as a tuple of elements."""
+
+    what: str
+    types: set
+    element: "_Kind | None" = None
+    check: Callable | None = None
+    record: tuple = ()  # the (constructor, table) reading each element as a record
+
+
+def _admits(kind: _Kind, column: list) -> bool:
+    return (kind.types.issuperset(map(type, column))
+            and (kind.element is None or _admits(kind.element, list(chain.from_iterable(
+                map(dict.values, column) if dict in kind.types else filter(None, column)))))
+            and (kind.check is None or kind.check(column)))
+
+
+_STRING, _NUMBER = _Kind("a string", {str}), _Kind("a number", {int, float})
+_OBJECT, _STRINGS = _Kind("an object", {dict}), _Kind("a list of strings", {list}, _STRING)
+_OBJECTS, _OBJECT_OR_NULL = (_Kind("a list of objects", {list}, _OBJECT),
+                             _Kind("an object or null", {dict, NoneType}))
+_SPAN = _Kind("a [start, end] pair with start <= end, or null", {list, NoneType},
+              _Kind("an int", {int}), lambda c: all(len(span) == 2 and span[0] <= span[1]
+                                                    for span in c if span is not None))
+
+# One field table per record kind, in its constructor's order.  Every field is
+# required: every artifact thematica has written holds them all.
+_ARTIFACT = (("corpus", _OBJECT), ("config", _OBJECT), ("status", _STRING),
+             ("raw_replies", _Kind("an object of strings", {dict}, _STRING)),
+             ("notes", _STRINGS), ("llm_codebook", _OBJECT_OR_NULL), ("trace", _OBJECT_OR_NULL),
+             ("created", _STRING), ("updated", _STRING), ("schema_version", _Kind(
+                 str(SCHEMA_VERSION), {int}, None, lambda c: c == [SCHEMA_VERSION])))
+_CORPUS = (("source_path", _STRING), ("content_hash", _STRING),
+           ("page_size", _Kind("a positive int", {int}, None, lambda c: min(c) >= 1)),
+           ("page_count", _Kind("a non-negative int", {int}, None, lambda c: min(c) >= 0)))
+_CODE = (("label", _STRING), ("quote", _STRING), ("page", _Kind("an int or null", {int, NoneType})),
+         ("provenance", _STRING), ("raw_span", _SPAN), ("aliases", _STRINGS))
+_THEME = (("name", _STRING), ("member_labels", _STRINGS), ("description", _STRING),
+          ("interpretation", _Kind("a string or null", {str, NoneType})))
+_CODEBOOK = (("coder_id", _STRING), ("provenance", _STRING),
+             ("codes", _OBJECTS._replace(record=(CodeRecord, _CODE))),
+             ("emerging_labels", _Kind("a list of strings or null", {list, NoneType}, _STRING)),
+             ("themes", _OBJECTS._replace(record=(ThemeRecord, _THEME))))
+_TRACE = (("results", _OBJECTS), ("threshold", _Kind("a number in [0, 1]", {int, float}, None,
+                                                     lambda c: 0 <= min(c) and max(c) <= 1)))
+_RESULT = (("label", _STRING), ("level", _STRING), ("score", _NUMBER), ("matched_span", _SPAN),
+           ("notes", _STRINGS))
+
+
+def _columns(rows: list, table: tuple, where: str) -> list[list]:
+    """Each field of ``table`` over ``rows``, one column each; ``where`` is the JSON
+    path of a row's fields, ``{}`` standing for its index in a list.  Only a
+    column that fails its check is walked, to name its first bad value."""
+    columns = []
+    for name, kind in table:
+        column = [row.get(name, _MISSING) for row in rows]
+        if not _admits(kind, column):
+            raise SchemaError(next(_problem(where.format(i) + name, value, kind)
+                                   for i, value in enumerate(column) if not _admits(kind, [value])))
+        if kind.record:
+            column = [_built(*kind.record, value, f"{where.format(i)}{name}[{{}}].")
+                      for i, value in enumerate(column)]
+        elif kind.element and list in kind.types:
+            column = [value if value is None else tuple(value) for value in column]
+        columns.append(column)
+    return columns
+
+
+def _problem(path: str, value, kind: _Kind) -> str:
+    """Why ``value`` at ``path`` is not of ``kind``: at its first wrong element, if any."""
+    if value is _MISSING:
+        return f"{path} is missing"
+    if kind.element and value is not None and type(value) in kind.types:
+        for key, item in value.items() if type(value) is dict else enumerate(value):
+            if not _admits(kind.element, [item]):
+                step = f".{key}" if type(value) is dict else f"[{key}]"
+                return _problem(path + step, item, kind.element)
+    return f"{path} must be {kind.what}, got {value!r}"
+
+
+def _record(row: dict, table: tuple, where: str) -> list:
+    return [column[0] for column in _columns([row], table, where)]
+
+
+def _built(build, table: tuple, rows: list, where: str, *leading) -> tuple:
+    """``build`` over the checked ``rows``, the ``leading`` columns in place of the
+    first fields; a constructor's error becomes one led by its row's JSON path."""
+    records: list = []
+    try:  # the records built before a failing row stay in the list
+        records.extend(map(build, *leading, *_columns(rows, table, where)[len(leading):]))
+    except (ValueError, DuplicateLabel) as exc:
+        raise SchemaError(f"{where.format(len(records)).rstrip('.')}: {exc}") from None
+    return tuple(records)
 
 
 def load_artifact(path: str | Path) -> AnalysisArtifact:
-    """Read an artifact, in any layout :func:`json.loads` reads.
-
-    An artifact that is not JSON, or not of the artifact's shape, raises
-    :class:`SchemaError` naming the path and, for bad JSON, the line and
-    column, since users may correct replies in it by hand.
-    """
+    """Read an artifact, in any layout :func:`json.loads` reads.  Bad JSON or a
+    bad value raises :class:`SchemaError` naming the path and the line and
+    column or the value's JSON path, since users may correct replies in it."""
     path = Path(path)
     try:
         data = json.loads(path.read_text(encoding="utf-8"))
@@ -264,96 +353,10 @@ def load_artifact(path: str | Path) -> AnalysisArtifact:
         raise SchemaError(f"{path}: not UTF-8 text: {exc}") from None
     if not isinstance(data, dict):
         raise SchemaError(f"{path}: an artifact must be a JSON object")
-    for key, kind in _SECTION_TYPES:
-        if key in data and not isinstance(data[key], kind):
-            raise SchemaError(f"{path}: {key!r} has the wrong type "
-                              f"({type(data[key]).__name__})")
-    for key, reply in data.get("raw_replies", {}).items():
-        if not isinstance(reply, str):
-            raise SchemaError(f"{path}: raw_replies[{key!r}] must be a string")
-    corpus = data.get("corpus", {})
-    page_count = corpus.get("page_count", 0)
-    if type(page_count) is not int or page_count < 0:
-        raise SchemaError(f"{path}: corpus 'page_count' must be a non-negative integer, "
-                          f"got {page_count!r}")
-    page_size = corpus.get("page_size")
-    if "page_size" in corpus and (type(page_size) is not int or page_size < 1):
-        raise SchemaError(f"{path}: corpus 'page_size' must be a positive integer, "
-                          f"got {page_size!r}")
     try:
         return AnalysisArtifact.from_dict(data, path=path)
-    except KeyError as exc:
-        raise SchemaError(f"{path}: missing key {exc.args[0]!r}") from None
-    except (TypeError, AttributeError, ValueError) as exc:
-        raise SchemaError(f"{path}: malformed artifact: {exc}") from None
-
-
-def _codebook_from_dict(data: dict) -> Codebook:
-    if type(data["coder_id"]) is not str:
-        raise ValueError(f"codebook coder_id must be a string, got {data['coder_id']!r}")
-    return Codebook(
-        coder_id=data["coder_id"],
-        provenance=data["provenance"],
-        codes=tuple(map(_code_from_dict, data["codes"])),
-        emerging_labels=None if data.get("emerging_labels") is None else
-        () if data["emerging_labels"] == [] else _strings(data["emerging_labels"], "emerging_labels"),
-        themes=tuple(map(_theme_from_dict, data.get("themes", ()))),
-    )
-
-
-def _code_from_dict(item: dict) -> CodeRecord:
-    provenance = item.get("provenance", "llm")
-    if type(provenance) is not str:
-        raise ValueError(f"code {item['label']!r} provenance must be a string, got {provenance!r}")
-    return CodeRecord(
-        label=item["label"],
-        quote=item["quote"],
-        page=item["page"],
-        provenance=provenance,
-        raw_span=tuple(item["raw_span"]) if item.get("raw_span") else None,
-        aliases=() if item.get("aliases", []) == [] else
-        _strings(item["aliases"], f"code {item['label']!r} aliases"),
-    )
-
-
-def _theme_from_dict(item: dict) -> ThemeRecord:
-    if type(item["name"]) is not str:
-        raise ValueError(f"theme name must be a string, got {item['name']!r}")
-    description, interpretation = item.get("description", ""), item.get("interpretation")
-    if type(description) is not str:
-        raise ValueError(f"theme {item['name']!r} description must be a string, got {description!r}")
-    if interpretation is not None and type(interpretation) is not str:
-        raise ValueError(f"theme {item['name']!r} interpretation must be a string or null, "
-                         f"got {interpretation!r}")
-    return ThemeRecord(
-        name=item["name"],
-        member_labels=_strings(item["member_labels"], f"theme {item['name']!r} member_labels"),
-        description=description,
-        interpretation=interpretation,
-    )
-
-
-def _strings(items, what: str) -> tuple[str, ...]:
-    """The JSON list of strings ``items`` as a tuple; ``what`` names it in the error."""
-    if not isinstance(items, list) or not all(isinstance(item, str) for item in items):
-        raise ValueError(f"{what} must be a list of strings, got {items!r}")
-    return tuple(items)
-
-
-def _trace_from_dict(data: dict, codebook: Codebook) -> TraceabilityReport:
-    if len(data["results"]) != len(codebook.codes):
-        raise IncompleteArtifact("trace results do not line up with the codebook")
-    results = tuple(
-        TraceResult(
-            record=record,
-            level=item["level"],
-            score=item["score"],
-            matched_span=tuple(item["matched_span"]) if item.get("matched_span") else None,
-            notes=tuple(item.get("notes", ())),
-        )
-        for record, item in zip(codebook.codes, data["results"])
-    )
-    return TraceabilityReport(results=results, threshold=data.get("threshold", DEFAULT_THRESHOLD))
+    except SchemaError as exc:
+        raise SchemaError(f"{path}: {exc}") from None
 
 
 def _log_stage(started: float, message: str, *args) -> float:
@@ -401,17 +404,13 @@ def _config_snapshot(config: ModelConfig, focus: StudyFocus, library: PromptLibr
 
 
 def _check_resume(artifact: AnalysisArtifact, fingerprint: dict, snapshot: dict) -> None:
-    old_hash = artifact.corpus_fingerprint.get("content_hash")
-    if old_hash != fingerprint["content_hash"]:
-        raise ResumeMismatch(
-            f"corpus content hash {fingerprint['content_hash'][:12]}… does not match "
-            f"the artifact's {str(old_hash)[:12]}…"
-        )
-    if artifact.corpus_fingerprint.get("page_size") != fingerprint["page_size"]:
-        raise ResumeMismatch(
-            f"page_size {fingerprint['page_size']} does not match the artifact's "
-            f"{artifact.corpus_fingerprint.get('page_size')}"
-        )
+    old = artifact.corpus_fingerprint
+    if old["content_hash"] != fingerprint["content_hash"]:
+        raise ResumeMismatch(f"corpus content hash {fingerprint['content_hash'][:12]}… does not "
+                             f"match the artifact's {old['content_hash'][:12]}…")
+    if old["page_size"] != fingerprint["page_size"]:
+        raise ResumeMismatch(f"page_size {fingerprint['page_size']} does not match the "
+                             f"artifact's {old['page_size']}")
     if artifact.config_snapshot != snapshot:
         raise ResumeMismatch("model/focus/template configuration differs from the partial artifact")
 

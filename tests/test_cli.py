@@ -15,6 +15,8 @@ from pathlib import Path
 
 import pytest
 from conftest import source_env
+from hypothesis import HealthCheck, given, seed, settings
+from hypothesis import strategies as st
 
 import thematica
 import thematica.cli
@@ -220,8 +222,8 @@ def test_a_page_count_that_is_not_a_count_is_one_line_and_leaves_the_artifact_al
     assert main(["--config", "run_config.json", "analyze"]) == 1
     captured = capsys.readouterr()
     assert captured.out == ""
-    assert captured.err == ("error: out/analysis.json: corpus 'page_count' must be a "
-                            f"non-negative integer, got {page_count!r}\n")
+    assert captured.err == ("error: out/analysis.json: corpus.page_count must be a "
+                            f"non-negative int, got {page_count!r}\n")
     assert artifact_path.read_bytes() == edited
 
 
@@ -705,51 +707,76 @@ def test_hand_edited_artifact_with_a_json_error_is_a_clean_error(
                             "column 5: Expecting property name enclosed in double quotes\n")
 
 
+# Stands for a field deleted from its record.
+DELETED = object()
+
+
 @pytest.mark.parametrize("section, field, value, message", [
-    ("trace", "score", "x", "score must be a number, got 'x'"),
-    ("codes", "page", "one", "page must be a number, got 'one'"),
-    ("codes", "page", True, "page must be a number, got True"),
-    ("codes", "label", 3, "code label must be a string, got 3"),
-    ("codes", "quote", None, "quote must be a string, got None"),
-    ("themes", "member_labels", "abc", "theme 'Personal and Professional Motivations for "
-     "Migration' member_labels must be a list of strings, got 'abc'"),
-    ("themes", "member_labels", ["Curiosity", 7], "theme 'Personal and Professional "
-     "Motivations for Migration' member_labels must be a list of strings, got ['Curiosity', 7]"),
-    ("codes", "provenance", ["x"], "code 'Academic Background of Researcher' provenance must "
-     "be a string, got ['x']"),
-    ("themes", "description", {"a": 1}, "theme 'Personal and Professional Motivations for "
-     "Migration' description must be a string, got {'a': 1}"),
-    ("themes", "interpretation", 5, "theme 'Personal and Professional Motivations for "
-     "Migration' interpretation must be a string or null, got 5"),
-    ("themes", "name", 7, "theme name must be a string, got 7"),
-    ("codebook", "coder_id", ["x"], "codebook coder_id must be a string, got ['x']"),
+    ("results", "score", "x", "trace.results[0].score must be a number, got 'x'"),
+    ("codes", "page", "one", "llm_codebook.codes[0].page must be an int or null, got 'one'"),
+    ("codes", "page", True, "llm_codebook.codes[0].page must be an int or null, got True"),
+    ("codes", "label", 3, "llm_codebook.codes[0].label must be a string, got 3"),
+    ("codes", "quote", None, "llm_codebook.codes[0].quote must be a string, got None"),
+    ("themes", "member_labels", "abc",
+     "llm_codebook.themes[0].member_labels must be a list of strings, got 'abc'"),
+    ("themes", "member_labels", ["Curiosity", 7],
+     "llm_codebook.themes[0].member_labels[1] must be a string, got 7"),
+    ("codes", "provenance", ["x"], "llm_codebook.codes[0].provenance must be a string, got ['x']"),
+    ("themes", "description", {"a": 1},
+     "llm_codebook.themes[0].description must be a string, got {'a': 1}"),
+    ("themes", "interpretation", 5,
+     "llm_codebook.themes[0].interpretation must be a string or null, got 5"),
+    ("themes", "name", 7, "llm_codebook.themes[0].name must be a string, got 7"),
+    ("codebook", "coder_id", ["x"], "llm_codebook.coder_id must be a string, got ['x']"),
+    ("trace", "threshold", "x", "trace.threshold must be a number in [0, 1], got 'x'"),
+    ("results", "notes", "abc", "trace.results[0].notes must be a list of strings, got 'abc'"),
+    ("results", "matched_span", [5, 1], "trace.results[0].matched_span must be a [start, end] "
+     "pair with start <= end, or null, got [5, 1]"),
+    ("codes", "raw_span", [1], "llm_codebook.codes[0].raw_span must be a [start, end] pair with "
+     "start <= end, or null, got [1]"),
+    ("codebook", "provenance", {"a": 1}, "llm_codebook.provenance must be a string, got {'a': 1}"),
+    ("codes", "page", 1.5, "llm_codebook.codes[0].page must be an int or null, got 1.5"),
+    ("results", "score", True, "trace.results[0].score must be a number, got True"),
+    ("artifact", "created", 7, "created must be a string, got 7"),
+    ("artifact", "notes", [7], "notes[0] must be a string, got 7"),
+    ("artifact", "schema_version", "x", "schema_version must be 1, got 'x'"),
+    ("corpus", "page_size", DELETED, "corpus.page_size is missing"),
+    ("trace", "threshold", 5, "trace.threshold must be a number in [0, 1], got 5"),
+    ("artifact", "schema_version", 2, "schema_version must be 1, got 2"),
+    ("results", "notes", DELETED, "trace.results[0].notes is missing"),
 ], ids=["score", "page", "page-true", "label", "quote-null", "members-string", "member-number",
         "provenance-list", "description-object", "interpretation-number", "theme-name",
-        "coder-id"])
+        "coder-id", "threshold-string", "notes-string", "matched-span-reversed",
+        "raw-span-short", "codebook-provenance-object", "page-float", "score-true",
+        "created-number", "note-number", "schema-version-string", "page-size-deleted",
+        "threshold-out-of-range", "schema-version-later", "result-notes-deleted"])
 def test_a_hand_edited_value_of_the_wrong_type_is_one_line_naming_its_field(
         analyzed_workspace: Path, tmp_path: Path, monkeypatch: pytest.MonkeyPatch, capsys,
         section: str, field: str, value: object, message: str) -> None:
     workspace = copy_workspace(analyzed_workspace, tmp_path / "edited")
     artifact_path = workspace / "out" / "analysis.json"
     data = json.loads(artifact_path.read_text(encoding="utf-8"))
-    book = data["llm_codebook"]
-    records = (data["trace"]["results"] if section == "trace" else
-               [book] if section == "codebook" else book[section])
-    records[0][field] = value
+    book, trace = data["llm_codebook"], data["trace"]
+    record = {"artifact": data, "corpus": data["corpus"], "codebook": book, "trace": trace,
+              "codes": book["codes"][0], "themes": book["themes"][0],
+              "results": trace["results"][0]}[section]
+    if value is DELETED:
+        del record[field]
+    else:
+        record[field] = value
     artifact_path.write_text(json.dumps(data), encoding="utf-8")
     monkeypatch.chdir(workspace)
     assert main(["--config", "run_config.json", "verify"]) == 1
     captured = capsys.readouterr()
     assert captured.out == ""
-    assert captured.err == f"error: out/analysis.json: malformed artifact: {message}\n"
+    assert captured.err == f"error: out/analysis.json: {message}\n"
 
 
 @pytest.mark.parametrize("field, value, message", [
-    ("emerging_labels", "abc", "emerging_labels must be a list of strings, got 'abc'"),
-    ("emerging_labels", ["Curiosity", 7],
-     "emerging_labels must be a list of strings, got ['Curiosity', 7]"),
-    ("aliases", "xyz", "code 'Academic Background of Researcher' aliases must be a list of "
-     "strings, got 'xyz'"),
+    ("emerging_labels", "abc",
+     "llm_codebook.emerging_labels must be a list of strings or null, got 'abc'"),
+    ("emerging_labels", ["Curiosity", 7], "llm_codebook.emerging_labels[1] must be a string, got 7"),
+    ("aliases", "xyz", "llm_codebook.codes[0].aliases must be a list of strings, got 'xyz'"),
 ], ids=["emerging-string", "emerging-number", "aliases-string"])
 def test_a_string_where_a_label_list_belongs_is_one_line_naming_its_field(
         analyzed_workspace: Path, tmp_path: Path, monkeypatch: pytest.MonkeyPatch, capsys,
@@ -764,7 +791,80 @@ def test_a_string_where_a_label_list_belongs_is_one_line_naming_its_field(
     assert main(["--config", "run_config.json", "verify"]) == 1
     captured = capsys.readouterr()
     assert captured.out == ""
-    assert captured.err == f"error: out/analysis.json: malformed artifact: {message}\n"
+    assert captured.err == f"error: out/analysis.json: {message}\n"
+
+
+# The JSON types each leaf of the sample artifact admits, by the leaf's JSON
+# path with its list indices left out and a reply's key as ``*``: the oracle of
+# the property test below.  ``config`` is left out: a resume compares it whole.
+_NULL = type(None)
+_LEAF_TYPES = {
+    "schema_version": {int}, "status": {str}, "created": {str}, "updated": {str},
+    "corpus.source_path": {str}, "corpus.content_hash": {str},
+    "corpus.page_size": {int}, "corpus.page_count": {int},
+    "raw_replies.*": {str}, "notes[]": {str},
+    "llm_codebook.coder_id": {str}, "llm_codebook.provenance": {str},
+    "llm_codebook.codes[].label": {str}, "llm_codebook.codes[].quote": {str},
+    "llm_codebook.codes[].page": {int, _NULL}, "llm_codebook.codes[].provenance": {str},
+    "llm_codebook.codes[].raw_span[]": {int}, "llm_codebook.codes[].aliases": {list},
+    "llm_codebook.emerging_labels[]": {str}, "llm_codebook.themes[].name": {str},
+    "llm_codebook.themes[].member_labels[]": {str}, "llm_codebook.themes[].description": {str},
+    "llm_codebook.themes[].interpretation": {str, _NULL},
+    "trace.threshold": {int, float}, "trace.results[].label": {str},
+    "trace.results[].level": {str}, "trace.results[].score": {int, float},
+    "trace.results[].matched_span[]": {int}, "trace.results[].notes": {list},
+}
+_JSON_OF_TYPE = {
+    _NULL: st.none(), bool: st.booleans(), int: st.integers(),
+    float: st.floats(allow_nan=False, allow_infinity=False), str: st.text(max_size=6),
+    list: st.lists(st.integers() | st.text(max_size=3), max_size=2),
+    dict: st.dictionaries(st.text(max_size=3), st.integers(), max_size=2),
+}
+# Tier-1 draws the same examples on every run; another seed draws fresh ones.
+_LEAF_SEED = int(os.environ.get("THEMATICA_LEAF_SEED", "33"))
+
+
+def _leaves(value, keys: tuple = (), path: str = "", pattern: str = ""):
+    """The keys, JSON path and oracle pattern of each scalar or empty list or
+    object in ``value``."""
+    if not isinstance(value, (dict, list)) or not value:
+        yield keys, path, pattern
+        return
+    for key, item in value.items() if isinstance(value, dict) else enumerate(value):
+        step, shape = ((f".{key}", ".*" if pattern == "raw_replies" else f".{key}")
+                       if isinstance(value, dict) else (f"[{key}]", "[]"))
+        yield from _leaves(item, (*keys, key), (path + step).lstrip("."),
+                           (pattern + shape).lstrip("."))
+
+
+@seed(_LEAF_SEED)
+@settings(max_examples=100, deadline=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(st.data())
+def test_a_leaf_of_a_type_its_field_does_not_admit_is_one_line_naming_its_path(
+        analyzed_workspace: Path, tmp_path_factory, capsys, data) -> None:
+    text = (analyzed_workspace / "out" / "analysis.json").read_text(encoding="utf-8")
+    leaves = [leaf for leaf in _leaves(json.loads(text)) if not leaf[1].startswith("config.")]
+    assert {pattern for _, _, pattern in leaves} == set(_LEAF_TYPES)
+    keys, path, pattern = data.draw(st.sampled_from(leaves))
+    kind = data.draw(st.sampled_from([kind for kind in _JSON_OF_TYPE
+                                      if kind not in _LEAF_TYPES[pattern]]))
+    value = data.draw(_JSON_OF_TYPE[kind])
+    edited = json.loads(text)
+    record = edited
+    for key in keys[:-1]:
+        record = record[key]
+    record[keys[-1]] = value
+    workspace = tmp_path_factory.mktemp("leaf")
+    (workspace / "analysis.json").write_text(json.dumps(edited), encoding="utf-8")
+    capsys.readouterr()
+    assert main(["--config", str(analyzed_workspace / "run_config.json"),
+                 "verify", "--artifact", str(workspace / "analysis.json")]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith(f"error: {workspace / 'analysis.json'}: {path} must be ")
+    assert captured.err.endswith(f", got {value!r}\n")
+    assert captured.err.count("\n") == 1
 
 
 @pytest.mark.parametrize("argv", [
@@ -1023,8 +1123,8 @@ def test_a_page_size_that_is_not_a_positive_int_is_one_line_naming_it(
     assert main(["--config", "run_config.json", "verify"]) == 1
     captured = capsys.readouterr()
     assert captured.out == ""
-    assert captured.err == ("error: out/analysis.json: corpus 'page_size' must be a "
-                            f"positive integer, got {page_size!r}\n")
+    assert captured.err == ("error: out/analysis.json: corpus.page_size must be a "
+                            f"positive int, got {page_size!r}\n")
 
 
 def test_unknown_config_key_is_a_configuration_error(

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import math
 import random
 import re
 from collections import Counter
@@ -178,9 +179,11 @@ def triples(report) -> list[tuple[str, str, int]]:
     # Both faults: the label is checked first.
     ({"label": "", "quote": "q", "page": 0}, "code label must be non-empty"),
     ({"label": "Family", "quote": None, "page": 1}, "quote must be a string, got None"),
-    ({"label": "Family", "quote": "q", "page": True}, "page must be a number, got True"),
+    ({"label": "Family", "quote": "q", "page": True}, "page must be an int or None, got True"),
     # The page's range is checked before the quote's type.
     ({"label": "Family", "quote": 7, "page": 0}, "page must be >= 1, got 0"),
+    ({"label": "Family", "quote": "q", "page": 1.5}, "page must be an int or None, got 1.5"),
+    ({"label": "Family", "quote": "q", "page": math.inf}, "page must be an int or None, got inf"),
 ])
 def test_code_record_rejects_invalid_fields_in_order(kwargs: dict, message: str) -> None:
     with pytest.raises(ValueError) as raised:
