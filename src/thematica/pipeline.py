@@ -39,7 +39,7 @@ from .errors import (
     SchemaError,
     ThematicaError,
 )
-from .gateway import ChatMessage, Gateway, ModelConfig, replace_file
+from .gateway import ChatMessage, Gateway, ModelConfig, ReplayTransport, replace_file
 from .outparse import (
     CodeRecord,
     ParseReport,
@@ -127,8 +127,12 @@ class AnalysisArtifact:
             if len(results) != len(codes):  # result i traces code i
                 raise SchemaError(f"trace.results must hold one result per code of llm_codebook "
                                   f"({len(codes)}), got {len(results)}")
-            trace = TraceabilityReport(_built(TraceResult, _RESULT, results, "trace.results[{}].",
-                                              codes), threshold)
+            built = _built(TraceResult, _RESULT, results, "trace.results[{}].", codes)
+            for i, (result, code) in enumerate(zip(results, codes)):
+                if result["label"] != code.label:  # an edited or reordered row
+                    raise SchemaError(f"trace.results[{i}].label must be its code's label "
+                                      f"{code.label!r}, got {result['label']!r}")
+            trace = TraceabilityReport(built, threshold)
         return cls(corpus, config, status, dict(replies), list(notes), book, trace, *stamps, path)
 
     def save(self, path: str | Path | None = None) -> Path:
@@ -426,6 +430,11 @@ def run_analysis(corpus: Corpus, focus: StudyFocus, config: ModelConfig, transpo
     stops early saves it as partial; a library error then becomes
     AnalysisInterrupted carrying the stage, page, artifact, and cause, and
     any other exception propagates unchanged.
+
+    Up to ``config.parallelism`` worker threads send the page requests, so
+    a live run overlaps the endpoint's latency.  A :class:`ReplayTransport`
+    blocks on nothing, so a replay answers its pages on the calling thread,
+    in page order, whatever ``parallelism`` says.
     """
     library = library or default_library()
     replay = getattr(transport, "kind", "live") == "replay"
@@ -467,7 +476,8 @@ def run_analysis(corpus: Corpus, focus: StudyFocus, config: ModelConfig, transpo
     try:
         # step 1: per-page code extraction.  Workers take the next pending page
         # until none is left; after a failure or an interrupt no page starts,
-        # and a request in flight finishes and keeps its reply.
+        # and a request in flight finishes and keeps its reply.  A replay has
+        # one worker, the calling thread, which takes the pages in order.
         asked = [page for page in corpus.pages if f"page_{page.number}" not in artifact.raw_replies]
         pages = iter(asked)
         replies: dict[int, str] = {}
@@ -488,19 +498,25 @@ def run_analysis(corpus: Corpus, focus: StudyFocus, config: ModelConfig, transpo
                     failures.append((isinstance(exc, ThematicaError), page.number, exc))
                     stop.set()
 
-        pool = ThreadPoolExecutor(max_workers=config.parallelism)
+        pool = (None if isinstance(transport, ReplayTransport)
+                else ThreadPoolExecutor(max_workers=config.parallelism))
         try:
-            workers = [pool.submit(extract) for _ in range(config.parallelism)]
-            # An interrupt inside submit can leave a started thread that the
-            # shutdown below does not join, so no page starts before this.
-            go.set()
-            while wait(workers, timeout=WAIT_SLICE_S).not_done:
-                pass
+            if pool is None:
+                go.set()
+                extract()
+            else:
+                workers = [pool.submit(extract) for _ in range(config.parallelism)]
+                # An interrupt inside submit can leave a started thread that the
+                # shutdown below does not join, so no page starts before this.
+                go.set()
+                while wait(workers, timeout=WAIT_SLICE_S).not_done:
+                    pass
         finally:
             stop.set()
             go.set()
             try:
-                pool.shutdown()
+                if pool is not None:
+                    pool.shutdown()
             finally:
                 # Every reply that arrived goes into the artifact, at an interrupt
                 # too, even one that cuts the wait for the requests in flight: a

@@ -122,13 +122,34 @@ def test_replay_runs_are_byte_identical(sample: dict, tmp_path: Path) -> None:
 
 def test_parallel_extraction_matches_sequential(sample: dict, tmp_path: Path) -> None:
     run_sample(sample, tmp_path / "seq")
-    parallel_config = ModelConfig(parallelism=4)
-    run_analysis(sample["corpus"], sample["focus"], parallel_config,
-                 ReplayTransport(sample["fixture"]), output_dir=tmp_path / "par")
     sequential = json.loads((tmp_path / "seq" / "analysis.json").read_text(encoding="utf-8"))
-    parallel = json.loads((tmp_path / "par" / "analysis.json").read_text(encoding="utf-8"))
-    assert parallel["llm_codebook"] == sequential["llm_codebook"]
-    assert parallel["raw_replies"] == sequential["raw_replies"]
+    parallel_config = ModelConfig(parallelism=4)
+    # A replay answers on the calling thread; a send-only wrapper takes the pool.
+    for name, transport in (("par", ReplayTransport(sample["fixture"])),
+                            ("pool", CountingTransport(ReplayTransport(sample["fixture"])))):
+        run_analysis(sample["corpus"], sample["focus"], parallel_config,
+                     transport, output_dir=tmp_path / name)
+        parallel = json.loads((tmp_path / name / "analysis.json").read_text(encoding="utf-8"))
+        assert parallel["llm_codebook"] == sequential["llm_codebook"]
+        assert parallel["raw_replies"] == sequential["raw_replies"]
+
+
+@pytest.mark.parametrize("parallelism", [1, 4])
+def test_a_replay_starts_no_worker_thread(sample: dict, tmp_path: Path,
+                                          monkeypatch: pytest.MonkeyPatch,
+                                          parallelism: int) -> None:
+    run_sample(sample, tmp_path / "reference")
+
+    def no_pool(*args, **kwargs):
+        raise AssertionError("a replay started a thread pool")
+
+    monkeypatch.setattr(pipeline, "ThreadPoolExecutor", no_pool)
+    artifact = run_analysis(sample["corpus"], sample["focus"],
+                            ModelConfig(parallelism=parallelism),
+                            ReplayTransport(sample["fixture"]), output_dir=tmp_path / "run")
+    assert artifact.complete
+    assert (tmp_path / "run" / "analysis.json").read_bytes() == (
+        tmp_path / "reference" / "analysis.json").read_bytes()
 
 
 class ContextTransport:
@@ -515,9 +536,16 @@ def _edited(data: dict, section: str, edit) -> str:
      "trace.results must hold one result per code of llm_codebook (59), got 58"),
     (lambda data: _edited(data, "artifact", lambda artifact: artifact.update(llm_codebook=None)),
      "trace.results must hold one result per code of llm_codebook (0), got 59"),
+    (lambda data: _edited(data, "results", lambda results: results[4].update(label="Other")),
+     "trace.results[4].label must be its code's label 'Accidental Career Discovery', "
+     "got 'Other'"),
+    (lambda data: _edited(data, "results", lambda results: results.insert(0, results.pop(1))),
+     "trace.results[0].label must be its code's label 'Academic Background of Researcher', "
+     "got 'Confidentiality Assurance'"),
 ], ids=["not-an-object", "replies-list", "reply-number", "no-status",
         "no-label", "label-number", "code-number", "page-zero", "labels-collide",
-        "level-unknown", "result-missing", "trace-without-codebook"])
+        "level-unknown", "result-missing", "trace-without-codebook", "result-label",
+        "results-reordered"])
 def test_unreadable_artifact_raises_schema_error_naming_the_path(
         completed: AnalysisArtifact, tmp_path: Path, damage, message: str) -> None:
     path = tmp_path / "analysis.json"
@@ -680,6 +708,57 @@ def test_interrupted_sequential_run_keeps_the_reply_in_flight(
     partial = load_artifact(out_dir / "analysis.json")
     assert interrupting.sent == 3
     assert list(partial.raw_replies) == ["page_1", "page_2", "page_3"]
+
+
+class PausingReplay(ReplayTransport):
+    """Replay that pauses when one page is asked, long enough for worker
+    threads to answer the pages after it; then it answers, or raises ``cut``."""
+
+    def __init__(self, fixture_path: Path, page: int, cut: type | None = None) -> None:
+        super().__init__(fixture_path)
+        self.page = page
+        self.cut = cut
+
+    def send(self, config, messages, context=None):
+        if page_of(context) == self.page:
+            time.sleep(0.05)
+            if self.cut:
+                raise self.cut
+        return super().send(config, messages, context)
+
+
+def test_parallel_replays_write_the_same_response_cache(sample: dict, tmp_path: Path) -> None:
+    for name in ("a", "b"):
+        run_analysis(sample["corpus"], sample["focus"], ModelConfig(parallelism=2),
+                     PausingReplay(sample["fixture"], page=1), output_dir=tmp_path / name)
+    run_sample(sample, tmp_path / "sequential")
+    cache = (tmp_path / "a" / "response_cache.json").read_bytes()
+    assert (tmp_path / "b" / "response_cache.json").read_bytes() == cache
+    # In request order, as a run at parallelism 1 writes it.
+    assert (tmp_path / "sequential" / "response_cache.json").read_bytes() == cache
+
+
+@pytest.mark.parametrize("parallelism", [1, 4])
+def test_an_interrupted_replay_keeps_the_pages_before_it(
+        sample: dict, tmp_path: Path, parallelism: int) -> None:
+    clean = run_sample(sample, tmp_path / "clean")
+    out_dir = tmp_path / "run"
+    with pytest.raises(KeyboardInterrupt):
+        run_analysis(sample["corpus"], sample["focus"], ModelConfig(parallelism=parallelism),
+                     PausingReplay(sample["fixture"], page=3, cut=KeyboardInterrupt),
+                     output_dir=out_dir)
+    # The pages are read in order on the calling thread: none after page 3 started.
+    partial = load_artifact(out_dir / "analysis.json")
+    assert partial.status == "partial"
+    assert partial.raw_replies == {key: clean.raw_replies[key] for key in ("page_1", "page_2")}
+    cached = load_fixture(out_dir / "response_cache.json")
+    assert [entry["response"] for entry in cached] == list(partial.raw_replies.values())
+
+    counting = CountingTransport(ReplayTransport(sample["fixture"]))
+    assert run_sample(sample, out_dir, transport=counting).status == "complete"
+    assert counting.sent == len(sample["corpus"].pages) + 2 - len(cached)
+    assert (out_dir / "analysis.json").read_bytes() == (
+        tmp_path / "clean" / "analysis.json").read_bytes()
 
 
 class HoldingTransport:
