@@ -65,15 +65,15 @@ class PresenceMatrix:
         return [row[index] for row in self.cells]
 
 
-def round_display(value: float | Fraction | int) -> float:
-    """Half-up rounding to 2 decimals, as printed in reports."""
+def round_display(value: float | Fraction | int, places: int = 2) -> float:
+    """Half-up rounding to ``places`` decimals, as printed in reports."""
     if isinstance(value, Fraction):
         with localcontext() as context:
             context.prec = 60
             decimal_value = Decimal(value.numerator) / Decimal(value.denominator)
     else:
         decimal_value = Decimal(repr(float(value)))
-    return float(decimal_value.quantize(Decimal("0.01"), rounding=ROUND_HALF_UP))
+    return float(decimal_value.quantize(Decimal(1).scaleb(-places), rounding=ROUND_HALF_UP))
 
 
 def format_percent(value: float | Fraction | int) -> str:

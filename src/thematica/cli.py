@@ -61,7 +61,7 @@ EXIT_PARTIAL = 2
 EXIT_TRACE_FAILURES = 3
 
 DEFAULT_FIXTURE_NAME = "session.json"
-# What a retired --record flag, or "transport": "record" in a config, prints.
+# What "transport": "record" in a config prints: --record is retired.
 RECORD_RETIRED = ("--record is retired: analyze with --live, then rerun offline with "
                   "--replay OUTPUT_DIR/response_cache.json")
 
@@ -445,7 +445,6 @@ def _build_parser(tokens: list[str]) -> argparse.ArgumentParser:
                              help="JSON file of expected values for discrepancy footnotes")
         transport = analyze.add_mutually_exclusive_group()
         transport.add_argument("--replay", metavar="FIXTURE", help="replay a recorded session")
-        transport.add_argument("--record", help=argparse.SUPPRESS)
         transport.add_argument("--live", action="store_true", help="send live requests")
     if "compare" in tokens:
         compare.add_argument("--artifact")
@@ -484,8 +483,6 @@ def main(argv: list[str] | None = None) -> int:
         if getattr(args, "replay", None):
             overrides["transport"] = "replay"
             overrides["fixture"] = args.replay
-        elif getattr(args, "record", None):
-            overrides["transport"] = "record"
         elif getattr(args, "live", False):
             overrides["transport"] = "live"
         config = RunConfig.from_sources(file_data, overrides)

@@ -1,12 +1,14 @@
 """Render analysis results into markdown and CSV outputs.
 
 The markdown report carries the page-by-page traceable code listing, the
-theme and interpretation text, trace statistics, and the comparison tables;
-every markdown table has a CSV twin (codes.csv, matrix.csv, summary.csv,
-coverage.csv).  Percentages print with exactly 2 decimals; the CSV keeps an
-extra full-precision column.  When a reference-values file is supplied,
-computed numbers that differ from it gain footnotes instead of being
-adjusted.
+theme and interpretation text, trace statistics, and the comparison tables.
+Each number they show is a ``Metric``, made once as (key, value, display);
+a ``Table`` is a title, a header and rows of text and metric cells, and one
+renderer writes every table and sentence. summary.csv is the list of the
+metrics; every other table has a CSV twin (codes.csv, matrix.csv,
+coverage.csv). Percentages print with exactly 2 decimals and kappa-like
+statistics with 4. A reference value that differs from its metric at the
+precision the metric shows becomes a footnote; neither is adjusted.
 """
 
 from __future__ import annotations
@@ -14,7 +16,9 @@ from __future__ import annotations
 import csv
 import io
 from dataclasses import dataclass, field
+from itertools import chain
 from pathlib import Path
+from typing import Iterable, NamedTuple
 
 from .agreement import format_percent, round_display
 from .codebook import Codebook
@@ -48,7 +52,7 @@ class ReportBundle:
     inconsistency_notes: list[str] = field(default_factory=list)
 
 
-def _csv_text(header: list[str], rows: list[list]) -> str:
+def _csv_text(header: list[str], rows: Iterable[Iterable]) -> str:
     buffer = io.StringIO()
     writer = csv.writer(buffer, lineterminator="\n")
     writer.writerow(header)
@@ -84,46 +88,107 @@ def render_code_listing(codebook: Codebook, trace: TraceabilityReport) -> str:
 
 
 def render_codes_csv(codebook: Codebook, trace: TraceabilityReport) -> str:
-    rows = [
+    return _csv_text(["label", "quote", "page", "trace_level", "provenance"], (
         [record.label, record.quote, "" if record.page is None else record.page,
          result.level, record.provenance]
-        for record, result in zip(codebook.codes, trace.results)
-    ]
-    return _csv_text(["label", "quote", "page", "trace_level", "provenance"], rows)
+        for record, result in zip(codebook.codes, trace.results)))
 
 
-def render_trace_summary(trace: TraceabilityReport) -> tuple[str, list[list]]:
+class Metric(NamedTuple):
+    """One number of the report: a summary.csv row, and the text it prints as."""
+
+    key: str
+    value: int | float
+    display: str
+
+    def __str__(self) -> str:
+        return self.display
+
+
+class Percent(Metric):
+    def __str__(self) -> str:
+        return f"{self.display}%"
+
+
+def _count(key: str, value: int) -> Metric:
+    return Metric(key, value, str(value))
+
+
+def _percent(key: str, value: float) -> Percent:
+    return Percent(key, value, format_percent(value))
+
+
+def _ratio(key: str, value: float) -> Metric:
+    """A kappa-like statistic: summary.csv keeps 6 decimals, the report shows 4."""
+    return Metric(key, round(value, 6), f"{value:.4f}")
+
+
+class Table(NamedTuple):
+    """A Markdown table under its ### title, or under none when the title is ""."""
+
+    title: str
+    header: tuple[str, ...]
+    rows: list[tuple[str | Metric, ...]]
+
+
+# A report is a list of blocks, a blank line apart: tables, text, and
+# sentences whose parts are text and metrics.
+Block = Table | str | tuple[str | Metric, ...]
+
+
+def _markdown(blocks: list[Block]) -> str:
+    parts: list[str] = []
+    for block in blocks:
+        if isinstance(block, Table):
+            if block.title:
+                parts.append(f"### {block.title}")
+            lines = (block.header, ("---",) * len(block.header), *block.rows)
+            parts.append("\n".join(f"| {' | '.join(map(str, cells))} |" for cells in lines))
+        else:
+            parts.append(block if isinstance(block, str) else "".join(map(str, block)))
+    return "\n\n".join(parts)
+
+
+def _bullets(items: Iterable[str]) -> str:
+    return "\n".join(f"- {item}" for item in items)
+
+
+def _metrics(blocks: list[Block]) -> list[Metric]:
+    """Every metric the blocks show, once, in the order they first show it."""
+    cells = chain.from_iterable(
+        chain.from_iterable(block.rows) if isinstance(block, Table) else block
+        for block in blocks if not isinstance(block, str))
+    return list({cell.key: cell for cell in cells if isinstance(cell, Metric)}.values())
+
+
+def render_trace_summary(trace: TraceabilityReport) -> tuple[str, list[Metric]]:
+    """The traceability section and its metrics, which are summary.csv rows."""
     counts = trace.counts
-    lines = ["## Quote Traceability", "",
-             "| Level | Count |", "| --- | --- |"]
-    metric_rows: list[list] = []
-    for level in LEVELS:
-        lines.append(f"| {level} | {counts[level]} |")
-        metric_rows.append([f"trace.{level.lower()}_count", counts[level], counts[level]])
-    share = trace.verified_share
-    lines.extend(["",
-                  f"Verified quotes: {sum(counts[lv] for lv in LEVELS if lv != FAILED)}"
-                  f" of {len(trace.results)} ({format_percent(share)}%)."])
-    metric_rows.append(["trace.verified_share_pct", repr(share), format_percent(share)])
-    return "\n".join(lines), metric_rows
+    verified = sum(counts[level] for level in LEVELS if level != FAILED)
+    blocks: list[Block] = [
+        "## Quote Traceability",
+        Table("", ("Level", "Count"), [
+            (level, _count(f"trace.{level.lower()}_count", counts[level])) for level in LEVELS]),
+        (f"Verified quotes: {verified} of {len(trace.results)} (",
+         _percent("trace.verified_share_pct", trace.verified_share), ")."),
+    ]
+    return _markdown(blocks), _metrics(blocks)
 
 
 def render_coverage(coverages: dict[str, SixStepCoverage]) -> tuple[str, str]:
     """Markdown section plus coverage.csv for the six-stage mapping."""
-    lines = ["## Six-Step Coverage", ""]
-    rows: list[list] = []
+    blocks: list[Block] = ["## Six-Step Coverage"]
+    rows: list[tuple[str, ...]] = []
     for coder, coverage in coverages.items():
-        lines.extend([f"### {coder}", "", "| Stage | Covered by |", "| --- | --- |"])
-        for stage, value in coverage.stages.items():
-            lines.append(f"| {stage} | {value} |")
-            rows.append([coder, stage, value])
-        lines.extend(["", f"Covered {coverage.covered_count} of 6 stages.", ""])
-    return "\n".join(lines).rstrip(), _csv_text(["coder", "stage", "covered_by"], rows)
+        table = Table(coder, ("Stage", "Covered by"), list(coverage.stages.items()))
+        blocks.extend([table, f"Covered {coverage.covered_count} of 6 stages."])
+        rows.extend((coder, *row) for row in table.rows)
+    return _markdown(blocks), _csv_text(["coder", "stage", "covered_by"], rows)
 
 
-# Every metric a comparison can compute; which of them one comparison computes
-# depends on its coders and themes.
-METRIC_KEYS = frozenset(f"{table}.{name}" for table, names in (
+# summary.csv's order of every metric a comparison can compute; which of them
+# one comparison computes depends on its coders and themes.
+_SUMMARY_ORDER = tuple(f"{table}.{name}" for table, names in (
     ("table1", "coder_1_codes coder_2_codes similar_codes merged_codes"),
     ("table2", "coder_1_themes coder_2_themes similar_themes coder_1_overlap_pct "
                "coder_2_overlap_pct"),
@@ -133,166 +198,120 @@ METRIC_KEYS = frozenset(f"{table}.{name}" for table, names in (
                    "positive_specific_agreement"),
     ("table6", "genai_themes genai_share_pct human_themes human_share_pct emerging_list_pct"),
 ) for name in names.split())
+METRIC_KEYS = frozenset(_SUMMARY_ORDER)
 
 
-def _reference_check(metrics: dict[str, object], reference: dict | None,
-                     notes: list[str]) -> None:
-    if not reference:
-        return
-    for table, expected_map in sorted(reference.items()):
+def _reference_notes(metrics: list[Metric], reference: dict | None) -> list[str]:
+    """A note for each reference value that differs from its metric's display."""
+    computed = {metric.key: metric for metric in metrics}
+    notes: list[str] = []
+    for table, expected_map in sorted((reference or {}).items()):
         if not isinstance(expected_map, dict):
+            notes.append(f"{table}: must be an object of metric values, "
+                         "so its reference values are not checked")
             continue
-        for metric, expected in sorted(expected_map.items()):
-            key = f"{table}.{metric}"
-            if key not in metrics:
+        for name, expected in sorted(expected_map.items()):
+            key = f"{table}.{name}"
+            metric = computed.get(key)
+            if metric is None:
                 if key not in METRIC_KEYS:
                     notes.append(f"{key}: names no metric, so its reference value is not checked")
-                continue
-            computed = metrics[key]
-            if isinstance(expected, (int, float)) and isinstance(computed, (int, float)):
-                if round_display(computed) != round_display(expected):
-                    notes.append(
-                        f"{key}: computed {_display(computed)} differs from the "
-                        f"reference value {_display(expected)}"
-                    )
-            elif str(computed) != str(expected):
-                notes.append(f"{key}: computed {computed!r} differs from reference {expected!r}")
-
-
-def _display(value: object) -> str:
-    if isinstance(value, float):
-        return format_percent(value)
-    return str(value)
+            elif isinstance(expected, (int, float)):
+                # Rounded to, and printed at, the decimals the display shows.
+                places = len(metric.display.partition(".")[2])
+                shown = f"{round_display(expected, places):.{places}f}"
+                if shown != metric.display:
+                    notes.append(f"{key}: computed {metric.display} differs from the "
+                                 f"reference value {shown}")
+            elif str(metric.value) != str(expected):
+                notes.append(f"{key}: computed {metric.value!r} differs from reference {expected!r}")
+    return notes
 
 
 def render_comparison(bundle: ComparisonBundle,
                       human_tables: CoderMergeStats | None = None,
                       paper_reference: dict | None = None
-                      ) -> tuple[str, str, list[list], list[str]]:
+                      ) -> tuple[str, str, list[Metric], list[str]]:
     """Comparison tables as markdown, matrix.csv, summary.csv rows, and notes."""
-    notes: list[str] = list(bundle.notes)
-    metrics: dict[str, object] = {}
-    summary_rows: list[list] = []
-    lines: list[str] = ["## Codebook Comparison", ""]
-
-    def add_metric(key: str, value, display: str | None = None) -> None:
-        metrics[key] = value
-        shown = display if display is not None else _display(value)
-        stored = repr(value) if isinstance(value, float) else value
-        summary_rows.append([key, stored, shown])
-
-    if human_tables is not None:
-        lines.extend(["### Code Counts by Human Coder", "",
-                      "| Coder | Codes |", "| --- | --- |",
-                      f"| {human_tables.coder_a_id} | {human_tables.coder_a_codes} |",
-                      f"| {human_tables.coder_b_id} | {human_tables.coder_b_codes} |",
-                      f"| Similar (counted once) | {human_tables.similar_codes} |",
-                      f"| Merged | {human_tables.merged_codes} |", ""])
-        add_metric("table1.coder_1_codes", human_tables.coder_a_codes)
-        add_metric("table1.coder_2_codes", human_tables.coder_b_codes)
-        add_metric("table1.similar_codes", human_tables.similar_codes)
-        add_metric("table1.merged_codes", human_tables.merged_codes)
-        if human_tables.coder_a_theme_overlap_pct is not None:
-            lines.extend(["### Theme Overlap Between Human Coders", "",
-                          "| Coder | Themes | Similar | Overlap |", "| --- | --- | --- | --- |",
-                          f"| {human_tables.coder_a_id} | {human_tables.coder_a_themes} | "
-                          f"{human_tables.similar_themes} | "
-                          f"{format_percent(human_tables.coder_a_theme_overlap_pct)}% |",
-                          f"| {human_tables.coder_b_id} | {human_tables.coder_b_themes} | "
-                          f"{human_tables.similar_themes} | "
-                          f"{format_percent(human_tables.coder_b_theme_overlap_pct)}% |", ""])
-            add_metric("table2.coder_1_themes", human_tables.coder_a_themes)
-            add_metric("table2.coder_2_themes", human_tables.coder_b_themes)
-            add_metric("table2.similar_themes", human_tables.similar_themes)
-            add_metric("table2.coder_1_overlap_pct", human_tables.coder_a_theme_overlap_pct)
-            add_metric("table2.coder_2_overlap_pct", human_tables.coder_b_theme_overlap_pct)
+    blocks: list[Block] = ["## Codebook Comparison"]
+    stats = human_tables
+    if stats is not None:
+        blocks.append(Table("Code Counts by Human Coder", ("Coder", "Codes"), [
+            (stats.coder_a_id, _count("table1.coder_1_codes", stats.coder_a_codes)),
+            (stats.coder_b_id, _count("table1.coder_2_codes", stats.coder_b_codes)),
+            ("Similar (counted once)", _count("table1.similar_codes", stats.similar_codes)),
+            ("Merged", _count("table1.merged_codes", stats.merged_codes)),
+        ]))
+        if stats.coder_a_theme_overlap_pct is not None:
+            similar = _count("table2.similar_themes", stats.similar_themes)
+            blocks.append(Table("Theme Overlap Between Human Coders",
+                                ("Coder", "Themes", "Similar", "Overlap"), [
+                (stats.coder_a_id, _count("table2.coder_1_themes", stats.coder_a_themes), similar,
+                 _percent("table2.coder_1_overlap_pct", stats.coder_a_theme_overlap_pct)),
+                (stats.coder_b_id, _count("table2.coder_2_themes", stats.coder_b_themes), similar,
+                 _percent("table2.coder_2_overlap_pct", stats.coder_b_theme_overlap_pct)),
+            ]))
 
     summary = bundle.code_summary
-    lines.extend(["### Code Counts: Human vs Model", "",
-                  "| Source | Codes | Share |", "| --- | --- | --- |",
-                  f"| Human | {summary.count_a} | {format_percent(summary.share_a)}% |",
-                  f"| Model | {summary.count_b} | {format_percent(summary.share_b)}% |",
-                  f"| Combined | {summary.total_combined} | 100.00% |",
-                  "",
-                  "| Measure | Count | Percent |", "| --- | --- | --- |",
-                  f"| Percentage Difference | {summary.count_a - summary.count_b} | "
-                  f"{format_percent(summary.percentage_difference)}% |",
-                  f"| Percentage Similarity | {summary.similar_count} | "
-                  f"{format_percent(summary.percentage_similarity)}% |", ""])
-    add_metric("table4.human_codes", summary.count_a)
-    add_metric("table4.genai_codes", summary.count_b)
-    add_metric("table4.total", summary.total_combined)
-    add_metric("table4.human_share_pct", summary.share_a)
-    add_metric("table4.genai_share_pct", summary.share_b)
-    add_metric("table4.percentage_difference", summary.percentage_difference)
-    add_metric("table4.percentage_similarity", summary.percentage_similarity)
-    add_metric("table4.similar_count", summary.similar_count)
-
-    lines.extend(["### Matched Codes", "",
-                  f"Matched pairs: {bundle.pair_count}; human-side overlap "
-                  f"{format_percent(bundle.human_overlap_pct)}%, model-side overlap "
-                  f"{format_percent(bundle.llm_overlap_pct)}%. "
-                  "The full presence matrix is exported as matrix.csv.", ""])
-    add_metric("comparison.matched_pairs", bundle.pair_count)
-    add_metric("comparison.human_overlap_pct", bundle.human_overlap_pct)
-    add_metric("comparison.llm_overlap_pct", bundle.llm_overlap_pct)
-    add_metric("comparison.cohens_kappa", round(bundle.kappa, 6),
-               f"{bundle.kappa:.4f}")
-    add_metric("comparison.positive_specific_agreement",
-               round(bundle.positive_specific_agreement, 6),
-               f"{bundle.positive_specific_agreement:.4f}")
-    lines.append(f"Positive specific agreement over the presence matrix, 2a / (2a + b + c) "
-                 "with a the labels both coders used and b, c those only one used: "
-                 f"{bundle.positive_specific_agreement:.4f}.")
-    lines.append(f"Cohen's kappa over the same matrix: {bundle.kappa:.4f}. The matrix "
-                 "has a row only for labels some coder used, so it holds no true "
-                 "negatives, and kappa over it is at most 0 unless the two codebooks "
-                 "are identical: it is not a chance-corrected agreement here.")
-    lines.append("")
-
+    blocks.extend([
+        Table("Code Counts: Human vs Model", ("Source", "Codes", "Share"), [
+            ("Human", _count("table4.human_codes", summary.count_a),
+             _percent("table4.human_share_pct", summary.share_a)),
+            ("Model", _count("table4.genai_codes", summary.count_b),
+             _percent("table4.genai_share_pct", summary.share_b)),
+            ("Combined", _count("table4.total", summary.total_combined), "100.00%"),
+        ]),
+        Table("", ("Measure", "Count", "Percent"), [
+            ("Percentage Difference", str(summary.count_a - summary.count_b),
+             _percent("table4.percentage_difference", summary.percentage_difference)),
+            ("Percentage Similarity", _count("table4.similar_count", summary.similar_count),
+             _percent("table4.percentage_similarity", summary.percentage_similarity)),
+        ]),
+        "### Matched Codes",
+        ("Matched pairs: ", _count("comparison.matched_pairs", bundle.pair_count),
+         "; human-side overlap ", _percent("comparison.human_overlap_pct", bundle.human_overlap_pct),
+         ", model-side overlap ", _percent("comparison.llm_overlap_pct", bundle.llm_overlap_pct),
+         ". The full presence matrix is exported as matrix.csv."),
+        ("Positive specific agreement over the presence matrix, 2a / (2a + b + c) "
+         "with a the labels both coders used and b, c those only one used: ",
+         _ratio("comparison.positive_specific_agreement", bundle.positive_specific_agreement),
+         ".\nCohen's kappa over the same matrix: ", _ratio("comparison.cohens_kappa", bundle.kappa),
+         ". The matrix has a row only for labels some coder used, so it holds no true "
+         "negatives, and kappa over it is at most 0 unless the two codebooks are "
+         "identical: it is not a chance-corrected agreement here."),
+    ])
     if bundle.human_theme_share is not None and bundle.llm_theme_share is not None:
-        total_themes = bundle.human_theme_count + bundle.llm_theme_count
-        lines.extend(["### Theme Counts", "",
-                      "| Source | Themes | Share |", "| --- | --- | --- |",
-                      f"| Model | {bundle.llm_theme_count} | "
-                      f"{format_percent(bundle.llm_theme_share)}% |",
-                      f"| Human | {bundle.human_theme_count} | "
-                      f"{format_percent(bundle.human_theme_share)}% |",
-                      f"| Combined | {total_themes} | 100.00% |", ""])
-        add_metric("table6.genai_themes", bundle.llm_theme_count)
-        add_metric("table6.genai_share_pct", bundle.llm_theme_share)
-        add_metric("table6.human_themes", bundle.human_theme_count)
-        add_metric("table6.human_share_pct", bundle.human_theme_share)
+        blocks.append(Table("Theme Counts", ("Source", "Themes", "Share"), [
+            ("Model", _count("table6.genai_themes", bundle.llm_theme_count),
+             _percent("table6.genai_share_pct", bundle.llm_theme_share)),
+            ("Human", _count("table6.human_themes", bundle.human_theme_count),
+             _percent("table6.human_share_pct", bundle.human_theme_share)),
+            ("Combined", str(bundle.human_theme_count + bundle.llm_theme_count), "100.00%"),
+        ]))
         if bundle.emerging_vs_human_pct is not None:
-            lines.append(f"Emerging-label list: {bundle.emerging_label_count} entries, "
-                         f"{format_percent(bundle.emerging_vs_human_pct)}% of the human "
-                         "theme count.")
-            lines.append("")
-            add_metric("table6.emerging_list_pct", bundle.emerging_vs_human_pct)
+            blocks.append((f"Emerging-label list: {bundle.emerging_label_count} entries, ",
+                           _percent("table6.emerging_list_pct", bundle.emerging_vs_human_pct),
+                           " of the human theme count."))
 
-    _reference_check(metrics, paper_reference, notes)
-
-    matrix_csv = _csv_text(
-        ["code", *bundle.matrix.coder_ids],
-        [[label, *row] for label, row in zip(bundle.matrix.row_labels, bundle.matrix.cells)],
-    )
-    return "\n".join(lines).rstrip(), matrix_csv, summary_rows, notes
+    metrics = sorted(_metrics(blocks), key=lambda metric: _SUMMARY_ORDER.index(metric.key))
+    notes = [*bundle.notes, *_reference_notes(metrics, paper_reference)]
+    matrix = bundle.matrix
+    matrix_csv = _csv_text(["code", *matrix.coder_ids],
+                           ([label, *row] for label, row in zip(matrix.row_labels, matrix.cells)))
+    return _markdown(blocks), matrix_csv, metrics, notes
 
 
 def _render_themes(codebook: Codebook) -> str:
-    lines = ["## Themes", ""]
+    blocks: list[Block] = ["## Themes"]
     for number, theme in enumerate(codebook.themes, start=1):
-        lines.append(f"### Theme {number}: {theme.name}")
-        lines.append("")
-        for label in theme.member_labels:
-            lines.append(f"- **{label}**")
+        blocks.append(f"### Theme {number}: {theme.name}")
         if theme.member_labels:
-            lines.append("")
+            blocks.append(_bullets(f"**{label}**" for label in theme.member_labels))
         if theme.description:
-            lines.extend([f"**Description**: {theme.description}", ""])
+            blocks.append(f"**Description**: {theme.description}")
         if theme.interpretation:
-            lines.extend([f"**Interpretation**: {theme.interpretation}", ""])
-    return "\n".join(lines).rstrip()
+            blocks.append(f"**Interpretation**: {theme.interpretation}")
+    return _markdown(blocks).rstrip()
 
 
 def build_report(artifact: AnalysisArtifact,
@@ -308,64 +327,44 @@ def build_report(artifact: AnalysisArtifact,
 
     fingerprint = artifact.corpus_fingerprint
     model = artifact.config_snapshot.get("model", {})
-    sections = [
+    blocks: list[Block] = [
         "# Thematic Analysis Report",
-        "",
-        f"- Source: {fingerprint.get('source_path', '?')}",
-        f"- Content hash: {fingerprint.get('content_hash', '?')}",
+        f"- Source: {fingerprint.get('source_path', '?')}\n"
+        f"- Content hash: {fingerprint.get('content_hash', '?')}\n"
         f"- Pages: {fingerprint.get('page_count', '?')} "
-        f"(page size {fingerprint.get('page_size', '?')} paragraphs)",
+        f"(page size {fingerprint.get('page_size', '?')} paragraphs)\n"
         f"- Model: {model.get('model_id', '?')} (temperature {model.get('temperature', '?')}, "
-        f"max tokens {model.get('max_tokens', '?')})",
-        f"- Status: {artifact.status}",
+        f"max tokens {model.get('max_tokens', '?')})\n"
+        f"- Status: {artifact.status}\n"
         f"- Codes: {len(codebook.codes)}; emerging labels: "
         f"{len(codebook.emerging_labels or ())}; themes: {len(codebook.themes)}",
-        "",
+        render_code_listing(codebook, trace),
     ]
-    notes: list[str] = []
-
-    sections.append(render_code_listing(codebook, trace))
-    sections.append("")
-
     if codebook.emerging_labels:
-        sections.extend(["## Emerging Code List", ""])
-        sections.extend(f"- {label}" for label in codebook.emerging_labels)
-        sections.append("")
-
+        blocks.extend(["## Emerging Code List", _bullets(codebook.emerging_labels)])
     if codebook.themes:
-        sections.append(_render_themes(codebook))
-        sections.append("")
-
+        blocks.append(_render_themes(codebook))
     trace_md, summary_rows = render_trace_summary(trace)
-    sections.extend([trace_md, ""])
+    blocks.append(trace_md)
 
+    notes: list[str] = []
     exports: dict[str, str] = {"codes.csv": render_codes_csv(codebook, trace)}
     if bundle is not None:
-        comparison_md, matrix_csv, comparison_rows, comparison_notes = render_comparison(
+        comparison_md, matrix_csv, comparison_metrics, notes = render_comparison(
             bundle, human_tables=human_tables, paper_reference=paper_reference)
-        sections.extend([comparison_md, ""])
-        notes.extend(comparison_notes)
+        blocks.append(comparison_md)
         exports["matrix.csv"] = matrix_csv
-        summary_rows = comparison_rows + summary_rows
+        summary_rows = comparison_metrics + summary_rows
     exports["summary.csv"] = _csv_text(["metric", "value", "display"], summary_rows)
 
     if coverages:
-        coverage_md, coverage_csv = render_coverage(coverages)
-        sections.extend([coverage_md, ""])
-        exports["coverage.csv"] = coverage_csv
-
+        coverage_md, exports["coverage.csv"] = render_coverage(coverages)
+        blocks.append(coverage_md)
     if artifact.notes:
-        sections.extend(["## Run Notes", ""])
-        sections.extend(f"- {note}" for note in artifact.notes)
-        sections.append("")
-
+        blocks.extend(["## Run Notes", _bullets(artifact.notes)])
     if notes:
-        sections.extend(["## Inconsistency Notes", ""])
-        sections.extend(f"- {note}" for note in notes)
-        sections.append("")
-
-    markdown = "\n".join(sections).rstrip() + "\n"
-    return ReportBundle(markdown_report=markdown, csv_exports=exports,
+        blocks.extend(["## Inconsistency Notes", _bullets(notes)])
+    return ReportBundle(markdown_report=_markdown(blocks).rstrip() + "\n", csv_exports=exports,
                         inconsistency_notes=notes)
 
 

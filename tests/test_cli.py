@@ -380,8 +380,8 @@ def test_a_consolidation_stop_names_the_page_whose_reply_stopped_it(
     assert capsys.readouterr().err.splitlines()[0] == f"analysis interrupted during {stop}"
 
 
-# What a leftover --record flag or "transport": "record" prints: the response
-# cache of a --live run is its replay fixture.
+# What "transport": "record" in a config prints: the response cache of a
+# --live run is its replay fixture.
 RECORD_RETIRED = ("--record is retired: analyze with --live, then rerun offline with "
                   "--replay OUTPUT_DIR/response_cache.json")
 
@@ -405,16 +405,26 @@ def posts(monkeypatch: pytest.MonkeyPatch) -> list[dict]:
     (["analyze", "--trace-threshold=-1"], "trace_threshold must be in [0, 1], got -1.0"),
     (["compare", "--human", "coder1.csv", "--matcher", "token_overlap",
       "--jaccard-threshold", "0"], "jaccard_threshold must be in (0, 1], got 0.0"),
-    (["--output-dir", "fresh", "analyze", "--record", "x.json"], RECORD_RETIRED),
+    (["--output-dir", "fresh", "analyze", "--record", "x.json"],
+     "thematica: error: unrecognized arguments: --record x.json"),
 ], ids=["parallelism", "temperature", "max-tokens", "timeout", "trace-threshold-high",
         "trace-threshold-negative", "jaccard-threshold", "retired-record-flag"])
 def test_out_of_range_options_are_configuration_errors(
         analyzed_workspace: Path, monkeypatch: pytest.MonkeyPatch, capsys, posts: list[dict],
         argv: list[str], message: str) -> None:
     monkeypatch.chdir(analyzed_workspace)
-    assert main(["--config", "run_config.json", *argv]) == 1
+    argv = ["--config", "run_config.json", *argv]
+    if message.startswith("thematica: error:"):
+        # The retired --record is no option at all: argparse's usage error, which exits 1.
+        with pytest.raises(SystemExit) as usage_error:
+            main(argv)
+        assert usage_error.value.code == 1
+        expected = f"{thematica.cli._build_parser(argv).format_usage()}{message}\n"
+    else:
+        assert main(argv) == 1
+        expected = f"configuration error: {message}\n"
     captured = capsys.readouterr()
-    assert captured.err == f"configuration error: {message}\n"
+    assert captured.err == expected
     assert captured.out == ""
     assert posts == []
 

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import csv
+import hashlib
 import io
 import json
 from pathlib import Path
@@ -11,6 +12,7 @@ import pytest
 
 from conftest import make_corpus
 from thematica.agreement import format_percent
+from thematica.cli import main
 from thematica.codebook import Codebook, Matcher, load_alias_map, load_human_codebook
 from thematica.corpus import load_corpus
 from thematica.errors import EmptyCodebook
@@ -181,6 +183,33 @@ def test_a_reference_key_that_names_no_metric_becomes_a_note(sample_run: dict) -
     ]
 
 
+def test_a_reference_table_that_is_not_an_object_becomes_a_note(sample_run: dict) -> None:
+    reference = {"table1": 106, "table4": {"total": 128}}
+    bundle = build_report(sample_run["artifact"], bundle=sample_run["bundle"],
+                          human_tables=SAMPLE_MERGE_STATS, paper_reference=reference)
+    assert [note for note in bundle.inconsistency_notes if note.startswith("table")] == [
+        "table1: must be an object of metric values, so its reference values are not checked",
+    ]
+
+
+@pytest.mark.parametrize("expected, note", [
+    (-0.3203, None),
+    (-0.32034, None),
+    (-0.3174, "comparison.cohens_kappa: computed -0.3203 differs from the reference value -0.3174"),
+    (0.5, "comparison.cohens_kappa: computed -0.3203 differs from the reference value 0.5000"),
+    (-0.32, "comparison.cohens_kappa: computed -0.3203 differs from the reference value -0.3200"),
+], ids=["equal", "equal-at-four-places", "differs-at-four-places", "printed-at-four-places",
+        "equal-at-two-places"])
+def test_a_ratio_reference_is_compared_and_printed_at_four_decimals(
+        sample_run: dict, expected: float, note: str | None) -> None:
+    # Kappa prints four decimals in report.md and summary.csv, and so in its footnote.
+    bundle = build_report(sample_run["artifact"], bundle=sample_run["bundle"],
+                          paper_reference={"comparison": {"cohens_kappa": expected}})
+    assert "Cohen's kappa over the same matrix: -0.3203." in bundle.markdown_report
+    kappa_notes = [n for n in bundle.inconsistency_notes if n.startswith("comparison.")]
+    assert kappa_notes == ([note] if note else [])
+
+
 def test_a_metric_this_comparison_does_not_compute_gets_no_note(sample_run: dict) -> None:
     # One coder and no merge statistics: table1 and table2 are not computed.
     bundle = build_report(sample_run["artifact"], bundle=sample_run["bundle"],
@@ -244,3 +273,55 @@ def test_write_report_bundle_writes_all_files(tmp_path: Path) -> None:
     names = {path.name for path in written}
     assert names == {"report.md", "codes.csv", "summary.csv"}
     assert (tmp_path / "out" / "report.md").read_text(encoding="utf-8") == bundle.markdown_report
+
+
+# SHA-256 of every file `compare` or `report` writes in a copy of the samples,
+# after `analyze`. They pin the bytes of report.md and its CSV twins.
+PINNED_OUTPUTS = {
+    "two-coders-reference": (
+        ["compare", "--artifact", "out/analysis.json", "--human", "coder1.csv",
+         "--human", "coder2.csv", "--paper-reference", "paper_reference.json"], {
+            "report.md": "ab7f22962cba43f57aa8296b41170190bbb04cf538e542f07cb515483599e733",
+            "summary.csv": "a352b19cfcc96e9c8c1aedfdb0c8b3e4cd60c22545de64a9250c7c804fd81c9d",
+            "matrix.csv": "ff125c92cf772bfa0fe3c6c1abf1067565a639528b204eda854f255a0a893a6f",
+            "coverage.csv": "2fe47729731557b4c9086552b2b78bf5bb29ad1cb0bf95a21804d5fe62d19b44",
+            "codes.csv": "e906ce0006dbb27bdfaa5e87400260ef726303fd8b0b54a7b695087fb9c4cf08",
+        }),
+    "one-coder": (
+        ["compare", "--artifact", "out/analysis.json", "--human", "coder1.csv"], {
+            "report.md": "0564833b18d1465f8102c0738c732b8a73b633f76bb1dd907d8250b884b0409a",
+            "summary.csv": "8d0c7753165ad5cb1016358dcf686d3c363ac9a5e47b32de3406dda03e9e7dd9",
+            "matrix.csv": "018279c7b515fcbf39a881d544c5a3fb3f806129210a968f222b66228956a8c5",
+            "coverage.csv": "72eaa73976dd6e9e08fd1fbdf610b1b83bde500222eabc6574869a621fee896c",
+            "codes.csv": "e906ce0006dbb27bdfaa5e87400260ef726303fd8b0b54a7b695087fb9c4cf08",
+        }),
+    "two-coders-token-overlap": (
+        ["compare", "--artifact", "out/analysis.json", "--human", "coder1.csv",
+         "--human", "coder2.csv", "--matcher", "token_overlap"], {
+            "report.md": "b343ad0170b01ef19ddd0cae7399c13c087d08aaafb0ba5e4070c7fdbc47e8c6",
+            "summary.csv": "356bebea7c731c4423cf976eac45200f6379e238dca9e142b95795c64c85223a",
+            "matrix.csv": "56de28cf68a1e2ceb736505911cc18529d94ee833bce0dce2558a0c42a5d959a",
+            "coverage.csv": "2fe47729731557b4c9086552b2b78bf5bb29ad1cb0bf95a21804d5fe62d19b44",
+            "codes.csv": "e906ce0006dbb27bdfaa5e87400260ef726303fd8b0b54a7b695087fb9c4cf08",
+        }),
+    "report": (
+        ["report", "--artifact", "out/analysis.json"], {
+            "report.md": "2dbf6d494401324940187b962c443b21a1c509c9f83530ff073855b8b7a47c33",
+            "summary.csv": "9420d8e49a40c8a605c1faa25a1349841e80957fcabe0ad36f1c17681985954f",
+            "coverage.csv": "91524cd37b7820903dc840f69a8c2741317634c8b2c0ffdde14eac5e5a4d486b",
+            "codes.csv": "e906ce0006dbb27bdfaa5e87400260ef726303fd8b0b54a7b695087fb9c4cf08",
+        }),
+}
+
+
+@pytest.mark.parametrize("name", list(PINNED_OUTPUTS))
+def test_report_outputs_keep_their_bytes(
+        sample_workspace: Path, monkeypatch: pytest.MonkeyPatch, name: str) -> None:
+    # Run where the config sits, as the README does, so the source reads transcript.txt.
+    monkeypatch.chdir(sample_workspace)
+    assert main(["--config", "run_config.json", "analyze"]) == 0
+    argv, digests = PINNED_OUTPUTS[name]
+    assert main(["--config", "run_config.json", "--output-dir", "pinned", *argv]) == 0
+    written = {path.name: hashlib.sha256(path.read_bytes()).hexdigest()
+               for path in Path("pinned").iterdir()}
+    assert written == digests
