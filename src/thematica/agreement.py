@@ -9,7 +9,7 @@ exact values.  Display rounding is half-up to 2 decimals.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from decimal import ROUND_HALF_UP, Decimal, localcontext
+from decimal import ROUND_HALF_UP, Context, Decimal, localcontext
 from fractions import Fraction
 from typing import Sequence
 
@@ -65,6 +65,11 @@ class PresenceMatrix:
         return [row[index] for row in self.cells]
 
 
+# The rounded value keeps every integer digit, and a float has up to 309:
+# room for them all at any number of places a report shows.
+_ROUNDING = Context(prec=400)
+
+
 def round_display(value: float | Fraction | int, places: int = 2) -> float:
     """Half-up rounding to ``places`` decimals, as printed in reports."""
     if isinstance(value, Fraction):
@@ -73,7 +78,8 @@ def round_display(value: float | Fraction | int, places: int = 2) -> float:
             decimal_value = Decimal(value.numerator) / Decimal(value.denominator)
     else:
         decimal_value = Decimal(repr(float(value)))
-    return float(decimal_value.quantize(Decimal(1).scaleb(-places), rounding=ROUND_HALF_UP))
+    return float(decimal_value.quantize(Decimal(1).scaleb(-places), rounding=ROUND_HALF_UP,
+                                        context=_ROUNDING))
 
 
 def format_percent(value: float | Fraction | int) -> str:

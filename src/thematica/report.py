@@ -15,6 +15,7 @@ from __future__ import annotations
 
 import csv
 import io
+import math
 from dataclasses import dataclass, field
 from itertools import chain
 from pathlib import Path
@@ -60,6 +61,9 @@ def _csv_text(header: list[str], rows: Iterable[Iterable]) -> str:
     return buffer.getvalue()
 
 
+_NO_GROUP = object()
+
+
 def render_code_listing(codebook: Codebook, trace: TraceabilityReport) -> str:
     """Page-grouped numbered code listing with a trace badge per entry."""
     if not codebook.codes:
@@ -67,15 +71,16 @@ def render_code_listing(codebook: Codebook, trace: TraceabilityReport) -> str:
     if len(trace.results) != len(codebook.codes):
         raise ValueError("trace results must align with codebook codes")
     lines: list[str] = ["## Emerging Codes by Page", ""]
-    current_page: int | None = None
+    # No page is a group of its own, so the first code's group opens whatever its page.
+    current_page: int | None | object = _NO_GROUP
     index = 0
     for record, result in zip(codebook.codes, trace.results):
         if record.page != current_page:
-            if current_page is not None:
+            if current_page is not _NO_GROUP:
                 lines.append("")
             current_page = record.page
             index = 0
-            lines.append(f"Page {record.page}:")
+            lines.append("No page:" if record.page is None else f"Page {record.page}:")
         index += 1
         lines.append(f"{render_code_line(record, index)} [{result.level}]")
     failures = trace.failures
@@ -201,6 +206,14 @@ _SUMMARY_ORDER = tuple(f"{table}.{name}" for table, names in (
 METRIC_KEYS = frozenset(_SUMMARY_ORDER)
 
 
+def _finite(number: int | float) -> bool:
+    """Whether a JSON number is finite and within the range of a float."""
+    try:
+        return math.isfinite(number)
+    except OverflowError:  # an integer past the largest float
+        return False
+
+
 def _reference_notes(metrics: list[Metric], reference: dict | None) -> list[str]:
     """A note for each reference value that differs from its metric's display."""
     computed = {metric.key: metric for metric in metrics}
@@ -216,6 +229,9 @@ def _reference_notes(metrics: list[Metric], reference: dict | None) -> list[str]
             if metric is None:
                 if key not in METRIC_KEYS:
                     notes.append(f"{key}: names no metric, so its reference value is not checked")
+            elif isinstance(expected, (int, float)) and not _finite(expected):
+                notes.append(f"{key}: must be a finite number, "
+                             "so its reference value is not checked")
             elif isinstance(expected, (int, float)):
                 # Rounded to, and printed at, the decimals the display shows.
                 places = len(metric.display.partition(".")[2])

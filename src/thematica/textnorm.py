@@ -3,12 +3,19 @@
 Two normalization strengths live here:
 
 * label normalization: cosmetic cleanup of code labels (numbering, every
-  ``*`` and ``_``, edge punctuation) plus a case-folded matching key;
+  ``*`` and ``_``, edge punctuation) plus a label key, the form two labels
+  are matched in: case folded, every character but a letter, digit or ``_``
+  turned into a space, whitespace collapsed;
 * match normalization, the text form used for quote verification: case fold,
   whitespace collapse, straight/curly quote and apostrophe unification, dash
   unification, all at C speed.  :func:`source_index` maps a normalized
   position back into the original string, so match spans can be reported in
   source coordinates.
+
+Text that is all ASCII has nothing to fold, and casefolds as ``lower()`` does,
+so each function gives it a shorter path with the same result; the label
+key's path runs through one 256-byte ``bytes.translate`` table.  Any other
+text takes the general path.
 """
 
 from __future__ import annotations
@@ -58,6 +65,13 @@ class _KeyTable(dict):
 
 _KEY_TABLE = _KeyTable()
 
+# label_key's table for ASCII text: a letter to lower case, a digit or ``_`` to
+# itself, any other byte to a space.  ASCII text never reads past entry 127.
+_ASCII_KEY_TABLE = bytes(
+    ord(char.lower()) if char.isalnum() or char == "_" else ord(" ")
+    for char in map(chr, range(128))
+).ljust(256)
+
 
 def normalize_label(raw: str) -> str:
     """Clean a code label: drop numbering, every ``*`` and ``_``, edge punctuation.
@@ -66,7 +80,13 @@ def normalize_label(raw: str) -> str:
     punctuation are preserved, so ``"1. **Curiosity-driven Migration**:"``
     becomes ``"Curiosity-driven Migration"``.
     """
-    text = _NUMBER_PREFIX.sub("", raw).translate(_LABEL_TABLE)
+    if raw.isascii():
+        # ^\s*\d+ can match only text that starts with whitespace or a digit.
+        if raw[:1].isspace() or raw[:1].isdigit():
+            raw = _NUMBER_PREFIX.sub("", raw)
+        text = raw.replace("*", "").replace("_", "")
+    else:
+        text = _NUMBER_PREFIX.sub("", raw).translate(_LABEL_TABLE)
     return " ".join(text.split()).strip("\"'.,:;!?()- ")
 
 
@@ -77,6 +97,8 @@ def label_key(label: str) -> str:
     whitespace.  Distinct surface forms of the same code ("Curiosity-driven
     migration" / "Curiosity-Driven Migration") share one key.
     """
+    if label.isascii():
+        return b" ".join(label.encode().translate(_ASCII_KEY_TABLE).split()).decode()
     return " ".join(label.casefold().translate(_KEY_TABLE).split())
 
 
@@ -90,6 +112,8 @@ def normalize_for_match(text: str) -> str:
 
     No character casefolds to whitespace or to nothing, so folding after the
     join equals folding each character."""
+    if text.isascii():
+        return " ".join(text.split()).lower()
     return " ".join(text.translate(_MATCH_TABLE).split()).casefold()
 
 

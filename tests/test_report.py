@@ -92,6 +92,29 @@ def test_code_listing_groups_pages_and_badges() -> None:
     assert "- **Phantom** on page 2" in listing
 
 
+def test_code_listing_opens_a_group_for_a_first_code_with_no_page() -> None:
+    corpus = make_corpus(["The road was long.", "But the welcome was warm."], page_size=1)
+    codebook = Codebook(coder_id="genai", provenance="llm", codes=(
+        CodeRecord(label="Long Road", quote="The road was long.", page=None),
+        CodeRecord(label="Warm Welcome", quote="But the welcome was warm.", page=2),
+        CodeRecord(label="No Page Again", quote="The road was long.", page=None),
+    ))
+    listing = render_code_listing(codebook, verify_codebook(codebook, corpus))
+    assert listing.splitlines()[:11] == [
+        "## Emerging Codes by Page",
+        "",
+        "No page:",
+        '1. **Long Road**: "The road was long." - Page None [Failed]',
+        "",
+        "Page 2:",
+        '1. **Warm Welcome**: "But the welcome was warm." - Page 2 [Exact]',
+        "",
+        "No page:",
+        '1. **No Page Again**: "The road was long." - Page None [Failed]',
+        "",
+    ]
+
+
 def test_code_listing_requires_alignment() -> None:
     artifact = tiny_artifact()
     with pytest.raises(EmptyCodebook):
@@ -190,6 +213,32 @@ def test_a_reference_table_that_is_not_an_object_becomes_a_note(sample_run: dict
     assert [note for note in bundle.inconsistency_notes if note.startswith("table")] == [
         "table1: must be an object of metric values, so its reference values are not checked",
     ]
+
+
+@pytest.mark.parametrize("number, shown", [
+    ("Infinity", None),
+    ("-Infinity", None),
+    ("NaN", None),
+    ("1e400", None),
+    ("1" + "0" * 400, None),
+    ("1e26", "100000000000000004764729344"),
+], ids=["infinity", "minus-infinity", "nan", "1e400", "integer-past-float", "1e26"])
+def test_a_non_finite_reference_number_becomes_one_note(
+        sample_run: dict, number: str, shown: str | None) -> None:
+    # Read as --paper-reference reads it: Python's JSON parser takes Infinity and NaN.
+    reference = json.loads(f'{{"table4": {{"total": {number}, "human_share_pct": {number}}}}}')
+    bundle = build_report(sample_run["artifact"], bundle=sample_run["bundle"],
+                          paper_reference=reference)
+    notes = [note for note in bundle.inconsistency_notes if note.startswith("table4.")]
+    if shown is None:
+        assert notes == [
+            f"table4.{key}: must be a finite number, so its reference value is not checked"
+            for key in ("human_share_pct", "total")]
+    else:
+        assert notes == [
+            f"table4.human_share_pct: computed 53.91 differs from the reference value {shown}.00",
+            f"table4.total: computed 128 differs from the reference value {shown}",
+        ]
 
 
 @pytest.mark.parametrize("expected, note", [

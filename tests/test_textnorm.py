@@ -46,6 +46,10 @@ def reference_label_key(label: str) -> str:
     return _REF_WS_RUN.sub(" ", text).strip()
 
 
+def reference_label_tokens(label: str) -> frozenset[str]:
+    return frozenset(reference_label_key(label).split())
+
+
 def reference_normalize_with_map(text: str) -> tuple[str, list[int]]:
     """Match normalization one character at a time, with each output
     character's source index: the loop that ``normalize_for_match`` and
@@ -288,3 +292,56 @@ def test_page_match_text_and_spans_equal_the_reference_on_the_shipped_sample(
                 if start <= end <= length:
                     assert page.source_span(start, end) == \
                         reference_source_span(index_map, len(page.text), start, end)
+
+
+# ASCII text takes each function's byte-table path, any other text the general
+# one; both must equal the references.
+EVERY_FUNCTION = pytest.mark.parametrize("function, reference", [
+    (normalize_label, reference_normalize_label),
+    (label_key, reference_label_key),
+    (label_tokens, reference_label_tokens),
+    (normalize_for_match, lambda text: reference_normalize_with_map(text)[0]),
+], ids=["normalize_label", "label_key", "label_tokens", "normalize_for_match"])
+
+ascii_text = st.text(st.characters(max_codepoint=127))
+
+
+@st.composite
+def ascii_text_with_one_other_character(draw: st.DrawFn) -> str:
+    text = draw(ascii_text)
+    at = draw(st.integers(0, len(text)))
+    return text[:at] + draw(st.characters(min_codepoint=128)) + text[at:]
+
+
+@EVERY_FUNCTION
+@given(ascii_text)
+def test_every_function_equals_the_reference_on_ascii_text(function, reference, text: str) -> None:
+    assert function(text) == reference(text)
+
+
+@EVERY_FUNCTION
+@given(ascii_text_with_one_other_character())
+def test_every_function_equals_the_reference_on_ascii_text_with_one_other_character(
+    function, reference, text: str,
+) -> None:
+    assert not text.isascii()
+    assert function(text) == reference(text)
+
+
+@EVERY_FUNCTION
+@pytest.mark.parametrize("text", [
+    # str.split takes these for whitespace; bytes.split does not.
+    "\x1c", "a\x1cb", "\x1dA b\x1e", "x\x1f", "\x0bWord\x0cword\x0b", "a \x1c\x1d\x1e\x1f b",
+    "\x1c1. x", "\x0b2) y", "\x0c 3 . z",
+    # A leading digit or space before "." or ")".
+    "1.", "1)", " .", " )", "1.x", "12) x", " 4 . Label", "  7)Label.", "1 2. x", "x 1. y",
+    " . x", ") x", "0.5 days", "3rd) x",
+    # Runs of "*" and "_".
+    "*", "_", "**", "__", "***x***", "___x___", "**_x_**", "a__b**c", "*_*_*", "_1. x", "* 1. x",
+    "",
+], ids=repr)
+def test_every_function_equals_the_reference_on_the_ascii_edges(
+    function, reference, text: str,
+) -> None:
+    assert text.isascii()
+    assert function(text) == reference(text)
