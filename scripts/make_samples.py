@@ -939,7 +939,7 @@ def write_alias_map(path: Path) -> None:
 
 def validate(samples: Path) -> None:
     corpus = load_corpus(samples / "transcript.txt", page_size=10)
-    assert corpus.page_count == 16 and len(corpus.paragraphs()) == 160
+    assert corpus.page_count == 16 and all(page.text.count("\n") == 9 for page in corpus.pages)
 
     for page, label, quote in CODES:
         page_body = corpus.pages[page - 1].text

@@ -23,8 +23,7 @@ _NAMES = {
                   "percentage_similarity", "presence_matrix", "share_percentage"),
     "codebook": ("Codebook", "Matcher", "MatchResult", "load_alias_map", "load_alias_matcher",
                  "load_human_codebook", "match_codes", "merge_codebooks"),
-    "corpus": ("Corpus", "Page", "Paragraph", "content_hash", "load_corpus", "load_document",
-               "paginate"),
+    "corpus": ("Corpus", "Page", "content_hash", "load_corpus"),
     "errors": ("ThematicaError",),
     "gateway": ("ChatMessage", "Completion", "Gateway", "LiveTransport", "ModelConfig",
                 "ReplayTransport"),

@@ -48,7 +48,7 @@ from .gateway import (
 from .outparse import CodeRecord, ThemeRecord
 from .pipeline import AnalysisArtifact, compare, load_artifact, run_analysis, six_step_coverage
 from .promptkit import PromptLibrary, StudyFocus
-from .trace import DEFAULT_THRESHOLD, verify_codebook
+from .trace import DEFAULT_THRESHOLD, TraceResult, verify_codebook
 
 # Only the commands that report or compare import report and agreement: verify never does.
 if TYPE_CHECKING:
@@ -382,12 +382,26 @@ def cmd_verify(config: RunConfig, artifact_path: str | None) -> int:
     trace = verify_codebook(artifact.llm_codebook, corpus, threshold)
     print(f"trace summary: {trace.summary}")
     print(f"verified share: {trace.verified_share:.2f}%")
-    if trace.failures:
-        for result in trace.failures:
-            notes = f" ({'; '.join(result.notes)})" if result.notes else ""
-            print(f"FAILED: {result.record.label!r} page {result.record.page}{notes}")
-        return EXIT_TRACE_FAILURES
-    return EXIT_OK
+    for result in trace.failures:
+        notes = f" ({'; '.join(result.notes)})" if result.notes else ""
+        print(f"FAILED: {result.record.label!r} page {result.record.page}{notes}")
+    # The stored trace is what report and compare render: it must be this one.
+    stored = artifact.trace.results if artifact.trace else trace.results
+    drifted = [(old, new) for old, new in zip(stored, trace.results) if old != new]
+    for old, new in drifted:
+        print(f"DRIFT: {new.record.label!r} page {new.record.page}: "
+              f"stored {_trace_values(old)}, fresh {_trace_values(new)}")
+    if drifted:
+        print(f"trace drift: {len(drifted)} of {len(stored)} stored results differ "
+              f"from a fresh trace")
+        return EXIT_ERROR
+    return EXIT_TRACE_FAILURES if trace.failures else EXIT_OK
+
+
+def _trace_values(result: TraceResult) -> str:
+    """A trace result's level, score, matched span and notes, on one line."""
+    notes = f" ({'; '.join(result.notes)})" if result.notes else ""
+    return f"{result.level} score {result.score} span {result.matched_span}{notes}"
 
 
 def cmd_report(config: RunConfig, artifact_path: str | None,

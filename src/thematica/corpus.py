@@ -1,29 +1,24 @@
 """Transcript loading and fixed-size paging.
 
-A document is an ordered list of non-empty paragraphs.  Paging groups every
-``page_size`` consecutive paragraphs into one page; the page is the unit of
-text sent to the model.  Two input formats are supported: UTF-8 plain text
-with blank-line paragraph delimiters, and OOXML word documents (``.docx``),
-from which only body paragraph text is extracted (no tables, headers, or
+A transcript is an ordered list of trimmed, non-empty paragraph texts.
+:func:`load_corpus` reads them and groups every ``page_size`` consecutive
+paragraphs into one :class:`Page`: its 1-based number and its text, the
+paragraphs joined by single newlines.  The page is the unit of text sent to
+the model.  Two input formats are supported: UTF-8 plain text with
+blank-line paragraph delimiters, and OOXML word documents (``.docx``), from
+which only body paragraph text is extracted (no tables, headers, or
 comments).
 
 Plain-text blocks that span several physical lines are treated as one
 soft-wrapped paragraph; the lines are rejoined with single spaces so quotes
 never straddle an artificial line break.
-
-A corpus from :func:`load_corpus` builds each page's text straight from the
-paragraph texts; the page's :class:`Paragraph` objects are built on first
-access of :attr:`Page.paragraphs`, since the pipeline reads only page numbers
-and texts.  The pages equal those :func:`paginate` builds from
-:func:`load_document`.
 """
 
 from __future__ import annotations
 
 import hashlib
-import math
 import zipfile
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import cached_property
 from pathlib import Path
 from typing import Callable
@@ -39,62 +34,24 @@ FORMATS = ("auto", PLAIN_TEXT, OOXML_DOCX)
 
 
 @dataclass(frozen=True, init=False)
-class Paragraph:
-    """One non-empty paragraph; ``index`` is the 0-based ordinal among kept paragraphs."""
-
-    index: int
-    text: str
-
-    def __init__(self, index: int, text: str) -> None:
-        if not text.strip():
-            raise EmptyDocument("paragraph text must be non-empty")
-        if index < 0:
-            raise ValueError("paragraph index must be >= 0")
-        self.__dict__.update(index=index, text=text)
-
-
-@dataclass(frozen=True, init=False)
 class Page:
-    """An ordered block of paragraphs with a 1-based page number.
+    """A 1-based page number and the page's text, its paragraphs joined by
+    single newlines.
 
-    :attr:`text`, the paragraphs joined by single newlines, is built with the
-    page.  Quote tracing reads its :attr:`match_text` and maps spans back to
+    Quote tracing reads its :attr:`match_text` and maps spans back to
     :attr:`text` with :meth:`source_span`; each of those builds its state
-    once, lazily, on first use.  So does :attr:`paragraphs` on a page that
-    :func:`load_corpus` built: it keeps the paragraph texts and builds the
-    :class:`Paragraph` objects on first access.
+    once, lazily, on first use.
     """
 
     number: int
-    paragraphs: tuple[Paragraph, ...]
-    text: str = field(init=False, compare=False, repr=False)
+    text: str
 
-    def __init__(self, number: int, paragraphs: tuple[Paragraph, ...]) -> None:
+    def __init__(self, number: int, text: str) -> None:
         if number < 1:
             raise PageOutOfRange(f"page number must be >= 1, got {number}")
-        if not paragraphs:
-            raise EmptyDocument(f"page {number} has no paragraphs")
-        self.__dict__.update(number=number, paragraphs=paragraphs,
-                             text="\n".join([p.text for p in paragraphs]))
-
-    @classmethod
-    def _from_texts(cls, number: int, first_index: int, texts: tuple[str, ...]) -> Page:
-        """A page of trimmed, non-empty reader texts whose paragraphs are built on first access."""
-        page = cls.__new__(cls)
-        page.__dict__.update(number=number, text="\n".join(texts),
-                             _first_index=first_index, _texts=texts)
-        return page
-
-    def __getattr__(self, name: str) -> tuple[Paragraph, ...]:
-        # Normal lookup failed: only a page from _from_texts lacks a field,
-        # its paragraphs until their first access.
-        state = self.__dict__
-        if name != "paragraphs" or "_texts" not in state:
-            raise AttributeError(f"{type(self).__name__!r} object has no attribute {name!r}")
-        paragraphs = tuple(Paragraph(index, text)
-                           for index, text in enumerate(state["_texts"], state["_first_index"]))
-        state["paragraphs"] = paragraphs
-        return paragraphs
+        if not text or text.isspace():
+            raise EmptyDocument(f"page {number} has no text")
+        self.__dict__.update(number=number, text=text)
 
     @cached_property
     def match_text(self) -> str:
@@ -134,44 +91,18 @@ class Corpus:
     def page_count(self) -> int:
         return len(self.pages)
 
-    def paragraphs(self) -> tuple[Paragraph, ...]:
-        """All paragraphs in original document order."""
-        return tuple(p for page in self.pages for p in page.paragraphs)
 
-
-def load_document(path: str | Path, format: str = "auto") -> list[Paragraph]:
-    """Load trimmed, non-empty paragraphs from a transcript file.
+def load_corpus(path: str | Path, page_size: int = 10, format: str = "auto") -> Corpus:
+    """Load a transcript and group its paragraphs into pages of ``page_size``;
+    the last page may be short.
 
     ``format`` is ``plain_text``, ``ooxml_docx``, or ``auto`` (decided by the
     ``.docx`` suffix).  Each reader trims its paragraphs and drops the empty
-    ones; indices number the kept paragraphs.
+    ones.
     """
-    return [Paragraph(index, text) for index, text in enumerate(_read_texts(Path(path), format))]
-
-
-def paginate(paragraphs: list[Paragraph], page_size: int = 10, source_path: str = "") -> Corpus:
-    """Group paragraphs into pages of ``page_size``; the last page may be short."""
+    texts = _read_texts(Path(path), format)
     _check_page_size(page_size)
-    if not paragraphs:
-        raise EmptyDocument("cannot paginate an empty paragraph list")
-    pages = tuple(
-        Page(number=i // page_size + 1, paragraphs=tuple(paragraphs[i:i + page_size]))
-        for i in range(0, len(paragraphs), page_size)
-    )
-    assert len(pages) == math.ceil(len(paragraphs) / page_size)
-    return Corpus(source_path=source_path, pages=pages, page_size=page_size)
-
-
-def load_corpus(path: str | Path, page_size: int = 10, format: str = "auto") -> Corpus:
-    """Load a document and paginate it in one call.
-
-    The corpus equals ``paginate(load_document(path, format), page_size,
-    str(path))``, but its pages build their :class:`Paragraph` objects on
-    first access of :attr:`Page.paragraphs`.
-    """
-    texts = tuple(_read_texts(Path(path), format))
-    _check_page_size(page_size)
-    pages = tuple(Page._from_texts(number, first, texts[first:first + page_size])
+    pages = tuple(Page(number, "\n".join(texts[first:first + page_size]))
                   for number, first in enumerate(range(0, len(texts), page_size), start=1))
     return Corpus(source_path=str(path), pages=pages, page_size=page_size)
 

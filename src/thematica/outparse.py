@@ -35,6 +35,8 @@ from __future__ import annotations
 
 import re
 from dataclasses import dataclass, field, replace
+from itertools import groupby
+from operator import attrgetter
 
 from .errors import NoRecordsFound
 from .textnorm import label_key, normalize_label
@@ -298,24 +300,22 @@ def render_code_line(record: CodeRecord, index: int) -> str:
     return f'{index}. **{record.label}**: "{record.quote}" - Page {record.page}'
 
 
+def page_header(page: int | None) -> str:
+    """The header of a group of codes that cite one page."""
+    return "No page:" if page is None else f"Page {page}:"
+
+
 def render_codes_digest(records: list[CodeRecord] | tuple[CodeRecord, ...]) -> str:
     """Canonical multi-page code digest: a Page header per page, numbered lines.
 
     Numbering restarts on each page; page groups follow record order and are
-    separated by blank lines.  :func:`parse_code_block` inverts each page
-    group exactly.
+    separated by blank lines.  Codes with no page are grouped under
+    ``No page:``.  :func:`parse_code_block` inverts each Page group exactly.
     """
     blocks: list[str] = []
-    current_page: int | None = None
-    lines: list[str] = []
-    for record in records:
-        if record.page != current_page:
-            if lines:
-                blocks.append("\n".join(lines))
-            current_page = record.page
-            lines = [f"Page {record.page}:"]
-        lines.append(render_code_line(record, len(lines)))
-    if lines:
+    for page, group in groupby(records, key=attrgetter("page")):
+        lines = [page_header(page)]
+        lines.extend(render_code_line(record, index) for index, record in enumerate(group, start=1))
         blocks.append("\n".join(lines))
     return "\n\n".join(blocks)
 

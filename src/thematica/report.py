@@ -17,14 +17,14 @@ import csv
 import io
 import math
 from dataclasses import dataclass, field
-from itertools import chain
+from itertools import chain, groupby
 from pathlib import Path
 from typing import Iterable, NamedTuple
 
 from .agreement import format_percent, round_display
 from .codebook import Codebook
 from .errors import EmptyCodebook
-from .outparse import render_code_line
+from .outparse import page_header, render_code_line
 from .pipeline import AnalysisArtifact, ComparisonBundle, SixStepCoverage
 from .trace import FAILED, LEVELS, TraceabilityReport
 
@@ -61,28 +61,17 @@ def _csv_text(header: list[str], rows: Iterable[Iterable]) -> str:
     return buffer.getvalue()
 
 
-_NO_GROUP = object()
-
-
 def render_code_listing(codebook: Codebook, trace: TraceabilityReport) -> str:
     """Page-grouped numbered code listing with a trace badge per entry."""
     if not codebook.codes:
         raise EmptyCodebook("cannot render an empty codebook")
     if len(trace.results) != len(codebook.codes):
         raise ValueError("trace results must align with codebook codes")
-    lines: list[str] = ["## Emerging Codes by Page", ""]
-    # No page is a group of its own, so the first code's group opens whatever its page.
-    current_page: int | None | object = _NO_GROUP
-    index = 0
-    for record, result in zip(codebook.codes, trace.results):
-        if record.page != current_page:
-            if current_page is not _NO_GROUP:
-                lines.append("")
-            current_page = record.page
-            index = 0
-            lines.append("No page:" if record.page is None else f"Page {record.page}:")
-        index += 1
-        lines.append(f"{render_code_line(record, index)} [{result.level}]")
+    lines: list[str] = ["## Emerging Codes by Page"]
+    for page, group in groupby(zip(codebook.codes, trace.results), key=lambda pair: pair[0].page):
+        lines.extend(["", page_header(page)])
+        lines.extend(f"{render_code_line(record, index)} [{result.level}]"
+                     for index, (record, result) in enumerate(group, start=1))
     failures = trace.failures
     if failures:
         lines.extend(["", "### Unverified Quotes", ""])

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import math
 import os
 import shutil
 import zipfile
@@ -10,7 +11,7 @@ from pathlib import Path
 import pytest
 
 import thematica
-from thematica.corpus import Corpus, Paragraph, paginate
+from thematica.corpus import Corpus, Page
 from thematica.outparse import CodeRecord, ThemeRecord
 from test_textnorm import reference_normalize_with_map
 
@@ -30,9 +31,12 @@ _DOCX_RELS = """<?xml version="1.0" encoding="UTF-8" standalone="yes"?>
 
 
 def make_corpus(texts: list[str], page_size: int = 10, source_path: str = "memory") -> Corpus:
-    """Corpus built straight from paragraph texts, skipping file IO."""
-    paragraphs = [Paragraph(index, text) for index, text in enumerate(texts)]
-    return paginate(paragraphs, page_size=page_size, source_path=source_path)
+    """Corpus built straight from paragraph texts, skipping file IO: the
+    reference paging that load_corpus must equal.  Page k holds texts
+    (k-1)*page_size up to k*page_size, joined by newlines."""
+    pages = tuple(Page(k, "\n".join(texts[(k - 1) * page_size:k * page_size]))
+                  for k in range(1, math.ceil(len(texts) / page_size) + 1))
+    return Corpus(source_path=source_path, pages=pages, page_size=page_size)
 
 
 def source_env() -> dict[str, str]:
@@ -45,6 +49,12 @@ def source_env() -> dict[str, str]:
 
 def _xml_escape(text: str) -> str:
     return text.replace("&", "&amp;").replace("<", "&lt;").replace(">", "&gt;")
+
+
+def write_plain_text(path: Path, paragraphs: list[str]) -> Path:
+    """Write a plain-text transcript with one blank-line-delimited block per paragraph."""
+    path.write_text("\n\n".join(paragraphs) + "\n", encoding="utf-8")
+    return path
 
 
 def write_docx(path: Path, paragraphs: list[str]) -> Path:

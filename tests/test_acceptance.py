@@ -18,7 +18,8 @@ from pathlib import Path
 import pytest
 
 import thematica
-from conftest import make_corpus, oracle_trace_level, random_code_records, random_themes
+from conftest import (make_corpus, oracle_trace_level, random_code_records, random_themes,
+                      write_plain_text)
 from thematica.agreement import (
     cohens_kappa,
     overlap_percentage,
@@ -208,7 +209,7 @@ def test_quote_tracing_grades_planted_mutated_and_foreign_quotes() -> None:
     corpus = make_corpus(paragraphs, page_size=10)
 
     planted = [
-        CodeRecord(label=f"Planted {page.number}", quote=page.paragraphs[0].text,
+        CodeRecord(label=f"Planted {page.number}", quote=paragraphs[(page.number - 1) * 10],
                    page=page.number)
         for page in corpus.pages
     ]
@@ -319,19 +320,19 @@ def test_six_stage_coverage_counts_for_model_and_human_outputs(reference_run) ->
     assert coder.stages["Conceptualization"] == NOT_COVERED
 
 
-def test_pagination_laws_hold_on_random_documents() -> None:
+def test_pagination_laws_hold_on_random_documents(tmp_path: Path) -> None:
     rng = random.Random(977)
     words = ("river", "market", "night", "ward", "shift", "family", "letter")
+    path = tmp_path / "transcript.txt"
     for _ in range(500):
         count = rng.randint(1, 180)
         size = rng.randint(1, 25)
         texts = [f"Paragraph {i} " + " ".join(rng.choice(words) for _ in range(3)) + "."
                  for i in range(count)]
-        corpus = make_corpus(texts, page_size=size)
+        corpus = load_corpus(write_plain_text(path, texts), page_size=size)
         assert corpus.page_count == math.ceil(count / size)
         assert [page.number for page in corpus.pages] == list(range(1, corpus.page_count + 1))
-        assert [p.text for p in corpus.paragraphs()] == texts
-        assert [p.index for p in corpus.paragraphs()] == list(range(count))
+        assert [text for page in corpus.pages for text in page.text.split("\n")] == texts
 
 
 class LoggingTransport:

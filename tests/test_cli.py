@@ -24,6 +24,7 @@ import thematica.codebook
 import thematica.gateway
 from thematica import errors
 from thematica.cli import main
+from thematica.corpus import load_corpus
 from thematica.gateway import (
     ChatMessage,
     ModelConfig,
@@ -31,6 +32,8 @@ from thematica.gateway import (
     load_fixture,
     request_digest,
 )
+from thematica.pipeline import load_artifact
+from thematica.trace import verify_codebook
 
 SAMPLES = Path(thematica.__file__).parent / "samples"
 
@@ -661,12 +664,69 @@ def test_verify_flags_tampered_quote(
     data = json.loads(artifact_path.read_text(encoding="utf-8"))
     data["llm_codebook"]["codes"][0]["quote"] = "this quote was never in the interview at all"
     artifact_path.write_text(json.dumps(data), encoding="utf-8")
+    # The stored trace is the one analyze writes for that quote, so nothing drifts.
+    artifact = load_artifact(artifact_path)
+    corpus = load_corpus(workspace / "transcript.txt", page_size=data["corpus"]["page_size"])
+    artifact.trace = verify_codebook(artifact.llm_codebook, corpus, artifact.trace.threshold)
+    artifact.save()
     monkeypatch.chdir(workspace)
     assert main(["--config", "run_config.json", "verify"]) == 3
     out = capsys.readouterr().out
     assert "Failed 1" in out
     assert "FAILED:" in out
+    assert "DRIFT" not in out
 
+
+
+def test_verify_reports_a_stored_trace_that_a_fresh_trace_contradicts(
+        analyzed_workspace: Path, tmp_path: Path,
+        monkeypatch: pytest.MonkeyPatch, capsys) -> None:
+    # Each field of the edited result is valid on its own, so the artifact
+    # loads, and report would render the stored Failed.
+    workspace = copy_workspace(analyzed_workspace, tmp_path / "edited")
+    artifact_path = workspace / "out" / "analysis.json"
+    text = artifact_path.read_text(encoding="utf-8")
+    artifact_path.write_text(text.replace('"level": "Exact"', '"level": "Failed"', 1),
+                             encoding="utf-8")
+    monkeypatch.chdir(workspace)
+    assert main(["--config", "run_config.json", "verify"]) == 1
+    assert capsys.readouterr().out.splitlines() == [
+        "trace summary: Exact 59, Normalized 0, Fuzzy 0, Failed 0",
+        "verified share: 100.00%",
+        "DRIFT: 'Academic Background of Researcher' page 1: stored Failed score 1.0 "
+        "span (103, 184), fresh Exact score 1.0 span (103, 184)",
+        "trace drift: 1 of 59 stored results differ from a fresh trace",
+    ]
+    # Drift outranks a failed quote: exit 1, ahead of exit 3.
+    data = json.loads(artifact_path.read_text(encoding="utf-8"))
+    data["llm_codebook"]["codes"][1]["quote"] = "this quote was never in the interview at all"
+    artifact_path.write_text(json.dumps(data), encoding="utf-8")
+    assert main(["--config", "run_config.json", "verify"]) == 1
+    out = capsys.readouterr().out.splitlines()
+    assert out[2].startswith("FAILED: 'Confidentiality Assurance' page 2")
+    assert [line.split(":")[0] for line in out[3:]] == ["DRIFT", "DRIFT", "trace drift"]
+    assert out[-1] == "trace drift: 2 of 59 stored results differ from a fresh trace"
+
+
+@pytest.mark.parametrize("key, value", [
+    ("score", 0.99), ("matched_span", [103, 183]), ("notes", ["edited"]),
+], ids=["score", "span", "notes"])
+def test_verify_finds_drift_in_the_score_span_or_notes_of_a_stored_result(
+        analyzed_workspace: Path, tmp_path: Path, monkeypatch: pytest.MonkeyPatch, capsys,
+        key: str, value) -> None:
+    workspace = copy_workspace(analyzed_workspace, tmp_path / "edited")
+    artifact_path = workspace / "out" / "analysis.json"
+    data = json.loads(artifact_path.read_text(encoding="utf-8"))
+    data["trace"]["results"][5][key] = value
+    artifact_path.write_text(json.dumps(data), encoding="utf-8")
+    monkeypatch.chdir(workspace)
+    assert main(["--config", "run_config.json", "verify"]) == 1
+    out = capsys.readouterr().out.splitlines()
+    assert [line.split(":")[0] for line in out[2:]] == ["DRIFT", "trace drift"]
+    code = data["llm_codebook"]["codes"][5]
+    assert out[2].startswith(f"DRIFT: {code['label']!r} page {code['page']}: stored ")
+    stored, fresh = out[2].split(": stored ")[1].split(", fresh ")
+    assert stored != fresh
 
 def test_verify_rejects_a_different_corpus(
         analyzed_workspace: Path, tmp_path: Path,

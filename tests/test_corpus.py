@@ -15,21 +15,24 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from thematica.cli import main
 from thematica.corpus import (
     OOXML_DOCX,
     PLAIN_TEXT,
     Corpus,
     Page,
-    Paragraph,
+    _read_texts,
     content_hash,
     load_corpus,
-    load_document,
-    paginate,
 )
 from thematica.errors import DecodeError, EmptyDocument, InvalidPageSize, PageOutOfRange
 
-from conftest import make_corpus, write_docx
+from conftest import make_corpus, write_docx, write_plain_text
+
+
+def paragraph_texts(path: Path, format: str = "auto") -> list[str]:
+    """The paragraph texts of the transcript at ``path``: with one paragraph
+    per page, each page's text."""
+    return [page.text for page in load_corpus(path, page_size=1, format=format).pages]
 
 
 def test_plain_text_blocks_joined_across_soft_wraps(tmp_path: Path) -> None:
@@ -38,61 +41,60 @@ def test_plain_text_blocks_joined_across_soft_wraps(tmp_path: Path) -> None:
         "First paragraph spans\ntwo source lines.\n\n\nSecond paragraph.\n\n  \nThird.\n",
         encoding="utf-8",
     )
-    paragraphs = load_document(source)
-    assert [p.text for p in paragraphs] == [
+    pages = load_corpus(source, page_size=1).pages
+    assert [page.text for page in pages] == [
         "First paragraph spans two source lines.",
         "Second paragraph.",
         "Third.",
     ]
-    assert [p.index for p in paragraphs] == [0, 1, 2]
+    assert [page.number for page in pages] == [1, 2, 3]
 
 
 def test_plain_text_strips_surrounding_whitespace(tmp_path: Path) -> None:
     source = tmp_path / "a.txt"
     source.write_text("\n\n   padded line   \n\n", encoding="utf-8")
-    assert [p.text for p in load_document(source)] == ["padded line"]
+    assert paragraph_texts(source) == ["padded line"]
 
 
 def test_docx_paragraphs_concatenate_runs_and_drop_empties(tmp_path: Path) -> None:
     source = tmp_path / "a.docx"
     write_docx(source, ["Interviewer: welcome.", "", "Respondent: thank you.", "   "])
-    paragraphs = load_document(source)
-    assert [p.text for p in paragraphs] == ["Interviewer: welcome.", "Respondent: thank you."]
+    assert paragraph_texts(source) == ["Interviewer: welcome.", "Respondent: thank you."]
 
 
 def test_format_auto_detects_by_suffix(tmp_path: Path) -> None:
     docx = write_docx(tmp_path / "b.DOCX", ["From word processor."])
     txt = tmp_path / "b.txt"
     txt.write_text("From plain text.\n", encoding="utf-8")
-    assert load_document(docx)[0].text == "From word processor."
-    assert load_document(txt)[0].text == "From plain text."
+    assert paragraph_texts(docx)[0] == "From word processor."
+    assert paragraph_texts(txt)[0] == "From plain text."
 
 
 def test_format_override_beats_suffix(tmp_path: Path) -> None:
     mislabeled = tmp_path / "actually_text.docx"
     mislabeled.write_text("plain content\n", encoding="utf-8")
-    assert load_document(mislabeled, format=PLAIN_TEXT)[0].text == "plain content"
+    assert paragraph_texts(mislabeled, format=PLAIN_TEXT)[0] == "plain content"
     with pytest.raises(DecodeError):
-        load_document(mislabeled, format=OOXML_DOCX)
+        load_corpus(mislabeled, format=OOXML_DOCX)
 
 
 def test_unknown_format_rejected(tmp_path: Path) -> None:
     source = tmp_path / "a.txt"
     source.write_text("content\n", encoding="utf-8")
     with pytest.raises(ValueError, match="unknown format"):
-        load_document(source, format="rtf")
+        load_corpus(source, format="rtf")
 
 
 def test_missing_file_raises_file_not_found(tmp_path: Path) -> None:
     with pytest.raises(FileNotFoundError):
-        load_document(tmp_path / "absent.txt")
+        load_corpus(tmp_path / "absent.txt")
 
 
 def test_invalid_utf8_raises_decode_error(tmp_path: Path) -> None:
     source = tmp_path / "a.txt"
     source.write_bytes(b"\xff\xfe broken")
     with pytest.raises(DecodeError):
-        load_document(source)
+        load_corpus(source)
 
 
 def test_docx_without_document_part_raises_decode_error(tmp_path: Path) -> None:
@@ -102,91 +104,79 @@ def test_docx_without_document_part_raises_decode_error(tmp_path: Path) -> None:
     with zipfile.ZipFile(source, "w") as package:
         package.writestr("word/other.xml", "<x/>")
     with pytest.raises(DecodeError, match="document.xml"):
-        load_document(source)
+        load_corpus(source)
 
 
 def test_blank_document_raises_empty_document(tmp_path: Path) -> None:
     source = tmp_path / "a.txt"
     source.write_text("\n\n   \n", encoding="utf-8")
     with pytest.raises(EmptyDocument):
-        load_document(source)
+        load_corpus(source)
 
 
-def test_page_size_must_be_positive() -> None:
-    paragraphs = [Paragraph(0, "alpha")]
+def test_page_size_must_be_positive(tmp_path: Path) -> None:
+    source = write_plain_text(tmp_path / "a.txt", ["alpha"])
     for bad in (0, -3):
         with pytest.raises(InvalidPageSize):
-            paginate(paragraphs, page_size=bad)
+            load_corpus(source, page_size=bad)
+        with pytest.raises(InvalidPageSize):
+            Corpus(source_path="x", pages=(Page(1, "alpha"),), page_size=bad)
 
 
-def test_paginate_rejects_empty_list() -> None:
-    with pytest.raises(EmptyDocument):
-        paginate([], page_size=10)
-
-
-def test_pagination_chunks_match_slicing_oracle() -> None:
+def test_pagination_chunks_match_slicing_oracle(tmp_path: Path) -> None:
     texts = [f"paragraph {i}" for i in range(25)]
-    corpus = make_corpus(texts, page_size=10)
+    corpus = load_corpus(write_plain_text(tmp_path / "a.txt", texts), page_size=10)
     assert corpus.page_count == 3
-    assert [len(page.paragraphs) for page in corpus.pages] == [10, 10, 5]
+    assert [len(page.text.split("\n")) for page in corpus.pages] == [10, 10, 5]
     for k, page in enumerate(corpus.pages, start=1):
-        assert [p.text for p in page.paragraphs] == texts[(k - 1) * 10:k * 10]
+        assert page.text.split("\n") == texts[(k - 1) * 10:k * 10]
         assert page.number == k
 
 
-def test_page_text_joins_with_newlines() -> None:
-    corpus = make_corpus(["one", "two", "three"], page_size=2)
+def test_page_text_joins_with_newlines(tmp_path: Path) -> None:
+    corpus = load_corpus(write_plain_text(tmp_path / "a.txt", ["one", "two", "three"]),
+                         page_size=2)
     assert corpus.pages[0].text == "one\ntwo"
     assert corpus.pages[1].text == "three"
-    # Built once and kept.
-    assert corpus.pages[0].text is corpus.pages[0].text
 
 
 @pytest.mark.parametrize("build, error, message", [
-    (lambda: Paragraph(0, "  \n "), EmptyDocument, "paragraph text must be non-empty"),
-    (lambda: Paragraph(-1, "alpha"), ValueError, "paragraph index must be >= 0"),
-    (lambda: Page(0, (Paragraph(0, "alpha"),)), PageOutOfRange, "page number must be >= 1, got 0"),
-    (lambda: Page(2, ()), EmptyDocument, "page 2 has no paragraphs"),
-])
-def test_paragraph_and_page_reject_invalid_fields(build, error: type, message: str) -> None:
+    (lambda: Page(0, "alpha"), PageOutOfRange, "page number must be >= 1, got 0"),
+    (lambda: Page(2, ""), EmptyDocument, "page 2 has no text"),
+    (lambda: Page(2, "  \n "), EmptyDocument, "page 2 has no text"),
+], ids=["number-0", "empty", "blank"])
+def test_page_rejects_invalid_fields(build, error: type, message: str) -> None:
     with pytest.raises(error) as raised:
         build()
     assert type(raised.value) is error
     assert str(raised.value) == message
 
 
-def test_paragraph_and_page_are_frozen_values() -> None:
-    paragraphs = (Paragraph(0, "one"), Paragraph(1, "two"))
-    page = Page(1, paragraphs)
-    twin = Page(number=1, paragraphs=(Paragraph(index=0, text="one"), Paragraph(index=1, text="two")))
+def test_page_is_a_frozen_value() -> None:
+    page = Page(1, "one\ntwo")
+    twin = Page(number=1, text="one\ntwo")
     assert page == twin and page is not twin
-    assert paragraphs[0] == Paragraph(0, "one") and paragraphs[0] != Paragraph(1, "one")
-    assert hash(paragraphs[0]) == hash((0, "one"))
-    assert hash(page) == hash(twin) == hash((1, paragraphs))
-    assert page != Page(2, paragraphs)
-    assert repr(paragraphs[0]) == "Paragraph(index=0, text='one')"
-    assert repr(page) == ("Page(number=1, paragraphs=(Paragraph(index=0, text='one'), "
-                          "Paragraph(index=1, text='two')))")
-    assert [f.name for f in fields(paragraphs[0]) if f.init] == ["index", "text"]
-    assert [f.name for f in fields(page) if f.init] == ["number", "paragraphs"]
-    with pytest.raises(FrozenInstanceError):
-        paragraphs[0].text = "other"
+    assert hash(page) == hash(twin) == hash((1, "one\ntwo"))
+    assert page != Page(2, "one\ntwo") and page != Page(1, "one")
+    assert repr(page) == "Page(number=1, text='one\\ntwo')"
+    assert [f.name for f in fields(page) if f.init] == ["number", "text"]
     with pytest.raises(FrozenInstanceError):
         page.number = 2
-    assert paragraphs[0].text == "one" and page.number == 1
+    with pytest.raises(FrozenInstanceError):
+        page.text = "other"
+    assert (page.number, page.text) == (1, "one\ntwo")
 
 
 def test_corpus_rejects_noncontiguous_pages() -> None:
-    page_one = Page(1, (Paragraph(0, "a"),))
-    page_three = Page(3, (Paragraph(1, "b"),))
+    page_one = Page(1, "a")
+    page_three = Page(3, "b")
     with pytest.raises(PageOutOfRange):
         Corpus(source_path="x", pages=(page_one, page_three), page_size=1)
 
 
 def test_content_hash_is_format_independent(tmp_path: Path) -> None:
     texts = ["Opening remark.", "A longer middle paragraph.", "Closing."]
-    txt = tmp_path / "doc.txt"
-    txt.write_text("\n\n".join(texts) + "\n", encoding="utf-8")
+    txt = write_plain_text(tmp_path / "doc.txt", texts)
     docx = write_docx(tmp_path / "doc.docx", texts)
     hash_txt = content_hash(load_corpus(txt, page_size=2))
     hash_docx = content_hash(load_corpus(docx, page_size=2))
@@ -203,7 +193,7 @@ def test_content_hash_is_format_independent(tmp_path: Path) -> None:
     assert hash_txt == hashlib.sha256("\n".join(texts).encode("utf-8")).hexdigest()
     seven = [f"Paragraph {i} of seven." for i in range(7)]
     short_last = make_corpus(seven, page_size=3)
-    assert [len(page.paragraphs) for page in short_last.pages] == [3, 3, 1]
+    assert [len(page.text.split("\n")) for page in short_last.pages] == [3, 3, 1]
     assert content_hash(short_last) == hashlib.sha256("\n".join(seven).encode("utf-8")).hexdigest()
 
 
@@ -213,8 +203,11 @@ def test_content_hash_changes_with_content(tmp_path: Path) -> None:
     assert content_hash(first) != content_hash(second)
 
 
+# Paragraph texts that the plain-text reader returns as written: one line,
+# with no surrounding whitespace and no byte-order mark.
 _paragraph_texts = st.lists(
-    st.text(min_size=1, max_size=40).filter(lambda s: s.strip()),
+    st.text(min_size=1, max_size=40).map(lambda s: " ".join(s.replace("\ufeff", "").split()))
+    .filter(bool),
     min_size=1,
     max_size=60,
 )
@@ -222,15 +215,16 @@ _paragraph_texts = st.lists(
 
 @settings(max_examples=150, deadline=None)
 @given(texts=_paragraph_texts, page_size=st.integers(min_value=1, max_value=12))
-def test_pagination_laws(texts: list[str], page_size: int) -> None:
-    corpus = make_corpus(texts, page_size=page_size)
+def test_pagination_laws(tmp_path_factory, texts: list[str], page_size: int) -> None:
+    path = write_plain_text(tmp_path_factory.mktemp("laws") / "transcript.txt", texts)
+    corpus = load_corpus(path, page_size=page_size)
     assert corpus.page_count == math.ceil(len(texts) / page_size)
     assert [page.number for page in corpus.pages] == list(range(1, corpus.page_count + 1))
-    assert [p.text for p in corpus.paragraphs()] == texts
-    assert [p.index for p in corpus.paragraphs()] == list(range(len(texts)))
-    for page in corpus.pages[:-1]:
-        assert len(page.paragraphs) == page_size
-    assert 1 <= len(corpus.pages[-1].paragraphs) <= page_size
+    paragraphs = [page.text.split("\n") for page in corpus.pages]
+    assert [text for page in paragraphs for text in page] == texts
+    for page in paragraphs[:-1]:
+        assert len(page) == page_size
+    assert 1 <= len(paragraphs[-1]) <= page_size
 
 
 _line = st.one_of(
@@ -247,27 +241,24 @@ _transcripts = st.builds(lambda bom, blocks: bom + "\n\n".join(blocks),
 
 
 def assert_loaded_as_paginated(path: Path, page_size: int, format: str = "auto") -> None:
-    """load_corpus equals paging load_document's paragraphs, before and after
-    the loaded pages build their paragraphs."""
+    """load_corpus equals the reference paging of the reader's paragraph texts."""
     try:
-        eager = paginate(load_document(path, format), page_size, str(path))
+        reference = make_corpus(_read_texts(path, format), page_size, str(path))
     except EmptyDocument as error:
         with pytest.raises(EmptyDocument) as raised:
             load_corpus(path, page_size, format)
         assert str(raised.value) == str(error)
         return
     loaded = load_corpus(path, page_size, format)
-    assert content_hash(loaded) == content_hash(eager)
-    assert (loaded.source_path, loaded.page_size) == (eager.source_path, eager.page_size)
-    assert len(loaded.pages) == len(eager.pages)
-    for lazy, built in zip(loaded.pages, eager.pages):
-        assert (lazy.number, lazy.text) == (built.number, built.text)
-        assert lazy == built and built == lazy
-        assert hash(lazy) == hash(built)
-        assert repr(lazy) == repr(built)
-        assert lazy.paragraphs == built.paragraphs
-    assert loaded == eager and eager == loaded
-    assert loaded.paragraphs() == eager.paragraphs()
+    assert content_hash(loaded) == content_hash(reference)
+    assert (loaded.source_path, loaded.page_size) == (reference.source_path, reference.page_size)
+    assert len(loaded.pages) == len(reference.pages)
+    for page, expected in zip(loaded.pages, reference.pages):
+        assert (page.number, page.text) == (expected.number, expected.text)
+        assert page == expected and expected == page
+        assert hash(page) == hash(expected)
+        assert repr(page) == repr(expected)
+    assert loaded == reference and reference == loaded
 
 
 @settings(max_examples=200, deadline=None)
@@ -288,43 +279,9 @@ def test_load_corpus_equals_paginated_paragraphs_of_a_docx(tmp_path: Path,
     assert_loaded_as_paginated(path, page_size)
 
 
-@pytest.fixture()
-def paragraph_inits(monkeypatch: pytest.MonkeyPatch) -> list[int]:
-    """One entry per Paragraph construction."""
-    calls: list[int] = []
-    real_init = Paragraph.__init__
-
-    def counting_init(self, index: int, text: str) -> None:
-        calls.append(index)
-        real_init(self, index, text)
-
-    monkeypatch.setattr(Paragraph, "__init__", counting_init)
-    return calls
-
-
-def test_a_loaded_page_builds_its_paragraphs_on_first_access(
-        samples_dir: Path, paragraph_inits: list[int]) -> None:
-    corpus = load_corpus(samples_dir / "transcript.txt", page_size=4)
-    assert paragraph_inits == []
-    page = corpus.pages[2]
-    assert page.text and page.match_text and paragraph_inits == []
-    paragraphs = page.paragraphs
-    assert paragraph_inits == [8, 9, 10, 11] == [p.index for p in paragraphs]
-    assert page.paragraphs is paragraphs and len(paragraph_inits) == len(paragraphs)
-
-
-def test_analyze_and_verify_build_no_paragraph(
-        sample_workspace: Path, monkeypatch: pytest.MonkeyPatch,
-        paragraph_inits: list[int]) -> None:
-    monkeypatch.chdir(sample_workspace)
-    assert main(["--config", "run_config.json", "analyze"]) == 0
-    assert main(["--config", "run_config.json", "verify"]) == 0
-    assert paragraph_inits == []
-
-
 def test_a_loaded_page_copies_pickles_and_stays_frozen(samples_dir: Path) -> None:
     path = samples_dir / "transcript.txt"
-    built = paginate(load_document(path), 3, str(path)).pages[1]
+    built = make_corpus(_read_texts(path, "auto"), 3, str(path)).pages[1]
 
     def loaded() -> Page:
         return load_corpus(path, page_size=3).pages[1]
@@ -337,11 +294,11 @@ def test_a_loaded_page_copies_pickles_and_stays_frozen(samples_dir: Path) -> Non
     assert moved == dataclasses.replace(built, number=7) and moved.text == built.text
     page = loaded()
     with pytest.raises(FrozenInstanceError):
-        page.paragraphs = ()
+        page.text = ""
     with pytest.raises(FrozenInstanceError):
         page.number = 2
-    with pytest.raises(AttributeError, match="'Page' object has no attribute 'paragraph'"):
-        page.paragraph
+    with pytest.raises(AttributeError, match="'Page' object has no attribute 'paragraphs'"):
+        page.paragraphs
     assert page == built
 
 

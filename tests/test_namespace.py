@@ -17,22 +17,21 @@ SUBMODULES = {"agreement", "codebook", "corpus", "errors", "gateway", "outparse"
 PUBLIC_NAMES = {
     "AgreementSummary", "AnalysisArtifact", "ChatMessage", "CodeRecord", "Codebook",
     "ComparisonBundle", "Completion", "Corpus", "Gateway", "LiveTransport", "MatchResult",
-    "Matcher", "ModelConfig", "Page", "Paragraph", "ParseReport", "ParseWarning",
-    "PresenceMatrix", "PromptLibrary", "RenderedPrompt", "ReplayTransport", "ReportBundle",
-    "SixStepCoverage", "StudyFocus", "ThematicaError", "ThemeRecord", "TraceResult",
-    "TraceabilityReport", "build_report", "build_table4_summary", "cohens_kappa", "compare",
-    "content_hash", "load_alias_map", "load_alias_matcher", "load_artifact", "load_corpus",
-    "load_document", "load_human_codebook", "match_codes", "merge_codebooks",
-    "overlap_percentage", "paginate", "parse_code_block", "parse_emerging_code_list",
-    "parse_interpretation_block", "parse_theme_block", "percentage_difference",
-    "percentage_pair", "percentage_similarity", "presence_matrix", "run_analysis",
-    "share_percentage", "six_step_coverage", "verify_codebook", "verify_quote",
-    "write_report_bundle",
+    "Matcher", "ModelConfig", "Page", "ParseReport", "ParseWarning", "PresenceMatrix",
+    "PromptLibrary", "RenderedPrompt", "ReplayTransport", "ReportBundle", "SixStepCoverage",
+    "StudyFocus", "ThematicaError", "ThemeRecord", "TraceResult", "TraceabilityReport",
+    "build_report", "build_table4_summary", "cohens_kappa", "compare", "content_hash",
+    "load_alias_map", "load_alias_matcher", "load_artifact", "load_corpus",
+    "load_human_codebook", "match_codes", "merge_codebooks", "overlap_percentage",
+    "parse_code_block", "parse_emerging_code_list", "parse_interpretation_block",
+    "parse_theme_block", "percentage_difference", "percentage_pair", "percentage_similarity",
+    "presence_matrix", "run_analysis", "share_percentage", "six_step_coverage",
+    "verify_codebook", "verify_quote", "write_report_bundle",
 }
 
 
 def test_all_lists_the_public_names_and_the_submodules_sorted() -> None:
-    assert len(PUBLIC_NAMES) == 57
+    assert len(PUBLIC_NAMES) == 54
     assert thematica.__all__ == sorted(PUBLIC_NAMES | SUBMODULES)
 
 
@@ -50,7 +49,9 @@ def test_each_submodule_name_is_the_submodule(name: str) -> None:
     assert name in dir(thematica)
 
 
-@pytest.mark.parametrize("name", ["no_such_name", "entry_point"])
+# The paragraph-object corpus path is retired: a page is its number and text.
+@pytest.mark.parametrize("name", ["no_such_name", "entry_point", "Paragraph", "load_document",
+                                  "paginate"])
 def test_an_unknown_name_raises_attribute_error(name: str) -> None:
     with pytest.raises(AttributeError, match=f"module 'thematica' has no attribute '{name}'"):
         getattr(thematica, name)

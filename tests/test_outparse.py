@@ -379,6 +379,23 @@ def test_codes_digest_groups_by_page_and_renumbers() -> None:
     )
 
 
+
+def test_codes_digest_heads_and_numbers_a_group_of_codes_with_no_page() -> None:
+    # A resumed artifact can hold a code whose page is null, first or later.
+    records = [
+        CodeRecord(label="A", quote="q", page=None),
+        CodeRecord(label="B", quote="r", page=None),
+        CodeRecord(label="C", quote="s", page=2),
+        CodeRecord(label="D", quote="t", page=None),
+    ]
+    assert render_codes_digest(records) == (
+        'No page:\n1. **A**: "q" - Page None\n2. **B**: "r" - Page None\n'
+        '\n'
+        'Page 2:\n1. **C**: "s" - Page 2\n'
+        '\n'
+        'No page:\n1. **D**: "t" - Page None'
+    )
+
 def test_render_parse_round_trip_is_fixpoint_on_random_codebooks() -> None:
     rng = random.Random(20240817)
     for _ in range(100):
