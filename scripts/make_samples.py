@@ -4,7 +4,7 @@
 The sample set is a self-contained, fully offline demonstration corpus:
 
 * transcript.txt      - a 16-page synthetic migration interview (160 paragraphs)
-* session.json        - a replay fixture holding one recorded reply per request
+* session.json        - the response cache of a run: one reply per request, in order
 * coder1.csv          - first human coder's table (69 codes, 23 themes)
 * coder2.csv          - second human coder's table (102 codes, 26 themes)
 * alias_map.csv       - reviewer-confirmed label correspondences
@@ -39,21 +39,9 @@ from thematica.codebook import (
     merge_codebooks,
 )
 from thematica.corpus import load_corpus
-from thematica.gateway import (
-    ChatMessage,
-    ModelConfig,
-    ReplayTransport,
-    request_digest,
-    save_fixture,
-)
-from thematica.outparse import (
-    parse_code_block,
-    parse_theme_block,
-    render_codes_digest,
-    render_theme_digest,
-)
+from thematica.gateway import ModelConfig, ReplayTransport, load_fixture, save_fixture
 from thematica.pipeline import load_artifact, run_analysis
-from thematica.promptkit import StudyFocus, default_library
+from thematica.promptkit import StudyFocus
 from thematica.textnorm import label_key
 from thematica.trace import EXACT
 
@@ -891,30 +879,24 @@ def write_transcript(path: Path) -> None:
     path.write_text("\n\n".join(flat) + "\n", encoding="utf-8")
 
 
+class SessionTransport:
+    """Answers each request of the sample session by its context."""
+
+    kind = "replay"
+
+    def send(self, config, messages, context=None) -> str:
+        if context == "theme generation":
+            return build_theme_reply()
+        if context == "interpretation":
+            return build_interpretation_reply()
+        return build_page_reply(int(context.split()[1]))
+
+
 def write_session(path: Path, corpus) -> None:
-    library = default_library()
-    config = ModelConfig()
-    entries = []
-
-    def record(prompt, reply: str) -> None:
-        messages = (ChatMessage("system", prompt.system_message),
-                    ChatMessage("user", prompt.user_message))
-        entries.append({"digest": request_digest(config, messages), "response": reply})
-
-    records = []
-    for page in corpus.pages:
-        reply = build_page_reply(page.number)
-        record(library.render_code_extraction(page, FOCUS), reply)
-        records.extend(parse_code_block(reply, expected_page=page.number).records)
-
-    theme_reply = build_theme_reply()
-    record(library.render_theme_generation(render_codes_digest(records), FOCUS), theme_reply)
-
-    themes = parse_theme_block(theme_reply).records
-    record(library.render_interpretation(render_theme_digest(themes), FOCUS),
-           build_interpretation_reply())
-
-    save_fixture(path, entries)
+    """Save the response cache of a run over the sample, in request order."""
+    with tempfile.TemporaryDirectory() as tmp:
+        run_analysis(corpus, FOCUS, ModelConfig(), SessionTransport(), output_dir=tmp)
+        save_fixture(path, load_fixture(Path(tmp) / "response_cache.json"))
 
 
 def write_coder_csv(path: Path, coder_id: str, labels: list[str],
@@ -948,13 +930,13 @@ def validate(samples: Path) -> None:
             if other.number != page:
                 assert quote not in other.text, f"quote for {label!r} leaked to page {other.number}"
 
-    config = ModelConfig()
     artifacts = []
     with tempfile.TemporaryDirectory() as tmp:
         for run in ("a", "b"):
             out_dir = Path(tmp) / run
-            run_analysis(corpus, FOCUS, config, ReplayTransport(samples / "session.json"),
-                         output_dir=out_dir)
+            artifact = run_analysis(corpus, FOCUS, ModelConfig(),
+                                    ReplayTransport(samples / "session.json"), output_dir=out_dir)
+            assert load_artifact(out_dir / "analysis.json").complete
             artifacts.append((out_dir / "analysis.json").read_bytes())
     assert artifacts[0] == artifacts[1], "replay runs are not byte-identical"
 
@@ -983,14 +965,8 @@ def validate(samples: Path) -> None:
     assert len(consensus.codes) == 67 and len(consensus.themes) == 15
     assert stats.similar_themes == 15
 
-    with tempfile.TemporaryDirectory() as tmp:
-        out_dir = Path(tmp) / "run"
-        artifact = run_analysis(corpus, FOCUS, config,
-                                ReplayTransport(samples / "session.json"),
-                                output_dir=out_dir)
-        llm_match = match_codes(consensus, artifact.llm_codebook, matcher)
-        assert len(llm_match.pairs) == 42, f"expected 42 pairs, got {len(llm_match.pairs)}"
-        assert load_artifact(out_dir / "analysis.json").complete
+    llm_match = match_codes(consensus, artifact.llm_codebook, matcher)
+    assert len(llm_match.pairs) == 42, f"expected 42 pairs, got {len(llm_match.pairs)}"
 
     print("validation passed:")
     print("  59 codes, 15 emerging labels, 4 themes, 4 interpretations, all Exact")

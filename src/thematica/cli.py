@@ -3,7 +3,7 @@
 Configuration precedence is flags over config-file values over defaults.
 Exit codes are a stable contract: 0 success, 1 configuration or runtime
 error (including an interrupted analysis that a rerun would repeat), 2 partial
-analysis that a rerun can resume, 3 trace failures.
+analysis that a rerun can resume, 3 trace failures, 130 stopped by Ctrl-C.
 """
 
 from __future__ import annotations
@@ -59,6 +59,7 @@ EXIT_OK = 0
 EXIT_ERROR = 1
 EXIT_PARTIAL = 2
 EXIT_TRACE_FAILURES = 3
+EXIT_INTERRUPTED = 130  # 128 + SIGINT, what a shell reports for a Ctrl-C
 
 DEFAULT_FIXTURE_NAME = "session.json"
 # What "transport": "record" in a config prints: --record is retired.
@@ -262,6 +263,10 @@ def cmd_analyze(config: RunConfig, paper_reference: str | None = None) -> int:
         print(f"a rerun fails the same way: {cause.rerun_hint.format(artifact=path)}",
               file=sys.stderr)
         return EXIT_ERROR
+    except KeyboardInterrupt:  # run_analysis saved the partial artifact on its way out
+        print(f"analysis interrupted by Ctrl-C: partial artifact retained at "
+              f"{output_dir / 'analysis.json'}; rerun to resume", file=sys.stderr)
+        return EXIT_INTERRUPTED
 
     paths = _write_model_report(artifact, output_dir, paper_reference)
     book = artifact.llm_codebook
@@ -528,6 +533,9 @@ def main(argv: list[str] | None = None) -> int:
     except ThematicaError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_ERROR
+    except KeyboardInterrupt:
+        print("interrupted", file=sys.stderr)
+        return EXIT_INTERRUPTED
     return EXIT_ERROR
 
 

@@ -2,11 +2,12 @@
 
 The run proceeds page-by-page code extraction, consolidation into a single
 codebook plus a deduplicated emerging-label list, theme generation over the
-full code digest, and per-theme interpretation.  Each reply is appended to
-the output directory's response cache as it arrives, and the artifact JSON
-is written once, when the run stops: at completion or at any failure.  A
-rerun resumes from the artifact and gets every reply the cache holds without
-a request, so a crashed run re-sends only the requests that were in flight.
+full code digest, and per-theme interpretation.  Each model request is a
+:class:`Request`, and one sender sends those whose reply the artifact lacks.
+Each reply is appended to the output directory's response cache as it
+arrives, and the artifact JSON is written once, when the run stops: at
+completion or at any failure.  A rerun gets every reply the cache holds
+without a request, so a crashed run re-sends only the requests in flight.
 :meth:`AnalysisArtifact.save` writes the artifact without building a tree of
 dicts: one formatter per record kind (raw reply, code, theme, trace result)
 writes each record's line, with the bytes the JSON encoder would write.  One
@@ -23,6 +24,7 @@ import time
 from concurrent.futures import ThreadPoolExecutor, wait
 from dataclasses import dataclass, field, replace
 from datetime import datetime, timezone
+from functools import partial
 from itertools import chain
 from json.encoder import encode_basestring as _string  # a string as _encode writes it
 from pathlib import Path
@@ -39,7 +41,7 @@ from .errors import (
     SchemaError,
     ThematicaError,
 )
-from .gateway import ChatMessage, Gateway, ModelConfig, ReplayTransport, replace_file
+from .gateway import ChatMessage, Completion, Gateway, ModelConfig, ReplayTransport, replace_file
 from .outparse import (
     CodeRecord,
     ParseReport,
@@ -51,7 +53,7 @@ from .outparse import (
     render_codes_digest,
     render_theme_digest,
 )
-from .promptkit import PromptLibrary, StudyFocus, default_library
+from .promptkit import PromptLibrary, RenderedPrompt, StudyFocus, default_library
 from .textnorm import label_key
 from .trace import DEFAULT_THRESHOLD, TraceabilityReport, TraceResult, verify_codebook
 
@@ -74,7 +76,7 @@ SIX_STAGES = (STAGE_QUOTATION, STAGE_KEYWORDS, STAGE_CODING,
 
 NOT_COVERED = "not_covered"
 
-# The longest the main thread waits on the code-extraction pool at a time: a
+# The longest the main thread waits on the worker pool at a time: a
 # SIGINT it does not take itself cannot wake it, so it checks after each slice.
 WAIT_SLICE_S = 0.05
 
@@ -419,6 +421,15 @@ def _check_resume(artifact: AnalysisArtifact, fingerprint: dict, snapshot: dict)
         raise ResumeMismatch("model/focus/template configuration differs from the partial artifact")
 
 
+class Request(NamedTuple):
+    """One model request of a run; ``page`` is None past code extraction."""
+
+    key: str  # the reply's key in ``raw_replies``
+    page: int | None
+    context: str  # names the request to the transport and in its errors
+    render: Callable[[], RenderedPrompt]
+
+
 def run_analysis(corpus: Corpus, focus: StudyFocus, config: ModelConfig, transport,
                  output_dir: str | Path | None = None,
                  library: PromptLibrary | None = None,
@@ -431,10 +442,10 @@ def run_analysis(corpus: Corpus, focus: StudyFocus, config: ModelConfig, transpo
     AnalysisInterrupted carrying the stage, page, artifact, and cause, and
     any other exception propagates unchanged.
 
-    Up to ``config.parallelism`` worker threads send the page requests, so
-    a live run overlaps the endpoint's latency.  A :class:`ReplayTransport`
-    blocks on nothing, so a replay answers its pages on the calling thread,
-    in page order, whatever ``parallelism`` says.
+    Every stage hands its :class:`Request` values to one sender.  Up to
+    ``config.parallelism`` worker threads send them, so a live run overlaps
+    the endpoint's latency.  A :class:`ReplayTransport` blocks on nothing, so a
+    replay answers on the calling thread, in order, whatever ``parallelism`` says.
     """
     library = library or default_library()
     replay = getattr(transport, "kind", "live") == "replay"
@@ -459,43 +470,36 @@ def run_analysis(corpus: Corpus, focus: StudyFocus, config: ModelConfig, transpo
     cache_path = out_dir / "response_cache.json" if out_dir else None
     gateway = Gateway(config, transport, cache_path=cache_path)
 
-    # Where each reply came from: "cache", or the transport's kind.
-    sources: list[str] = []
-
-    def ask(prompt, context: str) -> str:
-        messages = (ChatMessage("system", prompt.system_message),
-                    ChatMessage("user", prompt.user_message))
-        completion = gateway.complete(messages, context=context)
-        sources.append(completion.transport)
-        return completion.text
-
     # Where the run is, named by the interruption a library error becomes.
     stage: str | None = "code_extraction"
     page_number: int | None = None
-    started = time.perf_counter()
-    try:
-        # step 1: per-page code extraction.  Workers take the next pending page
-        # until none is left; after a failure or an interrupt no page starts,
-        # and a request in flight finishes and keeps its reply.  A replay has
-        # one worker, the calling thread, which takes the pages in order.
-        asked = [page for page in corpus.pages if f"page_{page.number}" not in artifact.raw_replies]
-        pages = iter(asked)
-        replies: dict[int, str] = {}
+
+    def send(requests: list[Request]) -> list[str]:
+        """Send each request whose key the artifact lacks, in order, and store each
+        reply under its key.  After a failure or an interrupt no request starts,
+        and one in flight finishes and keeps its reply.  Returns where each reply
+        came from: "cache", or the transport's kind."""
+        nonlocal page_number
+        asked = [request for request in requests if request.key not in artifact.raw_replies]
+        pending = enumerate(asked)
+        completions: dict[int, Completion] = {}
         failures: list[tuple[bool, int, BaseException]] = []
         take, stop, go = threading.Lock(), threading.Event(), threading.Event()
 
-        def extract() -> None:
+        def work() -> None:
             go.wait()
             while not stop.is_set():
                 with take:
-                    page = next(pages, None)
-                if page is None:
+                    index, request = next(pending, (None, None))
+                if request is None:
                     return
                 try:
-                    replies[page.number] = ask(library.render_code_extraction(page, focus),
-                                               f"page {page.number} code extraction")
+                    prompt = request.render()
+                    completions[index] = gateway.complete(
+                        (ChatMessage("system", prompt.system_message),
+                         ChatMessage("user", prompt.user_message)), context=request.context)
                 except BaseException as exc:
-                    failures.append((isinstance(exc, ThematicaError), page.number, exc))
+                    failures.append((isinstance(exc, ThematicaError), index, exc))
                     stop.set()
 
         pool = (None if isinstance(transport, ReplayTransport)
@@ -503,11 +507,11 @@ def run_analysis(corpus: Corpus, focus: StudyFocus, config: ModelConfig, transpo
         try:
             if pool is None:
                 go.set()
-                extract()
+                work()
             else:
-                workers = [pool.submit(extract) for _ in range(config.parallelism)]
+                workers = [pool.submit(work) for _ in range(config.parallelism)]
                 # An interrupt inside submit can leave a started thread that the
-                # shutdown below does not join, so no page starts before this.
+                # shutdown below does not join, so no request starts before this.
                 go.set()
                 while wait(workers, timeout=WAIT_SLICE_S).not_done:
                     pass
@@ -520,16 +524,26 @@ def run_analysis(corpus: Corpus, focus: StudyFocus, config: ModelConfig, transpo
             finally:
                 # Every reply that arrived goes into the artifact, at an interrupt
                 # too, even one that cuts the wait for the requests in flight: a
-                # copy, because a worker still running may add to ``replies``.
-                done = dict(replies)
-                artifact.raw_replies.update((f"page_{n}", done[n]) for n in sorted(done))
+                # copy, because a worker still running may add to ``completions``.
+                done = dict(completions)
+                artifact.raw_replies.update((asked[i].key, done[i].text) for i in sorted(done))
         if failures:
-            # A non-library error goes first, then the lowest failing page.
-            _, page_number, exc = min(failures)
+            # A non-library error goes first, then the earliest failing request.
+            _, index, exc = min(failures)
+            page_number = asked[index].page
             raise exc
+        return [completion.transport for completion in done.values()]
+
+    started = time.perf_counter()
+    try:
+        # step 1: per-page code extraction
+        sources = send([Request(f"page_{page.number}", page.number,
+                                f"page {page.number} code extraction",
+                                partial(library.render_code_extraction, page, focus))
+                        for page in corpus.pages])
         cached = sources.count("cache")
         started = _log_stage(started, "code extraction: %d pages asked, %d replies sent, "
-                             "%d from the cache", len(asked), len(sources) - cached, cached)
+                             "%d from the cache", len(sources), len(sources) - cached, cached)
 
         # step 2: consolidation
         stage = "consolidation"
@@ -567,10 +581,8 @@ def run_analysis(corpus: Corpus, focus: StudyFocus, config: ModelConfig, transpo
 
         # step 3: theme generation
         stage = "theme_generation"
-        codes_digest = render_codes_digest(codebook.codes)
-        if "themes" not in artifact.raw_replies:
-            prompt = library.render_theme_generation(codes_digest, focus)
-            artifact.raw_replies["themes"] = ask(prompt, "theme generation")
+        send([Request("themes", None, "theme generation", partial(
+            library.render_theme_generation, render_codes_digest(codebook.codes), focus))])
         theme_report = parse_theme_block(artifact.raw_replies["themes"])
         themes = theme_report.records
         parse_notes.extend(_notes("themes", theme_report))
@@ -585,10 +597,8 @@ def run_analysis(corpus: Corpus, focus: StudyFocus, config: ModelConfig, transpo
 
         # step 4: interpretation
         stage = "interpretation"
-        themes_digest = render_theme_digest(themes)
-        if "interpretations" not in artifact.raw_replies:
-            prompt = library.render_interpretation(themes_digest, focus)
-            artifact.raw_replies["interpretations"] = ask(prompt, "interpretation")
+        send([Request("interpretations", None, "interpretation", partial(
+            library.render_interpretation, render_theme_digest(themes), focus))])
         interp_report = parse_interpretation_block(artifact.raw_replies["interpretations"],
                                                    themes)
         themes = tuple(interp_report.records)

@@ -383,6 +383,51 @@ def test_a_consolidation_stop_names_the_page_whose_reply_stopped_it(
     assert capsys.readouterr().err.splitlines()[0] == f"analysis interrupted during {stop}"
 
 
+class CtrlCReplay(ReplayTransport):
+    """Replay whose third request is cut by a Ctrl-C."""
+
+    def __init__(self, fixture_path: str) -> None:
+        super().__init__(fixture_path)
+        self.sent = 0
+
+    def send(self, config, messages, context=None):
+        self.sent += 1
+        if self.sent == 3:
+            raise KeyboardInterrupt
+        return super().send(config, messages, context)
+
+
+def test_a_ctrl_c_during_analyze_is_one_line_and_exit_130_then_a_rerun_resumes(
+        sample_workspace: Path, monkeypatch: pytest.MonkeyPatch, capsys) -> None:
+    monkeypatch.chdir(sample_workspace)
+    assert main(["--config", "run_config.json", "--output-dir", "clean", "analyze"]) == 0
+    transport = CtrlCReplay("session.json")
+    monkeypatch.setattr(thematica.cli, "_resolve_transport", lambda config: transport)
+    capsys.readouterr()
+    assert main(["--config", "run_config.json", "analyze"]) == 130
+    assert capsys.readouterr().err == ("analysis interrupted by Ctrl-C: partial artifact "
+                                       "retained at out/analysis.json; rerun to resume\n")
+    assert list(load_artifact("out/analysis.json").raw_replies) == ["page_1", "page_2"]
+    # The rerun sends the third request again, and every one after it.
+    assert main(["--config", "run_config.json", "analyze"]) == 0
+    assert "Traceback" not in capsys.readouterr().err
+    assert Path("out/analysis.json").read_bytes() == Path("clean/analysis.json").read_bytes()
+
+
+def test_a_ctrl_c_in_any_other_command_is_one_line_and_exit_130(
+        sample_workspace: Path, monkeypatch: pytest.MonkeyPatch, capsys) -> None:
+    monkeypatch.chdir(sample_workspace)
+    assert main(["--config", "run_config.json", "analyze"]) == 0
+
+    def interrupted(*args, **kwargs):
+        raise KeyboardInterrupt
+
+    monkeypatch.setattr(thematica.cli, "verify_codebook", interrupted)
+    capsys.readouterr()
+    assert main(["--config", "run_config.json", "verify"]) == 130
+    assert capsys.readouterr().err == "interrupted\n"
+
+
 # What "transport": "record" in a config prints: the response cache of a
 # --live run is its replay fixture.
 RECORD_RETIRED = ("--record is retired: analyze with --live, then rerun offline with "

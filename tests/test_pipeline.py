@@ -1185,6 +1185,89 @@ def test_missing_fixture_entry_interrupts_with_page(sample: dict, tmp_path: Path
     assert isinstance(err.value.cause, FixtureMiss)
 
 
+# The reply keys of the sample's 18 requests, in the order a run sends them.
+REQUEST_KEYS = [*(f"page_{number}" for number in range(1, 17)), "themes", "interpretations"]
+
+
+class ThemeSignalTransport:
+    """Send-only wrapper, not a ReplayTransport, that sends this process SIGINT
+    inside the theme-generation send, waits a moment, then answers."""
+
+    kind = "live"
+
+    def __init__(self, inner: ReplayTransport) -> None:
+        self.inner = inner
+
+    def send(self, config, messages, context=None):
+        if context == "theme generation":
+            os.kill(os.getpid(), signal.SIGINT)
+            time.sleep(0.2)
+        return self.inner.send(config, messages, context)
+
+
+@pytest.mark.usefixtures("default_sigint")
+def test_an_interrupt_during_a_live_theme_request_keeps_its_reply(
+        sample: dict, tmp_path: Path) -> None:
+    out_dir = tmp_path / "run"
+    with pytest.raises(KeyboardInterrupt):
+        run_sample(sample, out_dir, ThemeSignalTransport(ReplayTransport(sample["fixture"])))
+    partial = load_artifact(out_dir / "analysis.json")
+    assert partial.status == "partial"
+    assert list(partial.raw_replies) == REQUEST_KEYS[:17]
+    cached = [entry["response"] for entry in load_fixture(out_dir / "response_cache.json")]
+    assert cached == list(partial.raw_replies.values())
+
+    counting = CountingTransport(ReplayTransport(sample["fixture"]))
+    assert run_sample(sample, out_dir, transport=counting).status == "complete"
+    assert counting.sent == 1
+
+
+class CutReplay(ReplayTransport):
+    """Replay, answered on the calling thread, that raises FixtureMiss once it
+    has answered ``quota`` requests."""
+
+    def __init__(self, fixture_path: Path, quota: int) -> None:
+        super().__init__(fixture_path)
+        self.quota = quota
+
+    def send(self, config, messages, context=None):
+        if self.quota == 0:
+            raise FixtureMiss(f"synthetic outage before {context}")
+        self.quota -= 1
+        return super().send(config, messages, context)
+
+
+@pytest.fixture(scope="module")
+def clean_bytes(sample: dict, tmp_path_factory) -> bytes:
+    """The analysis.json of an uninterrupted replay of the sample."""
+    out_dir = tmp_path_factory.mktemp("clean")
+    run_sample(sample, out_dir)
+    return (out_dir / "analysis.json").read_bytes()
+
+
+@pytest.mark.parametrize("sender", ["calling_thread", "pool"])
+@pytest.mark.parametrize("cut", range(len(REQUEST_KEYS)))
+def test_a_run_cut_at_any_request_resumes_to_a_clean_runs_bytes(
+        sample: dict, tmp_path: Path, clean_bytes: bytes, cut: int, sender: str) -> None:
+    # A replay answers on the calling thread; a send-only wrapper goes through the pool.
+    transport = (CutReplay(sample["fixture"], cut) if sender == "calling_thread"
+                 else CountingTransport(ReplayTransport(sample["fixture"]), fail_after=cut))
+    out_dir = tmp_path / "run"
+    with pytest.raises(AnalysisInterrupted) as stopped:
+        run_analysis(sample["corpus"], sample["focus"], ModelConfig(parallelism=1),
+                     transport, output_dir=out_dir)
+    expected = {16: ("theme_generation", None), 17: ("interpretation", None)}
+    assert (stopped.value.stage, stopped.value.page) == expected.get(
+        cut, ("code_extraction", cut + 1))
+    assert isinstance(stopped.value.cause, FixtureMiss)
+    assert list(load_artifact(out_dir / "analysis.json").raw_replies) == REQUEST_KEYS[:cut]
+
+    counting = CountingTransport(ReplayTransport(sample["fixture"]))
+    assert run_sample(sample, out_dir, transport=counting).status == "complete"
+    assert counting.sent == len(REQUEST_KEYS) - cut
+    assert (out_dir / "analysis.json").read_bytes() == clean_bytes
+
+
 def test_resume_rejects_changed_corpus(sample: dict, tmp_path: Path) -> None:
     out_dir = tmp_path / "run"
     flaky = CountingTransport(ReplayTransport(sample["fixture"]), fail_after=3)
