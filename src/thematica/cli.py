@@ -11,7 +11,6 @@ from __future__ import annotations
 import argparse
 import json
 import logging
-import os
 import sys
 from dataclasses import dataclass, field
 from itertools import zip_longest
@@ -29,22 +28,17 @@ from .codebook import (
     match_codes,
     merge_codebooks,
 )
-from .corpus import FORMATS, content_hash, load_corpus, read_utf8
+from .corpus import content_hash, load_corpus, read_utf8
 from .errors import (
     AnalysisInterrupted,
+    AuthError,
     ConfigError,
     DecodeError,
     EmptyCodebook,
     IncompleteArtifact,
     ThematicaError,
 )
-from .gateway import (
-    ENV_VAR,
-    FALLBACK_ENV_VAR,
-    LiveTransport,
-    ModelConfig,
-    ReplayTransport,
-)
+from .gateway import LiveTransport, ModelConfig, ReplayTransport
 from .outparse import CodeRecord, ThemeRecord
 from .pipeline import AnalysisArtifact, compare, load_artifact, run_analysis, six_step_coverage
 from .promptkit import PromptLibrary, StudyFocus
@@ -71,7 +65,7 @@ def _field_types(cls: type) -> dict[str, tuple[type, ...]]:
     """The value types each field of the dataclass ``cls`` accepts.
 
     An optional field leaves out None, which a config source skips, and a
-    float field also takes an int (so a bool too, as a subclass of int).
+    float field also takes an int.
     """
     table = {}
     for name, hint in get_type_hints(cls).items():
@@ -81,7 +75,8 @@ def _field_types(cls: type) -> dict[str, tuple[type, ...]]:
 
 
 def _check_type(types: dict[str, tuple[type, ...]], noun: str, key: str, value: object) -> None:
-    if not isinstance(value, types[key]):
+    # An exact type, so a bool is no number, as in an artifact's field tables.
+    if type(value) not in types[key]:
         raise ConfigError(f"{noun} {key!r} must be {types[key][0].__name__}, got {value!r}")
 
 
@@ -93,7 +88,6 @@ class RunConfig:
     """Merged run configuration from defaults, config file, and flags."""
 
     input: str | None = None
-    format: str = "auto"
     page_size: int = 10
     focus_description: str | None = None
     research_question: str | None = None
@@ -192,17 +186,11 @@ def _resolve_transport(config: RunConfig):
     if mode == "record":
         raise ConfigError(RECORD_RETIRED)
     if mode == "live":
-        if not (os.environ.get(ENV_VAR) or os.environ.get(FALLBACK_ENV_VAR)):
-            raise ConfigError(f"live transport requires a credential: set {ENV_VAR} "
-                              f"(or {FALLBACK_ENV_VAR})")
-        return LiveTransport()
+        try:
+            return LiveTransport()
+        except AuthError as exc:
+            raise ConfigError(f"live transport: {exc}") from None
     raise ConfigError(f"unknown transport mode {mode!r}")
-
-
-def _document_format(config: RunConfig) -> str:
-    if config.format not in FORMATS:
-        raise ConfigError(f"unknown format {config.format!r}; choose from {', '.join(FORMATS)}")
-    return config.format
 
 
 def _build_matcher(config: RunConfig) -> Matcher:
@@ -238,8 +226,7 @@ def _write_model_report(artifact: AnalysisArtifact, output_dir: str | Path,
 def cmd_analyze(config: RunConfig, paper_reference: str | None = None) -> int:
     if not config.input:
         raise ConfigError("an input document is required (--input PATH)")
-    corpus = load_corpus(config.input, page_size=config.page_size,
-                         format=_document_format(config))
+    corpus = load_corpus(config.input, page_size=config.page_size)
     focus = config.focus()
     model = config.model_config()
     transport = _resolve_transport(config)
@@ -375,8 +362,7 @@ def cmd_verify(config: RunConfig, artifact_path: str | None) -> int:
     source = config.input or artifact.corpus_fingerprint["source_path"]
     if not source:
         raise ConfigError("a corpus path is required (--input PATH)")
-    corpus = load_corpus(source, page_size=artifact.corpus_fingerprint["page_size"],
-                         format=_document_format(config))
+    corpus = load_corpus(source, page_size=artifact.corpus_fingerprint["page_size"])
     fresh_hash = content_hash(corpus)
     recorded = artifact.corpus_fingerprint["content_hash"]
     if fresh_hash != recorded:
@@ -446,7 +432,6 @@ def _build_parser(tokens: list[str]) -> argparse.ArgumentParser:
     report = sub.add_parser("report", help="regenerate reports from an artifact")
     if "analyze" in tokens:
         analyze.add_argument("--input", help="transcript file (.docx or plain text)")
-        analyze.add_argument("--format", choices=FORMATS)
         analyze.add_argument("--page-size", type=int, dest="page_size",
                              help="paragraphs per page (default 10)")
         analyze.add_argument("--focus", dest="focus_description",
@@ -478,7 +463,6 @@ def _build_parser(tokens: list[str]) -> argparse.ArgumentParser:
     if "verify" in tokens:
         verify.add_argument("--artifact")
         verify.add_argument("--input", help="the corpus the artifact was built from")
-        verify.add_argument("--format", choices=FORMATS)
     if "report" in tokens:
         report.add_argument("--artifact")
         report.add_argument("--paper-reference", dest="paper_reference")

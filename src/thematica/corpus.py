@@ -4,10 +4,11 @@ A transcript is an ordered list of trimmed, non-empty paragraph texts.
 :func:`load_corpus` reads them and groups every ``page_size`` consecutive
 paragraphs into one :class:`Page`: its 1-based number and its text, the
 paragraphs joined by single newlines.  The page is the unit of text sent to
-the model.  Two input formats are supported: UTF-8 plain text with
-blank-line paragraph delimiters, and OOXML word documents (``.docx``), from
-which only body paragraph text is extracted (no tables, headers, or
-comments).
+the model.  The file's first bytes pick its reader: a file that starts
+with the ZIP local-file-header signature ``PK\x03\x04`` is read as an OOXML
+word document (``.docx``), of which only body paragraph text is extracted
+(no tables, headers, or comments), and any other file as UTF-8 plain text
+with blank-line paragraph delimiters.  The file name plays no part.
 
 Plain-text blocks that span several physical lines are treated as one
 soft-wrapped paragraph; the lines are rejoined with single spaces so quotes
@@ -27,10 +28,8 @@ from .errors import DecodeError, EmptyDocument, InvalidPageSize, PageOutOfRange
 from .textnorm import normalize_for_match, source_index
 
 _WORD_NS = "{http://schemas.openxmlformats.org/wordprocessingml/2006/main}"
-
-PLAIN_TEXT = "plain_text"
-OOXML_DOCX = "ooxml_docx"
-FORMATS = ("auto", PLAIN_TEXT, OOXML_DOCX)
+# Every ZIP archive, so every OOXML package, starts with this signature.
+_ZIP_SIGNATURE = b"PK\x03\x04"
 
 
 @dataclass(frozen=True, init=False)
@@ -92,15 +91,13 @@ class Corpus:
         return len(self.pages)
 
 
-def load_corpus(path: str | Path, page_size: int = 10, format: str = "auto") -> Corpus:
+def load_corpus(path: str | Path, page_size: int = 10) -> Corpus:
     """Load a transcript and group its paragraphs into pages of ``page_size``;
     the last page may be short.
 
-    ``format`` is ``plain_text``, ``ooxml_docx``, or ``auto`` (decided by the
-    ``.docx`` suffix).  Each reader trims its paragraphs and drops the empty
-    ones.
+    Each reader trims its paragraphs and drops the empty ones.
     """
-    texts = _read_texts(Path(path), format)
+    texts = _read_texts(Path(path))
     _check_page_size(page_size)
     pages = tuple(Page(number, "\n".join(texts[first:first + page_size]))
                   for number, first in enumerate(range(0, len(texts), page_size), start=1))
@@ -132,16 +129,12 @@ def _check_page_size(page_size: int) -> None:
         raise InvalidPageSize(f"page_size must be >= 1, got {page_size}")
 
 
-def _read_texts(path: Path, format: str) -> list[str]:
-    """The trimmed, non-empty paragraph texts of the transcript at ``path``."""
-    if format == "auto":
-        format = OOXML_DOCX if path.suffix.lower() == ".docx" else PLAIN_TEXT
-    if format == PLAIN_TEXT:
-        texts = _read_plain_text(path)
-    elif format == OOXML_DOCX:
-        texts = _read_docx(path)
-    else:
-        raise ValueError(f"unknown format {format!r}; expected {PLAIN_TEXT!r} or {OOXML_DOCX!r}")
+def _read_texts(path: Path) -> list[str]:
+    """The trimmed, non-empty paragraph texts of the transcript at ``path``,
+    read as a ``.docx`` package if the file starts with the ZIP signature."""
+    with path.open("rb") as file:
+        is_package = file.read(len(_ZIP_SIGNATURE)) == _ZIP_SIGNATURE
+    texts = _read_docx(path) if is_package else _read_plain_text(path)
     if not texts:
         raise EmptyDocument(f"{path} contains no non-empty paragraphs")
     return texts

@@ -37,8 +37,10 @@ from json.encoder import encode_basestring
 from pathlib import Path
 from typing import Callable, Sequence
 
+from .corpus import read_utf8
 from .errors import (
     AuthError,
+    DecodeError,
     FixtureCorrupt,
     FixtureMiss,
     MalformedResponse,
@@ -152,9 +154,13 @@ def resolve_api_key(explicit: str | None = None) -> str:
 
 
 def load_fixture(path: str | Path) -> list[dict[str, str]]:
+    """The ``{digest, response}`` entries of a fixture, read after any leading
+    UTF-8 byte-order mark; anything unreadable raises FixtureCorrupt."""
     path = Path(path)
     try:
-        raw = json.loads(path.read_text(encoding="utf-8"))
+        raw = json.loads(read_utf8(path))
+    except DecodeError as exc:
+        raise FixtureCorrupt(str(exc)) from exc
     except (OSError, ValueError) as exc:
         raise FixtureCorrupt(f"{path}: {exc}") from exc
     if not isinstance(raw, list):

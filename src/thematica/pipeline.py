@@ -32,7 +32,7 @@ from types import NoneType
 from typing import TYPE_CHECKING, Callable, NamedTuple
 
 from .codebook import Codebook, Matcher, MatchResult, match_codes
-from .corpus import Corpus, content_hash
+from .corpus import Corpus, content_hash, read_utf8
 from .errors import (
     AnalysisInterrupted,
     DuplicateLabel,
@@ -346,17 +346,17 @@ def _built(build, table: tuple, rows: list, where: str, *leading) -> tuple:
 
 
 def load_artifact(path: str | Path) -> AnalysisArtifact:
-    """Read an artifact, in any layout :func:`json.loads` reads.  Bad JSON or a
-    bad value raises :class:`SchemaError` naming the path and the line and
-    column or the value's JSON path, since users may correct replies in it."""
+    """Read an artifact, in any layout :func:`json.loads` reads, after any
+    leading UTF-8 byte-order mark.  Bad JSON or a bad value raises
+    :class:`SchemaError` naming the path and the line and column or the
+    value's JSON path, since users may correct replies in it; bytes that are
+    not UTF-8 raise DecodeError, as in every other input."""
     path = Path(path)
     try:
-        data = json.loads(path.read_text(encoding="utf-8"))
+        data = json.loads(read_utf8(path))
     except json.JSONDecodeError as exc:
         raise SchemaError(f"{path}: not valid JSON at line {exc.lineno} "
                           f"column {exc.colno}: {exc.msg}") from None
-    except UnicodeDecodeError as exc:
-        raise SchemaError(f"{path}: not UTF-8 text: {exc}") from None
     if not isinstance(data, dict):
         raise SchemaError(f"{path}: an artifact must be a JSON object")
     try:

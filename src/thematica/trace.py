@@ -14,13 +14,9 @@ edit-distance table: an n-bit Python int holds a row, one bit per character
 of the normalized cited page, and each of the m normalized quote characters
 is one round of big-int operations.  A quote costs m rounds over an n-bit
 int, not n rounds.  Each round reads the bit mask of its quote character
-(bit j set where the text holds that character).  A short text, such as
-the m + d characters before a best end that a reverse pass reads, builds
-every mask in one loop over its characters; a text of ``_MASK_LOOP_BELOW``
-characters or more, such as a whole page, builds one mask per distinct
+(bit j set where the text holds that character), built once per distinct
 quote character with one ``str.translate`` and one ``int(…, 2)``, whose
-cost hardly grows with the text.  On a short text the loop costs less than
-those calls; on a page it costs more.
+cost hardly grows with the text.
 
 A partition (pigeonhole) filter runs before any row (Baeza-Yates &
 Navarro 1999, Algorithmica 23(2); Navarro 2001, ACM Comput. Surv. 33(1)):
@@ -72,11 +68,6 @@ LEVELS = (EXACT, NORMALIZED, FUZZY, FAILED)
 DEFAULT_THRESHOLD = 0.85
 
 _SENTENCE_SPLIT = re.compile(r"(?<=[.!?…])\s+")
-
-# Texts shorter than this build their bit masks in one loop (_bottom_row).
-# For 48- to 97-character quotes of 17 to 23 distinct characters, the loop
-# and the translate path cost the same on texts of 250 to 350 characters.
-_MASK_LOOP_BELOW = 256
 
 
 @dataclass(frozen=True, init=False)
@@ -139,27 +130,17 @@ def _bottom_row(pattern: str, text: str, global_mode: bool) -> list[int]:
     table: Pv/Mv hold a row's horizontal +1/-1 deltas, one bit per text
     position, and each pattern character is one round.  The deltas start all
     0 (search) or all +1 (global); the carry in, D[i][0] - D[i-1][0], is +1.
-
-    A text shorter than ``_MASK_LOOP_BELOW`` builds its masks in one loop
-    over its characters, and a longer one with one ``str.translate`` per
-    distinct pattern character: the loop's cost grows with the text, the
-    translate path's with the calls.  Only the text's length picks the path,
-    and both give the same masks.
     """
     n = len(text)
     full = (1 << n) - 1
     masks: dict[str, int] = {}  # bit j set where text[j] is the character
-    if n < _MASK_LOOP_BELOW:
-        for j, char in enumerate(text):
-            masks[char] = masks.get(char, 0) | 1 << j
-    else:
-        bits = dict.fromkeys(map(ord, set(text)), "0")
-        reversed_text = text[::-1]
-        # The text as "0"/"1" for one character, read in base 2.
-        for char in [char for char in set(pattern) if char in text]:
-            bits[ord(char)] = "1"
-            masks[char] = int(reversed_text.translate(bits), 2)
-            bits[ord(char)] = "0"
+    bits = dict.fromkeys(map(ord, set(text)), "0")
+    reversed_text = text[::-1]
+    # The text as "0"/"1" for one character, read in base 2.
+    for char in [char for char in set(pattern) if char in text]:
+        bits[ord(char)] = "1"
+        masks[char] = int(reversed_text.translate(bits), 2)
+        bits[ord(char)] = "0"
     pv, mv = (full if global_mode else 0), 0
     for char in pattern:
         eq = masks.get(char, 0)

@@ -565,7 +565,8 @@ def test_malformed_human_inputs_and_templates_are_one_line_errors(
     ("transcript.txt", ["verify"]),
     ("coder1.csv", ["compare", "--human", "coder1.csv", "--human", "coder2.csv"]),
     ("alias_map.csv", ["compare", "--human", "coder1.csv", "--human", "coder2.csv"]),
-], ids=["transcript", "coder-csv", "alias-map"])
+    ("out/analysis.json", ["verify"]),
+], ids=["transcript", "coder-csv", "alias-map", "artifact"])
 def test_a_utf8_byte_order_mark_is_not_text(
         analyzed_workspace: Path, tmp_path: Path, monkeypatch: pytest.MonkeyPatch, capsys,
         name: str, argv: list[str]) -> None:
@@ -578,6 +579,31 @@ def test_a_utf8_byte_order_mark_is_not_text(
     Path(name).write_bytes(b"\xef\xbb\xbf" + Path(name).read_bytes())
     assert main(["--config", "run_config.json", *argv]) == 0
     assert capsys.readouterr() == without
+
+
+def test_a_session_with_a_byte_order_mark_replays_the_same_artifact(
+        sample_workspace: Path, monkeypatch: pytest.MonkeyPatch) -> None:
+    monkeypatch.chdir(sample_workspace)
+    assert main(["--config", "run_config.json", "--output-dir", "clean", "analyze"]) == 0
+    Path("marked.json").write_bytes(b"\xef\xbb\xbf" + Path("session.json").read_bytes())
+    assert main(["--config", "run_config.json", "--output-dir", "marked", "analyze",
+                 "--replay", "marked.json"]) == 0
+    assert (Path("marked/analysis.json").read_bytes()
+            == Path("clean/analysis.json").read_bytes())
+
+
+def test_an_artifact_that_is_not_utf_8_is_one_line_naming_it(
+        analyzed_workspace: Path, tmp_path: Path, monkeypatch: pytest.MonkeyPatch,
+        capsys) -> None:
+    workspace = copy_workspace(analyzed_workspace, tmp_path / "workspace")
+    monkeypatch.chdir(workspace)
+    Path("out/analysis.json").write_bytes(b"\xff" + Path("out/analysis.json").read_bytes())
+    assert main(["--config", "run_config.json", "verify"]) == 1
+    captured = capsys.readouterr()
+    assert captured.err.startswith("error: out/analysis.json is not valid UTF-8: 'utf-8' codec "
+                                   "can't decode byte 0xff in position 0")
+    assert captured.err.count("\n") == 1
+    assert captured.out == ""
 
 
 def test_alias_matcher_computes_each_alias_key_once(monkeypatch: pytest.MonkeyPatch) -> None:
@@ -1018,7 +1044,6 @@ def test_output_dir_flag_overrides_config_value(
 # flag's value); a field of the form "model.x" is model option x.
 FIELD_FLAGS = [
     ("analyze", ["--input", "flag.txt"], "input", "file.txt", "flag.txt"),
-    ("analyze", ["--format", "ooxml_docx"], "format", "plain_text", "ooxml_docx"),
     ("analyze", ["--page-size", "12"], "page_size", 7, 12),
     ("analyze", ["--focus", "flag focus"], "focus_description", "file focus", "flag focus"),
     ("analyze", ["--research-question", "flag?"], "research_question", "file?", "flag?"),
@@ -1036,7 +1061,6 @@ FIELD_FLAGS = [
     ("compare", ["--alias-map", "flag.csv"], "alias_map", "file.csv", "flag.csv"),
     ("compare", ["--jaccard-threshold", "0.7"], "jaccard_threshold", 0.4, 0.7),
     ("verify", ["--input", "flag.txt"], "input", "file.txt", "flag.txt"),
-    ("verify", ["--format", "ooxml_docx"], "format", "plain_text", "ooxml_docx"),
     ("report", ["--output-dir", "flag_out"], "output_dir", "file_out", "flag_out"),
     ("report", ["--verbose"], "verbose", False, True),
 ]
@@ -1258,9 +1282,12 @@ def test_unknown_config_key_is_a_configuration_error(
     ({"model": {"temperature": "hot"}}, "model option 'temperature' must be float, got 'hot'"),
     ({"model": {"parallelism": 2.5}}, "model option 'parallelism' must be int, got 2.5"),
     ({"input": 7}, "config key 'input' must be str, got 7"),
+    ({"page_size": True}, "config key 'page_size' must be int, got True"),
+    ({"model": {"temperature": False}}, "model option 'temperature' must be float, got False"),
+    ({"model": {"parallelism": True}}, "model option 'parallelism' must be int, got True"),
     ({"transport": "record", "output_dir": "fresh"}, RECORD_RETIRED),
 ], ids=["page-size", "trace-threshold", "temperature", "parallelism", "input",
-        "retired-record-transport"])
+        "bool-page-size", "bool-temperature", "bool-parallelism", "retired-record-transport"])
 def test_a_config_value_of_the_wrong_type_is_one_line_naming_it(
         analyzed_workspace: Path, monkeypatch: pytest.MonkeyPatch, capsys, posts: list[dict],
         setting: dict, message: str) -> None:
@@ -1336,20 +1363,20 @@ def test_unknown_model_option_is_rejected(
     assert "unknown model option" in capsys.readouterr().err
 
 
-def test_unknown_document_format_is_a_configuration_error(
+def test_a_format_in_a_config_is_an_unknown_config_key(
         analyzed_workspace: Path, tmp_path: Path,
         monkeypatch: pytest.MonkeyPatch, capsys) -> None:
+    # The file's first bytes pick its reader; there is no format to name.
     workspace = copy_workspace(analyzed_workspace, tmp_path / "formats")
     monkeypatch.chdir(workspace)
     run_config = json.loads((workspace / "run_config.json").read_text(encoding="utf-8"))
-    for value, code in (("text", 1), ("plain_text", 0)):
-        run_config["format"] = value
-        (workspace / "run_config.json").write_text(json.dumps(run_config), encoding="utf-8")
-        assert main(["--config", "run_config.json", "analyze"]) == code
-        assert main(["--config", "run_config.json", "verify"]) == code
-    err = capsys.readouterr().err
-    assert err.count("configuration error: unknown format 'text'; "
-                     "choose from auto, plain_text, ooxml_docx") == 2
+    run_config["format"] = "plain_text"
+    (workspace / "run_config.json").write_text(json.dumps(run_config), encoding="utf-8")
+    assert main(["--config", "run_config.json", "analyze"]) == 1
+    assert main(["--config", "run_config.json", "verify"]) == 1
+    captured = capsys.readouterr()
+    assert captured.err == "configuration error: unknown config key 'format'\n" * 2
+    assert captured.out == ""
 
 
 # Runs the four offline commands in one fresh interpreter and prints, as the

@@ -16,8 +16,6 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from thematica.corpus import (
-    OOXML_DOCX,
-    PLAIN_TEXT,
     Corpus,
     Page,
     _read_texts,
@@ -29,10 +27,10 @@ from thematica.errors import DecodeError, EmptyDocument, InvalidPageSize, PageOu
 from conftest import make_corpus, write_docx, write_plain_text
 
 
-def paragraph_texts(path: Path, format: str = "auto") -> list[str]:
+def paragraph_texts(path: Path) -> list[str]:
     """The paragraph texts of the transcript at ``path``: with one paragraph
     per page, each page's text."""
-    return [page.text for page in load_corpus(path, page_size=1, format=format).pages]
+    return [page.text for page in load_corpus(path, page_size=1).pages]
 
 
 def test_plain_text_blocks_joined_across_soft_wraps(tmp_path: Path) -> None:
@@ -70,19 +68,21 @@ def test_format_auto_detects_by_suffix(tmp_path: Path) -> None:
     assert paragraph_texts(txt)[0] == "From plain text."
 
 
-def test_format_override_beats_suffix(tmp_path: Path) -> None:
-    mislabeled = tmp_path / "actually_text.docx"
-    mislabeled.write_text("plain content\n", encoding="utf-8")
-    assert paragraph_texts(mislabeled, format=PLAIN_TEXT)[0] == "plain content"
-    with pytest.raises(DecodeError):
-        load_corpus(mislabeled, format=OOXML_DOCX)
-
-
-def test_unknown_format_rejected(tmp_path: Path) -> None:
-    source = tmp_path / "a.txt"
-    source.write_text("content\n", encoding="utf-8")
-    with pytest.raises(ValueError, match="unknown format"):
-        load_corpus(source, format="rtf")
+def test_the_files_bytes_not_its_suffix_pick_the_reader(tmp_path: Path) -> None:
+    text_named_docx = tmp_path / "actually_text.docx"
+    text_named_docx.write_text("plain content\n", encoding="utf-8")
+    assert paragraph_texts(text_named_docx) == ["plain content"]
+    docx_named_txt = write_docx(tmp_path / "actually_docx.txt", ["From word processor.", "Two."])
+    assert paragraph_texts(docx_named_txt) == ["From word processor.", "Two."]
+    # The ZIP signature alone makes a package, and a broken one is no text.
+    broken = tmp_path / "broken.txt"
+    broken.write_bytes(b"PK\x03\x04 plain content\n")
+    with pytest.raises(DecodeError, match="is not a valid OOXML package"):
+        load_corpus(broken)
+    empty = tmp_path / "empty.docx"
+    empty.write_bytes(b"")
+    with pytest.raises(EmptyDocument):
+        load_corpus(empty)
 
 
 def test_missing_file_raises_file_not_found(tmp_path: Path) -> None:
@@ -240,16 +240,16 @@ _transcripts = st.builds(lambda bom, blocks: bom + "\n\n".join(blocks),
                          st.sampled_from(["", "\ufeff"]), st.lists(_block, max_size=40))
 
 
-def assert_loaded_as_paginated(path: Path, page_size: int, format: str = "auto") -> None:
+def assert_loaded_as_paginated(path: Path, page_size: int) -> None:
     """load_corpus equals the reference paging of the reader's paragraph texts."""
     try:
-        reference = make_corpus(_read_texts(path, format), page_size, str(path))
+        reference = make_corpus(_read_texts(path), page_size, str(path))
     except EmptyDocument as error:
         with pytest.raises(EmptyDocument) as raised:
-            load_corpus(path, page_size, format)
+            load_corpus(path, page_size)
         assert str(raised.value) == str(error)
         return
-    loaded = load_corpus(path, page_size, format)
+    loaded = load_corpus(path, page_size)
     assert content_hash(loaded) == content_hash(reference)
     assert (loaded.source_path, loaded.page_size) == (reference.source_path, reference.page_size)
     assert len(loaded.pages) == len(reference.pages)
@@ -281,7 +281,7 @@ def test_load_corpus_equals_paginated_paragraphs_of_a_docx(tmp_path: Path,
 
 def test_a_loaded_page_copies_pickles_and_stays_frozen(samples_dir: Path) -> None:
     path = samples_dir / "transcript.txt"
-    built = make_corpus(_read_texts(path, "auto"), 3, str(path)).pages[1]
+    built = make_corpus(_read_texts(path), 3, str(path)).pages[1]
 
     def loaded() -> Page:
         return load_corpus(path, page_size=3).pages[1]

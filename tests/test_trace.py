@@ -28,7 +28,6 @@ from thematica.trace import (
     NORMALIZED,
     TraceabilityReport,
     TraceResult,
-    _MASK_LOOP_BELOW,
     _best_ends,
     _bottom_row,
     _halves_span,
@@ -455,14 +454,12 @@ def test_transposed_kernel_equals_the_column_wise_reference_on_small_alphabets()
 
 
 def test_transposed_kernel_equals_the_column_wise_reference_on_long_patterns() -> None:
-    # The texts straddle _MASK_LOOP_BELOW, where the bit masks switch from one
-    # loop over the text to one str.translate per pattern character, and the
-    # first cases sit on either side of it.
+    # Texts of 60 to 512 characters; the first cases are 255, 256 and 257 long.
     rng = random.Random(19)
-    around = (_MASK_LOOP_BELOW - 1, _MASK_LOOP_BELOW, _MASK_LOOP_BELOW + 1)
+    around = (256 - 1, 256, 256 + 1)
     for case in range(300):
         alphabet = rng.choice(("ab ", "abcd ", "aßﬁİ bc"))
-        length = around[case % 3] if case < 30 else rng.randint(60, 2 * _MASK_LOOP_BELOW)
+        length = around[case % 3] if case < 30 else rng.randint(60, 2 * 256)
         text = "".join(rng.choice(alphabet) for _ in range(length))
         start = rng.randrange(len(text))
         pattern = mutate(rng, text[start:start + rng.randint(40, 90)], alphabet + "x",
