@@ -29,18 +29,10 @@ import sys
 import tempfile
 from pathlib import Path
 
-from thematica.cli import _consensus_codebook
-from thematica.codebook import (
-    ALIAS_MAP,
-    Matcher,
-    load_alias_map,
-    load_human_codebook,
-    match_codes,
-    merge_codebooks,
-)
+from thematica.codebook import load_alias_matcher, load_human_codebook
 from thematica.corpus import load_corpus
 from thematica.gateway import ModelConfig, ReplayTransport, load_fixture, save_fixture
-from thematica.pipeline import load_artifact, run_analysis
+from thematica.pipeline import compare, load_artifact, run_analysis
 from thematica.promptkit import StudyFocus
 from thematica.textnorm import label_key
 from thematica.trace import EXACT
@@ -955,26 +947,21 @@ def validate(samples: Path) -> None:
     assert len(coder1.codes) == 69 and len(coder1.themes) == 23
     assert len(coder2.codes) == 102 and len(coder2.themes) == 26
 
-    matcher = Matcher(mode=ALIAS_MAP, alias_map=load_alias_map(samples / "alias_map.csv"))
-    match = match_codes(coder1, coder2, matcher)
-    assert len(match.pairs) == 67, f"expected 67 similar codes, got {len(match.pairs)}"
-    _, merge_count = merge_codebooks(coder1, coder2, match)
-    assert merge_count == 104, f"expected 104 merged codes, got {merge_count}"
-
-    consensus, stats = _consensus_codebook(coder1, coder2, matcher)
-    assert len(consensus.codes) == 67 and len(consensus.themes) == 15
-    assert stats.similar_themes == 15
-
-    llm_match = match_codes(consensus, artifact.llm_codebook, matcher)
-    assert len(llm_match.pairs) == 42, f"expected 42 pairs, got {len(llm_match.pairs)}"
+    bundle = compare(artifact, (coder1, coder2), load_alias_matcher(samples / "alias_map.csv"))
+    similar, merged = len(bundle.coder_match.pairs), len(bundle.merged.codes)
+    similar_themes = len(bundle.theme_match.pairs)
+    assert similar == 67, f"expected 67 similar codes, got {similar}"
+    assert merged == 104, f"expected 104 merged codes, got {merged}"
+    assert similar_themes == 15, f"expected 15 similar themes, got {similar_themes}"
+    assert len(bundle.human.codes) == 67 and len(bundle.human.themes) == 15
+    assert bundle.pair_count == 42, f"expected 42 pairs, got {bundle.pair_count}"
 
     print("validation passed:")
     print("  59 codes, 15 emerging labels, 4 themes, 4 interpretations, all Exact")
     print(f"  coder1 {len(coder1.codes)}/{len(coder1.themes)}, "
           f"coder2 {len(coder2.codes)}/{len(coder2.themes)}, "
-          f"similar {len(match.pairs)}, merged {merge_count}, "
-          f"similar themes {stats.similar_themes}")
-    print(f"  consensus vs model pairs: {len(llm_match.pairs)}")
+          f"similar {similar}, merged {merged}, similar themes {similar_themes}")
+    print(f"  consensus vs model pairs: {bundle.pair_count}")
 
 
 def main() -> int:

@@ -4,6 +4,8 @@ Configuration precedence is flags over config-file values over defaults.
 Exit codes are a stable contract: 0 success, 1 configuration or runtime
 error (including an interrupted analysis that a rerun would repeat), 2 partial
 analysis that a rerun can resume, 3 trace failures, 130 stopped by Ctrl-C.
+Each command loads its inputs, calls the library, and writes and prints what
+it returns: ``compare`` is one :func:`pipeline.compare` call.
 """
 
 from __future__ import annotations
@@ -15,18 +17,15 @@ import sys
 from dataclasses import dataclass, field
 from itertools import zip_longest
 from pathlib import Path
-from typing import TYPE_CHECKING, get_args, get_type_hints
+from typing import get_args, get_type_hints
 
 from .codebook import (
     ALIAS_MAP,
     EXACT_NORMALIZED,
     MATCHER_MODES,
-    Codebook,
     Matcher,
     load_alias_matcher,
     load_human_codebook,
-    match_codes,
-    merge_codebooks,
 )
 from .corpus import content_hash, load_corpus, read_utf8
 from .errors import (
@@ -34,19 +33,14 @@ from .errors import (
     AuthError,
     ConfigError,
     DecodeError,
-    EmptyCodebook,
     IncompleteArtifact,
     ThematicaError,
 )
 from .gateway import LiveTransport, ModelConfig, ReplayTransport
-from .outparse import CodeRecord, ThemeRecord
 from .pipeline import AnalysisArtifact, compare, load_artifact, run_analysis, six_step_coverage
 from .promptkit import PromptLibrary, StudyFocus
 from .trace import DEFAULT_THRESHOLD, TraceResult, verify_codebook
 
-# Only the commands that report or compare import report and agreement: verify never does.
-if TYPE_CHECKING:
-    from .report import CoderMergeStats
 logger = logging.getLogger(__name__)
 
 EXIT_OK = 0
@@ -265,56 +259,6 @@ def cmd_analyze(config: RunConfig, paper_reference: str | None = None) -> int:
     return EXIT_OK
 
 
-def _theme_pseudo_codebook(codebook: Codebook) -> Codebook | None:
-    if not codebook.themes:
-        return None
-    records = tuple(
-        CodeRecord(label=theme.name, quote="", page=None, provenance=codebook.provenance)
-        for theme in codebook.themes
-    )
-    return Codebook(coder_id=f"{codebook.coder_id}-themes",
-                    provenance=codebook.provenance, codes=records)
-
-
-def _consensus_codebook(first: Codebook, second: Codebook, matcher: Matcher) -> tuple[
-        Codebook, CoderMergeStats]:
-    """Merge two human codebooks and derive the consensus (similar-codes) book."""
-    from .agreement import overlap_percentage
-    from .report import CoderMergeStats
-    match = match_codes(first, second, matcher)
-    if not match.pairs:
-        raise EmptyCodebook(f"coders {first.coder_id!r} and {second.coder_id!r} share no code under "
-                            f"the {matcher.mode} matcher, so the consensus codebook is empty")
-    merged, merge_count = merge_codebooks(first, second, match)
-    paired = {label_a for label_a, _ in match.pairs}
-    consensus_codes = tuple(record for record in merged.codes if record.label in paired)
-
-    similar_themes = 0
-    overlap_a = overlap_b = None
-    consensus_themes: tuple[ThemeRecord, ...] = ()
-    themes_a = _theme_pseudo_codebook(first)
-    themes_b = _theme_pseudo_codebook(second)
-    if themes_a and themes_b:
-        theme_match = match_codes(themes_a, themes_b, matcher)
-        similar_themes = len(theme_match.pairs)
-        paired_names = {name for name, _ in theme_match.pairs}
-        consensus_themes = tuple(t for t in first.themes if t.name in paired_names)
-        overlap_a = overlap_percentage(similar_themes, len(first.themes))
-        overlap_b = overlap_percentage(similar_themes, len(second.themes))
-
-    consensus = Codebook(coder_id="human-average", provenance="human-merged",
-                         codes=consensus_codes, themes=consensus_themes)
-    stats = CoderMergeStats(
-        coder_a_id=first.coder_id, coder_a_codes=len(first.codes),
-        coder_b_id=second.coder_id, coder_b_codes=len(second.codes),
-        similar_codes=len(match.pairs), merged_codes=merge_count,
-        coder_a_themes=len(first.themes), coder_b_themes=len(second.themes),
-        similar_themes=similar_themes,
-        coder_a_theme_overlap_pct=overlap_a, coder_b_theme_overlap_pct=overlap_b,
-    )
-    return consensus, stats
-
-
 def cmd_compare(config: RunConfig, artifact_path: str | None, human_paths: list[str],
                 interpretation_paths: list[str] | None = None,
                 paper_reference: str | None = None) -> int:
@@ -327,29 +271,20 @@ def cmd_compare(config: RunConfig, artifact_path: str | None, human_paths: list[
     if len(sidecars) > len(human_paths):
         raise ConfigError(f"more --interpretations ({len(sidecars)}) than --human ({len(human_paths)})")
     artifact = _load_complete_artifact(config, artifact_path)
-
-    books = [load_human_codebook(csv_path, sidecar)
-             for csv_path, sidecar in zip_longest(human_paths, sidecars)]
-    matcher = _build_matcher(config)
-
-    if len(books) == 2:
-        human, stats = _consensus_codebook(books[0], books[1], matcher)
-    else:
-        human, stats = books[0], None
-
-    bundle = compare(artifact, human, matcher)
-    coverages = six_step_coverage(artifact, human=human)
-    report = build_report(artifact, bundle=bundle, coverages=coverages,
-                          human_tables=stats,
+    coders = [load_human_codebook(csv_path, sidecar)
+              for csv_path, sidecar in zip_longest(human_paths, sidecars)]
+    bundle = compare(artifact, coders, _build_matcher(config))
+    report = build_report(artifact, bundle=bundle,
+                          coverages=six_step_coverage(artifact, human=bundle.human),
                           paper_reference=_load_json_object(paper_reference, "reference file"))
     paths = write_report_bundle(report, config.output_dir)
     summary = bundle.code_summary
     print(f"compared {summary.count_a} human codes with {summary.count_b} model codes: "
           f"difference {summary.percentage_difference:.2f}%, "
           f"similarity {summary.percentage_similarity:.2f}%")
-    if stats is not None:
-        print(f"merged codebook: {stats.merged_codes} codes "
-              f"({stats.similar_codes} similar counted once)")
+    if bundle.coder_match is not None:
+        print(f"merged codebook: {len(bundle.merged.codes)} codes "
+              f"({len(bundle.coder_match.pairs)} similar counted once)")
     for note in report.inconsistency_notes:
         print(f"note: {note}")
     for out_path in paths:

@@ -56,6 +56,8 @@ _NUMBERED = re.compile(r"^\s*(\d+)[.)]\s+(?P<rest>\S.*)$")
 _DASH = re.compile(r"^\s*-\s+(?P<rest>\S.*)$")
 _QUOTE_CHARS = "\"“”"
 _PAGE_CITED = r"page\s*:?\s*(?:page\s+)?(?P<{}>\d+)"  # a cited page; format() names its group
+_P_CITED = r"\(p\.\s*(?P<{}>\d+)\)"  # a page cited as "(p. N)"
+_LABEL_P_CITED = re.compile(rf"\s*{_P_CITED.format('page')}$", re.IGNORECASE)
 
 
 def _line_grammar(**alternatives: str) -> re.Pattern:
@@ -72,14 +74,18 @@ def _line_grammar(**alternatives: str) -> re.Pattern:
 
 
 # A code reply's line kinds, first match wins; no match is an unrecognized line.
-# ``code`` is a whole D1 entry: its quote runs from the first to the last quote
-# character after the number, and its page is the first one cited after that.
+# ``code`` is a whole D1 entry.  Its label is a bold label that holds a quote
+# character, read up to its closing ``**``, or else the text before the first
+# quote character; its quote runs from there to the last quote character, and
+# its page is the first one cited after that, as ``Page N`` or ``(p. N)``.  A
+# ``(p. N)`` that ends the label cites its page too.
 # ``entry`` opens a D2 or D3 entry, which ``quote``, ``page`` and ``dash`` lines
 # fill; a ``page`` line names the first page it cites.
 _CODE_LINE = _line_grammar(
     blank=r"\s*$", boilerplate=_BOILERPLATE.pattern, delimiter=LIST_DELIMITER.pattern,
-    code=rf"^\s*\d+[.)]\s+(?P<label>[^{_QUOTE_CHARS}]*)[{_QUOTE_CHARS}](?P<said>.*)"
-         rf"[{_QUOTE_CHARS}](?:.*?{_PAGE_CITED.format('cited')})?.*$",
+    code=rf"^\s*\d+[.)]\s+(?P<label>\*\*[^*{_QUOTE_CHARS}]*[{_QUOTE_CHARS}][^*]*\*\*[^{_QUOTE_CHARS}]*"
+         rf"|[^{_QUOTE_CHARS}]*)[{_QUOTE_CHARS}](?P<said>.*)[{_QUOTE_CHARS}]"
+         rf"(?:.*?(?:{_PAGE_CITED.format('cited')}|{_P_CITED.format('cited_p')}))?.*$",
     entry=r"^\s*(?:Emerging Code\s*:\s*|\d+[.)]\s+)(?P<rest>\S.*)$",
     quote=rf"^\s*-\s+(?:Supporting Sentence\s*:\s*|(?=[{_QUOTE_CHARS}]))(?P<rest>.*)$",
     page=rf"^\s*-\s+(?=page\b).*?{_PAGE_CITED.format('rest')}.*$",
@@ -233,9 +239,10 @@ def parse_code_block(reply: str, expected_page: int) -> ParseReport:
             if kind == "entry":
                 label, start, last, quote, page = match["entry"], lineno, lineno, "", None
                 continue
-            cited = match["cited"]
-            _close_code(records, warnings, expected_page,
-                        match["label"].rstrip().removesuffix(":"), match["said"],
+            label, cited = match["label"].rstrip().removesuffix(":"), match["cited"] or match["cited_p"]
+            if label.endswith(")") and (before := _LABEL_P_CITED.search(label)):
+                label, cited = label[:before.start()], before["page"]
+            _close_code(records, warnings, expected_page, label, match["said"],
                         int(cited) if cited else None, lineno, lineno)
             label = None
         elif label is None or kind is None:

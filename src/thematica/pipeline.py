@@ -12,6 +12,8 @@ without a request, so a crashed run re-sends only the requests in flight.
 dicts: one formatter per record kind (raw reply, code, theme, trace result)
 writes each record's line, with the bytes the JSON encoder would write.  One
 field table per record kind checks every value :func:`load_artifact` reads.
+:func:`compare` is the paper's comparison in one call: two human coders with
+each other, then their consensus (or one coder) with the model.
 """
 
 from __future__ import annotations
@@ -29,13 +31,14 @@ from itertools import chain
 from json.encoder import encode_basestring as _string  # a string as _encode writes it
 from pathlib import Path
 from types import NoneType
-from typing import TYPE_CHECKING, Callable, NamedTuple
+from typing import TYPE_CHECKING, Callable, NamedTuple, Sequence
 
-from .codebook import Codebook, Matcher, MatchResult, match_codes
+from .codebook import Codebook, Matcher, MatchResult, match_codes, merge_codebooks
 from .corpus import Corpus, content_hash, read_utf8
 from .errors import (
     AnalysisInterrupted,
     DuplicateLabel,
+    EmptyCodebook,
     IncompleteArtifact,
     ResumeMismatch,
     SchemaError,
@@ -671,8 +674,18 @@ def _coverage(book: Codebook, code_list: tuple | None,
 
 @dataclass(frozen=True)
 class ComparisonBundle:
-    """Comparison statistics between a human-side codebook and the model's."""
+    """Every pairing of a comparison, and the statistics of each.
 
+    ``coders`` are the one or two human codebooks compared, and ``human`` is
+    the side compared with the model: the one coder, or the consensus of two,
+    the codes and themes they share.  ``match`` pairs its codes with the
+    model's.  With two coders, ``coder_match`` pairs their codes, ``merged``
+    holds them with each similar code counted once, and ``theme_match`` pairs
+    their themes when both have themes; otherwise each is None.
+    """
+
+    coders: tuple[Codebook, ...]
+    human: Codebook
     code_summary: AgreementSummary
     match: MatchResult
     matrix: PresenceMatrix
@@ -688,22 +701,64 @@ class ComparisonBundle:
     kappa: float
     positive_specific_agreement: float
     notes: tuple[str, ...] = ()
+    coder_match: MatchResult | None = None
+    merged: Codebook | None = None
+    theme_match: MatchResult | None = None
 
 
-def compare(artifact: AnalysisArtifact, human_merged: Codebook,
+def _theme_codebook(book: Codebook) -> Codebook:
+    """A coder's themes as codes, so that themes pair as labels do."""
+    return Codebook(coder_id=f"{book.coder_id}-themes", provenance=book.provenance, codes=tuple(
+        CodeRecord(label=theme.name, quote="", page=None, provenance=book.provenance)
+        for theme in book.themes))
+
+
+def _consensus(first: Codebook, second: Codebook, matcher: Matcher) -> tuple[
+        Codebook, MatchResult, Codebook, MatchResult | None]:
+    """The codes and themes two coders share, the pairs of their codes, their
+    merged codebook, and the pairs of their themes."""
+    match = match_codes(first, second, matcher)
+    if not match.pairs:
+        raise EmptyCodebook(f"coders {first.coder_id!r} and {second.coder_id!r} share no code under "
+                            f"the {matcher.mode} matcher, so the consensus codebook is empty")
+    merged, _ = merge_codebooks(first, second, match)
+    paired = {label_a for label_a, _ in match.pairs}
+    theme_match = None
+    themes: tuple[ThemeRecord, ...] = ()
+    if first.themes and second.themes:
+        theme_match = match_codes(_theme_codebook(first), _theme_codebook(second), matcher)
+        paired_names = {name for name, _ in theme_match.pairs}
+        themes = tuple(theme for theme in first.themes if theme.name in paired_names)
+    consensus = Codebook(coder_id="human-average", provenance="human-merged", codes=tuple(
+        record for record in merged.codes if record.label in paired), themes=themes)
+    return consensus, match, merged, theme_match
+
+
+def compare(artifact: AnalysisArtifact, coders: Sequence[Codebook],
             matcher: Matcher) -> ComparisonBundle:
-    """Compute the code-count, presence, overlap, and theme-share statistics."""
+    """Compare one or two human coders with the model, as the paper does.
+
+    Two coders are compared first: their codes and their themes pair under
+    ``matcher``, and the codes and themes they share are the consensus
+    codebook, which is the human side; one coder is the human side itself.
+    The human side is then compared with the model's codebook: code counts,
+    presence matrix, overlaps, kappa and theme shares.
+    """
     from .agreement import (build_table4_summary, cohens_kappa, overlap_percentage,
                             positive_specific_agreement, presence_matrix, share_percentage)
+    if not 1 <= len(coders) <= 2:
+        raise ValueError(f"compare takes one or two human codebooks, got {len(coders)}")
     if not artifact.complete or artifact.llm_codebook is None:
         raise IncompleteArtifact("comparison requires a complete artifact")
+    human, coder_match, merged, theme_match = (
+        _consensus(*coders, matcher) if len(coders) == 2 else (coders[0], None, None, None))
     llm = artifact.llm_codebook
-    match = match_codes(human_merged, llm, matcher)
-    summary = build_table4_summary(len(human_merged.codes), len(llm.codes))
-    matrix = presence_matrix(human_merged, llm, match, matcher)
+    match = match_codes(human, llm, matcher)
+    summary = build_table4_summary(len(human.codes), len(llm.codes))
+    matrix = presence_matrix(human, llm, match, matcher)
     pair_count = len(match.pairs)
 
-    human_themes = len(human_merged.themes)
+    human_themes = len(human.themes)
     llm_themes = len(llm.themes)
     theme_total = human_themes + llm_themes
     human_share = share_percentage(human_themes, theme_total) if theme_total else None
@@ -712,7 +767,7 @@ def compare(artifact: AnalysisArtifact, human_merged: Codebook,
     emerging_count = len(llm.emerging_labels or ())
     emerging_pct = (emerging_count * 100.0 / human_themes) if human_themes else None
 
-    human_column = matrix.column_vector(human_merged.coder_id)
+    human_column = matrix.column_vector(human.coder_id)
     llm_column = matrix.column_vector(llm.coder_id)
     kappa = cohens_kappa(human_column, llm_column)
 
@@ -723,11 +778,13 @@ def compare(artifact: AnalysisArtifact, human_merged: Codebook,
             f"human theme count; quantity parity, not label identity"
         )
     return ComparisonBundle(
+        coders=tuple(coders),
+        human=human,
         code_summary=summary,
         match=match,
         matrix=matrix,
         pair_count=pair_count,
-        human_overlap_pct=overlap_percentage(pair_count, len(human_merged.codes)),
+        human_overlap_pct=overlap_percentage(pair_count, len(human.codes)),
         llm_overlap_pct=overlap_percentage(pair_count, len(llm.codes)),
         human_theme_count=human_themes,
         llm_theme_count=llm_themes,
@@ -738,4 +795,7 @@ def compare(artifact: AnalysisArtifact, human_merged: Codebook,
         kappa=kappa,
         positive_specific_agreement=positive_specific_agreement(human_column, llm_column),
         notes=tuple(notes),
+        coder_match=coder_match,
+        merged=merged,
+        theme_match=theme_match,
     )

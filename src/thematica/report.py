@@ -1,7 +1,8 @@
 """Render analysis results into markdown and CSV outputs.
 
 The markdown report carries the page-by-page traceable code listing, the
-theme and interpretation text, trace statistics, and the comparison tables.
+theme and interpretation text, trace statistics, and the comparison tables,
+each drawn from one :class:`ComparisonBundle`, the two coders' tables too.
 Each number they show is a ``Metric``, made once as (key, value, display);
 a ``Table`` is a title, a header and rows of text and metric cells, and one
 renderer writes every table and sentence. summary.csv is the list of the
@@ -21,29 +22,12 @@ from itertools import chain, groupby
 from pathlib import Path
 from typing import Iterable, NamedTuple
 
-from .agreement import format_percent, round_display
+from .agreement import format_percent, overlap_percentage, round_display
 from .codebook import Codebook
 from .errors import EmptyCodebook
 from .outparse import page_header, render_code_line
 from .pipeline import AnalysisArtifact, ComparisonBundle, SixStepCoverage
 from .trace import FAILED, LEVELS, TraceabilityReport
-
-
-@dataclass(frozen=True)
-class CoderMergeStats:
-    """Two-coder statistics: code counts, merge results, and theme overlaps."""
-
-    coder_a_id: str
-    coder_a_codes: int
-    coder_b_id: str
-    coder_b_codes: int
-    similar_codes: int
-    merged_codes: int
-    coder_a_themes: int = 0
-    coder_b_themes: int = 0
-    similar_themes: int = 0
-    coder_a_theme_overlap_pct: float | None = None
-    coder_b_theme_overlap_pct: float | None = None
 
 
 @dataclass
@@ -233,29 +217,27 @@ def _reference_notes(metrics: list[Metric], reference: dict | None) -> list[str]
     return notes
 
 
-def render_comparison(bundle: ComparisonBundle,
-                      human_tables: CoderMergeStats | None = None,
-                      paper_reference: dict | None = None
+def render_comparison(bundle: ComparisonBundle, paper_reference: dict | None = None
                       ) -> tuple[str, str, list[Metric], list[str]]:
     """Comparison tables as markdown, matrix.csv, summary.csv rows, and notes."""
     blocks: list[Block] = ["## Codebook Comparison"]
-    stats = human_tables
-    if stats is not None:
+    if bundle.coder_match is not None:
+        first, second = bundle.coders
         blocks.append(Table("Code Counts by Human Coder", ("Coder", "Codes"), [
-            (stats.coder_a_id, _count("table1.coder_1_codes", stats.coder_a_codes)),
-            (stats.coder_b_id, _count("table1.coder_2_codes", stats.coder_b_codes)),
-            ("Similar (counted once)", _count("table1.similar_codes", stats.similar_codes)),
-            ("Merged", _count("table1.merged_codes", stats.merged_codes)),
+            (first.coder_id, _count("table1.coder_1_codes", len(first.codes))),
+            (second.coder_id, _count("table1.coder_2_codes", len(second.codes))),
+            ("Similar (counted once)", _count("table1.similar_codes", len(bundle.coder_match.pairs))),
+            ("Merged", _count("table1.merged_codes", len(bundle.merged.codes))),
         ]))
-        if stats.coder_a_theme_overlap_pct is not None:
-            similar = _count("table2.similar_themes", stats.similar_themes)
-            blocks.append(Table("Theme Overlap Between Human Coders",
-                                ("Coder", "Themes", "Similar", "Overlap"), [
-                (stats.coder_a_id, _count("table2.coder_1_themes", stats.coder_a_themes), similar,
-                 _percent("table2.coder_1_overlap_pct", stats.coder_a_theme_overlap_pct)),
-                (stats.coder_b_id, _count("table2.coder_2_themes", stats.coder_b_themes), similar,
-                 _percent("table2.coder_2_overlap_pct", stats.coder_b_theme_overlap_pct)),
-            ]))
+    if bundle.theme_match is not None:
+        shared = len(bundle.theme_match.pairs)
+        similar = _count("table2.similar_themes", shared)
+        blocks.append(Table("Theme Overlap Between Human Coders",
+                            ("Coder", "Themes", "Similar", "Overlap"), [
+            (book.coder_id, _count(f"table2.coder_{number}_themes", len(book.themes)), similar,
+             _percent(f"table2.coder_{number}_overlap_pct",
+                      overlap_percentage(shared, len(book.themes))))
+            for number, book in enumerate(bundle.coders, start=1)]))
 
     summary = bundle.code_summary
     blocks.extend([
@@ -322,7 +304,6 @@ def _render_themes(codebook: Codebook) -> str:
 def build_report(artifact: AnalysisArtifact,
                  bundle: ComparisonBundle | None = None,
                  coverages: dict[str, SixStepCoverage] | None = None,
-                 human_tables: CoderMergeStats | None = None,
                  paper_reference: dict | None = None) -> ReportBundle:
     """Assemble the full markdown report and its CSV exports."""
     if artifact.llm_codebook is None or artifact.trace is None:
@@ -356,7 +337,7 @@ def build_report(artifact: AnalysisArtifact,
     exports: dict[str, str] = {"codes.csv": render_codes_csv(codebook, trace)}
     if bundle is not None:
         comparison_md, matrix_csv, comparison_metrics, notes = render_comparison(
-            bundle, human_tables=human_tables, paper_reference=paper_reference)
+            bundle, paper_reference)
         blocks.append(comparison_md)
         exports["matrix.csv"] = matrix_csv
         summary_rows = comparison_metrics + summary_rows

@@ -13,6 +13,7 @@ import math
 import random
 import socket
 import time
+from dataclasses import replace
 from pathlib import Path
 
 import pytest
@@ -50,7 +51,7 @@ from thematica.outparse import (
 )
 from thematica.pipeline import NOT_COVERED, compare, run_analysis, six_step_coverage
 from thematica.promptkit import StudyFocus
-from thematica.report import CoderMergeStats, build_report
+from thematica.report import build_report
 from thematica.trace import EXACT, FAILED, FUZZY, NORMALIZED, verify_codebook, verify_quote
 
 from test_outparse import (
@@ -107,13 +108,10 @@ def test_two_coder_merge_count_and_reference_discrepancy_footnote(reference_run)
     assert merge_count == 104
     assert len(merged.codes) == 104
 
-    stats = CoderMergeStats(coder_a_id=coder1.coder_id, coder_a_codes=len(coder1.codes),
-                            coder_b_id=coder2.coder_id, coder_b_codes=len(coder2.codes),
-                            similar_codes=len(match.pairs), merged_codes=merge_count)
     reference = json.loads((SAMPLES / "paper_reference.json").read_text(encoding="utf-8"))
-    comparison = compare(reference_run, merged, Matcher())
-    bundle = build_report(reference_run, bundle=comparison, human_tables=stats,
-                          paper_reference=reference)
+    comparison = replace(compare(reference_run, [merged], Matcher()),
+                         coders=(coder1, coder2), coder_match=match, merged=merged)
+    bundle = build_report(reference_run, bundle=comparison, paper_reference=reference)
     assert "| Merged | 104 |" in bundle.markdown_report
     assert any(
         "table1.merged_codes: computed 104 differs from the reference value 106" in note

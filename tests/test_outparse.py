@@ -252,6 +252,28 @@ def test_inline_dialect_missing_page_falls_back_to_expected() -> None:
     assert "assuming page 3" in report.warnings[0].detail
 
 
+@pytest.mark.parametrize("line, label, quote, page, kinds", [
+    ('1. **Family Support**: "we moved together" - Page 2',
+     "Family Support", "we moved together", 2, []),
+    # A bold label is read up to its closing **, quote characters and all.
+    ('1. **The “Good” Nurse**: "I was proud of my work" - Page 2',
+     'The "Good" Nurse', "I was proud of my work", 2, []),
+    # "(p. N)" cites the page, before the quote or after it.
+    ('1. **Family Support** (p. 4): "we moved together"', "Family Support", "we moved together", 4, []),
+    ('1. **Family Support**: "we moved together" (p. 4)', "Family Support", "we moved together", 4, []),
+    ('2) Night Shifts (P.5) “the hours were long”', "Night Shifts", "the hours were long", 5, []),
+    # A page number inside the label cites nothing.
+    ('9. **Page 4 Memories**: "the old house"', "Page 4 Memories", "the old house", 3,
+     ["missing_page"]),
+], ids=["bold", "bold-with-curly-quotes", "p-before-quote", "p-after-quote", "p-without-colon",
+        "page-in-label"])
+def test_a_d1_line_gives_its_label_quote_and_page(
+        line: str, label: str, quote: str, page: int, kinds: list[str]) -> None:
+    report = parse_code_block(line, expected_page=3)
+    assert triples(report) == [(label, quote, page)]
+    assert [w.kind for w in report.warnings] == kinds
+
+
 def test_numbered_multiline_dialect() -> None:
     report = parse_code_block(NUMBERED_MULTILINE, expected_page=15)
     assert triples(report) == [
@@ -1085,9 +1107,13 @@ class _ParentOpenCode:
     page: int | None = None
 
 
+_BOLD_QUOTED_LABEL = re.compile(rf"\*\*[^*]*[{_QUOTE_CHARS}][^*]*\*\*[^{_QUOTE_CHARS}]*")
+
+
 def _parent_parse_code_block(reply: str, expected_page: int) -> ParseReport:
     """The code-reply parser before its lines were classified by one grammar:
-    it tried the line patterns one at a time."""
+    it tried the line patterns one at a time.  It reads a bold label that
+    holds a quote character as the grammar has since."""
     if not reply.strip():
         raise NoRecordsFound("empty reply")
     if expected_page < 1:
@@ -1135,6 +1161,11 @@ def _parent_parse_code_block(reply: str, expected_page: int) -> ParseReport:
                 entry = _ParentOpenCode(label=rest, start_line=lineno, last_line=lineno)
             else:  # D1: label, quote and page on this one line
                 start, end = segment
+                # A bold label that holds a quote character ends at its closing
+                # **, when two quote characters follow it.
+                bold = _BOLD_QUOTED_LABEL.match(rest)
+                if bold and _find_quoted_segment(rest[bold.end():]):
+                    start = bold.end()
                 page = _PAGE_VALUE.search(rest, end)
                 finish(_ParentOpenCode(label=rest[:start].rstrip().removesuffix(":"),
                                        start_line=lineno, last_line=lineno,

@@ -1335,7 +1335,7 @@ def test_compare_produces_consensus_statistics(
     coder1 = load_human_codebook(sample["dir"] / "coder1.csv")
     matcher = Matcher(mode="alias_map",
                       alias_map=load_alias_map(sample["dir"] / "alias_map.csv"))
-    bundle = compare(completed, coder1, matcher)
+    bundle = compare(completed, [coder1], matcher)
     assert bundle.code_summary.count_a == 69
     assert bundle.code_summary.count_b == 59
     assert bundle.human_theme_count == 23
@@ -1355,10 +1355,18 @@ def test_compare_requires_complete_artifact_and_codes(completed: AnalysisArtifac
     human = Codebook(coder_id="h", provenance="human", codes=(
         CodeRecord(label="One", quote="", page=None, provenance="human"),))
     with pytest.raises(IncompleteArtifact):
-        compare(partial, human, Matcher())
+        compare(partial, [human], Matcher())
     hollow = Codebook(coder_id="h", provenance="human")
     with pytest.raises(EmptyCodebook):
-        compare(completed, hollow, Matcher())
+        compare(completed, [hollow], Matcher())
+
+
+@pytest.mark.parametrize("count", [0, 3])
+def test_compare_takes_one_or_two_coders(completed: AnalysisArtifact, count: int) -> None:
+    human = Codebook(coder_id="h", provenance="human", codes=(
+        CodeRecord(label="One", quote="", page=None, provenance="human"),))
+    with pytest.raises(ValueError, match=f"one or two human codebooks, got {count}"):
+        compare(completed, [human] * count, Matcher())
 
 
 def test_quantity_parity_note_when_emerging_list_equals_theme_count(
@@ -1370,6 +1378,6 @@ def test_quantity_parity_note_when_emerging_list_equals_theme_count(
                     for i in range(40)),
         themes=tuple(ThemeRecord(name=name) for name in labels),
     )
-    bundle = compare(completed, human, Matcher())
+    bundle = compare(completed, [human], Matcher())
     assert bundle.emerging_vs_human_pct == pytest.approx(100.0)
     assert any("quantity parity" in note for note in bundle.notes)

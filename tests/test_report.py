@@ -6,6 +6,7 @@ import csv
 import hashlib
 import io
 import json
+from dataclasses import replace
 from pathlib import Path
 
 import pytest
@@ -13,16 +14,17 @@ import pytest
 from conftest import make_corpus
 from thematica.agreement import format_percent
 from thematica.cli import main
-from thematica.codebook import Codebook, Matcher, load_alias_map, load_human_codebook
+from thematica.codebook import (Codebook, Matcher, load_alias_map, load_alias_matcher,
+                                load_human_codebook)
 from thematica.corpus import load_corpus
 from thematica.errors import EmptyCodebook
 from thematica.gateway import ModelConfig, ReplayTransport
 from thematica.outparse import CodeRecord
-from thematica.pipeline import AnalysisArtifact, compare, run_analysis, six_step_coverage
+from thematica.pipeline import (AnalysisArtifact, compare, load_artifact, run_analysis,
+                                six_step_coverage)
 from thematica.promptkit import StudyFocus
 from thematica.report import (
     METRIC_KEYS,
-    CoderMergeStats,
     build_report,
     render_code_listing,
     render_codes_csv,
@@ -30,15 +32,6 @@ from thematica.report import (
     write_report_bundle,
 )
 from thematica.trace import verify_codebook
-
-SAMPLE_MERGE_STATS = CoderMergeStats(
-    coder_a_id="coder1", coder_a_codes=69,
-    coder_b_id="coder2", coder_b_codes=102,
-    similar_codes=67, merged_codes=104,
-    coder_a_themes=23, coder_b_themes=26, similar_themes=15,
-    coder_a_theme_overlap_pct=1500 / 23, coder_b_theme_overlap_pct=1500 / 26,
-)
-
 
 @pytest.fixture(scope="module")
 def sample_run(tmp_path_factory) -> dict:
@@ -56,9 +49,14 @@ def sample_run(tmp_path_factory) -> dict:
                       alias_map=load_alias_map(samples / "alias_map.csv"))
     human = load_human_codebook(samples / "coder1.csv")
     reference = json.loads((samples / "paper_reference.json").read_text(encoding="utf-8"))
+    bundle = compare(artifact, [human], matcher)
+    both = compare(artifact, [human, load_human_codebook(samples / "coder2.csv")], matcher)
     return {
         "artifact": artifact,
-        "bundle": compare(artifact, human, matcher),
+        "bundle": bundle,
+        # The two coders' pairings, on the comparison of coder1 alone.
+        "bundle_with_coders": replace(bundle, coders=both.coders, coder_match=both.coder_match,
+                                      merged=both.merged, theme_match=both.theme_match),
         "coverages": six_step_coverage(artifact, human=human),
         "reference": reference,
     }
@@ -145,9 +143,8 @@ def test_trace_summary_counts_and_share() -> None:
 
 
 def test_full_report_sections_for_sample_run(sample_run: dict) -> None:
-    bundle = build_report(sample_run["artifact"], bundle=sample_run["bundle"],
+    bundle = build_report(sample_run["artifact"], bundle=sample_run["bundle_with_coders"],
                           coverages=sample_run["coverages"],
-                          human_tables=SAMPLE_MERGE_STATS,
                           paper_reference=sample_run["reference"])
     report = bundle.markdown_report
     assert report.startswith("# Thematic Analysis Report")
@@ -168,8 +165,7 @@ def test_full_report_sections_for_sample_run(sample_run: dict) -> None:
 
 
 def test_reference_mismatch_becomes_footnote_not_adjustment(sample_run: dict) -> None:
-    bundle = build_report(sample_run["artifact"], bundle=sample_run["bundle"],
-                          human_tables=SAMPLE_MERGE_STATS,
+    bundle = build_report(sample_run["artifact"], bundle=sample_run["bundle_with_coders"],
                           paper_reference=sample_run["reference"])
     notes = bundle.inconsistency_notes
     assert any(
@@ -182,8 +178,8 @@ def test_reference_mismatch_becomes_footnote_not_adjustment(sample_run: dict) ->
 
 def test_matching_reference_values_get_no_footnote(sample_run: dict) -> None:
     reference = {"table1": {"coder_1_codes": 69, "similar_codes": 67}}
-    bundle = build_report(sample_run["artifact"], bundle=sample_run["bundle"],
-                          human_tables=SAMPLE_MERGE_STATS, paper_reference=reference)
+    bundle = build_report(sample_run["artifact"], bundle=sample_run["bundle_with_coders"],
+                          paper_reference=reference)
     assert not any("table1" in note for note in bundle.inconsistency_notes)
 
 
@@ -198,8 +194,8 @@ def test_float_reference_comparison_uses_display_rounding(sample_run: dict) -> N
 
 def test_a_reference_key_that_names_no_metric_becomes_a_note(sample_run: dict) -> None:
     reference = {"table1": {"similar_cods": 67, "similar_codes": 67}, "tabel4": {"total": 1}}
-    bundle = build_report(sample_run["artifact"], bundle=sample_run["bundle"],
-                          human_tables=SAMPLE_MERGE_STATS, paper_reference=reference)
+    bundle = build_report(sample_run["artifact"], bundle=sample_run["bundle_with_coders"],
+                          paper_reference=reference)
     assert [note for note in bundle.inconsistency_notes if "no metric" in note] == [
         "tabel4.total: names no metric, so its reference value is not checked",
         "table1.similar_cods: names no metric, so its reference value is not checked",
@@ -208,8 +204,8 @@ def test_a_reference_key_that_names_no_metric_becomes_a_note(sample_run: dict) -
 
 def test_a_reference_table_that_is_not_an_object_becomes_a_note(sample_run: dict) -> None:
     reference = {"table1": 106, "table4": {"total": 128}}
-    bundle = build_report(sample_run["artifact"], bundle=sample_run["bundle"],
-                          human_tables=SAMPLE_MERGE_STATS, paper_reference=reference)
+    bundle = build_report(sample_run["artifact"], bundle=sample_run["bundle_with_coders"],
+                          paper_reference=reference)
     assert [note for note in bundle.inconsistency_notes if note.startswith("table")] == [
         "table1: must be an object of metric values, so its reference values are not checked",
     ]
@@ -267,8 +263,7 @@ def test_a_metric_this_comparison_does_not_compute_gets_no_note(sample_run: dict
 
 
 def test_metric_keys_are_the_metrics_a_full_comparison_computes(sample_run: dict) -> None:
-    bundle = build_report(sample_run["artifact"], bundle=sample_run["bundle"],
-                          human_tables=SAMPLE_MERGE_STATS)
+    bundle = build_report(sample_run["artifact"], bundle=sample_run["bundle_with_coders"])
     rows = list(csv.reader(io.StringIO(bundle.csv_exports["summary.csv"])))[1:]
     assert {row[0] for row in rows if not row[0].startswith("trace.")} == METRIC_KEYS
 
@@ -374,3 +369,30 @@ def test_report_outputs_keep_their_bytes(
     written = {path.name: hashlib.sha256(path.read_bytes()).hexdigest()
                for path in Path("pinned").iterdir()}
     assert written == digests
+
+
+def test_the_library_comparison_of_two_coders_writes_the_bytes_the_cli_writes(
+        sample_workspace: Path, monkeypatch: pytest.MonkeyPatch) -> None:
+    monkeypatch.chdir(sample_workspace)
+    assert main(["--config", "run_config.json", "analyze"]) == 0
+    argv = PINNED_OUTPUTS["two-coders-reference"][0]
+    assert main(["--config", "run_config.json", "--output-dir", "cli", *argv]) == 0
+
+    artifact = load_artifact("out/analysis.json")
+    coders = (load_human_codebook("coder1.csv"), load_human_codebook("coder2.csv"))
+    bundle = compare(artifact, coders, load_alias_matcher("alias_map.csv"))
+    # Coder with coder (codes and themes), then their consensus with the model.
+    assert len(bundle.coder_match.pairs) == 67
+    assert len(bundle.theme_match.pairs) == 15
+    assert len(bundle.match.pairs) == 42
+    assert (len(bundle.human.codes), len(bundle.human.themes)) == (67, 15)
+    assert len(bundle.merged.codes) == 104
+
+    reference = json.loads(Path("paper_reference.json").read_text(encoding="utf-8"))
+    report = build_report(artifact, bundle=bundle,
+                          coverages=six_step_coverage(artifact, human=bundle.human),
+                          paper_reference=reference)
+    written = write_report_bundle(report, "library")
+    assert sorted(path.name for path in written) == sorted(path.name for path in Path("cli").iterdir())
+    for path in written:
+        assert path.read_bytes() == (Path("cli") / path.name).read_bytes(), path.name
