@@ -1,16 +1,20 @@
 """Command-line interface: analyze, compare, verify, report.
 
-Configuration precedence is flags over config-file values over defaults.
-Exit codes are a stable contract: 0 success, 1 configuration or runtime
-error (including an interrupted analysis that a rerun would repeat), 2 partial
+Global options come before the command; a long option may be any unique prefix,
+with its value after a space or an ``=``.  A line is parsed with only the
+options it names, and the full parser prints every help and usage error.
+Configuration precedence is flags over config-file values over defaults.  Exit
+codes are a stable contract: 0 success, 1 configuration or runtime error
+(including an interrupted analysis that a rerun would repeat), 2 partial
 analysis that a rerun can resume, 3 trace failures, 130 stopped by Ctrl-C.
-Each command loads its inputs, calls the library, and writes and prints what
-it returns: ``compare`` is one :func:`pipeline.compare` call.
+Each command loads its inputs, calls the library, and writes and prints what it
+returns: ``compare`` is one :func:`pipeline.compare` call.
 """
 
 from __future__ import annotations
 
 import argparse
+import contextlib
 import json
 import logging
 import sys
@@ -169,10 +173,9 @@ def _resolve_transport(config: RunConfig):
         if candidate.exists():
             logger.info("replaying fixture %s", candidate)
             return ReplayTransport(candidate)
-        raise ConfigError(
-            "no transport selected: pass --replay FIXTURE or --live "
-            f"(a fixture named {DEFAULT_FIXTURE_NAME} in the output directory is replayed automatically)"
-        )
+        raise ConfigError("no transport selected: pass --replay FIXTURE or --live (a fixture "
+                          f"named {DEFAULT_FIXTURE_NAME} in the output directory is replayed "
+                          "automatically)")
     if mode == "replay":
         if not config.fixture:
             raise ConfigError("replay transport requires a fixture path (--replay FIXTURE)")
@@ -301,9 +304,7 @@ def cmd_verify(config: RunConfig, artifact_path: str | None) -> int:
     fresh_hash = content_hash(corpus)
     recorded = artifact.corpus_fingerprint["content_hash"]
     if fresh_hash != recorded:
-        raise ConfigError(
-            f"corpus hash {fresh_hash} does not match the artifact's {recorded}"
-        )
+        raise ConfigError(f"corpus hash {fresh_hash} does not match the artifact's {recorded}")
     threshold = artifact.trace.threshold if artifact.trace else config.trace_threshold
     trace = verify_codebook(artifact.llm_codebook, corpus, threshold)
     print(f"trace summary: {trace.summary}")
@@ -338,89 +339,108 @@ def cmd_report(config: RunConfig, artifact_path: str | None,
     return EXIT_OK
 
 
+class _Fallback(Exception):
+    """Raised where the small parser would print: the full parser takes the line."""
+
+
 class _Parser(argparse.ArgumentParser):
-    """Argument parser whose usage errors exit 1: exit 2 means a rerun can resume."""
+    """Argument parser whose usage errors exit 1: exit 2 means a rerun can resume.
+    The small parser, which has no help option, raises _Fallback instead."""
 
     def error(self, message: str):
+        if not self.add_help:
+            raise _Fallback
         self.print_usage(sys.stderr)
         self.exit(EXIT_ERROR, f"{self.prog}: error: {message}\n")
 
 
-def _build_parser(tokens: list[str]) -> argparse.ArgumentParser:
-    """The command-line parser.  A subcommand gets its options only when its
-    name is one of ``tokens``, the command line: building every option costs
-    more than parsing one command line."""
-    parser = _Parser(
-        prog="thematica",
-        description="Stepwise thematic analysis of interview transcripts with "
-                    "quote traceability and codebook agreement statistics.",
-    )
-    parser.add_argument("--config", help="JSON config file")
-    parser.add_argument("--output-dir", help="directory for artifacts and reports")
-    parser.add_argument("--verbose", action="store_true", default=None,
-                        help="enable info logging")
-    sub = parser.add_subparsers(dest="command", required=True)
+_COMMANDS = {"analyze": "run the full analysis over a transcript",
+             "compare": "compare the artifact against human codebooks",
+             "verify": "re-check quote traceability of an artifact",
+             "report": "regenerate reports from an artifact"}
+# Each option once, by section: None for the global options, then each command.  A default
+# other than None is spelled out, since the small parser gives it to each option it omits.
+_OPTIONS: dict[str | None, dict[str, dict]] = {
+    None: {"--config": dict(help="JSON config file"),
+           "--output-dir": dict(help="directory for artifacts and reports"),
+           "--verbose": dict(action="store_true", default=None, help="enable info logging")},
+    "analyze": {
+        "--input": dict(help="transcript file (.docx or plain text)"),
+        "--page-size": dict(type=int, help="paragraphs per page (default 10)"),
+        "--focus": dict(dest="focus_description", help="what the coding should focus on"),
+        "--research-question": {}, "--model-id": {}, "--temperature": dict(type=float),
+        "--max-tokens": dict(type=int), "--endpoint-url": {}, "--timeout": dict(type=float),
+        "--parallelism": dict(type=int), "--trace-threshold": dict(type=float),
+        "--template-dir": {},
+        "--paper-reference": dict(help="JSON file of expected values for discrepancy footnotes"),
+        "--replay": dict(metavar="FIXTURE", help="replay a recorded session"),
+        "--live": dict(action="store_true", default=False, help="send live requests")},
+    "compare": {
+        "--artifact": {}, "--human": dict(action="append", default=[],
+                                          help="human codebook CSV (repeat for two coders)"),
+        "--interpretations": dict(action="append", default=[], help="interpretation sidecar "
+                                  "for the matching --human (positional)"),
+        "--matcher": dict(choices=list(MATCHER_MODES)), "--alias-map": {},
+        "--jaccard-threshold": dict(type=float), "--paper-reference": {}},
+    "verify": {"--artifact": {}, "--input": dict(help="the corpus the artifact was built from")},
+    "report": {"--artifact": {}, "--paper-reference": {}},
+}
+_TRANSPORTS = ("--replay", "--live")  # analyze's mutually exclusive pair
 
-    analyze = sub.add_parser("analyze", help="run the full analysis over a transcript")
-    compare = sub.add_parser("compare", help="compare the artifact against human codebooks")
-    verify = sub.add_parser("verify", help="re-check quote traceability of an artifact")
-    report = sub.add_parser("report", help="regenerate reports from an artifact")
-    if "analyze" in tokens:
-        analyze.add_argument("--input", help="transcript file (.docx or plain text)")
-        analyze.add_argument("--page-size", type=int, dest="page_size",
-                             help="paragraphs per page (default 10)")
-        analyze.add_argument("--focus", dest="focus_description",
-                             help="what the coding should focus on")
-        analyze.add_argument("--research-question", dest="research_question")
-        analyze.add_argument("--model-id")
-        analyze.add_argument("--temperature", type=float)
-        analyze.add_argument("--max-tokens", type=int)
-        analyze.add_argument("--endpoint-url")
-        analyze.add_argument("--timeout", type=float)
-        analyze.add_argument("--parallelism", type=int)
-        analyze.add_argument("--trace-threshold", type=float, dest="trace_threshold")
-        analyze.add_argument("--template-dir", dest="template_dir")
-        analyze.add_argument("--paper-reference", dest="paper_reference",
-                             help="JSON file of expected values for discrepancy footnotes")
-        transport = analyze.add_mutually_exclusive_group()
-        transport.add_argument("--replay", metavar="FIXTURE", help="replay a recorded session")
-        transport.add_argument("--live", action="store_true", help="send live requests")
-    if "compare" in tokens:
-        compare.add_argument("--artifact")
-        compare.add_argument("--human", action="append", default=[],
-                             help="human codebook CSV (repeat for two coders)")
-        compare.add_argument("--interpretations", action="append", default=[],
-                             help="interpretation sidecar for the matching --human (positional)")
-        compare.add_argument("--matcher", choices=list(MATCHER_MODES))
-        compare.add_argument("--alias-map", dest="alias_map")
-        compare.add_argument("--jaccard-threshold", type=float, dest="jaccard_threshold")
-        compare.add_argument("--paper-reference", dest="paper_reference")
-    if "verify" in tokens:
-        verify.add_argument("--artifact")
-        verify.add_argument("--input", help="the corpus the artifact was built from")
-    if "report" in tokens:
-        report.add_argument("--artifact")
-        report.add_argument("--paper-reference", dest="paper_reference")
+
+def _build_parser(tokens: list[str], small: bool = False) -> argparse.ArgumentParser:
+    """The full command-line parser has every command and option and alone prints help
+    and usage errors.  The ``small`` one, cheaper to build, has only the commands and
+    long options ``tokens`` names word for word (``--flag``, ``--flag=value``), no help or
+    abbreviation, and each other option's default, so it parses as the full one does."""
+    named = {token.partition("=")[0] for token in tokens}
+    # A dash token with a space is a value unless an option, built or not, starts with it.
+    if small and any(token.startswith("-") and " " in token for token in tokens):
+        raise _Fallback
+
+    def add_options(parser: argparse.ArgumentParser, section: str | None) -> None:
+        group, omitted = None, {}
+        for flag, keywords in _OPTIONS[section].items():
+            if small and flag not in named:
+                omitted[keywords.get("dest", flag[2:].replace("-", "_"))] = keywords.get("default")
+            elif flag in _TRANSPORTS:
+                group = group or parser.add_mutually_exclusive_group()
+                group.add_argument(flag, **keywords)
+            else:
+                parser.add_argument(flag, **keywords)
+        parser.set_defaults(**omitted)
+
+    parser = _Parser(prog="thematica", allow_abbrev=not small, add_help=not small,
+                     description="Stepwise thematic analysis of interview transcripts with "
+                                 "quote traceability and codebook agreement statistics.")
+    add_options(parser, None)
+    sub = parser.add_subparsers(dest="command", required=True, prog="thematica")
+    for name, summary in _COMMANDS.items():
+        if not small or name in named:
+            add_options(sub.add_parser(name, help=summary, allow_abbrev=not small,
+                                       add_help=not small), name)
     return parser
 
 
+def _parse(tokens: list[str]) -> argparse.Namespace:
+    """The small parser's namespace for ``tokens``, else the full parser's."""
+    with contextlib.suppress(_Fallback):
+        return _build_parser(tokens, small=True).parse_args(tokens)
+    return _build_parser(tokens).parse_args(tokens)
+
+
 def main(argv: list[str] | None = None) -> int:
-    tokens = sys.argv[1:] if argv is None else argv
-    parser = _build_parser(tokens)
-    args = parser.parse_args(tokens)
+    args = _parse(sys.argv[1:] if argv is None else argv)
     logging.basicConfig(format="%(levelname)s %(name)s: %(message)s")
 
     try:
         file_data = _load_json_object(args.config, "config file")
         # Each flag is stored under the name of the field it overrides.
         overrides = {name: getattr(args, name) for name in _RUN_TYPES if hasattr(args, name)}
-        model_overrides = {key: getattr(args, key) for key in _MODEL_TYPES
-                           if getattr(args, key, None) is not None}
-        if model_overrides:
-            overrides["model"] = model_overrides
+        overrides["model"] = {key: getattr(args, key) for key in _MODEL_TYPES
+                              if getattr(args, key, None) is not None}
         if getattr(args, "replay", None):
-            overrides["transport"] = "replay"
-            overrides["fixture"] = args.replay
+            overrides.update(transport="replay", fixture=args.replay)
         elif getattr(args, "live", False):
             overrides["transport"] = "live"
         config = RunConfig.from_sources(file_data, overrides)
@@ -429,32 +449,27 @@ def main(argv: list[str] | None = None) -> int:
         logging.getLogger("thematica").setLevel(logging.INFO if config.verbose else logging.WARNING)
 
         if args.command == "analyze":
-            return cmd_analyze(config, paper_reference=getattr(args, "paper_reference", None))
+            return cmd_analyze(config, paper_reference=args.paper_reference)
         if args.command == "compare":
             return cmd_compare(config, args.artifact, args.human,
                                interpretation_paths=args.interpretations or None,
                                paper_reference=args.paper_reference)
         if args.command == "verify":
             return cmd_verify(config, args.artifact)
-        if args.command == "report":
-            return cmd_report(config, args.artifact, paper_reference=args.paper_reference)
-        parser.error(f"unknown command {args.command!r}")
+        return cmd_report(config, args.artifact, paper_reference=args.paper_reference)
     except ConfigError as exc:
-        print(f"configuration error: {exc}", file=sys.stderr)
-        return EXIT_ERROR
+        message = f"configuration error: {exc}"
     except FileNotFoundError as exc:
-        print(f"error: file not found: {exc.filename or exc}", file=sys.stderr)
-        return EXIT_ERROR
+        message = f"error: file not found: {exc.filename or exc}"
     except OSError as exc:
         where = f"{exc.filename}: " if exc.filename else ""
-        print(f"error: {where}{exc.strerror or exc}", file=sys.stderr)
-        return EXIT_ERROR
+        message = f"error: {where}{exc.strerror or exc}"
     except ThematicaError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_ERROR
+        message = f"error: {exc}"
     except KeyboardInterrupt:
         print("interrupted", file=sys.stderr)
         return EXIT_INTERRUPTED
+    print(message, file=sys.stderr)
     return EXIT_ERROR
 
 

@@ -7,6 +7,8 @@ The extraction step yields code lists in (at least) three dialects:
   ``- Supporting Sentence: "quote"`` and ``- Page: Page N`` lines
 * D3, a numbered label line followed by ``- "quote"`` and ``- Page N`` lines
 
+A D2 or D3 page line may cite its page as ``(p. N)`` too, as a D1 line may.
+
 Each reply kind has one grammar: a compiled pattern whose alternatives are
 the kinds of its lines, tried in order.  Each line is classified by one match
 against it; the alternative that matched names the line's kind, and its groups
@@ -80,7 +82,8 @@ def _line_grammar(**alternatives: str) -> re.Pattern:
 # its page is the first one cited after that, as ``Page N`` or ``(p. N)``.  A
 # ``(p. N)`` that ends the label cites its page too.
 # ``entry`` opens a D2 or D3 entry, which ``quote``, ``page`` and ``dash`` lines
-# fill; a ``page`` line names the first page it cites.
+# fill; a ``page`` line starts with ``Page`` or ``(p.`` and names the first page
+# it cites, in either form.
 _CODE_LINE = _line_grammar(
     blank=r"\s*$", boilerplate=_BOILERPLATE.pattern, delimiter=LIST_DELIMITER.pattern,
     code=rf"^\s*\d+[.)]\s+(?P<label>\*\*[^*{_QUOTE_CHARS}]*[{_QUOTE_CHARS}][^*]*\*\*[^{_QUOTE_CHARS}]*"
@@ -88,7 +91,8 @@ _CODE_LINE = _line_grammar(
          rf"(?:.*?(?:{_PAGE_CITED.format('cited')}|{_P_CITED.format('cited_p')}))?.*$",
     entry=r"^\s*(?:Emerging Code\s*:\s*|\d+[.)]\s+)(?P<rest>\S.*)$",
     quote=rf"^\s*-\s+(?:Supporting Sentence\s*:\s*|(?=[{_QUOTE_CHARS}]))(?P<rest>.*)$",
-    page=rf"^\s*-\s+(?=page\b).*?{_PAGE_CITED.format('rest')}.*$",
+    page=rf"^\s*-\s+(?=page\b|\(p\.).*?(?:{_PAGE_CITED.format('page_cited')}"
+         rf"|{_P_CITED.format('page_p')}).*$",
     dash=_DASH.pattern)
 
 # A theme or interpretation reply's line kinds, first match wins.
@@ -252,7 +256,7 @@ def parse_code_block(reply: str, expected_page: int) -> ParseReport:
             if kind == "quote":
                 quote = _strip_quote_pair(match["quote"])
             elif kind == "page":
-                page = int(match["page"])
+                page = int(match["page_cited"] or match["page_p"])
             else:
                 warnings.append(ParseWarning(lineno, "unrecognized_attribute", match["dash"]))
 

@@ -2,8 +2,12 @@
 
 from __future__ import annotations
 
+import argparse
+import contextlib
 import errno
 import hashlib
+import importlib.util
+import io
 import json
 import logging
 import os
@@ -1352,6 +1356,193 @@ def test_transport_flags_are_mutually_exclusive(sample_workspace: Path,
         main(["--config", "run_config.json", "analyze",
               "--replay", "session.json", "--live"])
     assert usage_error.value.code == 1
+
+
+# The command-line parsers.  main parses each line with the small parser,
+# built with only the options the line names, and leaves any line it cannot
+# parse to the full parser; the tests below hold the two to the same result.
+_SECTIONS = thematica.cli._OPTIONS
+# Tier-1 draws the same lines on every run; another seed draws fresh ones.
+_PARSER_SEED = int(os.environ.get("THEMATICA_PARSER_SEED", "42"))
+# Option values: the empty word, a space, an "=", a negative number, command names.
+_WORDS = st.sampled_from(["x", "", "a b", "p=q", "=", "-1", "é", "verify", "analyze",
+                          "run_config.json"])
+
+
+def _values(keywords: dict):
+    """Values, as command-line text, that an option with ``keywords`` accepts."""
+    if "choices" in keywords:
+        return st.sampled_from(keywords["choices"])
+    kind = keywords.get("type")
+    if kind is int:
+        return st.integers(-3, 300).map(str)
+    if kind is float:
+        return st.floats(-2, 2).map("{:.3f}".format)  # argparse reads -1e-05 as an option
+    return _WORDS
+
+
+@st.composite
+def _options(draw, section: str | None) -> list[str]:
+    """A valid run of ``section``'s options, in any order: each at most once
+    but ``--human`` and ``--interpretations``, and one transport at most."""
+    options = _SECTIONS[section]
+    flags = draw(st.lists(st.sampled_from(list(options)), max_size=6))
+    seen, tokens = set(), []
+    for flag in flags:
+        if flag in seen and options[flag].get("action") != "append":
+            continue
+        if flag in thematica.cli._TRANSPORTS and seen & set(thematica.cli._TRANSPORTS):
+            continue
+        seen.add(flag)
+        if options[flag].get("action") == "store_true":
+            tokens.append(flag)
+            continue
+        value = draw(_values(options[flag]))
+        # The small parser leaves a dash token with a space to the full parser.
+        tokens += [flag, value] if " " in value or draw(st.booleans()) else [f"{flag}={value}"]
+    return tokens
+
+
+@st.composite
+def _valid_lines(draw) -> list[str]:
+    command = draw(st.sampled_from(list(thematica.cli._COMMANDS)))
+    return draw(_options(None)) + [command] + draw(_options(command))
+
+
+_EVERY_FLAG = sorted({flag for options in _SECTIONS.values() for flag in options})
+
+
+@st.composite
+def _other_lines(draw) -> list[str]:
+    """A valid line with one change: an abbreviated, unknown or misplaced
+    option, a missing or wrong value, help, ``--``, a dash token with a space,
+    or no command."""
+    line = draw(_valid_lines())
+    at = draw(st.integers(0, len(line)))
+    flags = [index for index, token in enumerate(line) if token.startswith("--")]
+    change = draw(st.sampled_from(["abbreviate", "insert", "drop", "command"]))
+    if change == "abbreviate" and flags:
+        index = draw(st.sampled_from(flags))
+        flag, equals, value = line[index].partition("=")
+        line[index] = flag[:draw(st.integers(3, len(flag) - 1))] + equals + value
+    elif change == "drop" and len(line) > 1:
+        del line[at - 1]
+    elif change == "command":
+        line = [token for token in line if token not in thematica.cli._COMMANDS]
+        line.insert(at, draw(st.sampled_from(["", "bogus", "Verify", "analyz"])))
+    else:
+        line[at:at] = draw(st.sampled_from([
+            ["-h"], ["--help"], ["--"], ["--bogus"], ["--bogus=1"], ["-x"], ["-hx"],
+            ["--in=a b"], ["-h x"], ["--config", "--ou=a b"], ["--input", "-h x"],
+            ["--temperature", "warm"], ["--matcher", "nope"],
+            ["--page-size", "1.5"], ["--verbose=1"], *([flag] for flag in _EVERY_FLAG),
+            *([flag, "x"] for flag in _EVERY_FLAG)]))
+    return line
+
+
+def _outcome(parse, line: list[str]):
+    """What ``parse`` makes of ``line``: the namespace's fields, or its exit
+    code and what it printed."""
+    out, err = io.StringIO(), io.StringIO()
+    try:
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            namespace = parse(line)
+    except SystemExit as done:
+        return done.code, out.getvalue(), err.getvalue()
+    assert (out.getvalue(), err.getvalue()) == ("", "")
+    return vars(namespace)
+
+
+def _full(line: list[str]):
+    return _outcome(thematica.cli._build_parser(line).parse_args, line)
+
+
+def _small(line: list[str]):
+    """The small parser's namespace fields, or None where it leaves the line,
+    printing nothing, to the full parser."""
+    try:
+        return _outcome(thematica.cli._build_parser(line, small=True).parse_args, line)
+    except thematica.cli._Fallback:
+        return None
+
+
+@seed(_PARSER_SEED)
+@settings(max_examples=100, deadline=None)
+@given(line=_valid_lines())
+def test_the_small_parser_reads_a_valid_line_as_the_full_parser_does(line: list[str]) -> None:
+    assert _small(line) == _full(line)
+
+
+@seed(_PARSER_SEED)
+@settings(max_examples=120, deadline=None)
+@given(line=_other_lines())
+def test_any_other_line_gets_what_the_full_parser_gives_it(line: list[str]) -> None:
+    full = _full(line)
+    assert _small(line) in (None, full)
+    if isinstance(full, dict):  # an abbreviated option, say: main reads the full namespace
+        assert _outcome(thematica.cli._parse, line) == full
+    else:
+        assert _outcome(main, line) == full
+
+
+@pytest.mark.parametrize("line, expected, small_reads_it", [
+    # A small parser that took abbreviations would read --te as the one
+    # option it built, --temperature.
+    (["analyze", "--temperature", "0.3", "--te", "0.5"],
+     "error: ambiguous option: --te could match --temperature, --template-dir", False),
+    (["analyze", "--replay", "a", "--live"],
+     "error: argument --live: not allowed with argument --replay", False),
+    # Without --output-dir, argparse would read "--ou=a b" as a value, for its space.
+    (["--config", "--ou=a b", "verify"], "error: argument --config: expected one argument", False),
+    (["analyze"], {"live": False, "replay": None, "verbose": None, "paper_reference": None}, True),
+    (["analyze", "--inp", "x"], {"input": "x", "live": False}, False),
+    (["--out", "abbr", "verify"], {"output_dir": "abbr", "command": "verify"}, False),
+    (["--config", "verify", "analyze"], {"config": "verify", "command": "analyze"}, True),
+    (["compare", "--human=a", "--human", "b"], {"human": ["a", "b"], "interpretations": []}, True),
+], ids=["ambiguous-prefix", "both-transports", "dash-and-space", "no-live", "abbreviated", "abbreviated-global",
+        "command-as-value", "repeated-human"])
+def test_lines_a_small_parser_could_get_wrong(line: list[str], expected,
+                                              small_reads_it: bool) -> None:
+    full = _full(line)
+    assert _small(line) == (full if small_reads_it else None)
+    if isinstance(expected, str):
+        assert full[0] == 1 and full[2].endswith(f"{expected}\n")
+        assert _outcome(main, line) == full
+    else:
+        assert full.items() >= expected.items()
+        assert _outcome(thematica.cli._parse, line) == full
+
+
+def _benchmark_command_lines() -> dict[str, list[str]]:
+    path = Path(__file__).resolve().parent.parent / "perfbench" / "run.py"
+    spec = importlib.util.spec_from_file_location("perfbench_run", path)
+    bench = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(bench)
+    lines = bench._command_lines(Path("cold"), Path("resumed"),
+                                 ["--paper-reference", "paper_reference.json"])
+    lines["report"] = ["--config", "run_config.json", "--output-dir", "rebuilt", "report",
+                       "--artifact", "cold/analysis.json"]
+    return lines
+
+
+def test_each_benchmark_command_line_builds_two_parsers(
+        sample_workspace: Path, monkeypatch: pytest.MonkeyPatch, capsys) -> None:
+    # The small parser and its one command: the full parser would build five.
+    built = []
+    build = argparse.ArgumentParser.__init__
+
+    def counted(parser, *args, **kwargs):
+        built.append(type(parser))
+        build(parser, *args, **kwargs)
+
+    monkeypatch.setattr(argparse.ArgumentParser, "__init__", counted)
+    monkeypatch.chdir(sample_workspace)
+    counts = {}
+    for command, line in _benchmark_command_lines().items():
+        built.clear()
+        assert main(line) == 0, capsys.readouterr().err
+        counts[command] = len(built)
+    assert counts == {"analyze": 2, "resume": 2, "verify": 2, "compare": 2, "report": 2}
 
 
 def test_unknown_model_option_is_rejected(

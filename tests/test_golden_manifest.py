@@ -5,7 +5,10 @@ paraphrase, at seed 1) are built in process with
 ``perfbench/workloads.build_workspace``, and the benchmark's own command
 lines (``perfbench/run.py``'s ``_command_lines``) run on each: cold
 ``analyze``, ``analyze`` resumed from a copy of ``snapshot/``, ``verify``,
-and ``compare`` with both coders.  For each command the manifest holds its
+and ``compare`` with both coders.  Then ``report`` rebuilds the reports from
+the cold artifact, and ``compare`` with both coders runs once more in each
+matcher mode that the workspace's config does not name, each into its own
+output directory.  For each command the manifest holds its
 exit code, the SHA-256 of its standard output, and the SHA-256 of each file
 it wrote, that is each file of its output directory that is new or holds
 new bytes.  A change that moves any of these bytes fails here, and the
@@ -32,6 +35,8 @@ sys.path.insert(0, str(PERFBENCH))
 import run as bench  # noqa: E402
 import workloads  # noqa: E402
 
+from thematica.codebook import ALIAS_MAP, MATCHER_MODES  # noqa: E402
+
 MANIFEST = Path(__file__).resolve().parent / "golden_manifest.json"
 SEED = 1
 
@@ -48,6 +53,21 @@ def _files(directory: Path) -> dict[str, str]:
             for path in sorted(directory.rglob("*")) if path.is_file()}
 
 
+def _more_command_lines(cold: Path, extra: list[str]) -> dict[str, list[str]]:
+    """``report`` from the cold artifact, and ``compare`` in each matcher mode
+    the benchmark does not run on the workspace."""
+    config = json.loads(Path("run_config.json").read_text(encoding="utf-8"))
+    base, artifact = ["--config", "run_config.json", "--output-dir"], str(cold / "analysis.json")
+    argvs = {"report": base + ["rebuilt", "report", "--artifact", artifact]}
+    for mode in MATCHER_MODES:
+        if mode != config["matcher"]:
+            aliases = ["--alias-map", "alias_map.csv"] if mode == ALIAS_MAP else []
+            argvs[f"compare-{mode}"] = base + [
+                f"compare-{mode}", "compare", "--artifact", artifact, "--human", "coder1.csv",
+                "--human", "coder2.csv", "--matcher", mode, *aliases, *extra]
+    return argvs
+
+
 def _workload_entries(workload: str, workspace: Path) -> dict[str, object]:
     workloads.build_workspace(workload, SEED, workspace)
     entries: dict[str, object] = {}
@@ -56,11 +76,11 @@ def _workload_entries(workload: str, workspace: Path) -> dict[str, object]:
         shutil.copytree("snapshot", resumed)
         extra = ["--paper-reference", "paper_reference.json"] \
             if Path("paper_reference.json").exists() else []
-        argvs = bench._command_lines(cold, resumed, extra)
-        for command in bench.COMMANDS:
-            out_dir = resumed if command == "resume" else cold
+        argvs = {**bench._command_lines(cold, resumed, extra), **_more_command_lines(cold, extra)}
+        for command, argv in argvs.items():
+            out_dir = Path(argv[argv.index("--output-dir") + 1])
             before = _files(out_dir)
-            code, out, _ = workloads.run_cli(argvs[command])
+            code, out, _ = workloads.run_cli(argv)
             prefix = f"{workload}/{command}"
             entries[f"{prefix}/exit"] = code
             entries[f"{prefix}/stdout"] = _digest(out.encode("utf-8"))

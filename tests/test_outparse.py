@@ -274,6 +274,20 @@ def test_a_d1_line_gives_its_label_quote_and_page(
     assert [w.kind for w in report.warnings] == kinds
 
 
+@pytest.mark.parametrize("reply", [
+    '3. Family Support\n- "we moved together"\n- Page 4',
+    '3. Family Support\n- "we moved together"\n- (p. 4)',
+    'Emerging Code: **Family Support**\n- Supporting Sentence: "we moved together"\n'
+    '- Page: Page 4',
+    'Emerging Code: **Family Support**\n- Supporting Sentence: "we moved together"\n'
+    '- Page: (p. 4)',
+], ids=["d3", "d3-p", "d2", "d2-p"])
+def test_a_d2_or_d3_entry_gives_its_label_quote_and_page(reply: str) -> None:
+    report = parse_code_block(reply, expected_page=2)
+    assert triples(report) == [("Family Support", "we moved together", 4)]
+    assert report.warnings == ()
+
+
 def test_numbered_multiline_dialect() -> None:
     report = parse_code_block(NUMBERED_MULTILINE, expected_page=15)
     assert triples(report) == [
@@ -1107,13 +1121,18 @@ class _ParentOpenCode:
     page: int | None = None
 
 
+# A D2 or D3 page line starts with "Page" or "(p." and names the first page it
+# cites, in either form.
+_ENTRY_PAGE_LINE = re.compile(r"^\s*(?:Page\b|\(p\.)", re.IGNORECASE)
+_ENTRY_PAGE_VALUE = re.compile(r"page\s*:?\s*(?:page\s+)?(\d+)|\(p\.\s*(\d+)\)", re.IGNORECASE)
 _BOLD_QUOTED_LABEL = re.compile(rf"\*\*[^*]*[{_QUOTE_CHARS}][^*]*\*\*[^{_QUOTE_CHARS}]*")
 
 
 def _parent_parse_code_block(reply: str, expected_page: int) -> ParseReport:
     """The code-reply parser before its lines were classified by one grammar:
     it tried the line patterns one at a time.  It reads a bold label that
-    holds a quote character as the grammar has since."""
+    holds a quote character, and a page line's ``(p. N)``, as the grammar has
+    since."""
     if not reply.strip():
         raise NoRecordsFound("empty reply")
     if expected_page < 1:
@@ -1181,8 +1200,8 @@ def _parent_parse_code_block(reply: str, expected_page: int) -> ParseReport:
             supporting = _SUPPORTING.match(rest)
             if supporting:
                 entry.quote = _strip_quote_pair(supporting.group("rest"))
-            elif _PAGE_LINE.match(rest) and (page := _PAGE_VALUE.search(rest)):
-                entry.page = int(page.group(1))
+            elif _ENTRY_PAGE_LINE.match(rest) and (page := _ENTRY_PAGE_VALUE.search(rest)):
+                entry.page = int(page.group(1) or page.group(2))
             elif rest[0] in _QUOTE_CHARS:  # a "Page" line never starts with a quote
                 entry.quote = _strip_quote_pair(rest)
             else:
@@ -1253,6 +1272,8 @@ _EDGE_ATTRIBUTES = (
     '-{sp}{q}', '-{sp}Page: none', '-{sp}Page: none, see page {page}', '-{sp}Page: Page {page}',
     '-{sp}page {page}{words}', *('-{sp}Page {page} or page {n}',) * 2, '-{sp}see page {page}',
     '-{sp}Pages {page}', '-{sp}Page{words}', '-{sp}{words}', '', '{words}',
+    '-{sp}(p. {page})', '-{sp}Page: (p.{sp}{page})', '-{sp}(p. {page}{words}',
+    '-{sp}(p. none) page {n}',
 )
 _EDGE_HEADERS = ('### Theme {n}: {words}', '**Theme {n}: L{words}**', 'Theme {n}:{sp}L{words}:')
 _EDGE_BODIES = (
